@@ -2,8 +2,8 @@
 //!
 //! Core types shared by every crate of the EM-X simulator: simulated time in
 //! processor cycles, the global address space, the 2-word fixed-size packet
-//! that carries *all* EM-X communication, a deterministic event queue, and the
-//! machine configuration (processor counts, cost model, network selection).
+//! that carries *all* EM-X communication, and the machine configuration
+//! (processor counts, cost model, network selection).
 //!
 //! The EM-X (Electrotechnical Laboratory, 1995) is a distributed-memory
 //! multiprocessor whose 80 EMC-Y processors run at 20 MHz and communicate
@@ -18,7 +18,6 @@
 //!   [`Continuation`] with their 32-bit wire packings.
 //! * [`packet`] — [`Packet`], its kinds and priorities, and
 //!   the exact 2×32-bit wire encoding.
-//! * [`event`] — a deterministic time-ordered [`EventQueue`].
 //! * [`config`] — [`MachineConfig`] and
 //!   [`CostModel`].
 //! * [`faults`] — [`FaultSpec`], the deterministic
@@ -35,7 +34,6 @@
 pub mod addr;
 pub mod config;
 pub mod error;
-pub mod event;
 pub mod faults;
 pub mod packet;
 pub mod probe;
@@ -44,7 +42,6 @@ pub mod time;
 pub use addr::{Continuation, FrameId, GlobalAddr, PeId, SlotId};
 pub use config::{CostModel, CostPreset, MachineConfig, NetConfig, NetModelKind, ServiceMode};
 pub use error::SimError;
-pub use event::EventQueue;
 pub use faults::{FaultSpec, PPM_SCALE};
 pub use packet::{Packet, PacketKind, Priority, WirePacket};
 pub use probe::{FaultKind, NullProbe, Probe, SuspendCause, TraceEvent, TraceKind, TRACE_SCHEMA};

@@ -3,8 +3,7 @@
 
 use emx_core::addr::{MAX_FRAMES, MAX_OFFSET, MAX_PES};
 use emx_core::{
-    Continuation, Cycle, EventQueue, FrameId, GlobalAddr, Packet, PeId, Priority, SlotId,
-    WirePacket,
+    Continuation, Cycle, FrameId, GlobalAddr, Packet, PeId, Priority, SlotId, WirePacket,
 };
 use proptest::prelude::*;
 
@@ -87,27 +86,6 @@ proptest! {
         prop_assert_eq!(ca - cb, Cycle::new(u64::from(a).saturating_sub(u64::from(b))));
         prop_assert_eq!(ca.max(cb).get(), u64::from(a.max(b)));
         prop_assert_eq!(ca.min(cb).get(), u64::from(a.min(b)));
-    }
-
-    /// The event queue is a stable priority queue: output is sorted by time
-    /// and FIFO within a time.
-    #[test]
-    fn event_queue_is_stable_and_sorted(times in proptest::collection::vec(0u64..64, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(Cycle::new(t), i).unwrap();
-        }
-        let mut out: Vec<(u64, usize)> = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            out.push((t.get(), i));
-        }
-        prop_assert_eq!(out.len(), times.len());
-        for w in out.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time order violated");
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO violated within a tick");
-            }
-        }
     }
 
     /// offset_by walks memory without crossing processors.

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! emx-cli run     <sort|fft|bfs|histogram|spmv|stencil> --pes 64 --n 4096 --threads 4
-//!                 [--shards S] [--comm-only] [--seed N] [--net MODEL] [--preset paper|modern] [--csv]
+//!                 [--comm-only] [--seed N] [--net MODEL] [--preset paper|modern] [--csv]
 //!                 [--kill-after EVENTS] [--hostprof]
 //! emx-cli sort    --pes 16 --n 16384 --threads 4 [--dist uniform] [--seed 1] [--block] [--em4] [--csv]
 //! emx-cli fft     --pes 16 --n 16384 --threads 4 [--comm-only] [--csv]
@@ -46,12 +46,9 @@
 //! `run` executes one workload with the streaming trace digest attached
 //! and prints the run report followed by two stable fingerprints: a
 //! `report digest:` line (canonical report text) and the final `digest:`
-//! line hashing the complete `emx-trace` event stream. Because sharded
-//! execution is byte-deterministic, both lines must be identical at any
-//! `--shards` value — the shard smoke test in CI asserts exactly that.
-//! Every subcommand taking machine options also accepts `--shards S` to
-//! split the simulated machine across S host threads (see
-//! `docs/SHARDING.md`).
+//! line hashing the complete `emx-trace` event stream. Execution is
+//! byte-deterministic, so both lines are identical on every invocation —
+//! the workloads smoke test in CI asserts exactly that.
 //!
 //! `trace` runs a workload with the observability recorder attached and
 //! exports the `emx-trace/2` event stream as Chrome-trace/Perfetto JSON
@@ -76,14 +73,13 @@
 //! `emx-hostprof` host-side counters and appends the digest-stamped
 //! `emx-hostprof/1` report to stdout: deterministic simulation-work
 //! counters (calendar pushes/pops, per-lane events, queue and DMA
-//! traffic, replay emissions — byte-identical at any `--shards`/`--jobs`
-//! value), host-structure counters (driver windows, cross-shard hops,
-//! sweep cache hits) and wall-clock annotations (shard compute/barrier/
-//! replay time, allocator traffic). `bench-diff` compares an
-//! `emx-bench/2` / `emx-bench-shard/2` file against its committed
-//! baseline (default under `results/baselines/`): deterministic fields
-//! (cycles, digests, counters) are hard-gated by `--threshold` (default
-//! 0 ppm — exact) and exit 3 on drift; wall-clock annotations only warn
+//! traffic, replay emissions — byte-identical on every invocation and at
+//! any `--jobs` value), host-structure counters (sweep points and cache
+//! hits) and wall-clock annotations (sweep and journal time, allocator
+//! traffic). `bench-diff` compares an `emx-bench/2` file against its
+//! committed baseline (default under `results/baselines/`): deterministic
+//! fields (cycles, digests, counters) are hard-gated by `--threshold`
+//! (default 0 ppm — exact) and exit 3 on drift; wall-clock annotations only warn
 //! past `--wall-threshold` (default 500000 ppm). `--progress[=EVERY-MS]`
 //! (on `sweep`, `faults` and `resume`) prints a heartbeat line to stderr
 //! at the given cadence (default 1 s) — points done/total, cache hits,
@@ -129,15 +125,15 @@
 //!
 //! `fuzz run` drives the deterministic fuzzing campaign (`emx-fuzz`):
 //! seeded random programs crossed with random machine shapes and fault
-//! plans, each judged by the four-way replay/shard/checkpoint/invariant
-//! oracle. The
-//! summary is byte-identical for the same `--cases`/`--seed` pair and ends
-//! with the canonical `digest:` line; the exit code is nonzero when any
-//! oracle failure was recorded. `--perturb` (or `EMX_FUZZ_PERTURB=1`)
-//! arms the test-only network-latency mutation that a sound oracle must
-//! catch as digest mismatches. `fuzz replay` re-runs committed `.emxfuzz`
-//! cases and checks their pinned verdicts and digests; `fuzz shrink`
-//! minimizes a failing case. See `docs/FUZZING.md`.
+//! plans, each judged by the three-way invariant/replay/checkpoint
+//! oracle. The summary is byte-identical for the same `--cases`/`--seed`
+//! pair and ends with the canonical `digest:` line; the exit code is
+//! nonzero when any oracle failure was recorded. `--perturb` (or
+//! `EMX_FUZZ_PERTURB=1`) arms the test-only network-latency mutation that
+//! a sound oracle must catch as digest mismatches. `fuzz replay` re-runs
+//! committed `.emxfuzz` cases and checks their pinned verdicts and
+//! digests; `fuzz shrink` minimizes a failing case. See
+//! `docs/FUZZING.md`.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -271,7 +267,6 @@ fn machine_cfg(args: &Args, default_pes: usize) -> Result<MachineConfig, String>
     if let Some(preset) = args.get("preset") {
         parse_preset(preset)?.apply(&mut cfg);
     }
-    cfg.shards = args.usize_or("shards", 1)?;
     Ok(cfg)
 }
 
@@ -400,11 +395,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     };
     if !args.has("csv") {
         println!(
-            "{workload}: {} elements on {} PEs, h={}, {} shard(s), {} trace events",
+            "{workload}: {} elements on {} PEs, h={}, {} trace events",
             n,
             cfg.num_pes,
             threads,
-            cfg.shards,
             handle.events()
         );
     }
@@ -418,7 +412,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             ("pes".to_string(), cfg.num_pes.to_string()),
             ("n".to_string(), n.to_string()),
             ("threads".to_string(), threads.to_string()),
-            ("shards".to_string(), cfg.shards.to_string()),
         ]);
     }
     Ok(())
@@ -790,11 +783,11 @@ fn bench_diff_inner(args: &Args) -> Result<emx::hostprof::DriftKind, String> {
     Ok(d.outcome)
 }
 
-/// Parse an `emx-bench/2` / `emx-bench-shard/2` JSON file into the
-/// structures [`emx::hostprof::diff_bench`] compares. Deterministic
-/// per-point fields (the `counters` and `host` objects) land in
-/// `counters`; wall-clock annotations (the `wall` object plus the
-/// top-level `wall_ns` / `cycles_per_sec`) land in `wall`.
+/// Parse an `emx-bench/2` JSON file into the structures
+/// [`emx::hostprof::diff_bench`] compares. Deterministic per-point fields
+/// (the `counters` and `host` objects) land in `counters`; wall-clock
+/// annotations (the `wall` object plus the top-level `wall_ns`) land in
+/// `wall`.
 fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
     use emx::obs::JsonValue;
     let v = emx::obs::parse_json(text)?;
@@ -830,7 +823,7 @@ fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
     for (i, p) in arr.iter().enumerate() {
         let workload = str_field(p, "workload").map_err(|e| format!("point {i}: {e}"))?;
         let mut key = workload;
-        for k in ["p", "h", "r", "shards"] {
+        for k in ["p", "h", "r"] {
             if let Some(n) = num(p, k) {
                 key.push_str(&format!(" {k}={n}"));
             }
@@ -844,10 +837,8 @@ fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
         let mut counters = kvs(p, "counters");
         counters.extend(kvs(p, "host"));
         let mut wall = kvs(p, "wall");
-        for k in ["wall_ns", "cycles_per_sec"] {
-            if let Some(n) = num(p, k) {
-                wall.push((k.to_string(), n));
-            }
+        if let Some(n) = num(p, "wall_ns") {
+            wall.push(("wall_ns".to_string(), n));
         }
         points.push(emx::hostprof::BenchPoint {
             key,
@@ -1004,12 +995,10 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     let threads = parse_list("threads", args.get("threads").unwrap_or("1,2,4,8"))?;
 
     let mut engine = engine_from_args(args)?;
-    let shards = args.usize_or("shards", 1)?;
     let net_model = args.get("net").map(parse_net).transpose()?;
     let preset = args.get("preset").map(parse_preset).transpose()?;
     let mut specs = grid(workload, pes, &sizes, &threads);
     for s in &mut specs {
-        s.shards = shards;
         if let Some(net) = net_model {
             s.net_model = net;
         }
@@ -1047,7 +1036,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             ("figure".to_string(), figure),
             ("points".to_string(), outcome.points.len().to_string()),
             ("jobs".to_string(), outcome.jobs.to_string()),
-            ("shards".to_string(), shards.to_string()),
         ]);
     }
     Ok(())
@@ -1081,7 +1069,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let backoff_cap = args.u64_or("backoff-cap", 4096)? as u32;
     let max_attempts = args.u64_or("max-attempts", 0)? as u32;
     let check = args.has("check-invariants");
-    let shards = args.usize_or("shards", 1)?;
     let net_model = args.get("net").map(parse_net).transpose()?;
     let preset = args.get("preset").map(parse_preset).transpose()?;
 
@@ -1114,7 +1101,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
                 // leave the fault machinery unarmed so the run (and its
                 // digest and cache entry) is identical to a plain sweep.
                 spec.faults = (!fs.is_noop()).then_some(fs);
-                spec.shards = shards;
                 specs.push(spec);
             }
         }
@@ -1164,7 +1150,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
             ("figure".to_string(), figure),
             ("points".to_string(), outcome.points.len().to_string()),
             ("jobs".to_string(), outcome.jobs.to_string()),
-            ("shards".to_string(), shards.to_string()),
         ]);
     }
     Ok(())

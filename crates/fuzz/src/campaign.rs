@@ -1,4 +1,4 @@
-//! Campaign driver: generate N cases, run the four-way oracle on each,
+//! Campaign driver: generate N cases, run the three-way oracle on each,
 //! and fold every per-case result into one reproducible summary digest.
 //!
 //! The summary is byte-deterministic: the same `(cases, seed)` pair always

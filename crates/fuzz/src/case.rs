@@ -228,8 +228,6 @@ pub struct CaseSpec {
     pub frames_per_pe: usize,
     /// Local memory per processor, words.
     pub memory_words: usize,
-    /// Host shard count the shard-equivalence oracle arm runs with.
-    pub shards: usize,
     /// Fuel limit in cycles; a well-formed case finishes far below it.
     pub fuel: u64,
     /// Remote-read servicing mode.
@@ -261,7 +259,6 @@ impl CaseSpec {
             ibu_capacity: 8,
             frames_per_pe: 64,
             memory_words: 4096,
-            shards: 1,
             fuel: 5_000_000,
             service_mode: ServiceMode::BypassDma,
             priority_read_responses: false,
@@ -293,7 +290,6 @@ impl CaseSpec {
         s.push_str(&format!("ibu = {}\n", self.ibu_capacity));
         s.push_str(&format!("frames = {}\n", self.frames_per_pe));
         s.push_str(&format!("mem = {}\n", self.memory_words));
-        s.push_str(&format!("shards = {}\n", self.shards));
         s.push_str(&format!("fuel = {}\n", self.fuel));
         let service = match self.service_mode {
             ServiceMode::BypassDma => "bypass",
@@ -409,7 +405,6 @@ impl CaseSpec {
                 "ibu" => case.ibu_capacity = parse_usize(value)?,
                 "frames" => case.frames_per_pe = parse_usize(value)?,
                 "mem" => case.memory_words = parse_usize(value)?,
-                "shards" => case.shards = parse_usize(value)?,
                 "fuel" => {
                     case.fuel = value
                         .parse()
@@ -495,9 +490,6 @@ impl CaseSpec {
         }
         if self.ibu_capacity == 0 || self.frames_per_pe == 0 {
             return Err("ibu and frame capacities must be positive".into());
-        }
-        if self.shards == 0 {
-            return Err("shards must be positive".into());
         }
         if self.fuel == 0 {
             return Err("fuel must be positive".into());
@@ -776,7 +768,6 @@ mod tests {
         let mut c = CaseSpec::empty("roundtrip", 4);
         c.seed = 99;
         c.net = NetModelKind::Ideal { latency: 5 };
-        c.shards = 2;
         c.seq_cells = 1;
         c.barrier_participants = 1;
         c.faults.drop_ppm = 1000;

@@ -6,16 +6,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Deterministic simulation-work counters (the digested `counters`
-/// section). Byte-identical across `--shards` and `--jobs` for error-free
-/// runs: both drivers pop the same event set and funnel every effect
-/// through the same replay chokepoint.
+/// section). Byte-identical across runs and `--jobs` values for
+/// error-free runs: the event loop pops every event in canonical order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Sim {
     /// Semantic calendar insertions (`Calendar::push`), counted once per
-    /// event — shard split/restore re-insertions are excluded.
+    /// event — snapshot-restore re-insertions are excluded.
     CalPushes,
-    /// Calendar pops across all calendars (oracle or per-shard).
+    /// Calendar pops.
     CalPops,
     /// Events processed on the dispatch lane (lane 0).
     EvDispatch,
@@ -37,27 +36,23 @@ pub enum Sim {
     DmaServices,
     /// Outbound DMA (OBU) packet departures onto the network.
     DmaDeparts,
-    /// Buffered trace emissions replayed in canonical merged order.
+    /// Trace emissions made by event processing while a trace or probe
+    /// is attached (a route's own `Send` and network narration excluded).
     ReplayEmissions,
-    /// Route intents executed at replay (packets entering the network).
+    /// Network route calls (packets entering the network).
     ReplayRoutes,
 }
 
 /// Host-configuration counters (the `host` section): deterministic for a
-/// fixed `--shards`/cache configuration but intentionally different
-/// between drivers. Digest-excluded; hard-compared by `bench-diff` when
-/// configs match.
+/// fixed cache configuration. Digest-excluded; hard-compared by
+/// `bench-diff` when configs match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Host {
-    /// Conservative lookahead window rounds run by the shard coordinator.
+    /// Window rounds of a parallel event driver. The event loop runs on
+    /// one calendar, so this reads 0 (the benchmark's
+    /// `runtime.parallel_windows`).
     DriverWindows,
-    /// Per-window sync-barrier stalls: (shard, window) slots where a
-    /// shard reached the barrier having processed zero events.
-    ShardIdleWindows,
-    /// Packets whose replay delivery crossed a shard boundary (origin
-    /// shard != destination shard).
-    ShardCrossings,
     /// Sweep points executed or served from cache.
     SweepPoints,
     /// Sweep points served from the content-addressed run cache.
@@ -72,12 +67,6 @@ pub enum Host {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Wall {
-    /// Nanoseconds shard workers spent processing events inside windows.
-    ShardComputeNs,
-    /// Nanoseconds the coordinator spent waiting on the window barrier.
-    ShardBarrierNs,
-    /// Nanoseconds the coordinator spent k-way merging and replaying.
-    ShardReplayNs,
     /// Nanoseconds sweep workers spent executing points (incl. cache IO).
     SweepExecNs,
     /// Nanoseconds spent appending to / flushing the write-ahead journal.
@@ -108,20 +97,15 @@ pub const SIM_NAMES: [&str; 14] = [
 ];
 
 /// Canonical names for the [`Host`] counters, in enum order.
-pub const HOST_NAMES: [&str; 6] = [
+pub const HOST_NAMES: [&str; 4] = [
     "driver.windows",
-    "shard.idle_windows",
-    "shard.crossings",
     "sweep.points",
     "sweep.cache_hits",
     "sweep.simulated",
 ];
 
 /// Canonical names for the [`Wall`] counters, in enum order.
-pub const WALL_NAMES: [&str; 7] = [
-    "shard.compute_ns",
-    "shard.barrier_ns",
-    "shard.replay_ns",
+pub const WALL_NAMES: [&str; 4] = [
     "sweep.exec_ns",
     "sweep.journal_ns",
     "alloc.allocs",
@@ -133,7 +117,7 @@ static SIM: [AtomicU64; SIM_NAMES.len()] = [const { AtomicU64::new(0) }; SIM_NAM
 static HOST: [AtomicU64; HOST_NAMES.len()] = [const { AtomicU64::new(0) }; HOST_NAMES.len()];
 // Wall bank excludes the two allocator slots, which live in always-on
 // statics owned by `alloc.rs` and are spliced in at snapshot time.
-static WALL: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+static WALL: [AtomicU64; 2] = [const { AtomicU64::new(0) }; 2];
 
 /// Is host profiling currently collecting? A single relaxed load — this
 /// is the entire cost of every hook when profiling is off.
@@ -176,14 +160,6 @@ pub fn bump(c: Sim) {
 pub fn add(c: Sim, n: u64) {
     if enabled() && n != 0 {
         SIM[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-/// Add 1 to a [`Host`] counter (no-op while disabled).
-#[inline]
-pub fn bump_host(c: Host) {
-    if enabled() {
-        HOST[c as usize].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -291,14 +267,14 @@ mod tests {
         reset();
         bump(Sim::CalPushes);
         add(Sim::QueuePushes, 7);
-        bump_host(Host::DriverWindows);
-        add_wall(Wall::ShardComputeNs, 99);
+        add_host(Host::DriverWindows, 1);
+        add_wall(Wall::SweepExecNs, 99);
         count_lane(2);
         assert!(now().is_none());
         let s = snapshot();
         assert_eq!(s.sim, [0; SIM_NAMES.len()]);
         assert_eq!(s.host, [0; HOST_NAMES.len()]);
-        assert_eq!(&s.wall[..5], &[0; 5]);
+        assert_eq!(&s.wall[..2], &[0; 2]);
     }
 
     #[test]

@@ -1,6 +1,5 @@
-//! `bench-diff`: compare two benchmark trajectory files
-//! (`emx-bench/2` / `emx-bench-shard/2`) point by point, modeled on
-//! `emx-profile`'s `profile-diff`.
+//! `bench-diff`: compare two benchmark trajectory files (`emx-bench/2`)
+//! point by point, modeled on `emx-profile`'s `profile-diff`.
 //!
 //! Field classes drive the comparison:
 //!
@@ -9,14 +8,14 @@
 //!   against `threshold_ppm` (default 0: these are byte-deterministic,
 //!   any drift is a regression or an intentional change that must
 //!   regenerate the baseline).
-//! * **annotations** — `wall` section values, `wall_ns`,
-//!   `cycles_per_sec`. Compared against `wall_threshold_ppm` and
-//!   reported as warnings only; they never affect the outcome.
+//! * **annotations** — `wall` section values and `wall_ns`. Compared
+//!   against `wall_threshold_ppm` and reported as warnings only; they
+//!   never affect the outcome.
 //!
 //! The CLI maps [`DriftKind::Drift`] to exit code 3, like profile drift.
 
 /// Benchmark file schemas `bench-diff` understands.
-pub const HOSTPROF_SCHEMAS: [&str; 2] = ["emx-bench/2", "emx-bench-shard/2"];
+pub const HOSTPROF_SCHEMAS: [&str; 1] = ["emx-bench/2"];
 
 /// Default hard threshold for deterministic fields: exact match.
 pub const DEFAULT_THRESHOLD_PPM: u64 = 0;
@@ -27,7 +26,7 @@ pub const DEFAULT_WALL_THRESHOLD_PPM: u64 = 500_000;
 /// One benchmark point, already parsed out of the JSON by the caller.
 #[derive(Debug, Clone, Default)]
 pub struct BenchPoint {
-    /// Identity within the file, e.g. `fft p=64 h=4 r=512 shards=2`.
+    /// Identity within the file, e.g. `fft p=16 h=4 r=256`.
     pub key: String,
     /// Simulated cycles to completion (deterministic).
     pub cycles: u64,
@@ -44,7 +43,7 @@ pub struct BenchPoint {
 /// A parsed benchmark trajectory file.
 #[derive(Debug, Clone, Default)]
 pub struct BenchFile {
-    /// Schema tag (`emx-bench/2` or `emx-bench-shard/2`).
+    /// Schema tag (`emx-bench/2`).
     pub schema: String,
     /// Scale provenance (`quick`/`standard`/`full`).
     pub scale: String,
@@ -329,7 +328,7 @@ mod tests {
 
     fn file(points: Vec<BenchPoint>) -> BenchFile {
         BenchFile {
-            schema: "emx-bench-shard/2".into(),
+            schema: "emx-bench/2".into(),
             scale: "quick".into(),
             points,
         }
@@ -337,7 +336,7 @@ mod tests {
 
     #[test]
     fn identical_files() {
-        let a = file(vec![point("fft s=1", 100, 50, 1000)]);
+        let a = file(vec![point("fft h=1", 100, 50, 1000)]);
         let r = diff_bench(&a, &a.clone(), 0, DEFAULT_WALL_THRESHOLD_PPM);
         assert_eq!(r.outcome, DriftKind::Identical);
         assert_eq!(r.compared, 1);
@@ -346,26 +345,26 @@ mod tests {
 
     #[test]
     fn counter_drift_is_hard() {
-        let base = file(vec![point("fft s=1", 100, 50, 1000)]);
-        let cur = file(vec![point("fft s=1", 100, 51, 1000)]);
+        let base = file(vec![point("fft h=1", 100, 50, 1000)]);
+        let cur = file(vec![point("fft h=1", 100, 51, 1000)]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
         assert_eq!(r.outcome, DriftKind::Drift);
-        assert!(r.render().contains("! fft s=1 :: calendar.pushes"));
+        assert!(r.render().contains("! fft h=1 :: calendar.pushes"));
     }
 
     #[test]
     fn wall_drift_is_warn_only() {
-        let base = file(vec![point("fft s=1", 100, 50, 1000)]);
-        let cur = file(vec![point("fft s=1", 100, 50, 9000)]);
+        let base = file(vec![point("fft h=1", 100, 50, 1000)]);
+        let cur = file(vec![point("fft h=1", 100, 50, 9000)]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
         assert_eq!(r.outcome, DriftKind::Warn);
-        assert!(r.render().contains("~ fft s=1 :: wall_ns"));
+        assert!(r.render().contains("~ fft h=1 :: wall_ns"));
     }
 
     #[test]
     fn small_wall_drift_is_silent() {
-        let base = file(vec![point("fft s=1", 100, 50, 1000)]);
-        let cur = file(vec![point("fft s=1", 100, 50, 1100)]);
+        let base = file(vec![point("fft h=1", 100, 50, 1000)]);
+        let cur = file(vec![point("fft h=1", 100, 50, 1100)]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
         assert_eq!(r.outcome, DriftKind::Identical);
     }
@@ -373,10 +372,10 @@ mod tests {
     #[test]
     fn digest_mismatch_and_missing_point() {
         let base = file(vec![
-            point("fft s=1", 100, 50, 1000),
-            point("fft s=2", 100, 50, 1000),
+            point("fft h=1", 100, 50, 1000),
+            point("fft h=4", 100, 50, 1000),
         ]);
-        let mut cur = file(vec![point("fft s=1", 100, 50, 1000)]);
+        let mut cur = file(vec![point("fft h=1", 100, 50, 1000)]);
         cur.points[0].digest = "ff".repeat(16);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
         assert_eq!(r.outcome, DriftKind::Drift);
@@ -386,8 +385,8 @@ mod tests {
 
     #[test]
     fn cycles_within_nonzero_threshold_is_warn() {
-        let base = file(vec![point("fft s=1", 1_000_000, 50, 1000)]);
-        let cur = file(vec![point("fft s=1", 1_000_010, 50, 1000)]);
+        let base = file(vec![point("fft h=1", 1_000_000, 50, 1000)]);
+        let cur = file(vec![point("fft h=1", 1_000_010, 50, 1000)]);
         let r = diff_bench(&cur, &base, 20, DEFAULT_WALL_THRESHOLD_PPM);
         assert_eq!(r.outcome, DriftKind::Warn);
     }
@@ -403,10 +402,10 @@ mod tests {
 
     #[test]
     fn extra_point_is_warn() {
-        let base = file(vec![point("fft s=1", 100, 50, 1000)]);
+        let base = file(vec![point("fft h=1", 100, 50, 1000)]);
         let cur = file(vec![
-            point("fft s=1", 100, 50, 1000),
-            point("fft s=2", 90, 50, 900),
+            point("fft h=1", 100, 50, 1000),
+            point("fft h=4", 90, 50, 900),
         ]);
         let r = diff_bench(&cur, &base, 0, DEFAULT_WALL_THRESHOLD_PPM);
         assert_eq!(r.outcome, DriftKind::Warn);

@@ -4,20 +4,18 @@
 //! of what `emx-profile` does for the *guest* machine. Where emx-profile
 //! decomposes simulated cycles into busy/switch/wait/idle, this crate
 //! decomposes *host* work: how many calendar operations, events, queue and
-//! DMA operations the simulator performed, how many window rounds and
-//! barrier stalls the sharded driver paid, and where wall-clock time went
-//! (shard compute vs. barrier vs. replay; sweep worker vs. journal flush).
+//! DMA operations the simulator performed, how a sweep was served (cache
+//! hits vs. simulated points), and where wall-clock time went (sweep
+//! worker vs. journal flush).
 //!
 //! Three counter classes, three report sections (`emx-hostprof/1`):
 //!
 //! * **`counters`** ([`Sim`]) — semantic simulation work. For an
-//!   error-free run these are byte-identical across `--shards` and
-//!   `--jobs` settings, because both execution drivers funnel every
-//!   externally visible effect through the same replay chokepoint. The
-//!   report digest covers *only* this section.
+//!   error-free run these are byte-identical across runs and `--jobs`
+//!   settings, because the event loop pops every event in canonical
+//!   order. The report digest covers *only* this section.
 //! * **`host`** ([`Host`]) — deterministic for a fixed host configuration
-//!   but intentionally shard/driver-dependent (window rounds, idle
-//!   window slots, cross-shard packets, sweep cache hits). Reported,
+//!   but dependent on it (sweep points, cache hits). Reported,
 //!   digest-excluded, hard-compared by `bench-diff` at equal config.
 //! * **`wall`** ([`Wall`]) — wall-clock section timers in nanoseconds and
 //!   the opt-in counting-allocator totals. Annotations only: digest-
@@ -45,8 +43,8 @@ pub mod report;
 
 pub use alloc::{alloc_totals, CountingAlloc};
 pub use counters::{
-    add, add_host, add_wall, bump, bump_host, count_lane, enabled, now, reset, set_enabled,
-    snapshot, wall_since, Host, Sim, Snapshot, Wall, HOST_NAMES, SIM_NAMES, WALL_NAMES,
+    add, add_host, add_wall, bump, count_lane, enabled, now, reset, set_enabled, snapshot,
+    wall_since, Host, Sim, Snapshot, Wall, HOST_NAMES, SIM_NAMES, WALL_NAMES,
 };
 pub use diff::{
     diff_bench, BenchDiffReport, BenchFile, BenchPoint, DiffEntry, DriftKind,

@@ -13,10 +13,10 @@ pub const HOSTPROF_SCHEMA: &str = "emx-hostprof/1";
 /// plus one counter [`Snapshot`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostProfReport {
-    /// Context key/value pairs (workload, shards, jobs, …). Rendered on
-    /// the `run` line / in the `meta` JSON object; never digested —
-    /// metadata may legitimately differ between runs whose simulation
-    /// work is identical (e.g. `--shards 1` vs `--shards 4`).
+    /// Context key/value pairs (workload, jobs, …). Rendered on the `run`
+    /// line / in the `meta` JSON object; never digested — metadata may
+    /// legitimately differ between runs whose simulation work is
+    /// identical (e.g. `--jobs 1` vs `--jobs 4`).
     pub meta: Vec<(String, String)>,
     /// The counter values this report settles.
     pub snap: Snapshot,
@@ -42,7 +42,7 @@ impl HostProfReport {
     }
 
     /// The deterministic `counters` section alone, one `  name value`
-    /// line per counter — what the cross-shard/cross-jobs byte-identity
+    /// line per counter — what the cross-run/cross-jobs byte-identity
     /// tests and CI compare.
     pub fn counters_section(&self) -> String {
         let mut s = String::from("counters\n");
@@ -132,11 +132,11 @@ mod tests {
         snap.sim[Sim::CalPushes as usize] = 100;
         snap.sim[Sim::CalPops as usize] = 100;
         snap.host[Host::DriverWindows as usize] = 7;
-        snap.wall[Wall::ShardBarrierNs as usize] = 12345;
+        snap.wall[Wall::SweepExecNs as usize] = 12345;
         HostProfReport::new(
             vec![
                 ("workload".into(), "fft".into()),
-                ("shards".into(), "4".into()),
+                ("jobs".into(), "4".into()),
             ],
             snap,
         )
@@ -148,7 +148,7 @@ mod tests {
         let mut b = sample();
         b.meta.clear();
         b.snap.host[Host::DriverWindows as usize] = 99;
-        b.snap.wall[Wall::ShardBarrierNs as usize] = 0;
+        b.snap.wall[Wall::SweepExecNs as usize] = 0;
         assert_eq!(a.digest(), b.digest());
         let mut c = sample();
         c.snap.sim[Sim::CalPops as usize] += 1;
@@ -162,7 +162,7 @@ mod tests {
         let t2 = r.canonical_text();
         assert_eq!(t1, t2);
         assert!(t1.starts_with("emx-hostprof/1\n"));
-        assert!(t1.contains("run workload=fft shards=4\n"));
+        assert!(t1.contains("run workload=fft jobs=4\n"));
         assert!(t1.contains("\ncounters\n  calendar.pushes 100\n"));
         let last = t1.lines().last().unwrap();
         assert!(last.starts_with("digest: "));

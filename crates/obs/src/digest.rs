@@ -4,10 +4,10 @@
 //! Unlike the [`Recorder`](crate::Recorder), nothing is buffered — each
 //! event's canonical text rendering (its `Display` form plus a newline) is
 //! hashed immediately, so the probe costs O(1) memory on runs of any
-//! length. Because the machine emits trace events in one canonical order
-//! regardless of host shard count, the digest is the cheap way to assert
-//! that two runs produced *identical* event streams: compare 32 hex chars
-//! instead of gigabytes of trace.
+//! length. Because the machine emits trace events in one canonical order,
+//! the digest is the cheap way to assert that two runs produced
+//! *identical* event streams: compare 32 hex chars instead of gigabytes of
+//! trace.
 
 use std::sync::{Arc, Mutex};
 

@@ -1,19 +1,17 @@
-//! The sharded event calendar and its canonical event key.
+//! The event calendar and its canonical event key.
 //!
-//! The machine used to order same-cycle events by global insertion sequence
-//! (the `EventQueue` FIFO tie-break). That order is an artifact of one
-//! particular interleaving of pushes, so a machine partitioned into shards —
-//! each pushing into its own calendar — could never reproduce it. [`EvKey`]
-//! replaces it with a *canonical* total order computed from the event's own
-//! identity: time, home processor, lane, and per-(processor, lane) sequence
-//! counters that advance only while the home processor's events execute.
-//! Every event's key is therefore identical whether the machine runs on one
-//! calendar or sixteen, which is the foundation of the byte-determinism
-//! argument in `docs/SHARDING.md`.
+//! [`EvKey`] orders events by a *canonical* total order computed from the
+//! event's own identity — time, home processor, lane, and
+//! per-(processor, lane) sequence counters that advance only while the
+//! home processor's events execute — rather than by insertion sequence.
+//! An event's key therefore does not depend on when it was pushed
+//! relative to other processors' events, which is what lets a snapshot
+//! restore re-insert pending events in any order.
 //!
 //! Keys are globally unique (the lane counters and the strictly monotone
-//! OBU depart times guarantee it), so the heap order is total and a pop
-//! sequence is a pure function of the pushed set.
+//! OBU depart times guarantee it; `MachineConfig::validate` rejects an
+//! instantaneous OBU, which would break the latter), so the heap order is
+//! total and a pop sequence is a pure function of the pushed set.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -98,9 +96,8 @@ impl<T> PartialOrd for Entry<T> {
 
 /// A deterministic event calendar ordered by [`EvKey`].
 ///
-/// Mirrors the `EventQueue` contract: pops never go backwards in time, and
-/// scheduling strictly before the last popped time is reported as
-/// [`SimError::EventInPast`].
+/// Pops never go backwards in time, and scheduling strictly before the
+/// last popped time is reported as [`SimError::EventInPast`].
 #[derive(Debug, Clone)]
 pub(crate) struct Calendar<T> {
     heap: BinaryHeap<Entry<T>>,
@@ -124,10 +121,8 @@ impl<T> Calendar<T> {
     }
 
     /// [`Calendar::push`] without the hostprof counter — for re-inserting
-    /// events that were already counted when first scheduled (shard
-    /// split repartitioning, snapshot restore). Keeping these off the
-    /// books is what makes `calendar.pushes` byte-identical across
-    /// `--shards` settings.
+    /// events that were already counted when first scheduled (snapshot
+    /// restore), so `calendar.pushes` counts each event once.
     pub fn push_uncounted(&mut self, key: EvKey, payload: T) -> Result<(), SimError> {
         if key.at < self.now {
             return Err(SimError::EventInPast {
@@ -155,36 +150,10 @@ impl<T> Calendar<T> {
         self.heap.peek().map(|e| e.key)
     }
 
-    /// Time of the next event, if any.
-    pub fn peek_time(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.key.at)
-    }
-
     /// The time of the most recently popped event.
     #[inline]
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Number of pending events.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drain every pending entry, unordered — used to repartition a
-    /// machine's pre-run calendar into per-shard calendars.
-    pub fn drain_entries(&mut self) -> Vec<(EvKey, T)> {
-        std::mem::take(&mut self.heap)
-            .into_iter()
-            .map(|e| (e.key, e.payload))
-            .collect()
     }
 
     /// A sorted, non-consuming copy of every pending entry — the canonical
@@ -273,28 +242,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_everything_pending() {
-        let mut c = Calendar::new();
-        for pe in 0..4u16 {
-            c.push(key(0, pe, 1, 0, 0), pe).unwrap();
-        }
-        assert_eq!(c.len(), 4);
-        let mut entries = c.drain_entries();
-        entries.sort_by_key(|(k, _)| *k);
-        assert_eq!(
-            entries.iter().map(|(_, v)| *v).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
-        assert!(c.is_empty());
-    }
-
-    #[test]
     fn peek_matches_next_pop() {
         let mut c = Calendar::new();
         c.push(key(7, 2, 0, 0, 0), 'x').unwrap();
         c.push(key(4, 3, 2, 1, 0), 'y').unwrap();
-        assert_eq!(c.peek_time(), Some(Cycle::new(4)));
-        assert_eq!(c.peek_key().unwrap().pe, 3);
+        let head = c.peek_key().unwrap();
+        assert_eq!((head.at, head.pe), (Cycle::new(4), 3));
         assert_eq!(c.pop().unwrap().1, 'y');
     }
 }

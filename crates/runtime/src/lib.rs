@@ -73,8 +73,8 @@
 #![warn(missing_docs)]
 
 mod calendar;
+mod driver;
 mod machine;
-mod shard;
 mod snapshot;
 mod thread;
 mod trace;

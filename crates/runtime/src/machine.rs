@@ -10,32 +10,30 @@
 //! packet queue and steal processor time exactly as the paper describes for
 //! the EM-X's predecessor.
 //!
-//! ## Execution split: core vs. shared vs. global
+//! ## Execution split: core vs. shared vs. effects
 //!
-//! The machine's run-time state is split so a run can execute on several
-//! host threads (see [`MachineConfig::shards`] and `docs/SHARDING.md`)
-//! while staying byte-identical to the single-calendar run:
+//! The machine's run-time state is split three ways so an event handler
+//! can borrow each part independently:
 //!
-//! * [`Core`] — everything a disjoint group of processors mutates while
-//!   executing its own events: the PEs, an event [`Calendar`] keyed by the
-//!   canonical [`EvKey`] order, and buffers of trace emissions and network
-//!   [`RouteIntent`]s produced but not yet applied;
-//! * [`Shared`] — the immutable tables every shard reads: configuration,
-//!   entry definitions, barrier membership;
-//! * the **global, order-sensitive** resources — the one stateful network
-//!   model, the trace/probe consumers, and the invariant checker — are
-//!   never touched during event processing. [`Core::process_event`] only
-//!   *stages* their effects; a replay pass (`shard.rs`) applies them in
-//!   canonical merged order, which is what makes the sharded execution
-//!   deterministic.
+//! * [`Core`] — everything event processing mutates on the processors:
+//!   the PEs and the one event [`Calendar`], keyed by the canonical
+//!   [`EvKey`] order;
+//! * [`Shared`] — the immutable tables every handler reads:
+//!   configuration, entry definitions, barrier membership;
+//! * [`Fx`] — the **order-sensitive** resources an event's effects land
+//!   on: the stateful network model, the trace/probe consumers, and the
+//!   invariant checker. [`Core::process_event`] applies them inline, in
+//!   the order the event produces them; the driver loop (`driver.rs`)
+//!   pops events in canonical key order, so every digest is a pure
+//!   function of the configuration and the workload.
 
 use emx_core::{
     Continuation, Cycle, FrameId, GlobalAddr, MachineConfig, Packet, PacketKind, PeId, Priority,
-    Probe, ServiceMode, SimError, SlotId, SuspendCause, TraceEvent,
+    Probe, ServiceMode, SimError, SlotId, SuspendCause,
 };
-use emx_faults::{FaultPlan, FaultyNetwork, InvariantChecker, Rng64};
+use emx_faults::{FaultPlan, FaultReport, FaultyNetwork, InvariantChecker, Rng64};
 use emx_isa::{Effect, Program, Reg, ThreadState};
-use emx_net::{build_network, Network};
+use emx_net::{build_network, DeliveryClass, Network};
 use emx_proc::{BypassDma, FrameTable, LocalMemory, PacketQueue};
 use emx_stats::{FaultSummary, PeStats, RunReport};
 
@@ -76,6 +74,19 @@ fn poll_jitter(pe: usize, fid: FrameId, now: Cycle) -> u64 {
     x % 13
 }
 
+/// The sequence number of a processor's latest split-phase read: its
+/// remote-read census, wrapped to the packet's 16-bit field.
+///
+/// A per-frame counter would restart at every spawn, so a late duplicate
+/// response addressed to an earlier occupant of a recycled frame slot
+/// could match the new occupant's read and be deposited as its data. The
+/// census counts every read the processor issues and is already part of
+/// every snapshot.
+#[inline]
+fn read_seq(stats: &PeStats) -> u16 {
+    stats.switches.remote_read as u16
+}
+
 /// Words of local memory reserved per activation frame for ISA threads
 /// (the `fp` register points at `frame_index * FRAME_WORDS`).
 pub const FRAME_WORDS: u32 = 64;
@@ -91,10 +102,9 @@ pub const DEFAULT_FUEL: u64 = 1 << 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EntryId(pub u32);
 
-/// Entry factories are invoked from shard worker threads, so they must be
-/// `Sync` as well as `Send` (they are only ever *called* for a PE the
-/// calling shard owns, but the table itself is shared by reference).
-pub(crate) type Factory = Box<dyn Fn(PeId, u32) -> Box<dyn ThreadBody> + Send + Sync>;
+/// A native entry's body factory. `Send` so the machine owning it can move
+/// to a sweep worker thread.
+pub(crate) type Factory = Box<dyn Fn(PeId, u32) -> Box<dyn ThreadBody> + Send>;
 
 pub(crate) enum EntryDef {
     Native { name: String, factory: Factory },
@@ -147,7 +157,8 @@ pub(crate) struct Frame {
     pub(crate) uid: u64,
     /// Sequence number of the thread's current split-phase read; stamped on
     /// requests and matched against responses when the retry protocol is
-    /// armed.
+    /// armed. Drawn from the processor-wide read count ([`read_seq`]), so
+    /// it is unique across frame-slot reuse too.
     pub(crate) cur_seq: u16,
     /// Retry re-issues of the current read.
     pub(crate) attempts: u32,
@@ -193,14 +204,14 @@ pub(crate) struct Pe {
     pub(crate) next_uid: u64,
     /// Per-PE seeded fault-decision streams (present iff fault injection is
     /// configured). Per-PE rather than machine-global so each processor's
-    /// draws are a function of the seed and that processor alone — a
-    /// sharded run then draws exactly the faults the single-calendar run
-    /// draws, in any interleaving.
+    /// draws are a function of the seed and that processor alone, never of
+    /// how other processors' events interleave with its own.
     pub(crate) spill_rng: Option<Rng64>,
     pub(crate) dma_rng: Option<Rng64>,
     /// Canonical-key counters, one per [`EvKey`] lane homed on this PE.
     /// They advance only while this PE's own events execute (or during
-    /// pre-run setup), so key assignment is identical at any shard count.
+    /// pre-run setup), so an event's key is a function of its own
+    /// processor's history.
     pub(crate) ev_dispatch_seq: u64,
     pub(crate) ev_local_seq: u64,
     pub(crate) ev_retry_seq: u64,
@@ -230,25 +241,27 @@ struct Charges {
     comm: u64,
 }
 
-/// Buffer-writer for trace emissions produced during event processing.
+/// The run's observation consumers — the ring trace and the attached
+/// probe — behind one [`Probe`].
 ///
-/// Event handlers never talk to the real [`Trace`]/[`Probe`] consumers:
-/// those are global and order-sensitive, so emissions are appended to the
-/// core's buffer and flushed by the replay pass in canonical merged order.
-/// The [`Sink::as_probe`] gate keeps probed calls on the `None` fast path —
-/// no event is ever constructed — when observation is off.
-struct Sink<'a> {
-    buf: Option<&'a mut Vec<TraceEvent>>,
+/// [`Obs::as_probe`] keeps the `*_probed` entry points of the processor
+/// units and the network on their `None` fast path — no event is ever
+/// constructed — when observation is off.
+pub(crate) struct Obs<'a> {
+    pub(crate) trace: Option<&'a mut Trace>,
+    pub(crate) probe: Option<&'a mut (dyn Probe + Send + 'static)>,
+    /// Emissions made by event processing (`replay.emissions`); a route's
+    /// own narration is excluded (see [`Core::route`]).
+    pub(crate) emitted: u64,
 }
 
-impl Sink<'_> {
+impl Obs<'_> {
     #[inline]
     fn enabled(&self) -> bool {
-        self.buf.is_some()
+        self.trace.is_some() || self.probe.is_some()
     }
 
-    /// `Some(self)` when observation is on, else `None`, for the `*_probed`
-    /// entry points of the processor units.
+    /// `Some(self)` when observation is on, else `None`.
     #[inline]
     fn as_probe(&mut self) -> Option<&mut dyn Probe> {
         if self.enabled() {
@@ -257,15 +270,34 @@ impl Sink<'_> {
             None
         }
     }
-}
 
-impl Probe for Sink<'_> {
+    /// Emit `kind` when observation is on.
     #[inline]
-    fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
-        if let Some(b) = self.buf.as_deref_mut() {
-            b.push(TraceEvent { at, pe, kind });
+    fn record(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
+        if self.enabled() {
+            self.on(at, pe, kind);
         }
     }
+}
+
+impl Probe for Obs<'_> {
+    fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
+        self.emitted += 1;
+        if let Some(t) = self.trace.as_mut() {
+            t.record(at, pe, kind);
+        }
+        if let Some(p) = self.probe.as_mut() {
+            p.on(at, pe, kind);
+        }
+    }
+}
+
+/// The order-sensitive resources an event applies its effects to,
+/// borrowed from the [`Machine`] for the length of a driver loop.
+pub(crate) struct Fx<'a> {
+    pub(crate) net: &'a mut dyn Network,
+    pub(crate) obs: Obs<'a>,
+    pub(crate) checker: Option<&'a mut InvariantChecker>,
 }
 
 /// A packet produced during a dispatch, to be scheduled after borrows end.
@@ -283,68 +315,23 @@ enum Outgoing {
     },
 }
 
-/// A network-bound packet staged during event processing.
-///
-/// The network model is the one piece of mutable state shared by all
-/// processors, so cores never route directly; the replay pass executes the
-/// intents against it in canonical merged order.
-pub(crate) struct RouteIntent {
-    pub(crate) depart: Cycle,
-    pub(crate) src: PeId,
-    pub(crate) pkt: Packet,
-    /// `Some(arrival)` when this is a pure loopback whose arrival the core
-    /// already scheduled inline (so the shard can keep executing inside its
-    /// window); replay then verifies the prediction instead of delivering.
-    pub(crate) predicted: Option<Cycle>,
-}
-
-/// The outcome of processing one event: its canonical key, whether it was a
-/// network arrival (the conservation ledger counts those), how far the
-/// core's emission/intent buffers extend after it (cumulative offsets), and
-/// the error it produced, if any.
-pub(crate) struct PopRecord {
-    pub(crate) key: EvKey,
-    pub(crate) via_net: bool,
-    pub(crate) emit_end: u32,
-    pub(crate) int_end: u32,
-    pub(crate) error: Option<SimError>,
-}
-
-/// The per-shard half of a machine: a contiguous group of processors, their
-/// event calendar, and the buffers of staged effects. A single-shard run
-/// uses one `Core` covering every PE; a sharded run splits the machine's
-/// core into disjoint parts and reassembles them afterwards.
+/// The processor half of a machine: every PE and the event calendar.
 pub(crate) struct Core {
-    /// Global index of the first PE this core owns.
-    pub(crate) base: usize,
     pub(crate) pes: Vec<Pe>,
     pub(crate) cal: Calendar<Ev>,
-    /// Coordinator-side arrival counts per barrier id; only mutated on the
-    /// core owning [`BARRIER_COORDINATOR`].
+    /// Coordinator-side arrival counts per barrier id; only mutated by
+    /// events on [`BARRIER_COORDINATOR`].
     pub(crate) barrier_counts: Vec<usize>,
     /// Latest meaningful simulated time: advanced by arrivals, dispatches
     /// and real retry re-issues, but *not* by stale retry timers popping
     /// after the workload completed — those must not inflate `elapsed`.
     pub(crate) progress: Cycle,
-    /// Recovery tallies (DMA stalls, retries, stale responses) drawn on
-    /// this core's processors; summed across cores for the report.
+    /// Recovery tallies (DMA stalls, retries, stale responses) for the
+    /// report.
     pub(crate) fsummary: FaultSummary,
-    /// Trace emissions staged by [`Core::process_event`], flushed at replay.
-    pub(crate) emit: Vec<TraceEvent>,
-    /// Route intents staged by [`Core::process_event`], executed at replay.
-    pub(crate) intents: Vec<RouteIntent>,
-    /// Whether any observability consumer is attached (mirrored from the
-    /// machine so cores know to buffer emissions at all).
-    pub(crate) observing: bool,
-    /// The network model's state-free loopback latency, when it has one
-    /// ([`LatencyBound::pure_local`](emx_net::LatencyBound)); lets a core
-    /// predict same-PE arrivals without touching the shared model.
-    pub(crate) pure_local: Option<u64>,
 }
 
-/// The immutable tables every core reads during a run. Shards execute
-/// against one `Shared` by reference from several threads, hence the `Sync`
-/// requirement on [`Factory`].
+/// The immutable tables every event handler reads during a run.
 pub(crate) struct Shared<'a> {
     pub(crate) cfg: &'a MachineConfig,
     pub(crate) entries: &'a [EntryDef],
@@ -381,26 +368,21 @@ pub struct Machine {
     /// Externally attached observability sink ([`Machine::attach_probe`]);
     /// receives the same event stream as the trace, unbounded.
     pub(crate) probe: Option<Box<dyn Probe + Send>>,
-    /// Fault-model invariant checker, fed at replay time so it sees effects
-    /// in canonical order regardless of shard count.
+    /// Fault-model invariant checker, fed each event's effects as they
+    /// happen, in canonical event order.
     pub(crate) checker: Option<InvariantChecker>,
     pub(crate) ran: bool,
 }
 
 /// `Machine` must stay [`Send`]: the sweep engine (`emx-sweep`) builds and
-/// runs machines on worker threads. `Core` must be `Send` (shards move to
-/// worker threads) and `Shared` must be `Sync` (shards read it
-/// concurrently). `Network` and `ThreadBody` carry explicit `Send` bounds
-/// for the same reason — adding a non-`Send` field (an `Rc`, a raw pointer,
-/// a thread-local handle) breaks parallel execution, and this guard turns
-/// that mistake into a compile error here rather than a trait-bound error
-/// three crates away.
+/// runs machines on worker threads. `Network` and `ThreadBody` carry
+/// explicit `Send` bounds for the same reason — adding a non-`Send` field
+/// (an `Rc`, a raw pointer, a thread-local handle) breaks parallel sweeps,
+/// and this guard turns that mistake into a compile error here rather than
+/// a trait-bound error three crates away.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
-    fn assert_sync<T: Sync>() {}
     assert_send::<Machine>();
-    assert_send::<Core>();
-    assert_sync::<Shared<'static>>();
 };
 
 impl Machine {
@@ -449,21 +431,15 @@ impl Machine {
                 }
             })
             .collect();
-        let pure_local = net.latency_bound().pure_local;
         Ok(Machine {
             cfg,
             net,
             core: Core {
-                base: 0,
                 pes,
                 cal: Calendar::new(),
                 barrier_counts: Vec::new(),
                 progress: Cycle::ZERO,
                 fsummary: FaultSummary::default(),
-                emit: Vec::new(),
-                intents: Vec::new(),
-                observing: false,
-                pure_local,
             },
             entries: Vec::new(),
             barrier_defs: Vec::new(),
@@ -480,13 +456,11 @@ impl Machine {
     }
 
     /// Register a native thread entry: `factory(pe, arg)` builds the body
-    /// when an invocation packet for this entry is dispatched. The factory
-    /// must be `Sync` because sharded runs read the entry table from
-    /// several worker threads.
+    /// when an invocation packet for this entry is dispatched.
     pub fn register_entry(
         &mut self,
         name: impl Into<String>,
-        factory: impl Fn(PeId, u32) -> Box<dyn ThreadBody> + Send + Sync + 'static,
+        factory: impl Fn(PeId, u32) -> Box<dyn ThreadBody> + Send + 'static,
     ) -> EntryId {
         self.entries.push(EntryDef::Native {
             name: name.into(),
@@ -508,7 +482,6 @@ impl Machine {
     /// inspection via [`Machine::trace`].
     pub fn enable_trace(&mut self, capacity: usize) {
         self.trace = Some(Trace::new(capacity));
-        self.core.observing = true;
     }
 
     /// The recorded trace, if tracing was enabled.
@@ -523,14 +496,11 @@ impl Machine {
     /// every emission site is a single `None` check and no event is built.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe + Send>) {
         self.probe = Some(probe);
-        self.core.observing = true;
     }
 
     /// Detach and return the attached probe, if any.
     pub fn detach_probe(&mut self) -> Option<Box<dyn Probe + Send>> {
-        let p = self.probe.take();
-        self.core.observing = self.trace.is_some();
-        p
+        self.probe.take()
     }
 
     /// Name of a registered entry (for traces; templates report their
@@ -606,67 +576,7 @@ impl Machine {
         self.run_until(Cycle::new(DEFAULT_FUEL))
     }
 
-    /// Run to quiescence, failing if simulated time passes `limit` (guards
-    /// against livelock from a barrier that can never be satisfied).
-    ///
-    /// With [`MachineConfig::shards`] > 1 and a network model whose
-    /// [`latency_bound`](Network::latency_bound) admits a positive lookahead
-    /// window, the run executes on one host thread per shard of consecutive
-    /// processors under a conservative synchronization protocol that
-    /// reproduces the single-calendar result byte for byte (reports, trace
-    /// stream, and errors); see `docs/SHARDING.md`. Configurations the
-    /// protocol cannot accelerate fall back to the single-calendar loop
-    /// silently.
-    pub fn run_until(&mut self, limit: Cycle) -> Result<RunReport, SimError> {
-        if self.ran {
-            return Err(SimError::Workload {
-                reason: "Machine::run may only be called once per machine".into(),
-            });
-        }
-        self.ran = true;
-        let shards = self.effective_shards();
-        let mut res = if shards > 1 {
-            self.run_parallel(limit, shards)
-        } else {
-            self.run_single(limit)
-        };
-        // Both drivers reassemble the core before returning, so the
-        // live-thread census is consistent here and byte-identical across
-        // shard counts; the drivers themselves report 0 as a placeholder.
-        if let Err(SimError::FuelExhausted { live_threads, .. }) = &mut res {
-            *live_threads = self.core.suspended();
-        }
-        res
-    }
-
-    /// The conservative lookahead window: cross-PE effects staged at `t`
-    /// cannot arrive before `t + lookahead()`. With a pure loopback model
-    /// same-PE arrivals are predicted inline and only remote hops bound the
-    /// window; otherwise loopback also goes through deferred replay and the
-    /// local minimum binds too.
-    pub(crate) fn lookahead(&self) -> u64 {
-        let b = self.net.latency_bound();
-        match b.pure_local {
-            Some(_) => b.min_remote,
-            None => b.min_remote.min(b.min_local),
-        }
-    }
-
-    /// How many shards this run actually uses: the configured count clamped
-    /// to the PE count, forced to 1 when the network model admits no
-    /// positive lookahead window (conservative synchronization could then
-    /// never advance) or when OBU forwarding is instantaneous (departure
-    /// cycles then no longer uniquely identify a processor's sends, which
-    /// the canonical network-arrival keys rely on).
-    fn effective_shards(&self) -> usize {
-        let req = self.cfg.shards.min(self.cfg.num_pes);
-        if req <= 1 || self.cfg.costs.obu_forward == 0 || self.lookahead() == 0 {
-            return 1;
-        }
-        req
-    }
-
-    /// Assemble the run report from the (reassembled) core.
+    /// Assemble the run report from the machine state.
     pub(crate) fn report(&self) -> RunReport {
         let net_stats = self.net.stats();
         // The last dispatch event starts before its burst finishes: the true
@@ -715,78 +625,19 @@ impl Machine {
 }
 
 impl Core {
-    /// Partition this (pre-run, emptied in place) core into parts of
-    /// `chunk` consecutive processors, distributing pending calendar
-    /// entries by their home PE. Counters, fault streams, and local state
-    /// travel with their processor, so each part picks up exactly where the
-    /// unsplit core would have. Fails only if a pending entry cannot be
-    /// rescheduled on a fresh calendar (impossible for a pre-run core, but
-    /// surfaced as an error rather than a panic so a fuzz campaign records
-    /// it instead of aborting).
-    pub(crate) fn split(&mut self, chunk: usize) -> Result<Vec<Core>, SimError> {
-        let entries = self.cal.drain_entries();
-        let pes = std::mem::take(&mut self.pes);
-        let shards = pes.len().div_ceil(chunk);
-        let mut parts: Vec<Core> = (0..shards)
-            .map(|s| Core {
-                base: s * chunk,
-                pes: Vec::with_capacity(chunk),
-                cal: Calendar::new(),
-                barrier_counts: self.barrier_counts.clone(),
-                progress: Cycle::ZERO,
-                fsummary: FaultSummary::default(),
-                emit: Vec::new(),
-                intents: Vec::new(),
-                observing: self.observing,
-                pure_local: self.pure_local,
-            })
-            .collect();
-        for (i, pe) in pes.into_iter().enumerate() {
-            parts[i / chunk].pes.push(pe);
-        }
-        for (key, ev) in entries {
-            // Uncounted: these entries were counted when first scheduled;
-            // repartitioning must not inflate `calendar.pushes` at
-            // `--shards > 1`.
-            parts[key.pe as usize / chunk].cal.push_uncounted(key, ev)?;
-        }
-        Ok(parts)
-    }
-
-    /// Merge `parts` (in shard order) back into this emptied core so the
-    /// machine can report and be inspected exactly as after a single-shard
-    /// run. Pending calendar entries are dropped — reassembly happens at
-    /// quiescence or after an error, and in both cases the oracle's
-    /// leftover events are equally unobservable.
-    pub(crate) fn reassemble(&mut self, parts: Vec<Core>) {
-        debug_assert!(self.pes.is_empty(), "reassemble into a non-split core");
-        for (i, part) in parts.into_iter().enumerate() {
-            if i == 0 {
-                // Only the coordinator-owning shard ever mutates the
-                // barrier arrival counts.
-                self.barrier_counts = part.barrier_counts;
-            }
-            self.progress = self.progress.max(part.progress);
-            self.fsummary.dma_stalls += part.fsummary.dma_stalls;
-            self.fsummary.retries += part.fsummary.retries;
-            self.fsummary.stale_responses += part.fsummary.stale_responses;
-            self.pes.extend(part.pes);
-        }
-    }
-
-    /// Threads still live (suspended or queued) on this core's processors.
+    /// Threads still live (suspended or queued) on the processors.
     pub(crate) fn suspended(&self) -> usize {
         self.pes.iter().map(|p| p.live_threads).sum()
     }
 
-    /// FIFO-within-priority violations observed by this core's queues.
+    /// FIFO-within-priority violations observed by the packet queues.
     pub(crate) fn fifo_violations(&self) -> u64 {
         self.pes.iter().map(|p| p.queue.fifo_violations).sum()
     }
 
     /// Mint the canonical key for the next lane-`lane` event homed on `pe`.
     fn lane_key(&mut self, at: Cycle, pe: PeId, lane: u8) -> EvKey {
-        let p = &mut self.pes[pe.index() - self.base];
+        let p = &mut self.pes[pe.index()];
         let ctr = match lane {
             LANE_DISPATCH => &mut p.ev_dispatch_seq,
             LANE_LOCAL => &mut p.ev_local_seq,
@@ -803,62 +654,76 @@ impl Core {
         }
     }
 
-    /// Stage a trace emission (no-op when observation is off).
-    #[inline]
-    fn record(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
-        if self.observing {
-            self.emit.push(TraceEvent { at, pe, kind });
+    /// Send `pkt` from `src` into the network at OBU depart cycle
+    /// `depart`: the `Send` emission, the route call (which narrates the
+    /// packet's path and draws its faults), the checker's send
+    /// observation, then one arrival event per delivery.
+    ///
+    /// Every handler routes its packets after its last emission, so an
+    /// event's trace is its processing emissions followed by its routes.
+    fn route(
+        &mut self,
+        sh: &Shared<'_>,
+        fx: &mut Fx<'_>,
+        depart: Cycle,
+        src: PeId,
+        pkt: Packet,
+    ) -> Result<(), SimError> {
+        emx_hostprof::bump(emx_hostprof::Sim::ReplayRoutes);
+        let dst = pkt.dst();
+        if dst.index() >= sh.cfg.num_pes {
+            return Err(SimError::BadPe { pe: dst.index() });
         }
-    }
-
-    /// Stage a packet for the network. When the model's loopback is pure
-    /// and the packet stays on `src`, the arrival is predicted and
-    /// scheduled inline so the core can keep executing inside its window;
-    /// replay verifies the prediction against the real route call instead
-    /// of delivering a second copy.
-    fn stage_route(&mut self, depart: Cycle, src: PeId, pkt: Packet) -> Result<(), SimError> {
-        let mut predicted = None;
-        if let Some(hop) = self.pure_local {
-            if pkt.dst() == src {
-                let arrival = depart + hop;
-                self.cal.push(
-                    EvKey::net(arrival, src, src, depart, 0),
-                    Ev::Arrive(src, pkt, true),
-                )?;
-                predicted = Some(arrival);
+        let class = match pkt.kind {
+            PacketKind::ReadReq | PacketKind::ReadBlockReq | PacketKind::ReadResp => {
+                DeliveryClass::Data
             }
+            _ => DeliveryClass::Control,
+        };
+        // The route's own emissions are not the event's: keep them off
+        // `replay.emissions`.
+        let emitted = fx.obs.emitted;
+        fx.obs
+            .record(depart, src, TraceKind::Send { pkt: pkt.kind, dst });
+        let deliveries = fx
+            .net
+            .route_probed(depart, src, dst, class, pkt.kind, fx.obs.as_probe());
+        fx.obs.emitted = emitted;
+        if let Some(ck) = fx.checker.as_deref_mut() {
+            ck.observe_send(src, dst, deliveries.as_slice())
+                .map_err(FaultReport::into_error)?;
         }
-        self.intents.push(RouteIntent {
-            depart,
-            src,
-            pkt,
-            predicted,
-        });
+        for (dup, &arrival) in deliveries.as_slice().iter().enumerate() {
+            self.cal.push(
+                EvKey::net(arrival, dst, src, depart, dup as u64),
+                Ev::Arrive(dst, pkt, true),
+            )?;
+        }
         Ok(())
     }
 
-    /// Process one popped event entirely against core-local state, staging
-    /// trace emissions and network route intents instead of applying them.
-    /// The returned record tells the replay pass how far this event's
-    /// staged effects extend and whether processing failed.
-    pub(crate) fn process_event(&mut self, sh: &Shared<'_>, key: EvKey, ev: Ev) -> PopRecord {
-        let via_net = matches!(ev, Ev::Arrive(_, _, true));
-        let error = self.handle(sh, key.at, ev).err();
-        PopRecord {
-            key,
-            via_net,
-            emit_end: self.emit.len() as u32,
-            int_end: self.intents.len() as u32,
-            error,
+    /// Process one popped event, applying its effects to `fx` as they
+    /// happen: the checker's event observation first, then the handler's
+    /// emissions and routes.
+    pub(crate) fn process_event(
+        &mut self,
+        sh: &Shared<'_>,
+        fx: &mut Fx<'_>,
+        key: EvKey,
+        ev: Ev,
+    ) -> Result<(), SimError> {
+        let t = key.at;
+        if let Some(ck) = fx.checker.as_deref_mut() {
+            ck.observe_event(t).map_err(FaultReport::into_error)?;
+            if matches!(ev, Ev::Arrive(_, _, true)) {
+                ck.observe_arrival();
+            }
         }
-    }
-
-    fn handle(&mut self, sh: &Shared<'_>, t: Cycle, ev: Ev) -> Result<(), SimError> {
         match ev {
             Ev::Arrive(pe, pkt, via_net) => {
                 self.progress = self.progress.max(t);
                 if via_net {
-                    self.record(
+                    fx.obs.record(
                         t,
                         pe,
                         TraceKind::NetDeliver {
@@ -867,13 +732,13 @@ impl Core {
                         },
                     );
                 }
-                self.on_arrive(sh, t, pe, pkt)
+                self.on_arrive(sh, fx, t, pe, pkt)
             }
             Ev::Dispatch(pe) => {
                 self.progress = self.progress.max(t);
-                self.on_dispatch(sh, t, pe)
+                self.on_dispatch(sh, fx, t, pe)
             }
-            Ev::Retry(pe, fid, uid, seq) => self.on_retry(sh, t, pe, fid, uid, seq),
+            Ev::Retry(pe, fid, uid, seq) => self.on_retry(sh, fx, t, pe, fid, uid, seq),
         }
     }
 
@@ -881,9 +746,11 @@ impl Core {
     /// re-issue the request idempotently and re-arm with exponential
     /// backoff. Timers for completed, superseded, or recycled frames are
     /// ignored without advancing `progress`.
+    #[allow(clippy::too_many_arguments)]
     fn on_retry(
         &mut self,
         sh: &Shared<'_>,
+        fx: &mut Fx<'_>,
         t: Cycle,
         pe_id: PeId,
         fid: FrameId,
@@ -899,9 +766,8 @@ impl Core {
             return Ok(());
         };
         let pe_idx = pe_id.index();
-        let li = pe_idx - self.base;
         let (pkt, attempts) = {
-            let pe = &mut self.pes[li];
+            let pe = &mut self.pes[pe_idx];
             let Some(frame) = pe.frames.get_mut(fid) else {
                 return Ok(());
             };
@@ -927,8 +793,8 @@ impl Core {
         };
         self.progress = self.progress.max(t);
         self.fsummary.retries += 1;
-        let depart = self.pes[li].dma.obu_depart(t);
-        self.stage_route(depart, pe_id, pkt)?;
+        let depart = self.pes[pe_idx].dma.obu_depart(t);
+        self.route(sh, fx, depart, pe_id, pkt)?;
         let shift = attempts.min(16);
         let delay = (u64::from(timeout) << shift).min(u64::from(backoff_cap.max(timeout)));
         let key = self.lane_key(depart + delay, pe_id, LANE_RETRY);
@@ -940,44 +806,24 @@ impl Core {
     fn enqueue(
         &mut self,
         sh: &Shared<'_>,
+        fx: &mut Fx<'_>,
         t: Cycle,
         pe_id: PeId,
         pkt: Packet,
     ) -> Result<(), SimError> {
         let spill_ppm = sh.cfg.faults.as_ref().map_or(0, |s| s.spill_ppm);
-        let Core {
-            base,
-            pes,
-            cal,
-            emit,
-            observing,
-            ..
-        } = self;
-        let pe = &mut pes[pe_id.index() - *base];
+        let pe = &mut self.pes[pe_id.index()];
         let force_spill = match pe.spill_rng.as_mut() {
             Some(rng) => rng.chance_ppm(spill_ppm),
             None => false,
         };
-        let mut sink = Sink {
-            buf: if *observing { Some(emit) } else { None },
-        };
         pe.queue
-            .push_probed(pkt, force_spill, t, pe_id, sink.as_probe());
+            .push_probed(pkt, force_spill, t, pe_id, fx.obs.as_probe());
         if !pe.dispatch_scheduled {
             let at = t.max(pe.busy_until);
             pe.dispatch_scheduled = true;
-            let a = pe.ev_dispatch_seq;
-            pe.ev_dispatch_seq += 1;
-            cal.push(
-                EvKey {
-                    at,
-                    pe: pe_id.0,
-                    lane: LANE_DISPATCH,
-                    a,
-                    b: 0,
-                },
-                Ev::Dispatch(pe_id),
-            )?;
+            let key = self.lane_key(at, pe_id, LANE_DISPATCH);
+            self.cal.push(key, Ev::Dispatch(pe_id))?;
         }
         Ok(())
     }
@@ -985,6 +831,7 @@ impl Core {
     fn on_arrive(
         &mut self,
         sh: &Shared<'_>,
+        fx: &mut Fx<'_>,
         t: Cycle,
         pe_id: PeId,
         pkt: Packet,
@@ -1001,15 +848,7 @@ impl Core {
                     .as_ref()
                     .map_or((0, 0), |s| (s.dma_stall_ppm, s.dma_stall_cycles));
                 let outcome = {
-                    let Core {
-                        base,
-                        pes,
-                        emit,
-                        observing,
-                        fsummary,
-                        ..
-                    } = self;
-                    let pe = &mut pes[pe_id.index() - *base];
+                    let pe = &mut self.pes[pe_id.index()];
                     // An injected DMA stall holds the request at the IBU
                     // before the by-pass path services it.
                     let stalled = pe
@@ -1017,19 +856,16 @@ impl Core {
                         .as_mut()
                         .is_some_and(|rng| rng.chance_ppm(stall_ppm));
                     let t = if stalled {
-                        fsummary.dma_stalls += 1;
+                        self.fsummary.dma_stalls += 1;
                         t + u64::from(stall_cycles)
                     } else {
                         t
                     };
-                    let mut sink = Sink {
-                        buf: if *observing { Some(emit) } else { None },
-                    };
                     pe.dma
-                        .service_probed(t, &pkt, &mut pe.mem, sink.as_probe())?
+                        .service_probed(t, &pkt, &mut pe.mem, fx.obs.as_probe())?
                 };
                 for (depart, resp) in outcome.responses {
-                    self.stage_route(depart, pe_id, resp)?;
+                    self.route(sh, fx, depart, pe_id, resp)?;
                 }
                 Ok(())
             }
@@ -1039,7 +875,7 @@ impl Core {
             PacketKind::ReadResp if bypass && pkt.continuation().slot == SLOT_DATA => {
                 let cont = pkt.continuation();
                 let retry_armed = sh.retry_armed();
-                let pe = &mut self.pes[pe_id.index() - self.base];
+                let pe = &mut self.pes[pe_id.index()];
                 let is_block = matches!(
                     pe.frames.get(cont.frame).map(|f| f.wait),
                     Some(Wait::Block { .. })
@@ -1084,13 +920,13 @@ impl Core {
                         } else {
                             resume
                         };
-                        self.enqueue(sh, done, pe_id, resume)?;
+                        self.enqueue(sh, fx, done, pe_id, resume)?;
                     }
                     return Ok(());
                 }
-                self.enqueue(sh, t, pe_id, prioritize(sh.cfg, pkt))
+                self.enqueue(sh, fx, t, pe_id, prioritize(sh.cfg, pkt))
             }
-            _ => self.enqueue(sh, t, pe_id, prioritize(sh.cfg, pkt)),
+            _ => self.enqueue(sh, fx, t, pe_id, prioritize(sh.cfg, pkt)),
         }
     }
 }
@@ -1130,25 +966,20 @@ fn instantiate(sh: &Shared<'_>, entry: u32, pe: PeId, arg: u32) -> Result<Thread
 }
 
 impl Core {
-    fn on_dispatch(&mut self, sh: &Shared<'_>, t: Cycle, pe_id: PeId) -> Result<(), SimError> {
+    fn on_dispatch(
+        &mut self,
+        sh: &Shared<'_>,
+        fx: &mut Fx<'_>,
+        t: Cycle,
+        pe_id: PeId,
+    ) -> Result<(), SimError> {
         let pe_idx = pe_id.index();
-        let li = pe_idx - self.base;
         let costs = sh.cfg.costs;
         let (pkt, spilled, start) = {
-            let Core {
-                base,
-                pes,
-                emit,
-                observing,
-                ..
-            } = &mut *self;
-            let pe = &mut pes[pe_idx - *base];
+            let pe = &mut self.pes[pe_idx];
             pe.dispatch_scheduled = false;
             let start = t.max(pe.busy_until);
-            let mut sink = Sink {
-                buf: if *observing { Some(emit) } else { None },
-            };
-            let Some((pkt, spilled)) = pe.queue.pop_probed(start, pe_id, sink.as_probe()) else {
+            let Some((pkt, spilled)) = pe.queue.pop_probed(start, pe_id, fx.obs.as_probe()) else {
                 return Ok(());
             };
             // EXU idle between the last burst and this dispatch: if this
@@ -1159,9 +990,8 @@ impl Core {
                 pe.stats.breakdown.comm += gap;
             }
             pe.stats.dispatches += 1;
-            if sink.enabled() {
-                sink.on(start, pe_id, TraceKind::Dispatch { pkt: pkt.kind });
-            }
+            fx.obs
+                .record(start, pe_id, TraceKind::Dispatch { pkt: pkt.kind });
             (pkt, spilled, start)
         };
 
@@ -1183,7 +1013,7 @@ impl Core {
                 now += u64::from(costs.context_switch);
                 ch.switch += u64::from(costs.context_switch);
                 let fid = {
-                    let pe = &mut self.pes[li];
+                    let pe = &mut self.pes[pe_idx];
                     pe.live_threads += 1;
                     pe.next_uid += 1;
                     let fid = pe.frames.alloc(Frame {
@@ -1207,8 +1037,9 @@ impl Core {
                     }
                     fid
                 };
-                self.record(now, pe_id, TraceKind::ThreadSpawn { frame: fid, entry });
-                self.run_burst(sh, pe_idx, fid, &mut now, &mut ch, &mut out)?;
+                fx.obs
+                    .record(now, pe_id, TraceKind::ThreadSpawn { frame: fid, entry });
+                self.run_burst(sh, &mut fx.obs, pe_idx, fid, &mut now, &mut ch, &mut out)?;
             }
             PacketKind::ReadResp => {
                 let cont = pkt.continuation();
@@ -1229,7 +1060,7 @@ impl Core {
                         let mut resume = true;
                         let mut stale = false;
                         {
-                            let pe = &mut self.pes[li];
+                            let pe = &mut self.pes[pe_idx];
                             match pe.frames.get_mut(fid) {
                                 None if retry_armed => stale = true,
                                 None => {
@@ -1305,13 +1136,22 @@ impl Core {
                         } else if resume {
                             now += u64::from(costs.context_switch);
                             ch.switch += u64::from(costs.context_switch);
-                            self.record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                            self.run_burst(sh, pe_idx, fid, &mut now, &mut ch, &mut out)?;
+                            fx.obs
+                                .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
+                            self.run_burst(
+                                sh,
+                                &mut fx.obs,
+                                pe_idx,
+                                fid,
+                                &mut now,
+                                &mut ch,
+                                &mut out,
+                            )?;
                         }
                     }
                     SLOT_POLL => {
                         let released = {
-                            let pe = &self.pes[li];
+                            let pe = &self.pes[pe_idx];
                             let frame = pe.frames.get(fid).ok_or_else(|| SimError::Workload {
                                 reason: format!("poll for dead frame {fid} on {pe_id}"),
                             })?;
@@ -1325,13 +1165,22 @@ impl Core {
                         if released {
                             now += u64::from(costs.context_switch);
                             ch.switch += u64::from(costs.context_switch);
-                            self.pes[li]
+                            self.pes[pe_idx]
                                 .frames
                                 .get_mut(fid)
                                 .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?
                                 .wait = Wait::Ready;
-                            self.record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                            self.run_burst(sh, pe_idx, fid, &mut now, &mut ch, &mut out)?;
+                            fx.obs
+                                .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
+                            self.run_burst(
+                                sh,
+                                &mut fx.obs,
+                                pe_idx,
+                                fid,
+                                &mut now,
+                                &mut ch,
+                                &mut out,
+                            )?;
                         } else {
                             // Unsuccessful check: the iteration-sync switch
                             // of Figure 9. Its cycles are synchronization
@@ -1339,7 +1188,7 @@ impl Core {
                             // Re-poll after the configured interval.
                             now += 2;
                             ch.comm += 2;
-                            self.pes[li].stats.switches.iter_sync += 1;
+                            self.pes[pe_idx].stats.switches.iter_sync += 1;
                             out.push(Outgoing::LocalAt {
                                 at: now
                                     + u64::from(costs.barrier_poll_interval)
@@ -1350,7 +1199,7 @@ impl Core {
                     }
                     SLOT_SEQ => {
                         let satisfied = {
-                            let pe = &self.pes[li];
+                            let pe = &self.pes[pe_idx];
                             let frame = pe.frames.get(fid).ok_or_else(|| SimError::Workload {
                                 reason: format!("seq wake for dead frame {fid} on {pe_id}"),
                             })?;
@@ -1368,20 +1217,29 @@ impl Core {
                         if satisfied {
                             now += u64::from(costs.context_switch);
                             ch.switch += u64::from(costs.context_switch);
-                            self.pes[li]
+                            self.pes[pe_idx]
                                 .frames
                                 .get_mut(fid)
                                 .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?
                                 .wait = Wait::Ready;
-                            self.record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                            self.run_burst(sh, pe_idx, fid, &mut now, &mut ch, &mut out)?;
+                            fx.obs
+                                .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
+                            self.run_burst(
+                                sh,
+                                &mut fx.obs,
+                                pe_idx,
+                                fid,
+                                &mut now,
+                                &mut ch,
+                                &mut out,
+                            )?;
                         } else {
                             // Spurious wake (signal raced a higher
                             // threshold): re-register and count the
                             // thread-sync switch.
                             now += 2;
                             ch.switch += 2;
-                            let pe = &mut self.pes[li];
+                            let pe = &mut self.pes[pe_idx];
                             pe.stats.switches.thread_sync += 1;
                             let frame = pe
                                 .frames
@@ -1395,16 +1253,15 @@ impl Core {
                     SLOT_YIELD => {
                         now += u64::from(costs.context_switch);
                         ch.switch += u64::from(costs.context_switch);
-                        let frame =
-                            self.pes[li]
-                                .frames
-                                .get_mut(fid)
-                                .ok_or_else(|| SimError::Workload {
-                                    reason: format!("yield resume for dead frame {fid}"),
-                                })?;
+                        let frame = self.pes[pe_idx].frames.get_mut(fid).ok_or_else(|| {
+                            SimError::Workload {
+                                reason: format!("yield resume for dead frame {fid}"),
+                            }
+                        })?;
                         frame.wait = Wait::Ready;
-                        self.record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                        self.run_burst(sh, pe_idx, fid, &mut now, &mut ch, &mut out)?;
+                        fx.obs
+                            .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
+                        self.run_burst(sh, &mut fx.obs, pe_idx, fid, &mut now, &mut ch, &mut out)?;
                     }
                     other => {
                         return Err(SimError::Workload {
@@ -1425,7 +1282,7 @@ impl Core {
                     for j in 0..sh.cfg.num_pes {
                         now += u64::from(costs.send_packet);
                         ch.switch += u64::from(costs.send_packet);
-                        let depart = self.pes[li].dma.obu_depart(now);
+                        let depart = self.pes[pe_idx].dma.obu_depart(now);
                         let target = PeId(j as u16);
                         let rel = Packet {
                             kind: PacketKind::SyncRelease,
@@ -1438,7 +1295,7 @@ impl Core {
                             idx: 0,
                         };
                         out.push(Outgoing::Net { depart, pkt: rel });
-                        self.pes[li].stats.packets_sent += 1;
+                        self.pes[pe_idx].stats.packets_sent += 1;
                     }
                 }
             }
@@ -1446,7 +1303,7 @@ impl Core {
                 let id = pkt.global_addr().offset as usize;
                 now += 2;
                 ch.switch += 2;
-                self.pes[li].barriers[id].releases += 1;
+                self.pes[pe_idx].barriers[id].releases += 1;
             }
             // EM-4 ablation: remote accesses consume EXU cycles as
             // one-instruction threads.
@@ -1458,7 +1315,7 @@ impl Core {
 
         // Commit charges and schedule follow-ups.
         {
-            let pe = &mut self.pes[li];
+            let pe = &mut self.pes[pe_idx];
             pe.busy_until = now;
             pe.stats.breakdown.compute += ch.compute;
             pe.stats.breakdown.overhead += ch.overhead;
@@ -1468,10 +1325,10 @@ impl Core {
         // The burst's occupied span is exactly [start, now]: `now` is the
         // value committed to busy_until above, so the profiler can
         // reconstruct per-PE occupancy without the cost model.
-        self.record(now, pe_id, TraceKind::DispatchEnd);
+        fx.obs.record(now, pe_id, TraceKind::DispatchEnd);
         for o in out {
             match o {
-                Outgoing::Net { depart, pkt } => self.stage_route(depart, pe_id, pkt)?,
+                Outgoing::Net { depart, pkt } => self.route(sh, fx, depart, pe_id, pkt)?,
                 Outgoing::LocalAt { at, pkt } => {
                     let key = self.lane_key(at, pe_id, LANE_LOCAL);
                     self.cal.push(key, Ev::Arrive(pe_id, pkt, false))?
@@ -1483,7 +1340,7 @@ impl Core {
             }
         }
         let redispatch = {
-            let pe = &mut self.pes[li];
+            let pe = &mut self.pes[pe_idx];
             if !pe.queue.is_empty() && !pe.dispatch_scheduled {
                 pe.dispatch_scheduled = true;
                 Some(pe.busy_until)
@@ -1511,7 +1368,7 @@ impl Core {
         out: &mut Vec<Outgoing>,
     ) -> Result<(), SimError> {
         let costs = sh.cfg.costs;
-        let pe = &mut self.pes[pe_idx - self.base];
+        let pe = &mut self.pes[pe_idx];
         match pkt.kind {
             PacketKind::Write => {
                 *now += u64::from(costs.dma_service);
@@ -1551,9 +1408,11 @@ impl Core {
 
     /// Execute a thread burst: repeatedly step the thread, applying
     /// non-suspending actions inline, until it suspends or ends.
+    #[allow(clippy::too_many_arguments)]
     fn run_burst(
         &mut self,
         sh: &Shared<'_>,
+        obs: &mut Obs<'_>,
         pe_idx: usize,
         fid: FrameId,
         now: &mut Cycle,
@@ -1571,17 +1430,7 @@ impl Core {
         };
         let entries = sh.entries;
         let barrier_defs = sh.barrier_defs;
-        let Core {
-            base,
-            pes,
-            emit,
-            observing,
-            ..
-        } = self;
-        let mut sink = Sink {
-            buf: if *observing { Some(emit) } else { None },
-        };
-        let pe = &mut pes[pe_idx - *base];
+        let pe = &mut self.pes[pe_idx];
 
         loop {
             let Pe {
@@ -1760,7 +1609,7 @@ impl Core {
                     pe.stats.switches.remote_read += 1;
                     let mut req = Packet::read_req(pe_id, addr, cont);
                     if let Some(timeout) = retry_timeout {
-                        frame.cur_seq = frame.cur_seq.wrapping_add(1);
+                        frame.cur_seq = read_seq(&pe.stats);
                         frame.attempts = 0;
                         req = req.with_seq(frame.cur_seq);
                         frame.pending = Some(req);
@@ -1774,16 +1623,14 @@ impl Core {
                     out.push(Outgoing::Net { depart, pkt: req });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
-                            *now,
-                            pe_id,
-                            TraceKind::ThreadSuspend {
-                                frame: fid,
-                                cause: SuspendCause::RemoteRead,
-                            },
-                        );
-                    }
+                    obs.record(
+                        *now,
+                        pe_id,
+                        TraceKind::ThreadSuspend {
+                            frame: fid,
+                            cause: SuspendCause::RemoteRead,
+                        },
+                    );
                     return Ok(());
                 }
                 Action::ReadBlock {
@@ -1811,7 +1658,7 @@ impl Core {
                     pe.stats.switches.remote_read += 1;
                     let mut req = Packet::read_block_req(pe_id, addr, cont, len)?;
                     if let Some(timeout) = retry_timeout {
-                        frame.cur_seq = frame.cur_seq.wrapping_add(1);
+                        frame.cur_seq = read_seq(&pe.stats);
                         frame.attempts = 0;
                         frame.seen.clear();
                         req = req.with_seq(frame.cur_seq);
@@ -1826,16 +1673,14 @@ impl Core {
                     out.push(Outgoing::Net { depart, pkt: req });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
-                            *now,
-                            pe_id,
-                            TraceKind::ThreadSuspend {
-                                frame: fid,
-                                cause: SuspendCause::BlockRead,
-                            },
-                        );
-                    }
+                    obs.record(
+                        *now,
+                        pe_id,
+                        TraceKind::ThreadSuspend {
+                            frame: fid,
+                            cause: SuspendCause::BlockRead,
+                        },
+                    );
                     return Ok(());
                 }
                 Action::Barrier { id } => {
@@ -1889,16 +1734,14 @@ impl Core {
                     });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
-                            *now,
-                            pe_id,
-                            TraceKind::ThreadSuspend {
-                                frame: fid,
-                                cause: SuspendCause::Barrier,
-                            },
-                        );
-                    }
+                    obs.record(
+                        *now,
+                        pe_id,
+                        TraceKind::ThreadSuspend {
+                            frame: fid,
+                            cause: SuspendCause::Barrier,
+                        },
+                    );
                     return Ok(());
                 }
                 Action::WaitSeq { cell, threshold } => {
@@ -1922,16 +1765,14 @@ impl Core {
                     pe.stats.switches.thread_sync += 1;
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
-                            *now,
-                            pe_id,
-                            TraceKind::ThreadSuspend {
-                                frame: fid,
-                                cause: SuspendCause::ThreadSync,
-                            },
-                        );
-                    }
+                    obs.record(
+                        *now,
+                        pe_id,
+                        TraceKind::ThreadSuspend {
+                            frame: fid,
+                            cause: SuspendCause::ThreadSync,
+                        },
+                    );
                     return Ok(());
                 }
                 Action::Yield => {
@@ -1947,16 +1788,14 @@ impl Core {
                     });
                     *now += u64::from(costs.context_switch);
                     ch.switch += u64::from(costs.context_switch);
-                    if sink.enabled() {
-                        sink.on(
-                            *now,
-                            pe_id,
-                            TraceKind::ThreadSuspend {
-                                frame: fid,
-                                cause: SuspendCause::Yield,
-                            },
-                        );
-                    }
+                    obs.record(
+                        *now,
+                        pe_id,
+                        TraceKind::ThreadSuspend {
+                            frame: fid,
+                            cause: SuspendCause::Yield,
+                        },
+                    );
                     return Ok(());
                 }
                 Action::End => {
@@ -1964,9 +1803,7 @@ impl Core {
                     ch.switch += u64::from(costs.context_switch);
                     pe.live_threads -= 1;
                     pe.frames.free(fid);
-                    if sink.enabled() {
-                        sink.on(*now, pe_id, TraceKind::ThreadRetire { frame: fid });
-                    }
+                    obs.record(*now, pe_id, TraceKind::ThreadRetire { frame: fid });
                     return Ok(());
                 }
             }

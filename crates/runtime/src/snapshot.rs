@@ -14,11 +14,11 @@
 //! the same entries, barriers and templates registered, which has not run.
 //! The snapshot pins a digest of the machine configuration and the restore
 //! path validates the entry table against it, so a snapshot only restores
-//! into the machine it came from. A restored machine continues under either
-//! driver ([`Machine::run_until`] picks single-calendar or sharded exactly
-//! as it would mid-run) and produces byte-identical reports, traces and
-//! errors to the uninterrupted run — the property `tests/snapshot_restore.rs`
-//! checks at every k-th event boundary.
+//! into the machine it came from. A restored machine continues under
+//! [`Machine::run_until`] or [`Machine::step_events`] and produces
+//! byte-identical reports, traces and errors to the uninterrupted run —
+//! the property `tests/snapshot_restore.rs` checks at every k-th event
+//! boundary.
 //!
 //! What is deliberately *not* serialized: the trace buffer and any attached
 //! probe (host-side observers own their retention), and the entry table
@@ -38,15 +38,9 @@ use crate::machine::{EntryDef, Ev, Frame, LocalBarrier, Machine, ThreadKind, Wai
 
 /// The digest restore validates a snapshot's `config` line against: a hash
 /// of the machine configuration's canonical debug rendering. Two machines
-/// agree on it exactly when they were built from equal configurations —
-/// except for [`MachineConfig::shards`], which is normalized out: shard
-/// count is a host-performance knob with byte-identical results, so a
-/// checkpoint taken on a single-calendar run restores into (and resumes
-/// under) a sharded shell and vice versa.
+/// agree on it exactly when they were built from equal configurations.
 pub fn config_digest(cfg: &MachineConfig) -> String {
-    let mut canon = cfg.clone();
-    canon.shards = 1;
-    digest_hex(&format!("{canon:?}"))
+    digest_hex(&format!("{cfg:?}"))
 }
 
 /// Lift a container-format error into the simulator's error type.
@@ -342,10 +336,6 @@ impl Machine {
     /// does not implement [`ThreadBody::save_state`](crate::ThreadBody);
     /// ISA threads always serialize.
     pub fn snapshot(&self) -> Result<String, SimError> {
-        debug_assert!(
-            self.core.emit.is_empty() && self.core.intents.is_empty(),
-            "snapshot mid-replay: staged effects would be lost"
-        );
         let mut w = SnapWriter::new(&config_digest(&self.cfg));
 
         w.section("meta");

@@ -830,3 +830,14 @@ fn detached_probe_stops_the_stream() {
     m.run().unwrap();
     assert_eq!(*c.0.lock().unwrap(), 0, "detached probe must see nothing");
 }
+
+#[test]
+fn instantaneous_obu_forwarding_is_rejected() {
+    // Canonical network-arrival keys name a packet by its sender's OBU
+    // depart cycle. With a zero-cycle OBU two same-cycle sends would share
+    // that cycle, two arrivals could share a key, and pop order would fall
+    // back to heap layout.
+    let mut cfg = MachineConfig::with_pes(4);
+    cfg.costs.obu_forward = 0;
+    assert!(matches!(Machine::new(cfg), Err(SimError::BadConfig { .. })));
+}

@@ -117,11 +117,6 @@ pub struct RunSpec {
     /// machinery (and so reports a zeroed fault summary) — callers wanting
     /// byte-identical baselines pass `None`.
     pub faults: Option<FaultSpec>,
-    /// Host shard count for parallel machine execution. Purely a host
-    /// performance knob — results are byte-identical at any value — so it
-    /// is deliberately *excluded* from [`RunSpec::canonical`]: a cached
-    /// result is valid at every shard count.
-    pub shards: usize,
 }
 
 impl RunSpec {
@@ -142,7 +137,6 @@ impl RunSpec {
             net_model: NetModelKind::CircularOmega,
             preset: CostPreset::Paper,
             faults: None,
-            shards: 1,
         }
     }
 
@@ -179,7 +173,6 @@ impl RunSpec {
         cfg.priority_read_responses = self.priority_read_responses;
         cfg.net.model = self.net_model;
         cfg.faults = self.faults.clone();
-        cfg.shards = self.shards;
         self.preset.apply(&mut cfg);
         cfg
     }

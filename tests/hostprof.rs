@@ -2,7 +2,7 @@
 //!
 //! The contract under test (see `docs/OBSERVABILITY.md` § "Host
 //! profiling"): the deterministic `counters` section is byte-identical
-//! across `--shards` and `--jobs` values for error-free runs, arming the
+//! across `--jobs` values for error-free runs, arming the
 //! sweep heartbeat never changes sweep results, and the counting
 //! allocator's totals are monotone.
 //!
@@ -23,48 +23,17 @@ static ALLOC: hostprof::CountingAlloc = hostprof::CountingAlloc::new();
 /// Counters are process-global; all tests toggling the gate take this.
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Run one comm-only FFT at the given shard count with profiling armed
-/// and return the settled report.
-fn profiled_fft(shards: usize) -> hostprof::HostProfReport {
+/// Run one comm-only FFT with profiling armed and return the settled
+/// report.
+fn profiled_fft() -> hostprof::HostProfReport {
     let mut cfg = MachineConfig::with_pes(64);
     cfg.local_memory_words = 1 << 17;
-    cfg.shards = shards;
     hostprof::set_enabled(true);
     hostprof::reset();
     run_fft(&cfg, &FftParams::comm_only(64 * 64, 4)).unwrap();
     let rep = hostprof::HostProfReport::new(Vec::new(), hostprof::snapshot());
     hostprof::set_enabled(false);
     rep
-}
-
-#[test]
-fn counter_section_is_byte_identical_across_shards() {
-    let _g = LOCK.lock().unwrap();
-    let oracle = profiled_fft(1);
-    assert!(
-        oracle.snap.sim[hostprof::Sim::CalPushes as usize] > 0,
-        "instrumented run must count calendar pushes"
-    );
-    for shards in [2usize, 4] {
-        let sharded = profiled_fft(shards);
-        assert_eq!(
-            oracle.counters_section(),
-            sharded.counters_section(),
-            "counters section diverged at {shards} shards"
-        );
-        assert_eq!(oracle.digest(), sharded.digest());
-        // The sharded driver, by contrast, must have visibly used its
-        // window machinery — the host section is where that shows.
-        assert!(
-            sharded.snap.host[hostprof::Host::DriverWindows as usize] > 0,
-            "sharded run must count window rounds"
-        );
-    }
-    assert_eq!(
-        oracle.snap.host[hostprof::Host::DriverWindows as usize],
-        0,
-        "oracle run must not touch the shard coordinator"
-    );
 }
 
 /// Run a small sweep (cache disabled, so every point simulates) at the
@@ -141,9 +110,9 @@ fn counting_allocator_totals_are_monotone() {
 #[test]
 fn report_digest_ignores_wall_and_meta() {
     let _g = LOCK.lock().unwrap();
-    let mut a = profiled_fft(1);
+    let mut a = profiled_fft();
     let mut b = a.clone();
-    b.meta = vec![("shards".into(), "8".into())];
+    b.meta = vec![("jobs".into(), "8".into())];
     b.snap.wall = [9; hostprof::WALL_NAMES.len()];
     b.snap.host = [9; hostprof::HOST_NAMES.len()];
     assert_eq!(a.digest(), b.digest());
