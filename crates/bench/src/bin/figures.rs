@@ -755,17 +755,6 @@ fn scaling(opts: &Opts) {
     );
 }
 
-/// Render a hostprof name/value bank as a JSON object, for embedding the
-/// per-point counter report into the bench files.
-fn hp_obj(names: &[&str], vals: &[u64]) -> String {
-    let fields: Vec<String> = names
-        .iter()
-        .zip(vals.iter())
-        .map(|(n, v)| format!("\"{n}\": {v}"))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
 /// One timed repetition with the hostprof counters rebaselined around it:
 /// returns the run report, the elapsed nanoseconds, and the settled
 /// counter report covering exactly this execution.
@@ -781,31 +770,18 @@ fn timed_rep(spec: &RunSpec) -> (RunReport, u64, emx::hostprof::HostProfReport) 
     (out, ns, hp)
 }
 
-/// The embedded hostprof fields of one bench point: the counters-only
-/// digest plus the three sections as JSON objects. `counters` and `host`
-/// are deterministic (hard-compared by `bench-diff`); `wall` is
-/// annotation-only.
-fn hp_fields(hp: &emx::hostprof::HostProfReport) -> String {
-    format!(
-        "\"hostprof_digest\": \"{}\", \"counters\": {}, \"host\": {}, \"wall\": {}",
-        hp.digest(),
-        hp_obj(&emx::hostprof::SIM_NAMES, &hp.snap.sim),
-        hp_obj(&emx::hostprof::HOST_NAMES, &hp.snap.host),
-        hp_obj(&emx::hostprof::WALL_NAMES, &hp.snap.wall),
-    )
-}
-
 /// Criterion-free timing harness: wall-clock the simulator itself on a
 /// small bench matrix and write `results/BENCH_profile.json`. Every point
 /// is executed `REPS` times directly (never through the cache — the wall
 /// time must be real); the fastest repetition is reported, and both the
 /// report digest and the hostprof counter digest must be identical across
-/// repetitions or the harness aborts. The JSON is hand-rendered
-/// (`emx-bench/2`): `cycles`, `digest`, `hostprof_digest` and the
-/// `counters`/`host` objects are deterministic; `wall_ns`, the `wall`
-/// object and `host_threads` are host-dependent annotations, excluded
-/// from every digest.
+/// repetitions or the harness aborts. The file is `emx-bench/2`, written
+/// by [`emx::hostprof::BenchFile`]: `cycles`, `digest`, `hostprof_digest`
+/// and the `counters`/`host` objects are deterministic; `wall_ns`, the
+/// `wall` object and `host_threads` are host-dependent annotations,
+/// excluded from every digest.
 fn bench(opts: &Opts) {
+    use emx::hostprof::{BenchFile, BenchPoint};
     use emx::stats::report_digest;
 
     const REPS: usize = 3;
@@ -823,69 +799,61 @@ fn bench(opts: &Opts) {
         "wall (ms)",
         "digest",
     ]);
-    let mut entries = Vec::new();
+    let mut file = BenchFile {
+        scale: opts.scale.name().to_string(),
+        reps: REPS as u64,
+        host_threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+        points: Vec::new(),
+    };
     for w in [Workload::Sort, Workload::Fft] {
         let r = sizes_for(w, opts.scale)[0];
         for &h in &threads {
             let spec = RunSpec::new(w, p, r, h);
             let mut best_ns = u64::MAX;
-            let mut report = None;
-            let mut digest = String::new();
-            let mut hp_json = String::new();
-            let mut hp_digest = String::new();
-            for rep in 0..REPS {
+            let mut point: Option<BenchPoint> = None;
+            for _ in 0..REPS {
                 let (out, ns, hp) = timed_rep(&spec);
-                let d = report_digest(&out);
-                if rep == 0 {
-                    digest = d;
-                    hp_digest = hp.digest();
-                } else {
-                    assert_eq!(d, digest, "{}: nondeterministic report", spec.label());
+                let this = BenchPoint {
+                    workload: w.name().to_string(),
+                    p: p as u64,
+                    h: h as u64,
+                    r: r as u64,
+                    n: spec.n() as u64,
+                    cycles: out.elapsed.get(),
+                    digest: report_digest(&out),
+                    ..BenchPoint::from_hostprof(&hp)
+                };
+                if let Some(last) = &point {
+                    let label = spec.label();
+                    assert_eq!(this.digest, last.digest, "{label}: nondeterministic report");
                     assert_eq!(
-                        hp.digest(),
-                        hp_digest,
-                        "{}: nondeterministic hostprof counters",
-                        spec.label()
+                        this.hostprof_digest, last.hostprof_digest,
+                        "{label}: nondeterministic hostprof counters"
                     );
                 }
-                if ns < best_ns {
-                    best_ns = ns;
-                }
-                hp_json = hp_fields(&hp);
-                report = Some(out);
+                best_ns = best_ns.min(ns);
+                point = Some(this);
             }
-            let cycles = report.expect("at least one rep ran").elapsed.get();
+            let mut point = point.expect("at least one rep ran");
+            point.wall_ns = best_ns;
             table.row([
                 w.name().to_string(),
                 p.to_string(),
                 h.to_string(),
                 fmt_n(r),
-                cycles.to_string(),
+                point.cycles.to_string(),
                 format!("{:.3}", best_ns as f64 / 1e6),
-                digest.clone(),
+                point.digest.clone(),
             ]);
-            entries.push(format!(
-                "    {{\"workload\": \"{}\", \"p\": {p}, \"h\": {h}, \"r\": {r}, \
-                 \"n\": {}, \"cycles\": {cycles}, \"wall_ns\": {best_ns}, \
-                 \"digest\": \"{digest}\",\n     {hp_json}}}",
-                w.name(),
-                spec.n(),
-            ));
+            file.points.push(point);
         }
     }
     println!("{}", table.render());
 
-    let json = format!(
-        "{{\n  \"schema\": \"emx-bench/2\",\n  \"scale\": \"{}\",\n  \"reps\": {REPS},\n  \
-         \"host_threads\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
-        opts.scale.name(),
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        entries.join(",\n"),
-    );
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_ok() {
         let path = dir.join("BENCH_profile.json");
-        if fs::write(&path, &json).is_ok() {
+        if fs::write(&path, file.render()).is_ok() {
             println!("  [json] {}", path.display());
         }
     }

@@ -11,8 +11,8 @@
 //! emx-cli metrics <sort|fft|fig4> [--pes N --n N --threads N --seed N] [--csv]
 //! emx-cli profile <sort|fft|bfs|histogram|spmv|stencil> [--pes N --n N --threads N --seed N]
 //!                 [--comm-only] [--json] [--out FILE]
-//! emx-cli profile-diff <report> [<report2>] [--baseline-dir DIR] [--threshold PPM]
-//! emx-cli bench-diff <BENCH.json> [<baseline.json>] [--baseline-dir DIR]
+//! emx-cli profile-diff <report> [<baseline>] [--baseline-dir DIR] [--threshold PPM]
+//! emx-cli bench-diff <BENCH.json> [<baseline>] [--baseline-dir DIR]
 //!                 [--threshold PPM] [--wall-threshold PPM]
 //! emx-cli sweep   --workload <sort|fft|bfs|histogram|spmv|stencil> --pes 16 --sizes 512,2048
 //!                 --threads 1,2,4 [--net MODEL] [--preset paper|modern]
@@ -67,7 +67,8 @@
 //! reports (or one report against its committed baseline under
 //! `results/baselines/`) and exits 3 when the attribution story drifted
 //! beyond `--threshold` (default 20000 ppm = 2 percentage points), 1 on
-//! schema or digest errors — see `docs/OBSERVABILITY.md` §Profiling.
+//! schema or digest errors, 2 without a report argument — the exit
+//! contract of both drift gates (`docs/OBSERVABILITY.md` § "Drift gates").
 //!
 //! `--hostprof` (on `run`, `sweep`, `faults` and `resume`) arms the
 //! `emx-hostprof` host-side counters and appends the digest-stamped
@@ -694,166 +695,44 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `profile-diff` returns its verdict through the exit code (0 ok,
-/// 1 schema/parse error, 3 attribution drift), so it bypasses the shared
-/// `Result<(), String>` plumbing of the other subcommands.
-fn cmd_profile_diff(args: &Args) -> ExitCode {
-    match profile_diff_inner(args) {
-        Ok(DiffOutcome::Drift) => ExitCode::from(3),
-        Ok(_) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("emx-cli: {msg}");
-            ExitCode::from(1)
-        }
+/// `profile-diff` and `bench-diff`: parse the current report and its
+/// baseline (the second argument, or the same file name under
+/// `--baseline-dir`, default `results/baselines`), run the format's gate
+/// and print the diff. `main` maps the verdict to exit 0 or 3.
+fn cmd_diff(cmd: &str, args: &Args) -> Result<Verdict, String> {
+    use std::path::Path;
+    fn load<T>(path: &Path, parse: impl Fn(&str) -> Result<T, String>) -> Result<T, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
-}
-
-fn profile_diff_inner(args: &Args) -> Result<DiffOutcome, String> {
-    let a_path = args
-        .positional
-        .first()
-        .ok_or("profile-diff wants <report> [<report2>]")?;
-    let b_path = match args.positional.get(1) {
-        Some(p) => std::path::PathBuf::from(p),
+    // `validate_shape` guarantees the first positional.
+    let current = Path::new(&args.positional[0]);
+    let baseline = match args.positional.get(1) {
+        Some(p) => Path::new(p).to_path_buf(),
         None => {
-            // Single-report mode: compare against the committed baseline
-            // of the same file name.
-            let dir = args.get("baseline-dir").unwrap_or("results/baselines");
-            let name = std::path::Path::new(a_path)
+            let name = current
                 .file_name()
-                .ok_or_else(|| format!("{a_path}: not a file path"))?;
-            std::path::Path::new(dir).join(name)
+                .ok_or_else(|| format!("{}: not a file path", current.display()))?;
+            Path::new(args.get("baseline-dir").unwrap_or("results/baselines")).join(name)
         }
     };
-    let threshold = args.u64_or("threshold", DEFAULT_THRESHOLD_PPM)?;
-    let read = |p: &std::path::Path| {
-        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))
+    let diff = if cmd == "profile-diff" {
+        diff_profiles(
+            &load(current, parse_text)?,
+            &load(&baseline, parse_text)?,
+            args.u64_or("threshold", DEFAULT_THRESHOLD_PPM)?,
+        )
+    } else {
+        use emx::hostprof::{diff_bench, BenchFile};
+        diff_bench(
+            &load(current, BenchFile::parse)?,
+            &load(&baseline, BenchFile::parse)?,
+            args.u64_or("threshold", emx::hostprof::DEFAULT_THRESHOLD_PPM)?,
+            args.u64_or("wall-threshold", emx::hostprof::DEFAULT_WALL_THRESHOLD_PPM)?,
+        )
     };
-    let a =
-        parse_text(&read(std::path::Path::new(a_path))?).map_err(|e| format!("{a_path}: {e}"))?;
-    let b = parse_text(&read(&b_path)?).map_err(|e| format!("{}: {e}", b_path.display()))?;
-    let d = diff_profiles(&a, &b, threshold);
-    print!("{}", d.render());
-    Ok(d.outcome)
-}
-
-/// `bench-diff` mirrors `profile-diff`'s exit-code contract (0 ok,
-/// 1 schema/parse error, 3 deterministic drift) for the benchmark
-/// trajectory files `figures bench` writes.
-fn cmd_bench_diff(args: &Args) -> ExitCode {
-    match bench_diff_inner(args) {
-        Ok(emx::hostprof::DriftKind::Drift) => ExitCode::from(3),
-        Ok(_) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("emx-cli: {msg}");
-            ExitCode::from(1)
-        }
-    }
-}
-
-fn bench_diff_inner(args: &Args) -> Result<emx::hostprof::DriftKind, String> {
-    let a_path = args
-        .positional
-        .first()
-        .ok_or("bench-diff wants <BENCH.json> [<baseline.json>]")?;
-    let b_path = match args.positional.get(1) {
-        Some(p) => std::path::PathBuf::from(p),
-        None => {
-            // Single-file mode: compare against the committed baseline of
-            // the same file name, like profile-diff.
-            let dir = args.get("baseline-dir").unwrap_or("results/baselines");
-            let name = std::path::Path::new(a_path)
-                .file_name()
-                .ok_or_else(|| format!("{a_path}: not a file path"))?;
-            std::path::Path::new(dir).join(name)
-        }
-    };
-    let threshold = args.u64_or("threshold", emx::hostprof::DEFAULT_THRESHOLD_PPM)?;
-    let wall_threshold =
-        args.u64_or("wall-threshold", emx::hostprof::DEFAULT_WALL_THRESHOLD_PPM)?;
-    let read = |p: &std::path::Path| {
-        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))
-    };
-    let cur = parse_bench_file(&read(std::path::Path::new(a_path))?)
-        .map_err(|e| format!("{a_path}: {e}"))?;
-    let base =
-        parse_bench_file(&read(&b_path)?).map_err(|e| format!("{}: {e}", b_path.display()))?;
-    let d = emx::hostprof::diff_bench(&cur, &base, threshold, wall_threshold);
-    print!("{}", d.render());
-    Ok(d.outcome)
-}
-
-/// Parse an `emx-bench/2` JSON file into the structures
-/// [`emx::hostprof::diff_bench`] compares. Deterministic per-point fields
-/// (the `counters` and `host` objects) land in `counters`; wall-clock
-/// annotations (the `wall` object plus the top-level `wall_ns`) land in
-/// `wall`.
-fn parse_bench_file(text: &str) -> Result<emx::hostprof::BenchFile, String> {
-    use emx::obs::JsonValue;
-    let v = emx::obs::parse_json(text)?;
-    let str_field = |v: &JsonValue, k: &str| -> Result<String, String> {
-        v.get(k)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("missing string field {k:?}"))
-    };
-    let schema = str_field(&v, "schema")?;
-    if !emx::hostprof::HOSTPROF_SCHEMAS.contains(&schema.as_str()) {
-        return Err(format!(
-            "unsupported schema {schema:?} (want one of {:?}; regenerate with `figures bench`)",
-            emx::hostprof::HOSTPROF_SCHEMAS
-        ));
-    }
-    let scale = str_field(&v, "scale")?;
-    let num = |v: &JsonValue, k: &str| v.get(k).and_then(JsonValue::as_num).map(|n| n as u64);
-    let kvs = |v: &JsonValue, k: &str| -> Vec<(String, u64)> {
-        match v.get(k) {
-            Some(JsonValue::Obj(m)) => m
-                .iter()
-                .filter_map(|(n, val)| val.as_num().map(|x| (n.clone(), x as u64)))
-                .collect(),
-            _ => Vec::new(),
-        }
-    };
-    let mut points = Vec::new();
-    let arr = v
-        .get("points")
-        .and_then(JsonValue::as_arr)
-        .ok_or("missing points array")?;
-    for (i, p) in arr.iter().enumerate() {
-        let workload = str_field(p, "workload").map_err(|e| format!("point {i}: {e}"))?;
-        let mut key = workload;
-        for k in ["p", "h", "r"] {
-            if let Some(n) = num(p, k) {
-                key.push_str(&format!(" {k}={n}"));
-            }
-        }
-        let cycles = num(p, "cycles").ok_or_else(|| format!("point {i}: missing cycles"))?;
-        let digest = str_field(p, "digest").map_err(|e| format!("point {i}: {e}"))?;
-        let hostprof_digest = p
-            .get("hostprof_digest")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        let mut counters = kvs(p, "counters");
-        counters.extend(kvs(p, "host"));
-        let mut wall = kvs(p, "wall");
-        if let Some(n) = num(p, "wall_ns") {
-            wall.push(("wall_ns".to_string(), n));
-        }
-        points.push(emx::hostprof::BenchPoint {
-            key,
-            cycles,
-            digest,
-            hostprof_digest,
-            counters,
-            wall,
-        });
-    }
-    Ok(emx::hostprof::BenchFile {
-        schema,
-        scale,
-        points,
-    })
+    print!("{}", diff.render());
+    Ok(diff.verdict())
 }
 
 fn parse_list(name: &str, raw: &str) -> Result<Vec<usize>, String> {
@@ -1479,8 +1358,8 @@ fn validate_shape(cmd: &str, args: &Args) -> Result<(), String> {
             _ => Err("cache wants a subcommand: gc".into()),
         },
         "resume" if args.positional.is_empty() => Err("resume wants a journal file".into()),
-        "bench-diff" if args.positional.is_empty() => {
-            Err("bench-diff wants <BENCH.json> [<baseline.json>]".into())
+        "profile-diff" | "bench-diff" if args.positional.is_empty() => {
+            Err(format!("{cmd} wants <report> [<baseline>]"))
         }
         "asm" if args.positional.is_empty() => Err("asm wants a source file path".into()),
         _ => Ok(()),
@@ -1539,11 +1418,15 @@ fn main() -> ExitCode {
         eprintln!("emx-cli: {msg}");
         return ExitCode::from(4);
     }
-    if cmd == "profile-diff" {
-        return cmd_profile_diff(&args);
-    }
-    if cmd == "bench-diff" {
-        return cmd_bench_diff(&args);
+    if cmd == "profile-diff" || cmd == "bench-diff" {
+        return match cmd_diff(&cmd, &args) {
+            Ok(Verdict::Drift) => ExitCode::from(3),
+            Ok(_) => ExitCode::SUCCESS,
+            Err(msg) => {
+                eprintln!("emx-cli: {msg}");
+                ExitCode::FAILURE
+            }
+        };
     }
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),

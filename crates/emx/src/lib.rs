@@ -77,8 +77,8 @@ pub mod prelude {
         MetricsRegistry, Observation, Recorder,
     };
     pub use emx_profile::{
-        diff_profiles, parse_text, DiffOutcome, ProfileReport, Profiler, ProfilerHandle,
-        DEFAULT_THRESHOLD_PPM, PROFILE_SCHEMA,
+        diff_profiles, parse_text, ProfileReport, Profiler, ProfilerHandle, DEFAULT_THRESHOLD_PPM,
+        PROFILE_SCHEMA,
     };
     pub use emx_runtime::{
         config_digest, Action, BarrierId, EntryId, Machine, SuspendCause, ThreadBody, ThreadCtx,
@@ -86,7 +86,7 @@ pub mod prelude {
     };
     pub use emx_stats::{
         ascii_chart, overlap_efficiency, Breakdown, FaultSummary, PeStats, RunReport, Series,
-        SwitchCensus, Table,
+        SwitchCensus, Table, Verdict,
     };
     pub use emx_sweep::{RunCache, RunSpec, SweepEngine};
     pub use emx_workloads::gen::{dft, keys, signal, KeyDist, Signal};

@@ -27,8 +27,10 @@
 //! atomics: sums are order-independent, which is exactly why the counter
 //! section is reproducible at any worker count.
 //!
-//! See `docs/OBSERVABILITY.md` § "Host profiling" for the schema, the
-//! counter glossary, and the `bench-diff` CI workflow.
+//! The crate also owns the `emx-bench/2` benchmark file ([`mod@bench`]: types,
+//! writer and parser), which embeds these sections per point, and its
+//! `bench-diff` gate ([`diff`]). See `docs/OBSERVABILITY.md` § "Host
+//! profiling" for the schema, the counter glossary, and the CI workflow.
 
 // `deny` rather than the workspace-usual `forbid`: the counting global
 // allocator is the one place that needs `unsafe` (GlobalAlloc), and it
@@ -37,17 +39,16 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
+pub mod bench;
 pub mod counters;
 pub mod diff;
 pub mod report;
 
 pub use alloc::{alloc_totals, CountingAlloc};
+pub use bench::{BenchFile, BenchPoint, BENCH_SCHEMA};
 pub use counters::{
     add, add_host, add_wall, bump, count_lane, enabled, now, reset, set_enabled, snapshot,
     wall_since, Host, Sim, Snapshot, Wall, HOST_NAMES, SIM_NAMES, WALL_NAMES,
 };
-pub use diff::{
-    diff_bench, BenchDiffReport, BenchFile, BenchPoint, DiffEntry, DriftKind,
-    DEFAULT_THRESHOLD_PPM, DEFAULT_WALL_THRESHOLD_PPM, HOSTPROF_SCHEMAS,
-};
+pub use diff::{diff_bench, DEFAULT_THRESHOLD_PPM, DEFAULT_WALL_THRESHOLD_PPM};
 pub use report::{HostProfReport, HOSTPROF_SCHEMA};

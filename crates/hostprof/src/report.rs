@@ -1,12 +1,11 @@
-//! The `emx-hostprof/1` report: canonical text and JSON renderings of a
-//! counter [`Snapshot`], digest-stamped over the deterministic `counters`
-//! section only.
+//! The `emx-hostprof/1` report: the canonical text rendering of a counter
+//! [`Snapshot`], digest-stamped over the deterministic `counters` section
+//! only. Bench files embed the same sections as JSON (see [`crate::bench`]).
 
 use crate::counters::{Snapshot, HOST_NAMES, SIM_NAMES, WALL_NAMES};
 use emx_stats::digest::Digest128;
 
-/// Schema identifier for the report (first line of the text form,
-/// `"schema"` field of the JSON form).
+/// Schema identifier for the report (first line of the text form).
 pub const HOSTPROF_SCHEMA: &str = "emx-hostprof/1";
 
 /// A settled host-profiling report: free-form metadata (digest-excluded)
@@ -14,9 +13,9 @@ pub const HOSTPROF_SCHEMA: &str = "emx-hostprof/1";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostProfReport {
     /// Context key/value pairs (workload, jobs, …). Rendered on the `run`
-    /// line / in the `meta` JSON object; never digested — metadata may
-    /// legitimately differ between runs whose simulation work is
-    /// identical (e.g. `--jobs 1` vs `--jobs 4`).
+    /// line; never digested — metadata may legitimately differ between
+    /// runs whose simulation work is identical (e.g. `--jobs 1` vs
+    /// `--jobs 4`).
     pub meta: Vec<(String, String)>,
     /// The counter values this report settles.
     pub snap: Snapshot,
@@ -45,11 +44,7 @@ impl HostProfReport {
     /// line per counter — what the cross-run/cross-jobs byte-identity
     /// tests and CI compare.
     pub fn counters_section(&self) -> String {
-        let mut s = String::from("counters\n");
-        for (name, v) in SIM_NAMES.iter().zip(self.snap.sim.iter()) {
-            s.push_str(&format!("  {name} {v}\n"));
-        }
-        s
+        section("counters", &SIM_NAMES, &self.snap.sim)
     }
 
     /// Canonical text rendering: schema line, `run` metadata line,
@@ -67,55 +62,20 @@ impl HostProfReport {
             s.push('\n');
         }
         s.push_str(&self.counters_section());
-        s.push_str("host\n");
-        for (name, v) in HOST_NAMES.iter().zip(self.snap.host.iter()) {
-            s.push_str(&format!("  {name} {v}\n"));
-        }
-        s.push_str("wall\n");
-        for (name, v) in WALL_NAMES.iter().zip(self.snap.wall.iter()) {
-            s.push_str(&format!("  {name} {v}\n"));
-        }
+        s.push_str(&section("host", &HOST_NAMES, &self.snap.host));
+        s.push_str(&section("wall", &WALL_NAMES, &self.snap.wall));
         s.push_str(&format!("digest: {}\n", self.digest()));
         s
     }
-
-    /// JSON rendering with the same four parts; object keys are emitted
-    /// in canonical counter order.
-    pub fn to_json(&self) -> String {
-        let obj = |names: &[&str], vals: &[u64]| {
-            let fields: Vec<String> = names
-                .iter()
-                .zip(vals.iter())
-                .map(|(n, v)| format!("\"{n}\":{v}"))
-                .collect();
-            format!("{{{}}}", fields.join(","))
-        };
-        let meta: Vec<String> = self
-            .meta
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-            .collect();
-        format!(
-            "{{\"schema\":\"{}\",\"meta\":{{{}}},\"counters\":{},\"host\":{},\"wall\":{},\"digest\":\"{}\"}}",
-            HOSTPROF_SCHEMA,
-            meta.join(","),
-            obj(&SIM_NAMES, &self.snap.sim),
-            obj(&HOST_NAMES, &self.snap.host),
-            obj(&WALL_NAMES, &self.snap.wall),
-            self.digest(),
-        )
-    }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// One section: its title line, then a `  name value` line per counter.
+fn section(title: &str, names: &[&str], vals: &[u64]) -> String {
+    let mut s = format!("{title}\n");
+    for (name, v) in names.iter().zip(vals) {
+        s.push_str(&format!("  {name} {v}\n"));
+    }
+    s
 }
 
 #[cfg(test)]
@@ -168,23 +128,5 @@ mod tests {
         assert!(last.starts_with("digest: "));
         assert_eq!(last.len(), "digest: ".len() + 32);
         assert!(t1.contains(&r.counters_section()));
-    }
-
-    #[test]
-    fn json_has_all_sections() {
-        let r = sample();
-        let j = r.to_json();
-        assert!(j.starts_with("{\"schema\":\"emx-hostprof/1\""));
-        for key in [
-            "\"meta\":",
-            "\"counters\":",
-            "\"host\":",
-            "\"wall\":",
-            "\"digest\":",
-        ] {
-            assert!(j.contains(key), "missing {key} in {j}");
-        }
-        assert!(j.contains("\"calendar.pushes\":100"));
-        assert!(j.contains(&format!("\"digest\":\"{}\"", r.digest())));
     }
 }

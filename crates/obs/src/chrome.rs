@@ -28,26 +28,10 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use emx_core::{SuspendCause, TraceKind, TRACE_SCHEMA};
+use emx_stats::json::quote;
 
 use crate::csv::stream_digest;
 use crate::recorder::Observation;
-
-/// Escape a string for a JSON literal (ASCII control, quote, backslash).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Cycles to a microsecond JSON number with nanosecond precision, by
 /// integer math only: `cycles * 1_000_000_000 / clock_hz` ns, printed as
@@ -117,8 +101,8 @@ pub fn chrome_trace_json(obs: &Observation, clock_hz: u64) -> String {
         // renders as an instant on the PE track.
         if let Some(s) = p {
             events.push(format!(
-                r#"{{"ph":"i","name":"{}","cat":"dispatch","pid":1,"tid":{pe},"ts":{},"s":"t","args":{{"cycle":{}}}}}"#,
-                esc(s.pkt),
+                r#"{{"ph":"i","name":{},"cat":"dispatch","pid":1,"tid":{pe},"ts":{},"s":"t","args":{{"cycle":{}}}}}"#,
+                quote(s.pkt),
                 us(s.start, clock_hz),
                 s.start,
             ));
@@ -163,8 +147,8 @@ pub fn chrome_trace_json(obs: &Observation, clock_hz: u64) -> String {
                         None => s.pkt.to_string(),
                     };
                     events.push(format!(
-                        r#"{{"ph":"X","name":"{}","cat":"burst","pid":1,"tid":{pe},"ts":{},"dur":{},"args":{{"cause":"{}","start_cycle":{},"end_cycle":{at}}}}}"#,
-                        esc(&name),
+                        r#"{{"ph":"X","name":{},"cat":"burst","pid":1,"tid":{pe},"ts":{},"dur":{},"args":{{"cause":"{}","start_cycle":{},"end_cycle":{at}}}}}"#,
+                        quote(&name),
                         us(s.start, clock_hz),
                         us(at - s.start, clock_hz),
                         cause.label(),
@@ -190,8 +174,8 @@ pub fn chrome_trace_json(obs: &Observation, clock_hz: u64) -> String {
                         None => format!("{} F{}", s.pkt, frame.0),
                     };
                     events.push(format!(
-                        r#"{{"ph":"X","name":"{}","cat":"burst","pid":1,"tid":{pe},"ts":{},"dur":{},"args":{{"cause":"retire","start_cycle":{},"end_cycle":{at}}}}}"#,
-                        esc(&name),
+                        r#"{{"ph":"X","name":{},"cat":"burst","pid":1,"tid":{pe},"ts":{},"dur":{},"args":{{"cause":"retire","start_cycle":{},"end_cycle":{at}}}}}"#,
+                        quote(&name),
                         us(s.start, clock_hz),
                         us(at - s.start, clock_hz),
                         s.start,
@@ -241,8 +225,8 @@ pub fn chrome_trace_json(obs: &Observation, clock_hz: u64) -> String {
                 // their suspend/retire.
                 if let Some(s) = pending[pe].take() {
                     events.push(format!(
-                        r#"{{"ph":"X","name":"{}","cat":"dispatch","pid":1,"tid":{pe},"ts":{},"dur":{},"args":{{"start_cycle":{},"end_cycle":{at}}}}}"#,
-                        esc(s.pkt),
+                        r#"{{"ph":"X","name":{},"cat":"dispatch","pid":1,"tid":{pe},"ts":{},"dur":{},"args":{{"start_cycle":{},"end_cycle":{at}}}}}"#,
+                        quote(s.pkt),
                         us(s.start, clock_hz),
                         us(at - s.start, clock_hz),
                         s.start,

@@ -1,258 +1,9 @@
-//! A minimal JSON parser and a Chrome-trace validator built on it.
-//!
-//! The workspace has no JSON dependency (the exporters hand-write their
-//! output), so round-trip checking needs a reader. This is a strict
-//! recursive-descent parser for the JSON the exporters emit and the files
-//! CI smoke-checks — full JSON minus two liberties nobody needs here:
-//! numbers parse as `f64`, and `\uXXXX` escapes outside the BMP are
-//! rejected. [`validate_chrome_trace`] then checks the structural rules
+//! The Chrome-trace validator: checks an exported trace against the rules
 //! the Trace Event Format requires (and `docs/OBSERVABILITY.md`
-//! documents), returning counts the CLI prints.
+//! documents), reading it with the shared [`emx_stats::json`] reader, and
+//! returns counts the CLI prints.
 
-use std::collections::BTreeMap;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object; key order is not preserved (sorted map).
-    Obj(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// The value at `key` if this is an object containing it.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, what: &str) -> String {
-        format!("JSON error at byte {}: {what}", self.i)
-    }
-
-    fn ws(&mut self) {
-        while let Some(&c) = self.b.get(self.i) {
-            if c == b' ' || c == b'\t' || c == b'\n' || c == b'\r' {
-                self.i += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.b.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.ws();
-        match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.lit("true", JsonValue::Bool(true)),
-            Some(b'f') => self.lit("false", JsonValue::Bool(false)),
-            Some(b'n') => self.lit("null", JsonValue::Null),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
-            Some(&c) => Err(self.err(&format!("unexpected byte '{}'", c as char))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.i += 1;
-        }
-        let s = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| self.err("bad utf-8"))?;
-        s.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err(&format!("bad number '{s}'")))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.i) {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad utf-8"))?;
-                            let n = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(n)
-                                    .ok_or_else(|| self.err("surrogate \\u escape"))?,
-                            );
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(&c) if c < 0x20 => return Err(self.err("control byte in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let s = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| self.err("bad utf-8"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.i += ch.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b']') {
-            self.i += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.eat(b'{')?;
-        let mut map = BTreeMap::new();
-        self.ws();
-        if self.b.get(self.i) == Some(&b'}') {
-            self.i += 1;
-            return Ok(JsonValue::Obj(map));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.ws();
-            match self.b.get(self.i) {
-                Some(b',') => {
-                    self.i += 1;
-                }
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(JsonValue::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-/// Parse a complete JSON document (trailing whitespace allowed).
-pub fn parse_json(s: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing garbage after document"));
-    }
-    Ok(v)
-}
+use emx_stats::json::{parse_json, JsonValue};
 
 /// What [`validate_chrome_trace`] found in a structurally valid file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -352,26 +103,6 @@ pub fn validate_chrome_trace(s: &str) -> Result<ChromeSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_strings_arrays_objects() {
-        assert_eq!(parse_json("null").unwrap(), JsonValue::Null);
-        assert_eq!(parse_json(" -1.5e2 ").unwrap(), JsonValue::Num(-150.0));
-        assert_eq!(
-            parse_json(r#""a\n\"bA""#).unwrap(),
-            JsonValue::Str("a\n\"bA".into())
-        );
-        let v = parse_json(r#"{"a":[1,2,{"b":true}],"c":null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("c"), Some(&JsonValue::Null));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in ["{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
-        }
-    }
 
     #[test]
     fn validator_requires_structure() {

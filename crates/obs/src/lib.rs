@@ -60,6 +60,7 @@ mod recorder;
 pub use chrome::chrome_trace_json;
 pub use csv::events_csv;
 pub use digest::{DigestHandle, DigestProbe};
-pub use json::{parse_json, validate_chrome_trace, ChromeSummary, JsonValue};
+pub use emx_stats::json::{parse_json, JsonValue};
+pub use json::{validate_chrome_trace, ChromeSummary};
 pub use metrics::{Histogram, MetricsRegistry, PeMetrics, METRICS_SCHEMA};
 pub use recorder::{EventLog, Observation, Recorder, RecorderHandle};

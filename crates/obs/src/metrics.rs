@@ -353,7 +353,7 @@ impl MetricsRegistry {
     }
 
     /// Canonical text: versioned, line-oriented, byte-deterministic.
-    /// Format (`emx-metrics/1`): one `pe` line per processor with every
+    /// Format (`emx-metrics/2`): one `pe` line per processor with every
     /// counter as `key=value`, then one `hist` line per histogram.
     pub fn canonical_text(&self) -> String {
         let mut s = String::with_capacity(256 + 160 * self.pes.len());

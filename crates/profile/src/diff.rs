@@ -1,172 +1,38 @@
 //! Comparing two `emx-profile/1` reports: the drift gate behind
-//! `emx-cli profile-diff`.
+//! `emx-cli profile-diff`, a field list over [`emx_stats::diff`].
 //!
 //! The comparison is deliberately narrow — it checks the handful of
 //! numbers that constitute the profile's *conclusion*, not every bucket:
-//!
-//! * the machine-level attribution shares (busy/switch/wait/idle ppm),
-//! * the dominant remote-read stall phase,
-//! * the critical path's share of the makespan,
-//! * the run length itself (relative, in ppm).
-//!
-//! A shift beyond the threshold in any of these means the performance
-//! *story* changed — time moved between classes, the bottleneck moved, or
-//! the run got meaningfully longer — and that is what a baseline gate
-//! should catch. Bucket-level churn below that bar is noise.
+//! the machine-level attribution shares and the critical path's share of
+//! the makespan (absolute, in ppm points), the run length (relative, in
+//! ppm of the baseline), the dominant remote-read stall phase, and the
+//! machine size. A shift beyond the threshold in any of these means the
+//! performance *story* changed; bucket-level churn below that bar is
+//! noise, so a changed digest alone only warns.
+
+use emx_stats::diff::{Diff, Verdict};
 
 use crate::report::{ParsedProfile, CLASS_NAMES};
 
 /// Default drift threshold: 20 000 ppm = 2 percentage points.
 pub const DEFAULT_THRESHOLD_PPM: u64 = 20_000;
 
-/// Verdict of a report comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiffOutcome {
-    /// Same digest: byte-identical profiles.
-    Identical,
-    /// Differences exist but all within the threshold.
-    WithinThreshold,
-    /// At least one conclusion-level number drifted.
-    Drift,
-}
-
-/// One compared quantity.
-#[derive(Debug, Clone)]
-pub struct DiffEntry {
-    /// What was compared (e.g. `share busy`).
-    pub what: String,
-    /// Value in report A (ppm, or cycles for `elapsed`).
-    pub a: u64,
-    /// Value in report B.
-    pub b: u64,
-    /// The drift, ppm.
-    pub delta_ppm: u64,
-    /// Whether this entry alone exceeds the threshold.
-    pub drifted: bool,
-}
-
-/// Full result of a report comparison.
-#[derive(Debug, Clone)]
-pub struct DiffReport {
-    /// The verdict.
-    pub outcome: DiffOutcome,
-    /// Threshold applied, ppm.
-    pub threshold_ppm: u64,
-    /// Every compared quantity, drifted or not.
-    pub entries: Vec<DiffEntry>,
-    /// Non-numeric observations (dominant-phase change, PE-count change).
-    pub notes: Vec<String>,
-}
-
-/// Compare two parsed profiles under a drift threshold in ppm.
-pub fn diff_profiles(a: &ParsedProfile, b: &ParsedProfile, threshold_ppm: u64) -> DiffReport {
-    if a.digest == b.digest {
-        return DiffReport {
-            outcome: DiffOutcome::Identical,
-            threshold_ppm,
-            entries: Vec::new(),
-            notes: Vec::new(),
-        };
-    }
-    let mut entries = Vec::new();
-    let mut notes = Vec::new();
-    let mut drift = false;
-
-    for (i, name) in CLASS_NAMES.iter().enumerate() {
-        let (x, y) = (a.shares_ppm[i], b.shares_ppm[i]);
-        let delta = x.abs_diff(y);
-        let drifted = delta > threshold_ppm;
-        drift |= drifted;
-        entries.push(DiffEntry {
-            what: format!("share {name}"),
-            a: x,
-            b: y,
-            delta_ppm: delta,
-            drifted,
-        });
-    }
-
-    let delta = a.crit_share_ppm.abs_diff(b.crit_share_ppm);
-    let drifted = delta > threshold_ppm;
-    drift |= drifted;
-    entries.push(DiffEntry {
-        what: "critical-path share".into(),
-        a: a.crit_share_ppm,
-        b: b.crit_share_ppm,
-        delta_ppm: delta,
-        drifted,
-    });
-
-    // Elapsed compared relatively: ppm of the larger run.
-    let delta = {
-        let hi = a.elapsed.max(b.elapsed);
-        ((u128::from(a.elapsed.abs_diff(b.elapsed)) * 1_000_000) / u128::from(hi.max(1))) as u64
+/// Compare `current` against `baseline` under a drift threshold in ppm.
+pub fn diff_profiles(current: &ParsedProfile, baseline: &ParsedProfile, limit: u64) -> Diff {
+    let (cur, base) = (current, baseline);
+    let mut d = Diff {
+        title: format!("profile-diff: {} PEs, threshold {limit} ppm", base.pes),
+        ..Diff::default()
     };
-    let drifted = delta > threshold_ppm;
-    drift |= drifted;
-    entries.push(DiffEntry {
-        what: "elapsed".into(),
-        a: a.elapsed,
-        b: b.elapsed,
-        delta_ppm: delta,
-        drifted,
-    });
-
-    if a.dominant != b.dominant {
-        drift = true;
-        notes.push(format!(
-            "dominant stall phase changed: {} -> {}",
-            a.dominant, b.dominant
-        ));
+    d.text("digest", &cur.digest, &base.digest, Verdict::Warn);
+    d.count("pes", cur.pes, base.pes, 0);
+    for (i, name) in CLASS_NAMES.iter().enumerate() {
+        let (c, b) = (cur.shares_ppm[i], base.shares_ppm[i]);
+        d.gate(format!("share {name}"), c, b, c.abs_diff(b), limit);
     }
-    if a.pes != b.pes {
-        drift = true;
-        notes.push(format!("machine size changed: {} -> {} PEs", a.pes, b.pes));
-    }
-
-    DiffReport {
-        outcome: if drift {
-            DiffOutcome::Drift
-        } else {
-            DiffOutcome::WithinThreshold
-        },
-        threshold_ppm,
-        entries,
-        notes,
-    }
-}
-
-impl DiffReport {
-    /// Human-readable rendering, one line per compared quantity.
-    pub fn render(&self) -> String {
-        let mut s = String::new();
-        match self.outcome {
-            DiffOutcome::Identical => {
-                s.push_str("profiles identical (same digest)\n");
-                return s;
-            }
-            DiffOutcome::WithinThreshold => s.push_str(&format!(
-                "profiles differ within threshold ({} ppm)\n",
-                self.threshold_ppm
-            )),
-            DiffOutcome::Drift => s.push_str(&format!(
-                "ATTRIBUTION DRIFT beyond {} ppm\n",
-                self.threshold_ppm
-            )),
-        }
-        for e in &self.entries {
-            s.push_str(&format!(
-                "  {} {:<20} a={:<10} b={:<10} delta={} ppm\n",
-                if e.drifted { "!" } else { " " },
-                e.what,
-                e.a,
-                e.b,
-                e.delta_ppm
-            ));
-        }
-        for n in &self.notes {
-            s.push_str(&format!("  ! {n}\n"));
-        }
-        s
-    }
+    let (c, b) = (cur.crit_share_ppm, base.crit_share_ppm);
+    d.gate("critical-path share", c, b, c.abs_diff(b), limit);
+    d.count("elapsed", cur.elapsed, base.elapsed, limit);
+    d.text("dominant", &cur.dominant, &base.dominant, Verdict::Drift);
+    d
 }

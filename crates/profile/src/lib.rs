@@ -25,8 +25,9 @@
 //! Results ship as a digest-stamped `emx-profile/1` report ([`report`]):
 //! canonical text (byte-deterministic, integer-only) plus a JSON twin,
 //! both carrying the same FNV-1a-128 digest. [`diff`] compares two
-//! reports and gates on attribution drift — `emx-cli profile-diff` turns
-//! that into an exit code for CI.
+//! reports with the shared [`emx_stats::diff`] comparator and gates on
+//! attribution drift — `emx-cli profile-diff` turns that into an exit
+//! code for CI.
 //!
 //! [`Probe`]: emx_core::Probe
 
@@ -40,7 +41,7 @@ pub mod report;
 pub use attrib::{AttribFold, PeAttribution};
 pub use blame::{BlameCounters, BlameFold, NUM_PHASES, PHASE_NAMES};
 pub use critical::{ChainRec, CritFold, CriticalPath, CAT_NAMES, NUM_CATS};
-pub use diff::{diff_profiles, DiffOutcome, DiffReport, DEFAULT_THRESHOLD_PPM};
+pub use diff::{diff_profiles, DEFAULT_THRESHOLD_PPM};
 pub use profiler::{Profiler, ProfilerHandle};
 pub use report::{
     parse_text, ppm, BlameSummary, CritSummary, ParsedProfile, PeProfile, ProfileReport,
@@ -50,7 +51,7 @@ pub use report::{
 #[cfg(test)]
 mod tests {
     use emx_core::{CostModel, Cycle, FrameId, PacketKind, PeId, Probe, SuspendCause, TraceKind};
-    use emx_stats::RunReport;
+    use emx_stats::{RunReport, Verdict};
 
     use super::*;
 
@@ -447,41 +448,58 @@ mod tests {
         assert!(json.contains("\"schema\": \"emx-profile/1\""));
     }
 
-    /// The differ: identical, within-threshold, drifted, and the
-    /// dominant-phase flip.
-    #[test]
-    fn diff_outcomes_cover_the_gate() {
-        let base = ParsedProfile {
-            elapsed: 1000,
+    fn parsed(elapsed: u64) -> ParsedProfile {
+        ParsedProfile {
+            elapsed,
             pes: 16,
             shares_ppm: [500_000, 100_000, 300_000, 100_000],
             dominant: "resp-transit".into(),
             crit_share_ppm: 800_000,
             digest: "a".repeat(32),
             meta: Vec::new(),
-        };
+        }
+    }
+
+    /// The differ: identical, within-threshold, drifted, and the
+    /// dominant-phase flip.
+    #[test]
+    fn diff_outcomes_cover_the_gate() {
+        let base = parsed(1000);
         let same = diff_profiles(&base, &base, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(same.outcome, DiffOutcome::Identical);
+        assert_eq!(same.verdict(), Verdict::Identical);
 
         let mut near = base.clone();
         near.digest = "b".repeat(32);
         near.shares_ppm[0] += 5_000; // 0.5pp: under the 2pp default
-        let ok = diff_profiles(&base, &near, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(ok.outcome, DiffOutcome::WithinThreshold);
+        let ok = diff_profiles(&near, &base, DEFAULT_THRESHOLD_PPM);
+        assert_eq!(ok.verdict(), Verdict::Warn);
 
         let mut far = near.clone();
         far.shares_ppm[2] += 50_000; // 5pp: drift
-        let bad = diff_profiles(&base, &far, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(bad.outcome, DiffOutcome::Drift);
+        let bad = diff_profiles(&far, &base, DEFAULT_THRESHOLD_PPM);
+        assert_eq!(bad.verdict(), Verdict::Drift);
         assert!(bad
             .entries
             .iter()
-            .any(|e| e.drifted && e.what == "share wait"));
+            .any(|e| e.verdict == Verdict::Drift && e.what == "share wait"));
 
         let mut flipped = near.clone();
         flipped.dominant = "service".into();
-        let flip = diff_profiles(&base, &flipped, DEFAULT_THRESHOLD_PPM);
-        assert_eq!(flip.outcome, DiffOutcome::Drift);
-        assert!(flip.notes[0].contains("dominant"));
+        let flip = diff_profiles(&flipped, &base, DEFAULT_THRESHOLD_PPM);
+        assert_eq!(flip.verdict(), Verdict::Drift);
+        assert!(flip.render().contains("! dominant: current=service"));
+    }
+
+    /// Elapsed drift is in ppm of the baseline, rounded up: an exact gate
+    /// catches one cycle on a run longer than 10^6 cycles.
+    #[test]
+    fn one_cycle_of_elapsed_drift_trips_an_exact_gate() {
+        let mut longer = parsed(2_000_001);
+        longer.digest = "b".repeat(32);
+        let d = diff_profiles(&longer, &parsed(2_000_000), 0);
+        assert_eq!(d.verdict(), Verdict::Drift);
+        assert!(d
+            .render()
+            .contains("! elapsed: current=2000001 baseline=2000000 (Δ 1 ppm)"));
     }
 }

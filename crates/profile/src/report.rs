@@ -33,7 +33,8 @@
 //! is the contract `profile-diff` checks drift against.
 
 use emx_obs::Histogram;
-use emx_stats::Digest128;
+use emx_stats::digest::digest_hex;
+use emx_stats::json::quote;
 
 use crate::attrib::PeAttribution;
 use crate::blame::{BlameCounters, NUM_PHASES, PHASE_NAMES};
@@ -207,17 +208,13 @@ impl ProfileReport {
 
     /// Digest of the canonical body (what the `digest:` line carries).
     pub fn digest(&self) -> String {
-        let mut d = Digest128::new();
-        d.write_str(&self.canonical_body());
-        d.hex()
+        digest_hex(&self.canonical_body())
     }
 
     /// The full canonical text, digest line included.
     pub fn canonical_text(&self) -> String {
         let body = self.canonical_body();
-        let mut d = Digest128::new();
-        d.write_str(&body);
-        format!("{body}digest: {}\n", d.hex())
+        format!("{body}digest: {}\n", digest_hex(&body))
     }
 
     /// The JSON twin. Hand-rendered (deterministic key order) and stamped
@@ -225,13 +222,13 @@ impl ProfileReport {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(8192);
         s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": {},\n", json_str(PROFILE_SCHEMA)));
+        s.push_str(&format!("  \"schema\": {},\n", quote(PROFILE_SCHEMA)));
         s.push_str("  \"meta\": {");
         for (i, (k, v)) in self.meta.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(&format!("{}: {}", json_str(k), json_str(v)));
+            s.push_str(&format!("{}: {}", quote(k), quote(v)));
         }
         s.push_str("},\n");
         s.push_str(&format!(
@@ -278,7 +275,7 @@ impl ProfileReport {
             "    \"mean_hops_milli\": {}, \"dominant\": {},\n",
             b.mean_hops_milli,
             b.dominant
-                .map_or_else(|| "null".into(), |i| json_str(PHASE_NAMES[i])),
+                .map_or_else(|| "null".into(), |i| quote(PHASE_NAMES[i])),
         ));
         s.push_str(&format!("    \"total\": {},\n", json_hist(&b.total)));
         s.push_str("    \"phases\": [\n");
@@ -309,30 +306,15 @@ impl ProfileReport {
                     s.push_str(&format!(
                         "{{\"cat\": {}, \"cycles\": {cycles}, \"count\": {count}, \
                          \"share_ppm\": {share}}}",
-                        json_str(CAT_NAMES[*cat])
+                        quote(CAT_NAMES[*cat])
                     ));
                 }
                 s.push_str("]},\n");
             }
         }
-        s.push_str(&format!("  \"digest\": {}\n}}\n", json_str(&self.digest())));
+        s.push_str(&format!("  \"digest\": {}\n}}\n", quote(&self.digest())));
         s
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn json_classes(v: &[u64; 4]) -> String {
@@ -345,7 +327,7 @@ fn json_classes(v: &[u64; 4]) -> String {
 fn json_hist(h: &Histogram) -> String {
     let mut s = format!(
         "{{\"name\": {}, \"count\": {}, \"sum\": {}, \"max\": {}, \"buckets\": [",
-        json_str(h.name()),
+        quote(h.name()),
         h.count(),
         h.sum(),
         h.max()
@@ -354,7 +336,7 @@ fn json_hist(h: &Histogram) -> String {
         if i > 0 {
             s.push_str(", ");
         }
-        s.push_str(&format!("[{}, {c}]", json_str(label)));
+        s.push_str(&format!("[{}, {c}]", quote(label)));
     }
     s.push_str("]}");
     s
@@ -446,13 +428,11 @@ pub fn parse_text(text: &str) -> Result<ParsedProfile, String> {
         return Err(format!("malformed digest {digest:?}"));
     }
     let body_end = text.find("digest: ").ok_or("missing digest line")?;
-    let mut d = Digest128::new();
-    d.write_str(&text[..body_end]);
-    if d.hex() != digest {
+    let actual = digest_hex(&text[..body_end]);
+    if actual != digest {
         return Err(format!(
-            "digest mismatch: report stamped {digest} but content hashes to {} \
-             (edited or truncated?)",
-            d.hex()
+            "digest mismatch: report stamped {digest} but content hashes to {actual} \
+             (edited or truncated?)"
         ));
     }
     Ok(ParsedProfile {

@@ -4,8 +4,8 @@
 //! P = 16 — and the report artifacts must be byte-deterministic.
 
 use emx_core::MachineConfig;
-use emx_profile::{diff_profiles, parse_text, DiffOutcome, Profiler, DEFAULT_THRESHOLD_PPM};
-use emx_stats::RunReport;
+use emx_profile::{diff_profiles, parse_text, Profiler, DEFAULT_THRESHOLD_PPM};
+use emx_stats::{RunReport, Verdict};
 use emx_workloads::{run_bitonic_observed, run_fft_observed, FftParams, SortParams};
 
 fn cfg(p: usize) -> MachineConfig {
@@ -105,16 +105,16 @@ fn profile_reports_are_byte_deterministic_and_self_consistent() {
     let pa = parse_text(&ta).expect("canonical text parses");
     let pb = parse_text(&tb).unwrap();
     assert_eq!(
-        diff_profiles(&pa, &pb, DEFAULT_THRESHOLD_PPM).outcome,
-        DiffOutcome::Identical
+        diff_profiles(&pa, &pb, DEFAULT_THRESHOLD_PPM).verdict(),
+        Verdict::Identical
     );
 
     // A genuinely different run diffs as drift or within-threshold, never
     // as a parse failure.
     let (c, _) = profile_fft(16 * 256, 1);
     let pc = parse_text(&c.canonical_text()).unwrap();
-    let d = diff_profiles(&pa, &pc, DEFAULT_THRESHOLD_PPM);
-    assert_ne!(d.outcome, DiffOutcome::Identical);
+    let d = diff_profiles(&pc, &pa, DEFAULT_THRESHOLD_PPM);
+    assert_ne!(d.verdict(), Verdict::Identical);
 }
 
 #[test]

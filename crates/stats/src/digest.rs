@@ -8,9 +8,12 @@
 //! documented to be seed- and version-dependent. This module provides a
 //! fixed-parameter FNV-1a implementation (64-bit and a doubled 128-bit
 //! variant) plus a canonical text rendering of [`RunReport`] so callers
-//! hash bytes with a defined layout rather than in-memory representations.
+//! hash bytes with a defined layout rather than in-memory representations,
+//! and the parser that reads that rendering back.
 
-use crate::report::RunReport;
+use emx_core::Cycle;
+
+use crate::report::{FaultSummary, PeStats, RunReport};
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -143,11 +146,109 @@ pub fn report_digest(r: &RunReport) -> String {
     digest_hex(&report_canonical_text(r))
 }
 
+/// The inverse of [`report_canonical_text`]: parse the `emx-report v2`
+/// section out of an iterator of lines; `None` on any structural
+/// mismatch. Lines before the `emx-report v2` tag are skipped, so records
+/// that embed the text after their own header lines (the sweep cache's
+/// entries, its journal's `result` records) parse as they are.
+pub fn parse_report_text<'a>(lines: impl Iterator<Item = &'a str>) -> Option<RunReport> {
+    // Skip the human-readable spec/config sections down to the report tag.
+    let mut lines = lines.skip_while(|l| *l != "emx-report v2");
+    if lines.next()? != "emx-report v2" {
+        return None;
+    }
+
+    // "elapsed=E clock_hz=C net_packets=P net_contention=N"
+    let header = lines.next()?;
+    let mut elapsed = None;
+    let mut clock_hz = None;
+    let mut net_packets = None;
+    let mut net_contention = None;
+    for field in header.split_whitespace() {
+        let (name, value) = field.split_once('=')?;
+        let value: u64 = value.parse().ok()?;
+        match name {
+            "elapsed" => elapsed = Some(value),
+            "clock_hz" => clock_hz = Some(value),
+            "net_packets" => net_packets = Some(value),
+            "net_contention" => net_contention = Some(value),
+            _ => return None,
+        }
+    }
+
+    let mut faults = None;
+    let mut per_pe = Vec::new();
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("faults ") {
+            // Armed runs carry one machine-wide fault summary line.
+            if faults.is_some() || !per_pe.is_empty() {
+                return None;
+            }
+            let mut f = FaultSummary::default();
+            for field in rest.split_whitespace() {
+                let (name, value) = field.split_once('=')?;
+                let value: u64 = value.parse().ok()?;
+                match name {
+                    "dropped" => f.dropped = value,
+                    "duplicated" => f.duplicated = value,
+                    "delayed" => f.delayed = value,
+                    "forced_spills" => f.forced_spills = value,
+                    "dma_stalls" => f.dma_stalls = value,
+                    "retries" => f.retries = value,
+                    "stale_responses" => f.stale_responses = value,
+                    _ => return None,
+                }
+            }
+            faults = Some(f);
+            continue;
+        }
+        let mut it = line.split_whitespace();
+        if it.next()? != "pe" {
+            return None;
+        }
+        let mut next = || -> Option<u64> { it.next()?.parse().ok() };
+        let stats = PeStats {
+            breakdown: crate::Breakdown {
+                compute: Cycle::new(next()?),
+                overhead: Cycle::new(next()?),
+                comm: Cycle::new(next()?),
+                switch: Cycle::new(next()?),
+            },
+            switches: crate::SwitchCensus {
+                remote_read: next()?,
+                iter_sync: next()?,
+                thread_sync: next()?,
+            },
+            packets_sent: next()?,
+            reads_issued: next()?,
+            dispatches: next()?,
+            max_queue_depth: next()? as usize,
+            ibu_spills: next()?,
+            high_spills: next()?,
+            low_spills: next()?,
+            forced_spills: next()?,
+            max_high_depth: next()? as usize,
+            max_low_depth: next()? as usize,
+        };
+        per_pe.push(stats);
+    }
+
+    Some(RunReport {
+        per_pe,
+        elapsed: Cycle::new(elapsed?),
+        clock_hz: clock_hz?,
+        net_packets: net_packets?,
+        net_contention: Cycle::new(net_contention?),
+        faults,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::PeStats;
-    use emx_core::Cycle;
 
     #[test]
     fn fnv_vectors() {
@@ -200,7 +301,6 @@ mod tests {
 
     #[test]
     fn faults_line_present_only_when_armed() {
-        use crate::report::FaultSummary;
         let mut r = RunReport::default();
         assert!(!report_canonical_text(&r).contains("faults "));
         r.faults = Some(FaultSummary::default());

@@ -15,7 +15,12 @@
 //!   examples and the figure-regeneration harness;
 //! * [`digest`] — stable (platform- and process-independent) content
 //!   digests of runs and reports, the provenance hooks behind `emx-sweep`'s
-//!   run cache and the `results/*.json` sidecars.
+//!   run cache and the `results/*.json` sidecars, and both directions of
+//!   the canonical `emx-report v2` text;
+//! * [`json`] — the one JSON string escaper and the JSON reader every
+//!   report writer and parser shares;
+//! * [`diff`] — the drift comparator behind `profile-diff` and
+//!   `bench-diff`: one [`Verdict`], one [`DiffEntry`], one delta rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,13 +28,16 @@
 mod breakdown;
 mod census;
 mod chart;
+pub mod diff;
 pub mod digest;
+pub mod json;
 mod report;
 mod table;
 
 pub use breakdown::Breakdown;
 pub use census::SwitchCensus;
 pub use chart::{ascii_chart, bar, Series};
+pub use diff::{Diff, DiffEntry, Verdict};
 pub use digest::{report_digest, Digest128};
 pub use report::{overlap_efficiency, FaultSummary, PeStats, RunReport};
 pub use table::Table;

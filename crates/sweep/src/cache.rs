@@ -18,9 +18,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use emx_core::Cycle;
-use emx_stats::digest::{report_canonical_text, Digest128};
-use emx_stats::{FaultSummary, PeStats, RunReport};
+use emx_stats::digest::{parse_report_text, report_canonical_text, Digest128};
+use emx_stats::RunReport;
 
 use crate::spec::{config_canonical, RunSpec};
 
@@ -292,109 +291,12 @@ fn parse_entry(text: &str, key: &CacheKey) -> Option<RunReport> {
     parse_report_text(lines)
 }
 
-/// Parse the canonical `emx-report v2` section out of an iterator of
-/// lines, skipping any leading non-report lines; `None` on any structural
-/// mismatch. Shared by cache entries and journal `result` records — both
-/// embed [`report_canonical_text`] verbatim.
-pub(crate) fn parse_report_text<'a>(lines: impl Iterator<Item = &'a str>) -> Option<RunReport> {
-    // Skip the human-readable spec/config sections down to the report tag.
-    let mut lines = lines.skip_while(|l| *l != "emx-report v2");
-    if lines.next()? != "emx-report v2" {
-        return None;
-    }
-
-    // "elapsed=E clock_hz=C net_packets=P net_contention=N"
-    let header = lines.next()?;
-    let mut elapsed = None;
-    let mut clock_hz = None;
-    let mut net_packets = None;
-    let mut net_contention = None;
-    for field in header.split_whitespace() {
-        let (name, value) = field.split_once('=')?;
-        let value: u64 = value.parse().ok()?;
-        match name {
-            "elapsed" => elapsed = Some(value),
-            "clock_hz" => clock_hz = Some(value),
-            "net_packets" => net_packets = Some(value),
-            "net_contention" => net_contention = Some(value),
-            _ => return None,
-        }
-    }
-
-    let mut faults = None;
-    let mut per_pe = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("faults ") {
-            // Armed runs carry one machine-wide fault summary line.
-            if faults.is_some() || !per_pe.is_empty() {
-                return None;
-            }
-            let mut f = FaultSummary::default();
-            for field in rest.split_whitespace() {
-                let (name, value) = field.split_once('=')?;
-                let value: u64 = value.parse().ok()?;
-                match name {
-                    "dropped" => f.dropped = value,
-                    "duplicated" => f.duplicated = value,
-                    "delayed" => f.delayed = value,
-                    "forced_spills" => f.forced_spills = value,
-                    "dma_stalls" => f.dma_stalls = value,
-                    "retries" => f.retries = value,
-                    "stale_responses" => f.stale_responses = value,
-                    _ => return None,
-                }
-            }
-            faults = Some(f);
-            continue;
-        }
-        let mut it = line.split_whitespace();
-        if it.next()? != "pe" {
-            return None;
-        }
-        let mut next = || -> Option<u64> { it.next()?.parse().ok() };
-        let stats = PeStats {
-            breakdown: emx_stats::Breakdown {
-                compute: Cycle::new(next()?),
-                overhead: Cycle::new(next()?),
-                comm: Cycle::new(next()?),
-                switch: Cycle::new(next()?),
-            },
-            switches: emx_stats::SwitchCensus {
-                remote_read: next()?,
-                iter_sync: next()?,
-                thread_sync: next()?,
-            },
-            packets_sent: next()?,
-            reads_issued: next()?,
-            dispatches: next()?,
-            max_queue_depth: next()? as usize,
-            ibu_spills: next()?,
-            high_spills: next()?,
-            low_spills: next()?,
-            forced_spills: next()?,
-            max_high_depth: next()? as usize,
-            max_low_depth: next()? as usize,
-        };
-        per_pe.push(stats);
-    }
-
-    Some(RunReport {
-        per_pe,
-        elapsed: Cycle::new(elapsed?),
-        clock_hz: clock_hz?,
-        net_packets: net_packets?,
-        net_contention: Cycle::new(net_contention?),
-        faults,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spec::Workload;
+    use emx_core::Cycle;
+    use emx_stats::{FaultSummary, PeStats};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =

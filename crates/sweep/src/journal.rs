@@ -40,11 +40,10 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use emx_core::{CostPreset, FaultSpec, NetModelKind, ServiceMode};
-use emx_stats::digest::report_canonical_text;
+use emx_stats::digest::{parse_report_text, report_canonical_text};
 use emx_stats::RunReport;
 use parking_lot::Mutex;
 
-use crate::cache::parse_report_text;
 use crate::engine::{Slot, SweepEngine, SweepOutcome};
 use crate::spec::{RunSpec, Workload};
 

@@ -9,14 +9,15 @@
 //! `docs/SWEEPS.md`; its identifier is [`SCHEMA`].
 //!
 //! The JSON is hand-emitted (the workspace deliberately carries no JSON
-//! dependency); the writer covers the full string-escaping rules for the
-//! values it emits.
+//! dependency); every string goes through the shared
+//! [`emx_stats::json::quote`] escaper.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use emx_stats::digest::report_digest;
+use emx_stats::json::quote;
 
 use crate::cache::CACHE_FORMAT;
 use crate::engine::SweepOutcome;
@@ -26,23 +27,6 @@ use crate::engine::SweepOutcome;
 /// per-run cost-model `preset`; later (additively, no bump) the
 /// `runs_resumed` count and the `watchdog` observation object.
 pub const SCHEMA: &str = "emx-sweep/2";
-
-/// Escape a string for inclusion in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render the sidecar JSON for `outcome`, labelled as `figure`, with
 /// `extra` free-form string facts (e.g. `("scale", "standard")`).
@@ -54,12 +38,12 @@ pub fn render(
 ) -> String {
     let mut j = String::with_capacity(512 + 512 * outcome.points.len());
     j.push_str("{\n");
-    j.push_str(&format!("  \"schema\": \"{}\",\n", esc(SCHEMA)));
-    j.push_str(&format!("  \"figure\": \"{}\",\n", esc(figure)));
-    j.push_str(&format!("  \"csv\": \"{}\",\n", esc(csv_file)));
+    j.push_str(&format!("  \"schema\": {},\n", quote(SCHEMA)));
+    j.push_str(&format!("  \"figure\": {},\n", quote(figure)));
+    j.push_str(&format!("  \"csv\": {},\n", quote(csv_file)));
     j.push_str(&format!(
-        "  \"engine\": {{\"name\": \"emx-sweep\", \"version\": \"{}\", \"cache_format\": {}}},\n",
-        esc(env!("CARGO_PKG_VERSION")),
+        "  \"engine\": {{\"name\": \"emx-sweep\", \"version\": {}, \"cache_format\": {}}},\n",
+        quote(env!("CARGO_PKG_VERSION")),
         CACHE_FORMAT
     ));
     j.push_str(&format!("  \"jobs\": {},\n", outcome.jobs));
@@ -92,14 +76,14 @@ pub fn render(
         if i > 0 {
             j.push_str(", ");
         }
-        j.push_str(&format!("\"{}\": \"{}\"", esc(k), esc(v)));
+        j.push_str(&format!("{}: {}", quote(k), quote(v)));
     }
     j.push_str("},\n");
     j.push_str("  \"runs\": [\n");
     for (i, pt) in outcome.points.iter().enumerate() {
         let s = &pt.spec;
         j.push_str("    {");
-        j.push_str(&format!("\"workload\": \"{}\", ", esc(s.workload.name())));
+        j.push_str(&format!("\"workload\": {}, ", quote(s.workload.name())));
         j.push_str(&format!("\"pes\": {}, ", s.pes));
         j.push_str(&format!("\"per_pe\": {}, ", s.per_pe));
         j.push_str(&format!("\"n\": {}, ", s.n()));
@@ -117,15 +101,15 @@ pub fn render(
             s.priority_read_responses
         ));
         j.push_str(&format!(
-            "\"net_model\": \"{}\", ",
-            esc(&format!("{:?}", s.net_model))
+            "\"net_model\": {}, ",
+            quote(&format!("{:?}", s.net_model))
         ));
-        j.push_str(&format!("\"preset\": \"{}\", ", esc(s.preset.name())));
+        j.push_str(&format!("\"preset\": {}, ", quote(s.preset.name())));
         match &s.faults {
-            Some(f) => j.push_str(&format!("\"faults\": \"{}\", ", esc(&f.canonical()))),
+            Some(f) => j.push_str(&format!("\"faults\": {}, ", quote(&f.canonical()))),
             None => j.push_str("\"faults\": null, "),
         }
-        j.push_str(&format!("\"key\": \"{}\", ", esc(pt.key.hex())));
+        j.push_str(&format!("\"key\": {}, ", quote(pt.key.hex())));
         j.push_str(&format!("\"cached\": {}, ", pt.cached));
         j.push_str(&format!(
             "\"elapsed_cycles\": {}, ",
@@ -133,8 +117,8 @@ pub fn render(
         ));
         j.push_str(&format!("\"clock_hz\": {}, ", pt.report.clock_hz));
         j.push_str(&format!(
-            "\"report_digest\": \"{}\"",
-            esc(&report_digest(&pt.report))
+            "\"report_digest\": {}",
+            quote(&report_digest(&pt.report))
         ));
         j.push('}');
         if i + 1 < outcome.points.len() {
@@ -148,17 +132,17 @@ pub fn render(
         let s = &f.spec;
         j.push_str("    {");
         j.push_str(&format!("\"index\": {}, ", f.index));
-        j.push_str(&format!("\"workload\": \"{}\", ", esc(s.workload.name())));
+        j.push_str(&format!("\"workload\": {}, ", quote(s.workload.name())));
         j.push_str(&format!("\"pes\": {}, ", s.pes));
         j.push_str(&format!("\"per_pe\": {}, ", s.per_pe));
         j.push_str(&format!("\"threads\": {}, ", s.threads));
         match &s.faults {
-            Some(fp) => j.push_str(&format!("\"faults\": \"{}\", ", esc(&fp.canonical()))),
+            Some(fp) => j.push_str(&format!("\"faults\": {}, ", quote(&fp.canonical()))),
             None => j.push_str("\"faults\": null, "),
         }
-        j.push_str(&format!("\"key\": \"{}\", ", esc(f.key.hex())));
+        j.push_str(&format!("\"key\": {}, ", quote(f.key.hex())));
         j.push_str(&format!("\"attempts\": {}, ", f.attempts));
-        j.push_str(&format!("\"error\": \"{}\"", esc(&f.error)));
+        j.push_str(&format!("\"error\": {}", quote(&f.error)));
         j.push('}');
         if i + 1 < outcome.failed.len() {
             j.push(',');
@@ -239,8 +223,12 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(esc("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        let outcome = SweepEngine::new().cache(None).quiet(true).run(Vec::new());
+        let tricky = "a\"b\\c line\nbreak\ttab \u{1}";
+        let json = render("fig", "fig.csv", &outcome, &[("note", tricky.into())]);
+        assert!(json.contains(r#""note": "a\"b\\c line\nbreak\ttab \u0001""#));
+        let doc = emx_stats::json::parse_json(&json).expect("sidecar is valid JSON");
+        let extra = doc.get("extra").expect("extra object");
+        assert_eq!(extra.get("note").and_then(|v| v.as_str()), Some(tricky));
     }
 }
