@@ -22,7 +22,7 @@
 //! `results/BENCH_profile.json`), `all`.
 //!
 //! Every sweep runs through the `emx-sweep` engine: points execute in
-//! parallel (`--jobs N`, default all host cores, or `EMX_JOBS`), results
+//! parallel (`--jobs N`, default all host cores), results
 //! assemble in grid order so the CSV output is byte-identical at any job
 //! count, and each simulated point is cached content-addressed under
 //! `results/cache/` (`--no-cache` bypasses it; delete the directory to
@@ -57,7 +57,7 @@ struct Opts {
 impl Opts {
     /// Run specs through an engine configured per the command line:
     /// default cache under `results/cache/` unless `--no-cache`, all host
-    /// cores unless `--jobs N` (or `EMX_JOBS`).
+    /// cores unless `--jobs N`.
     fn sweep(&self, specs: Vec<RunSpec>) -> SweepOutcome {
         let mut e = SweepEngine::new();
         if let Some(j) = self.jobs {

@@ -15,8 +15,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 
 /// Bits reserved for the processor number in a packed global address.
@@ -30,10 +28,7 @@ pub const MAX_PES: usize = 1 << PE_BITS;
 pub const MAX_OFFSET: u32 = (1 << OFFSET_BITS) - 1;
 
 /// Identifier of a processing element (EMC-Y processor).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PeId(pub u16);
 
 impl PeId {
@@ -66,7 +61,7 @@ impl From<u16> for PeId {
 }
 
 /// A global address: processor number plus local word offset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalAddr {
     /// The processor that owns the word.
     pub pe: PeId,
@@ -124,10 +119,7 @@ impl fmt::Display for GlobalAddr {
 ///
 /// Activation frames form a tree, not a stack (paper §2.3); frames are
 /// allocated from a per-PE table and reclaimed when the thread completes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FrameId(pub u16);
 
 impl FrameId {
@@ -145,10 +137,7 @@ impl fmt::Display for FrameId {
 }
 
 /// Slot within an activation frame that a returning value fills.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SlotId(pub u8);
 
 impl SlotId {
@@ -163,7 +152,7 @@ impl SlotId {
 /// 32-bit contains the return address which is often called continuation".
 ///
 /// Packs as `[pe:10 | frame:14 | slot:8]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Continuation {
     /// Processor on which the suspended thread lives.
     pub pe: PeId,

@@ -6,15 +6,13 @@
 //! paper's reported numbers (see each field); everything is adjustable for
 //! sensitivity studies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::MAX_PES;
 use crate::error::SimError;
 use crate::faults::FaultSpec;
 use crate::time::EMX_CLOCK_HZ;
 
 /// How a processor services incoming remote-read requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServiceMode {
     /// EM-X behaviour: the Input Buffer Unit reads memory through the
     /// by-passing DMA and hands the response to the Output Buffer Unit
@@ -28,7 +26,7 @@ pub enum ServiceMode {
 }
 
 /// Which network model routes packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetModelKind {
     /// The EM-X circular Omega network: `log2(P)` stages of 2x2 switches,
     /// virtual cut-through (a packet reaches a processor k hops away in k+1
@@ -65,7 +63,7 @@ pub enum NetModelKind {
 }
 
 /// Network timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Topology / contention model.
     pub model: NetModelKind,
@@ -94,7 +92,7 @@ impl Default for NetConfig {
 /// cycles (§4); context switching "spending several clocks" (§3.1); and the
 /// rule of thumb that 2–4 threads mask the latency, which requires
 /// `(h-1)·(R+S) ≥ L` to first hold around h−1 ∈ {2,3} for R = 12.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Cycles to switch threads: save live registers to the activation frame
     /// plus Matching Unit direct-matching dispatch of the next packet.
@@ -152,7 +150,7 @@ impl Default for CostModel {
 /// masking story can be asked about today's machines: hops are several
 /// core cycles, but ports accept a packet every cycle and thread switches
 /// are cheaper relative to the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostPreset {
     /// The paper-calibrated EM-X defaults (every struct `Default`).
     #[default]
@@ -199,7 +197,7 @@ impl CostPreset {
 }
 
 /// Full machine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Number of processing elements. The prototype has 80; the paper's
     /// experiments use 16 and 64.

@@ -14,8 +14,6 @@
 //! the seeded generators in the `emx-faults` crate, never by wall-clock or
 //! ambient randomness, so a run with a given spec is exactly reproducible.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 
 /// One million: the denominator of every `*_ppm` probability field.
@@ -28,7 +26,7 @@ pub const PPM_SCALE: u32 = 1_000_000;
 /// arms the retry protocol with calibrated timeouts (a remote-read round
 /// trip is 20–40 cycles, paper §2.3, so the base timeout comfortably
 /// exceeds it).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
     /// Seed for every fault-decision stream derived from this spec.
     pub seed: u64,

@@ -16,9 +16,6 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{Continuation, GlobalAddr, PeId};
 use crate::error::SimError;
 
@@ -27,7 +24,7 @@ use crate::error::SimError;
 /// The IBU "has two levels of priority packet buffers for flexible thread
 /// scheduling" (paper §2.2). By default everything travels at [`Priority::Low`];
 /// the scheduler ablation benches raise read responses to [`Priority::High`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
     /// Serviced first.
     High,
@@ -62,7 +59,7 @@ impl Priority {
 /// The EMC-Y implements "four types of send instructions ... including remote
 /// read request for one data and for a block of data" (paper §2.2); responses,
 /// writes, spawns and the two barrier packets complete the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// Split-phase remote read of one word. Address word: packed
     /// [`GlobalAddr`]; data word: packed [`Continuation`]. Serviced by the
@@ -129,7 +126,7 @@ impl PacketKind {
 }
 
 /// A packet in flight, as the simulator sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// What the packet asks of the receiver.
     pub kind: PacketKind,
@@ -350,7 +347,7 @@ impl fmt::Display for Packet {
 /// kind-dependent auxiliary half-word (block length of a block request, word
 /// index of a response), and the retry-protocol sequence half-word the
 /// hardware carries alongside.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WirePacket {
     /// Framing: `[kind:3 | priority:1]` in the low nibble.
     pub tag: u8,
@@ -367,27 +364,32 @@ pub struct WirePacket {
 pub const WIRE_PACKET_BYTES: usize = 1 + 2 + 2 + 8;
 
 impl WirePacket {
-    /// Serialize into a byte buffer (big-endian, as a link would frame it).
-    pub fn put(&self, buf: &mut impl BufMut) {
-        buf.put_u8(self.tag);
-        buf.put_u16(self.aux);
-        buf.put_u16(self.seq);
-        buf.put_u32(self.words[0]);
-        buf.put_u32(self.words[1]);
+    /// Serialize as a link would frame it: `tag`, `aux`, `seq` and the two
+    /// words, each big-endian.
+    pub fn to_bytes(&self) -> [u8; WIRE_PACKET_BYTES] {
+        let mut out = [0u8; WIRE_PACKET_BYTES];
+        out[0] = self.tag;
+        out[1..3].copy_from_slice(&self.aux.to_be_bytes());
+        out[3..5].copy_from_slice(&self.seq.to_be_bytes());
+        out[5..9].copy_from_slice(&self.words[0].to_be_bytes());
+        out[9..13].copy_from_slice(&self.words[1].to_be_bytes());
+        out
     }
 
-    /// Deserialize from a byte buffer.
-    pub fn get(buf: &mut impl Buf) -> Result<WirePacket, SimError> {
-        if buf.remaining() < WIRE_PACKET_BYTES {
-            return Err(SimError::TruncatedWirePacket {
-                have: buf.remaining(),
-            });
-        }
+    /// Deserialize the packet at the front of `bytes`, the inverse of
+    /// [`to_bytes`](Self::to_bytes).
+    pub fn from_bytes(bytes: &[u8]) -> Result<WirePacket, SimError> {
+        let Some(b) = bytes.first_chunk::<WIRE_PACKET_BYTES>() else {
+            return Err(SimError::TruncatedWirePacket { have: bytes.len() });
+        };
         Ok(WirePacket {
-            tag: buf.get_u8(),
-            aux: buf.get_u16(),
-            seq: buf.get_u16(),
-            words: [buf.get_u32(), buf.get_u32()],
+            tag: b[0],
+            aux: u16::from_be_bytes([b[1], b[2]]),
+            seq: u16::from_be_bytes([b[3], b[4]]),
+            words: [
+                u32::from_be_bytes([b[5], b[6], b[7], b[8]]),
+                u32::from_be_bytes([b[9], b[10], b[11], b[12]]),
+            ],
         })
     }
 }
@@ -396,7 +398,6 @@ impl WirePacket {
 mod tests {
     use super::*;
     use crate::addr::{FrameId, SlotId};
-    use bytes::BytesMut;
 
     fn cont(pe: u16, frame: u16, slot: u8) -> Continuation {
         Continuation::new(PeId(pe), FrameId(frame), SlotId(slot)).unwrap()
@@ -478,22 +479,30 @@ mod tests {
 
     #[test]
     fn wire_byte_serialization_roundtrip() {
-        let p = Packet::read_req(PeId(11), gaddr(13, 0xBEEF), cont(11, 17, 5));
+        let p = Packet::read_req(PeId(11), gaddr(13, 0xBEEF), cont(11, 17, 5)).with_seq(0x1234);
         let w = p.to_wire();
-        let mut buf = BytesMut::new();
-        w.put(&mut buf);
-        assert_eq!(buf.len(), WIRE_PACKET_BYTES);
-        let mut rd = buf.freeze();
-        let back = WirePacket::get(&mut rd).unwrap();
-        assert_eq!(back, w);
+        let bytes = w.to_bytes();
+        // The big-endian link framing: tag, aux, seq, address word, data word.
+        assert_eq!(
+            bytes,
+            [0x00, 0x00, 0x00, 0x12, 0x34, 0x03, 0x40, 0xbe, 0xef, 0x02, 0xc0, 0x11, 0x05]
+        );
+        assert_eq!(WirePacket::from_bytes(&bytes), Ok(w));
     }
 
     #[test]
     fn wire_byte_deserialization_detects_truncation() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        let mut rd = buf.freeze();
-        assert!(WirePacket::get(&mut rd).is_err());
+        let bytes = Packet::write(PeId(0), gaddr(0, 0), 0).to_wire().to_bytes();
+        assert_eq!(
+            WirePacket::from_bytes(&bytes[..1]),
+            Err(SimError::TruncatedWirePacket { have: 1 })
+        );
+        assert_eq!(
+            WirePacket::from_bytes(&bytes[..WIRE_PACKET_BYTES - 1]),
+            Err(SimError::TruncatedWirePacket {
+                have: WIRE_PACKET_BYTES - 1
+            })
+        );
     }
 
     #[test]

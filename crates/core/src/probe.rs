@@ -20,8 +20,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{FrameId, PeId};
 use crate::packet::{PacketKind, Priority};
 use crate::time::Cycle;
@@ -36,7 +34,7 @@ use crate::time::Cycle;
 pub const TRACE_SCHEMA: &str = "emx-trace/2";
 
 /// Why a thread left the EXU at the end of a burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SuspendCause {
     /// Split-phase single-word remote read issued; resumes on the response.
     RemoteRead,
@@ -64,7 +62,7 @@ impl SuspendCause {
 }
 
 /// What a fault-injecting network did to a packet at the injection port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The packet was silently discarded; no arrival is scheduled.
     Drop,
@@ -87,7 +85,7 @@ impl FaultKind {
 
 /// What happened. One variant per observable step of the packet/thread
 /// lifecycle; the emitting layer is noted on each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// The EXU popped a packet from the queue and acted on it (runtime).
     Dispatch {
@@ -217,7 +215,7 @@ impl TraceKind {
 }
 
 /// One trace record: when, where, what.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulation time of the event.
     pub at: Cycle,

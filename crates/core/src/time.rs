@@ -8,8 +8,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// The EMC-Y clock frequency: 20 MHz (50 ns per cycle).
 pub const EMX_CLOCK_HZ: u64 = 20_000_000;
 
@@ -19,10 +17,7 @@ pub const EMX_CLOCK_HZ: u64 = 20_000_000;
 /// Subtraction saturates at zero rather than wrapping: durations in this
 /// simulator are never negative, and a saturating difference makes interval
 /// accounting robust against reordered observations at the same instant.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 impl Cycle {

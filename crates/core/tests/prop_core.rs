@@ -66,10 +66,7 @@ proptest! {
     fn packets_roundtrip_on_the_wire(p in arb_packet(), prio in any::<bool>()) {
         let p = p.with_priority(if prio { Priority::High } else { Priority::Low });
         let wire = p.to_wire();
-        let mut buf = bytes::BytesMut::new();
-        wire.put(&mut buf);
-        let mut rd = buf.freeze();
-        let wire2 = WirePacket::get(&mut rd).unwrap();
+        let wire2 = WirePacket::from_bytes(&wire.to_bytes()).unwrap();
         prop_assert_eq!(wire2, wire);
         let back = Packet::from_wire(wire2, p.src).unwrap();
         prop_assert_eq!(back, p);

@@ -17,16 +17,16 @@
 //! emx-cli sweep   --workload <sort|fft|bfs|histogram|spmv|stencil> --pes 16 --sizes 512,2048
 //!                 --threads 1,2,4 [--net MODEL] [--preset paper|modern]
 //!                 [--jobs N] [--no-cache] [--csv] [--out results/sweep.csv]
-//!                 [--journal FILE] [--watchdog-ms N] [--kill-after EVENTS]
+//!                 [--journal FILE] [--kill-after EVENTS]
 //!                 [--hostprof] [--progress[=EVERY-MS]]
 //! emx-cli faults  --workload sort --pes 16 --sizes 512 --threads 1,2,4
 //!                 --loss 0,1000,10000 [--seed 1] [--dup PPM] [--delay PPM --max-delay N]
 //!                 [--timeout N] [--backoff-cap N] [--max-attempts N] [--check-invariants]
 //!                 [--net MODEL] [--preset paper|modern]
 //!                 [--jobs N] [--no-cache] [--csv] [--out results/faults.csv]
-//!                 [--journal FILE] [--watchdog-ms N] [--kill-after EVENTS]
+//!                 [--journal FILE] [--kill-after EVENTS] [--hostprof] [--progress[=EVERY-MS]]
 //! emx-cli resume  <FILE.journal> [--jobs N] [--no-cache] [--csv] [--out FILE.csv]
-//!                 [--watchdog-ms N] [--kill-after EVENTS] [--hostprof] [--progress[=EVERY-MS]]
+//!                 [--kill-after EVENTS] [--hostprof] [--progress[=EVERY-MS]]
 //! emx-cli cache gc [--dir results/cache] [--dry-run]
 //! emx-cli fuzz run    [--cases N] [--seed S] [--perturb] [--shrink-failures DIR]
 //! emx-cli fuzz replay <file.emxfuzz> [<file2> ...]
@@ -106,20 +106,21 @@
 //! rows match a fault-free `sweep` exactly (see `docs/FAULTS.md`).
 //!
 //! `sweep` and `faults` accept `--journal FILE` to arm a write-ahead
-//! journal committing every finished point to disk, `--watchdog-ms N` to
-//! requeue points whose worker goes silent for N milliseconds, and
-//! `--kill-after EVENTS` to abort the process (no cleanup, a real crash)
-//! after that many simulated events — the crash-recovery test switch.
+//! journal committing every finished point to disk, and `--kill-after
+//! EVENTS` to abort the process (no cleanup, a real crash) after that
+//! many simulated events — the crash-recovery test switch. Each point
+//! runs once; a point that fails is reported, not retried.
 //! `resume <FILE.journal>` finishes an interrupted journaled sweep:
 //! committed points are replayed verbatim, the rest re-execute, and the
 //! resulting CSV is byte-identical to an uninterrupted run (see
 //! `docs/CHECKPOINT.md`). `cache gc` sweeps the run cache directory,
-//! dropping quarantine markers, orphaned temp files, and corrupt entries;
+//! dropping quarantine markers that older builds wrote, orphaned temp
+//! files, and corrupt entries;
 //! `--dry-run` previews without deleting, and both modes end with a
 //! stable `digest:` line over the scan listing.
 //!
 //! Exit codes: 0 success; 1 runtime error; 2 usage error (unknown
-//! command/subcommand or missing required argument); 3 drift
+//! command, subcommand or flag, or missing required argument); 3 drift
 //! (`profile-diff`, `bench-diff`); 4 syntactically invalid argument
 //! value. The table is documented in README.md and relied on by scripts
 //! and CI.
@@ -137,12 +138,11 @@
 //! `docs/FUZZING.md`.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use emx::prelude::*;
 use emx::sweep::{
     grid, provenance, GcAction, Journal, ProgressConfig, RunCache, SweepEngine, SweepOutcome,
-    WatchdogConfig, Workload, DEFAULT_CACHE_DIR,
+    Workload, DEFAULT_CACHE_DIR,
 };
 use emx::workloads::{run_null_loop, NullLoopParams};
 
@@ -746,7 +746,7 @@ fn parse_list(name: &str, raw: &str) -> Result<Vec<usize>, String> {
 }
 
 /// Build a [`SweepEngine`] from the shared sweep flags: `--jobs`,
-/// `--no-cache`, `--watchdog-ms`, `--progress[=EVERY-MS]`.
+/// `--no-cache`, `--progress[=EVERY-MS]`.
 fn engine_from_args(args: &Args) -> Result<SweepEngine, String> {
     let mut engine = SweepEngine::new();
     if let Some(j) = args.get("jobs") {
@@ -757,12 +757,6 @@ fn engine_from_args(args: &Args) -> Result<SweepEngine, String> {
     }
     if args.has("no-cache") {
         engine = engine.cache(None);
-    }
-    if let Some(ms) = args.get("watchdog-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--watchdog-ms wants milliseconds, got {ms:?}"))?;
-        engine = engine.watchdog(WatchdogConfig::with_threshold(Duration::from_millis(ms)));
     }
     if args.has("progress") {
         let cfg =
@@ -1005,12 +999,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     }
     println!("digest: {digest}");
     for f in &outcome.failed {
-        eprintln!(
-            "emx-cli: point {} FAILED after {} attempts: {}",
-            f.spec.label(),
-            f.attempts,
-            f.error
-        );
+        eprintln!("emx-cli: point {} FAILED: {}", f.spec.label(), f.error);
     }
     write_csv_out(
         args,
@@ -1066,12 +1055,7 @@ fn cmd_resume(args: &Args) -> Result<(), String> {
         println!("digest: {digest}");
     }
     for f in &outcome.failed {
-        eprintln!(
-            "emx-cli: point {} FAILED after {} attempts: {}",
-            f.spec.label(),
-            f.attempts,
-            f.error
-        );
+        eprintln!("emx-cli: point {} FAILED: {}", f.spec.label(), f.error);
     }
     write_csv_out(args, &t, &resumed.label, outcome, &extra)?;
     if hostprof {
@@ -1345,9 +1329,50 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 
 const USAGE: &str = "usage: emx-cli <run|sort|fft|trace|metrics|profile|profile-diff|bench-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
 
+/// Flags `machine_cfg` reads.
+#[rustfmt::skip]
+const MACHINE_FLAGS: &[&str] = &["pes", "memory-words", "em4", "priority-responses", "net", "preset"];
+
+/// Flags every sweep-shaped subcommand (`sweep`, `faults`, `resume`)
+/// reads: `engine_from_args`, the kill switch, hostprof and the output.
+#[rustfmt::skip]
+const SWEEP_FLAGS: &[&str] = &["jobs", "no-cache", "progress", "kill-after", "hostprof", "csv", "out"];
+
+/// The flags each subcommand reads. Any other flag is a usage error, so a
+/// typo or a retired flag fails loudly instead of running with a default.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &[&[&str]])] = &[
+    ("run", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "csv", "kill-after", "hostprof"]]),
+    ("sort", &[MACHINE_FLAGS, &["n", "threads", "seed", "block", "dist", "csv"]]),
+    ("fft", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "csv"]]),
+    ("trace", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "format", "check", "out"]]),
+    ("metrics", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "csv"]]),
+    ("profile", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "json", "out"]]),
+    ("profile-diff", &[&["baseline-dir", "threshold"]]),
+    ("bench-diff", &[&["baseline-dir", "threshold", "wall-threshold"]]),
+    ("sweep", &[SWEEP_FLAGS, &["workload", "pes", "sizes", "threads", "net", "preset", "journal"]]),
+    ("faults", &[SWEEP_FLAGS, &["workload", "pes", "sizes", "threads", "net", "preset", "journal",
+        "loss", "seed", "dup", "delay", "max-delay", "timeout", "backoff-cap", "max-attempts",
+        "check-invariants"]]),
+    ("resume", &[SWEEP_FLAGS]),
+    ("cache", &[&["dir", "dry-run"]]),
+    ("fuzz", &[&["cases", "seed", "perturb", "shrink-failures", "out"]]),
+    ("nullloop", &[MACHINE_FLAGS, &["packets", "threads", "csv"]]),
+    ("latency", &[MACHINE_FLAGS, &["readers", "reads"]]),
+    ("asm", &[]),
+    ("info", &[MACHINE_FLAGS]),
+];
+
 /// Usage-shape validation (exit 2): the command and its subcommand /
-/// required positionals must exist before any work starts.
+/// required positionals must exist, and every flag must be one the
+/// command reads, before any work starts.
 fn validate_shape(cmd: &str, args: &Args) -> Result<(), String> {
+    if let Some((_, groups)) = FLAGS.iter().find(|(name, _)| *name == cmd) {
+        let known = |flag: &str| groups.iter().any(|group| group.contains(&flag));
+        if let Some((flag, _)) = args.flags.iter().find(|(flag, _)| !known(flag)) {
+            return Err(format!("unknown flag --{flag} for {cmd}"));
+        }
+    }
     match cmd {
         "fuzz" => match args.positional.first().map(String::as_str) {
             Some("run" | "replay" | "shrink") => Ok(()),
@@ -1388,13 +1413,7 @@ fn validate_values(cmd: &str, args: &Args) -> Result<(), String> {
             ))?;
         }
     }
-    for flag in [
-        "kill-after",
-        "watchdog-ms",
-        "threshold",
-        "wall-threshold",
-        "progress",
-    ] {
+    for flag in ["kill-after", "threshold", "wall-threshold", "progress"] {
         if let Some(v) = args.get(flag) {
             v.parse::<u64>()
                 .map_err(|_| format!("bad value for --{flag}: {v:?} is not a number"))?;
@@ -1455,5 +1474,79 @@ fn main() -> ExitCode {
             eprintln!("emx-cli: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `validate_shape` on a command line written as one string.
+    fn shape(line: &str) -> Result<(), String> {
+        let raw: Vec<String> = line.split_whitespace().map(String::from).collect();
+        validate_shape(&raw[0], &Args::parse(&raw[1..]))
+    }
+
+    #[test]
+    fn unknown_misspelled_and_retired_flags_are_usage_errors() {
+        for (line, flag) in [
+            (
+                "run fft --pes 4 --n 64 --threads 2 --bogus-flag 3",
+                "bogus-flag",
+            ),
+            ("run fft --pes 4 --n 64 --thread 2", "thread"),
+            (
+                "sweep --workload sort --pes 4 --sizes 64 --threads 1 --watchdog-ms 99999",
+                "watchdog-ms",
+            ),
+            (
+                "faults --workload sort --loss 0 --watchdog-ms 5",
+                "watchdog-ms",
+            ),
+            ("resume s.journal --watchdog-ms 5", "watchdog-ms"),
+            ("sweep --workload sort --shards 2", "shards"),
+            ("run fft --shards 2", "shards"),
+        ] {
+            let cmd = line.split_whitespace().next().unwrap();
+            assert_eq!(
+                shape(line),
+                Err(format!("unknown flag --{flag} for {cmd}")),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_text_is_accepted() {
+        let src = include_str!("emx-cli.rs");
+        let usage = src
+            .split("//! ```text\n")
+            .nth(1)
+            .and_then(|rest| rest.split("//! ```\n").next())
+            .expect("the module docs open with the usage block");
+        let mut cmd = "";
+        let mut checked = 0;
+        for line in usage.lines() {
+            let line = line.trim_start_matches("//!").trim();
+            if let Some(rest) = line.strip_prefix("emx-cli ") {
+                cmd = rest.split_whitespace().next().unwrap();
+            }
+            for token in line.split_whitespace() {
+                let Some(flag) = token.trim_start_matches('[').strip_prefix("--") else {
+                    continue;
+                };
+                let flag = flag.split(['=', '[', ']']).next().unwrap();
+                let (_, groups) = FLAGS
+                    .iter()
+                    .find(|(name, _)| *name == cmd)
+                    .unwrap_or_else(|| panic!("{cmd} has no flag table entry"));
+                assert!(
+                    groups.iter().any(|group| group.contains(&flag)),
+                    "{cmd} documents --{flag} but does not accept it"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 50, "only {checked} documented flags found");
     }
 }

@@ -14,6 +14,10 @@ use emx_core::FaultSpec;
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A deterministic 64-bit generator (SplitMix64).
+///
+/// This is the workspace's only SplitMix64: the fault streams and the
+/// workload input generators (`emx_workloads::gen`) both draw from it, so
+/// a change to its output changes every committed input and digest.
 #[derive(Debug, Clone)]
 pub struct Rng64 {
     state: u64,

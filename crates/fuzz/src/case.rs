@@ -3,9 +3,9 @@
 //!
 //! A case is *explicit*, not a seed: the shrinker needs structure it can
 //! cut, and a committed reproducer must replay identically even after the
-//! generator changes. The format is line-oriented plain text (the vendored
-//! serde derive stand-in emits no code, so every on-disk format in this
-//! workspace is hand-rolled) with `key = value` headers, one `prog` line
+//! generator changes. The format is line-oriented plain text (the
+//! workspace has no serialization dependency, so every on-disk format in
+//! it is hand-rolled) with `key = value` headers, one `prog` line
 //! per program, one `root` line per initial thread, and optional `expect`
 //! lines recording the oracle's verdict and reference trace digest.
 

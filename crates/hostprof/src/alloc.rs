@@ -20,8 +20,22 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+/// The two counters every allocation bumps. Every allocating thread writes
+/// them, so they get 128 bytes of their own (a cache line plus the one an
+/// adjacent-line prefetcher pairs with it). Otherwise the linker may place
+/// a read-mostly static beside them, such as the kill switch that every
+/// simulated event reads, and each of those reads then misses while another
+/// sweep worker allocates.
+#[repr(align(128))]
+struct Counts {
+    allocs: AtomicU64,
+    bytes: AtomicU64,
+}
+
+static COUNTS: Counts = Counts {
+    allocs: AtomicU64::new(0),
+    bytes: AtomicU64::new(0),
+};
 static BASE_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BASE_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -39,8 +53,8 @@ impl CountingAlloc {
     /// non-decreasing, independent of the profiling gate and baseline.
     pub fn raw_totals() -> (u64, u64) {
         (
-            ALLOCS.load(Ordering::Relaxed),
-            BYTES.load(Ordering::Relaxed),
+            COUNTS.allocs.load(Ordering::Relaxed),
+            COUNTS.bytes.load(Ordering::Relaxed),
         )
     }
 }
@@ -50,8 +64,10 @@ impl CountingAlloc {
 // relaxed counter arithmetic, which cannot violate allocator contracts.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        COUNTS.allocs.fetch_add(1, Ordering::Relaxed);
+        COUNTS
+            .bytes
+            .fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -60,8 +76,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        COUNTS.allocs.fetch_add(1, Ordering::Relaxed);
+        COUNTS.bytes.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -69,15 +85,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Record the current totals as the baseline future [`alloc_totals`]
 /// reads subtract. Called by [`crate::reset`].
 pub(crate) fn rebaseline() {
-    BASE_ALLOCS.store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
-    BASE_BYTES.store(BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+    BASE_ALLOCS.store(COUNTS.allocs.load(Ordering::Relaxed), Ordering::Relaxed);
+    BASE_BYTES.store(COUNTS.bytes.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// Totals `(allocations, bytes)` since the last [`crate::reset`]. Zero
 /// in binaries that did not install [`CountingAlloc`].
 pub fn alloc_totals() -> (u64, u64) {
-    let a = ALLOCS.load(Ordering::Relaxed);
-    let b = BYTES.load(Ordering::Relaxed);
+    let a = COUNTS.allocs.load(Ordering::Relaxed);
+    let b = COUNTS.bytes.load(Ordering::Relaxed);
     (
         a.saturating_sub(BASE_ALLOCS.load(Ordering::Relaxed)),
         b.saturating_sub(BASE_BYTES.load(Ordering::Relaxed)),

@@ -13,14 +13,12 @@
 //!   *absolute* target instruction index).
 //! * **J-type** `[op:6 | target:26]` — unconditional jump.
 
-use serde::{Deserialize, Serialize};
-
 use emx_core::{CostModel, SimError};
 
 use crate::reg::Reg;
 
 /// Numeric opcode of each instruction, as used in the binary encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)]
 pub enum Opcode {
@@ -91,7 +89,7 @@ impl Opcode {
 /// Register conventions: `rd` is the destination, `rs`/`rt` are sources,
 /// except for stores (`Sw { src, base, imm }`) and sends, which name their
 /// operands explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)]
 pub enum Instr {
     /// No operation (one clock).

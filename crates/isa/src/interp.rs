@@ -7,8 +7,6 @@
 //! network — that separation lets `emx-proc` charge cycles and build packets
 //! with the right continuation for the dispatching thread.
 
-use serde::{Deserialize, Serialize};
-
 use emx_core::{CostModel, SimError};
 
 use crate::instr::Instr;
@@ -21,7 +19,7 @@ use crate::reg::Reg;
 /// version does not share registers across threads." (paper §2.3) — so each
 /// thread owns a full `ThreadState`, saved to its activation frame on
 /// suspension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadState {
     /// The 32-register file (r0 reads as zero regardless of content).
     pub regs: [u32; Reg::COUNT],

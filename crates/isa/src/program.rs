@@ -4,7 +4,6 @@
 //! [`Program`] is one template — a named, immutable sequence of instructions
 //! that threads execute from their own activation frames.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use emx_core::{CostModel, SimError};
@@ -13,7 +12,7 @@ use crate::instr::Instr;
 use crate::reg::Reg;
 
 /// An immutable instruction sequence (one template segment).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Human-readable template name, for traces and errors.
     pub name: String,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// One of the 32 EMC-Y registers.
 ///
 /// Five registers are special-purpose (paper §2.2 counts "32 registers,
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// | `r4`     | `arg`  | the data word of the invoking packet |
 ///
 /// `r5..r31` are general purpose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(u8);
 
 impl Reg {

@@ -31,10 +31,9 @@
 #![warn(missing_docs)]
 
 use emx_core::CostModel;
-use serde::{Deserialize, Serialize};
 
 /// Which of the model's three regions a thread count falls in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
     /// Utilization grows proportionally with the thread count.
     Linear,
@@ -45,7 +44,7 @@ pub enum Region {
 }
 
 /// The three parameters of the model, in cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelParams {
     /// Run length R: cycles a thread executes between remote references.
     pub run_length: f64,

@@ -1,10 +1,9 @@
 //! Network traffic statistics.
 
 use emx_core::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated traffic statistics for a network model.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Packets routed.
     pub packets: u64,

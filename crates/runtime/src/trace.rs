@@ -17,12 +17,11 @@
 
 use emx_core::{Cycle, PeId, Probe};
 use emx_stats::Table;
-use serde::{Deserialize, Serialize};
 
 pub use emx_core::{FaultKind, SuspendCause, TraceEvent, TraceKind, TRACE_SCHEMA};
 
 /// A bounded event trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     capacity: usize,

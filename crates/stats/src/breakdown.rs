@@ -3,7 +3,6 @@
 use std::ops::{Add, AddAssign};
 
 use emx_core::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Where a processor's cycles went.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 ///   synchronization;
 /// * **switch** — cycles spent saving registers and dispatching the next
 ///   thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
     /// Workload computation cycles.
     pub compute: Cycle,

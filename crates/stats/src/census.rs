@@ -2,8 +2,6 @@
 
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Context switches by cause.
 ///
 /// "Switches are classified into three types: remote read switch, iteration
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// * **thread_sync** — a re-dispatch of a thread that had its data but had
 ///   to wait for a predecessor thread (sorting's ordered merge); absent in
 ///   FFT.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SwitchCensus {
     /// Switches caused by split-phase remote reads.
     pub remote_read: u64,

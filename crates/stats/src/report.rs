@@ -1,13 +1,12 @@
 //! Per-processor and whole-run aggregates.
 
 use emx_core::Cycle;
-use serde::{Deserialize, Serialize};
 
 use crate::breakdown::Breakdown;
 use crate::census::SwitchCensus;
 
 /// Everything measured on one processor during a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PeStats {
     /// Timing breakdown (Figure 8 components).
     pub breakdown: Breakdown,
@@ -41,7 +40,7 @@ pub struct PeStats {
 /// Machine-wide tallies of injected faults and the recovery work they
 /// caused. `None` in a [`RunReport`] means the run had no fault machinery
 /// armed at all (the paper's lossless machine).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultSummary {
     /// Data-plane packets dropped at network injection.
     pub dropped: u64,
@@ -60,7 +59,7 @@ pub struct FaultSummary {
 }
 
 /// The result of one simulated run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Per-processor statistics, indexed by PE number.
     pub per_pe: Vec<PeStats>,

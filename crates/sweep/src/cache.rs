@@ -105,25 +105,6 @@ impl RunCache {
         self.dir.join(format!("{}.run", key.hex()))
     }
 
-    /// Path of the quarantine marker for `key`.
-    pub fn quarantine_path(&self, key: &CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.fail", key.hex()))
-    }
-
-    /// Quarantine `key`: record that executing this spec failed, with the
-    /// reason, so later sweeps can report the known failure instead of
-    /// silently re-tripping it. Cleared by the next successful
-    /// [`store`](Self::store) for the same key.
-    pub fn quarantine(&self, key: &CacheKey, reason: &str) -> io::Result<()> {
-        fs::create_dir_all(&self.dir)?;
-        fs::write(self.quarantine_path(key), reason)
-    }
-
-    /// The recorded failure reason for `key`, if it is quarantined.
-    pub fn quarantined(&self, key: &CacheKey) -> Option<String> {
-        fs::read_to_string(self.quarantine_path(key)).ok()
-    }
-
     /// Load the report cached under `key`, if a valid entry exists.
     /// Corrupt entries are treated as misses.
     pub fn load(&self, key: &CacheKey) -> Option<RunReport> {
@@ -147,16 +128,13 @@ impl RunCache {
             .dir
             .join(format!("{}.tmp.{}", key.hex(), std::process::id()));
         fs::write(&tmp, &text)?;
-        fs::rename(&tmp, self.entry_path(key))?;
-        // A fresh result supersedes any recorded failure.
-        let _ = fs::remove_file(self.quarantine_path(key));
-        Ok(())
+        fs::rename(&tmp, self.entry_path(key))
     }
 
     /// Sweep the cache directory for entries that only waste space:
-    /// quarantine markers (`*.fail`), orphaned temp files from crashed
-    /// writes (`*.tmp.*`), and corrupt or misnamed `*.run` entries (which
-    /// are misses anyway). With `dry_run` nothing is deleted; the report
+    /// quarantine markers (`*.fail`) that older builds wrote on a failed
+    /// run, orphaned temp files from crashed writes (`*.tmp.*`), and
+    /// corrupt or misnamed `*.run` entries (which are misses anyway). With `dry_run` nothing is deleted; the report
     /// lists the same planned actions either way, sorted by file name, so
     /// its digest is deterministic for a given directory state.
     pub fn gc(&self, dry_run: bool) -> io::Result<GcReport> {
@@ -213,7 +191,8 @@ impl RunCache {
 pub enum GcAction {
     /// A valid run entry — kept.
     Keep,
-    /// A quarantine marker — dropped, so the spec is retried fresh.
+    /// A quarantine marker (`*.fail`) an older build left behind — dropped;
+    /// nothing reads it.
     DropQuarantine,
     /// A temp file orphaned by a crashed write — dropped.
     DropOrphan,
@@ -362,23 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_records_failures_until_a_success() {
-        let cache = RunCache::new(scratch_dir("quarantine"));
-        let spec = RunSpec::new(Workload::Sort, 4, 64, 2);
-        let key = CacheKey::for_run(&spec, &spec.machine_config());
-        assert!(cache.quarantined(&key).is_none());
-        cache.quarantine(&key, "worker panicked: boom").unwrap();
-        assert_eq!(
-            cache.quarantined(&key).as_deref(),
-            Some("worker panicked: boom")
-        );
-        // A later successful run clears the marker.
-        cache.store(&key, &spec, &sample_report(4)).unwrap();
-        assert!(cache.quarantined(&key).is_none());
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn corrupt_entries_are_misses() {
         let cache = RunCache::new(scratch_dir("corrupt"));
         let spec = RunSpec::new(Workload::Fft, 4, 64, 2);
@@ -411,7 +373,8 @@ mod tests {
         let mut other = spec.clone();
         other.threads = 4;
         let other_key = CacheKey::for_run(&other, &other.machine_config());
-        cache.quarantine(&other_key, "boom").unwrap();
+        let marker = cache.dir().join(format!("{}.fail", other_key.hex()));
+        fs::write(&marker, "boom").unwrap();
         fs::write(
             cache.dir().join(format!("{}.tmp.999", other_key.hex())),
             "torn write",
@@ -427,12 +390,12 @@ mod tests {
         assert_eq!(dry.count(GcAction::DropCorrupt), 1);
         assert_eq!(dry.count(GcAction::Skip), 1);
         // The dry run deleted nothing...
-        assert!(cache.quarantined(&other_key).is_some());
+        assert!(marker.exists());
         let real = cache.gc(false).unwrap();
         // ...and planned exactly what the real pass then did.
         assert_eq!(real.digest(), dry.digest());
         assert_eq!(real.dropped(), 3);
-        assert!(cache.quarantined(&other_key).is_none());
+        assert!(!marker.exists());
         assert_eq!(cache.load(&key), Some(sample_report(4)));
         assert!(cache.dir().join("NOTES").exists());
         // A second pass over the now-clean directory drops nothing.

@@ -4,54 +4,48 @@
 //! Independent simulation runs are embarrassingly parallel, and every run
 //! is a pure function of its spec (the simulator is seeded and its event
 //! queue tie-broken — see DESIGN.md §5). The engine therefore fans specs
-//! out over a crossbeam scoped worker pool and reassembles results **by
-//! input index**, so the output order — and every CSV derived from it —
-//! is byte-identical whatever the worker count. `--jobs 1` is the serial
-//! path; `--jobs N` is the same computation, faster.
+//! out over a [`std::thread::scope`] worker pool and reassembles results
+//! **by input index**, so the output order — and every CSV derived from
+//! it — is byte-identical whatever the worker count. `--jobs 1` is the
+//! serial path; `--jobs N` is the same computation, faster.
 //!
-//! The engine is fault-tolerant on three axes:
+//! Every point runs once, bounded by the machine's event fuel
+//! (`DEFAULT_FUEL`), not by a wall clock:
 //!
 //! - A sweep point that returns a [`SimError`](emx_core::SimError) or
-//!   panics no longer takes the whole sweep (and its siblings' results)
-//!   down. The point is retried once — runs are deterministic, so the
-//!   retry mostly confirms the failure, but it shields against the one
-//!   nondeterministic failure mode we have seen in practice (resource
-//!   exhaustion on loaded hosts) — then recorded as a [`FailedRun`],
-//!   quarantined in the cache (`<key>.fail`), and the remaining points
-//!   complete normally. Callers that require completeness (the figure
-//!   harness) call [`SweepOutcome::expect_complete`].
-//! - An optional wall-clock [watchdog](crate::watchdog) requeues points
-//!   whose worker has gone silent past a threshold, so one descheduled or
-//!   wedged worker cannot stall the whole sweep (duplicates are safe:
-//!   determinism makes both copies identical, and the straggler's result
-//!   is discarded as stale).
+//!   panics does not take the whole sweep (and its siblings' results)
+//!   down. It is recorded as a [`FailedRun`] and the remaining points
+//!   complete normally. It is not retried: the point is a pure function
+//!   of its spec, so a rerun would fail the same way. Callers that
+//!   require completeness (the figure harness) call
+//!   [`SweepOutcome::expect_complete`].
 //! - An optional write-ahead [journal](crate::journal) commits every
 //!   finished point to disk, so a killed *process* can be resumed with
 //!   `emx-cli resume` and still produce a byte-identical CSV.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use emx_stats::RunReport;
-use parking_lot::Mutex;
 
 use crate::cache::{CacheKey, RunCache};
 use crate::journal::Journal;
 use crate::progress::{render_heartbeat, ProgressConfig};
 use crate::spec::RunSpec;
-use crate::watchdog::{WatchdogConfig, WatchdogState, WatchdogSummary};
-
-/// Environment variable overriding the default worker count (the CLI
-/// `--jobs` flag wins over it).
-pub const JOBS_ENV: &str = "EMX_JOBS";
 
 /// A finished point as workers record it: the report plus its cached
-/// flag, or the terminal error plus the attempt count. Shared with the
-/// journal module, which prefills slots from committed records on resume.
-pub(crate) type Slot = Result<(RunReport, bool), (String, u32)>;
+/// flag, or the error message. Shared with the journal module, which
+/// prefills slots from committed records on resume.
+pub(crate) type Slot = Result<(RunReport, bool), String>;
+
+/// Lock `m`, recovering the guard if a thread panicked while holding it.
+/// Every update under the engine's and journal's locks is a single store
+/// or a whole-line append, so a poisoned lock still guards valid data.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One executed (or cache-restored) sweep point, in input order.
 #[derive(Debug, Clone)]
@@ -67,21 +61,18 @@ pub struct SweepPoint {
     pub cached: bool,
 }
 
-/// One sweep point that failed to execute, after the engine's bounded
-/// retry. Recorded in outcome and provenance instead of aborting the
-/// sweep.
+/// One sweep point that failed to execute. Recorded in outcome and
+/// provenance instead of aborting the sweep.
 #[derive(Debug, Clone)]
 pub struct FailedRun {
     /// Index of the spec in the submitted list.
     pub index: usize,
     /// The spec that failed.
     pub spec: RunSpec,
-    /// Its content address (quarantined in the cache under this key).
+    /// Its content address.
     pub key: CacheKey,
-    /// The error or panic message of the *last* attempt.
+    /// The error or panic message.
     pub error: String,
-    /// Execution attempts made (initial try plus retries).
-    pub attempts: u32,
 }
 
 /// The result of one engine invocation.
@@ -90,7 +81,7 @@ pub struct SweepOutcome {
     /// Successfully executed points, in the order of the submitted specs
     /// (failed specs leave no hole — they are in [`failed`](Self::failed)).
     pub points: Vec<SweepPoint>,
-    /// Specs that failed after the bounded retry, in submission order.
+    /// Specs that failed, in submission order.
     pub failed: Vec<FailedRun>,
     /// Worker threads used.
     pub jobs: usize,
@@ -102,8 +93,6 @@ pub struct SweepOutcome {
     /// simulated/cached split is preserved per point but not re-counted
     /// here.
     pub resumed: usize,
-    /// What the watchdog observed, when one was armed.
-    pub watchdog: Option<WatchdogSummary>,
     /// Host wall-clock time of the whole sweep.
     pub wall: Duration,
 }
@@ -145,12 +134,11 @@ impl SweepOutcome {
             let mut msg = String::from("sweep incomplete:");
             for f in &self.failed {
                 msg.push_str(&format!(
-                    "\n  [{}] {} ({}): {} (after {} attempts)",
+                    "\n  [{}] {} ({}): {}",
                     f.index,
                     f.spec.label(),
                     f.key.short(),
-                    f.error,
-                    f.attempts
+                    f.error
                 ));
             }
             panic!("{msg}");
@@ -177,7 +165,6 @@ pub struct SweepEngine {
     cache: Option<RunCache>,
     quiet: bool,
     journal: Option<Arc<Journal>>,
-    watchdog: Option<WatchdogConfig>,
     progress: Option<ProgressConfig>,
 }
 
@@ -188,25 +175,14 @@ impl Default for SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine with the default worker count — `EMX_JOBS` if set,
-    /// otherwise [`std::thread::available_parallelism`] — and the cache at
-    /// its conventional `results/cache/` location.
+    /// An engine with [`std::thread::available_parallelism`] workers and
+    /// the cache at its conventional `results/cache/` location.
     pub fn new() -> SweepEngine {
-        let jobs = std::env::var(JOBS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            });
         SweepEngine {
-            jobs,
+            jobs: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache: Some(RunCache::default_location()),
             quiet: false,
             journal: None,
-            watchdog: None,
             progress: None,
         }
     }
@@ -216,11 +192,6 @@ impl SweepEngine {
     pub fn jobs(mut self, jobs: usize) -> SweepEngine {
         self.jobs = jobs.max(1);
         self
-    }
-
-    /// The configured worker count.
-    pub fn jobs_configured(&self) -> usize {
-        self.jobs
     }
 
     /// Replace the run cache (`None` disables caching — the CLI
@@ -245,14 +216,6 @@ impl SweepEngine {
         self
     }
 
-    /// Arm the wall-clock [watchdog](crate::watchdog): points whose
-    /// worker goes silent past the threshold are requeued (bounded, with
-    /// backoff) so other workers can finish them.
-    pub fn watchdog(mut self, cfg: WatchdogConfig) -> SweepEngine {
-        self.watchdog = Some(cfg);
-        self
-    }
-
     /// Arm the live [heartbeat](crate::progress): one summary line on
     /// stderr at the configured cadence (per-lane status, points
     /// done/total, cache-hit count, ETA). stdout is untouched, so sweep
@@ -264,16 +227,15 @@ impl SweepEngine {
 
     /// Execute `specs`, returning points in input order.
     ///
-    /// Each worker claims the next queued index, consults the cache,
+    /// Each worker claims the next pending index, consults the cache,
     /// simulates on a miss, stores the result, and writes it into the
     /// slot for that index. Determinism: simulation is a pure function of
     /// the spec, and assembly is by index, so neither the worker count
     /// nor scheduling order can influence the returned values or their
     /// order.
     ///
-    /// A point whose execution errors or panics is retried once; if it
-    /// fails again it lands in [`SweepOutcome::failed`] (and is
-    /// quarantined in the cache) while every other point completes.
+    /// A point whose execution errors or panics lands in
+    /// [`SweepOutcome::failed`] while every other point completes.
     pub fn run(&self, specs: Vec<RunSpec>) -> SweepOutcome {
         let blank = (0..specs.len()).map(|_| None).collect();
         self.run_prefilled(specs, blank)
@@ -289,9 +251,6 @@ impl SweepEngine {
         specs: Vec<RunSpec>,
         prefilled: Vec<Option<Slot>>,
     ) -> SweepOutcome {
-        /// Initial try plus one retry.
-        const MAX_ATTEMPTS: u32 = 2;
-
         assert_eq!(specs.len(), prefilled.len(), "one slot per spec");
         let started = Instant::now();
         let total = specs.len();
@@ -306,94 +265,54 @@ impl SweepEngine {
         let workers = self.jobs.min(pending.len().max(1));
 
         let slots: Mutex<Vec<Option<Slot>>> = Mutex::new(prefilled);
-        let queue: Mutex<VecDeque<usize>> = Mutex::new(pending.into());
-        let remaining = AtomicUsize::new(total - resumed);
+        // Workers claim `pending[cursor]` and exit once it runs past the end.
+        let cursor = AtomicUsize::new(0);
         let done = AtomicUsize::new(resumed);
         let hits = AtomicUsize::new(0);
         // lane -> index of the point it is executing (heartbeat display).
         let board: Mutex<Vec<Option<usize>>> = Mutex::new(vec![None; workers]);
-        let watch = self.watchdog.map(|cfg| WatchdogState::new(cfg, workers));
 
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let slots = &slots;
-            let queue = &queue;
-            let remaining = &remaining;
+            let cursor = &cursor;
             let done = &done;
             let hits = &hits;
             let board = &board;
-            let watch = watch.as_ref();
+            let pending = &pending;
             let keys = &keys;
             let specs = &specs;
             for lane in 0..workers {
-                scope.spawn(move |_| loop {
-                    let Some(i) = queue.lock().pop_front() else {
-                        if remaining.load(Ordering::Acquire) == 0 {
-                            break;
+                scope.spawn(move || {
+                    while let Some(&i) = pending.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let spec = &specs[i];
+                        let key = &keys[i];
+                        if self.progress.is_some() {
+                            lock(board)[lane] = Some(i);
                         }
-                        // The queue is empty but points are still in
-                        // flight; one may yet be requeued by the
-                        // watchdog.
-                        std::thread::sleep(Duration::from_millis(2));
-                        continue;
-                    };
-                    if slots.lock()[i].is_some() {
-                        continue; // requeued point already finished
-                    }
-                    let spec = &specs[i];
-                    let key = &keys[i];
-                    if let Some(watch) = watch {
-                        watch.claim(lane, i);
-                    }
-                    if self.progress.is_some() {
-                        board.lock()[lane] = Some(i);
-                    }
-                    if let Some(journal) = &self.journal {
-                        let t = emx_hostprof::now();
-                        let _ = journal.intent(i, key.hex());
-                        emx_hostprof::wall_since(emx_hostprof::Wall::SweepJournalNs, t);
-                    }
-                    let run_started = Instant::now();
-                    let slot: Slot = match self.cache.as_ref().and_then(|c| c.load(key)) {
-                        Some(report) => Ok((report, true)),
-                        None => match execute_with_retry(spec, MAX_ATTEMPTS) {
-                            Ok(report) => {
+                        if let Some(journal) = &self.journal {
+                            let t = emx_hostprof::now();
+                            let _ = journal.intent(i, key.hex());
+                            emx_hostprof::wall_since(emx_hostprof::Wall::SweepJournalNs, t);
+                        }
+                        let run_started = Instant::now();
+                        let slot: Slot = match self.cache.as_ref().and_then(|c| c.load(key)) {
+                            Some(report) => Ok((report, true)),
+                            None => execute(spec).map(|report| {
                                 if let Some(cache) = &self.cache {
                                     // A failed store only costs future
                                     // cache hits; the sweep proceeds.
                                     let _ = cache.store(key, spec, &report);
                                 }
-                                Ok((report, false))
-                            }
-                            Err(failure) => {
-                                if let Some(cache) = &self.cache {
-                                    let _ = cache.quarantine(key, &failure.0);
-                                }
-                                Err(failure)
-                            }
-                        },
-                    };
-                    if let Some(watch) = watch {
-                        watch.release(lane);
-                    }
-                    if self.progress.is_some() {
-                        board.lock()[lane] = None;
-                    }
-                    if emx_hostprof::enabled() {
-                        let ns =
-                            u64::try_from(run_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        emx_hostprof::add_wall(emx_hostprof::Wall::SweepExecNs, ns);
-                    }
-                    {
-                        let mut slots = slots.lock();
-                        if slots[i].is_some() {
-                            // Another worker beat us to a requeued
-                            // point. Determinism makes the two results
-                            // identical, so dropping ours changes
-                            // nothing.
-                            if let Some(watch) = watch {
-                                watch.note_stale();
-                            }
-                            continue;
+                                (report, false)
+                            }),
+                        };
+                        if self.progress.is_some() {
+                            lock(board)[lane] = None;
+                        }
+                        if emx_hostprof::enabled() {
+                            let ns =
+                                u64::try_from(run_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                            emx_hostprof::add_wall(emx_hostprof::Wall::SweepExecNs, ns);
                         }
                         if let Some(journal) = &self.journal {
                             let t = emx_hostprof::now();
@@ -401,53 +320,48 @@ impl SweepEngine {
                                 Ok((report, cached)) => {
                                     journal.result(i, key.hex(), *cached, report)
                                 }
-                                Err((error, attempts)) => journal.fail(i, *attempts, error),
+                                Err(error) => journal.fail(i, error),
                             };
                             emx_hostprof::wall_since(emx_hostprof::Wall::SweepJournalNs, t);
                         }
                         if matches!(&slot, Ok((_, true))) {
                             hits.fetch_add(1, Ordering::Relaxed);
                         }
-                        slots[i] = Some(slot);
-                    }
-                    remaining.fetch_sub(1, Ordering::Release);
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if !self.quiet {
-                        let slots = slots.lock();
-                        let outcome = match slots[i].as_ref().expect("just filled") {
+                        let outcome = (!self.quiet).then(|| match &slot {
                             Ok((_, true)) => "cache hit".to_string(),
                             Ok((_, false)) => {
                                 format!("simulated in {:.2} s", run_started.elapsed().as_secs_f64())
                             }
-                            Err((error, attempts)) => {
-                                format!("FAILED after {attempts} attempts: {error}")
-                            }
-                        };
-                        eprintln!(
-                            "[sweep {finished}/{total}] {} ({}): {outcome}",
-                            spec.label(),
-                            key.short(),
-                        );
+                            Err(error) => format!("FAILED: {error}"),
+                        });
+                        lock(slots)[i] = Some(slot);
+                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                        if let Some(outcome) = outcome {
+                            eprintln!(
+                                "[sweep {finished}/{total}] {} ({}): {outcome}",
+                                spec.label(),
+                                key.short(),
+                            );
+                        }
                     }
                 });
             }
             if let Some(cfg) = self.progress {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     // Poll in short slices so the reporter exits promptly
                     // when the sweep finishes, whatever the cadence.
                     let slice = cfg.every.min(Duration::from_millis(50));
                     let mut last = Instant::now();
-                    while remaining.load(Ordering::Acquire) > 0 {
+                    while done.load(Ordering::Relaxed) < total {
                         std::thread::sleep(slice);
                         if last.elapsed() < cfg.every {
                             continue;
                         }
                         last = Instant::now();
-                        if remaining.load(Ordering::Acquire) == 0 {
+                        if done.load(Ordering::Relaxed) == total {
                             break; // the engine prints the final line itself
                         }
-                        let running: Vec<String> = board
-                            .lock()
+                        let running: Vec<String> = lock(board)
                             .iter()
                             .filter_map(|slot| slot.map(|i| specs[i].label()))
                             .collect();
@@ -464,27 +378,7 @@ impl SweepEngine {
                     }
                 });
             }
-            if let Some(watch) = watch {
-                scope.spawn(move |_| {
-                    while remaining.load(Ordering::Acquire) > 0 {
-                        std::thread::sleep(watch.poll());
-                        watch.scan(|index| {
-                            let slots = slots.lock();
-                            if slots[index].is_some() {
-                                return false;
-                            }
-                            let mut queue = queue.lock();
-                            if queue.contains(&index) {
-                                return false;
-                            }
-                            queue.push_back(index);
-                            true
-                        });
-                    }
-                });
-            }
-        })
-        .expect("sweep workers do not panic");
+        });
 
         if let Some(journal) = &self.journal {
             let _ = journal.done(total);
@@ -494,13 +388,8 @@ impl SweepEngine {
         let mut cache_hits = 0;
         let mut points = Vec::with_capacity(total);
         let mut failed = Vec::new();
-        for (index, ((slot, spec), key)) in slots
-            .into_inner()
-            .into_iter()
-            .zip(specs)
-            .zip(keys)
-            .enumerate()
-        {
+        let slots = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
+        for (index, ((slot, spec), key)) in slots.into_iter().zip(specs).zip(keys).enumerate() {
             match slot.expect("every claimed slot is filled") {
                 Ok((report, cached)) => {
                     if !replayed[index] {
@@ -517,12 +406,11 @@ impl SweepEngine {
                         cached,
                     });
                 }
-                Err((error, attempts)) => failed.push(FailedRun {
+                Err(error) => failed.push(FailedRun {
                     index,
                     spec,
                     key,
                     error,
-                    attempts,
                 }),
             }
         }
@@ -540,7 +428,6 @@ impl SweepEngine {
             simulated,
             cache_hits,
             resumed,
-            watchdog: watch.map(|w| w.summary()),
             wall: started.elapsed(),
         };
         if self.progress.is_some() {
@@ -556,26 +443,20 @@ impl SweepEngine {
     }
 }
 
-/// Execute `spec` up to `max_attempts` times, absorbing both `SimError`s
-/// and panics. `Err` carries the last attempt's message and the attempt
-/// count.
-fn execute_with_retry(spec: &RunSpec, max_attempts: u32) -> Result<RunReport, (String, u32)> {
-    let mut last = String::new();
-    for _ in 0..max_attempts {
-        match catch_unwind(AssertUnwindSafe(|| spec.execute())) {
-            Ok(Ok(report)) => return Ok(report),
-            Ok(Err(e)) => last = e.to_string(),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                last = format!("worker panicked: {msg}");
-            }
+/// Execute `spec` once, absorbing both `SimError`s and panics into the
+/// error message.
+fn execute(spec: &RunSpec) -> Result<RunReport, String> {
+    match catch_unwind(AssertUnwindSafe(|| spec.execute())) {
+        Ok(result) => result.map_err(|e| e.to_string()),
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string());
+            Err(format!("worker panicked: {msg}"))
         }
     }
-    Err((last, max_attempts))
 }
 
 #[cfg(test)]
@@ -601,7 +482,6 @@ mod tests {
         assert_eq!(outcome.simulated, 4);
         assert_eq!(outcome.cache_hits, 0);
         assert_eq!(outcome.resumed, 0);
-        assert!(outcome.watchdog.is_none());
     }
 
     #[test]
@@ -641,7 +521,6 @@ mod tests {
         assert_eq!(outcome.failed.len(), 1);
         let f = &outcome.failed[0];
         assert_eq!(f.index, 1);
-        assert_eq!(f.attempts, 2, "one bounded retry before giving up");
         assert!(f.error.contains("max_delay"), "error: {}", f.error);
         // The surviving points are in submission order.
         assert_eq!(outcome.points[0].spec.threads, 1);
@@ -655,64 +534,19 @@ mod tests {
     }
 
     #[test]
-    fn failures_are_quarantined_in_the_cache() {
-        let dir = std::env::temp_dir().join(format!(
-            "emx-sweep-engine-quarantine-{}",
-            std::process::id()
-        ));
+    fn failures_leave_the_cache_untouched() {
+        let dir =
+            std::env::temp_dir().join(format!("emx-sweep-engine-failure-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = crate::cache::RunCache::new(&dir);
-        let spec = doomed_spec();
-        let key = crate::cache::CacheKey::for_run(&spec, &spec.machine_config());
         let outcome = SweepEngine::new()
-            .cache(Some(cache.clone()))
+            .cache(Some(crate::cache::RunCache::new(&dir)))
             .quiet(true)
-            .run(vec![spec]);
+            .run(vec![doomed_spec()]);
         assert_eq!(outcome.failed.len(), 1);
-        assert!(cache.quarantined(&key).is_some());
+        // The failure is recorded in the outcome, not in the cache.
+        let left = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+        assert_eq!(left, 0, "a failed point writes no cache file");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_generous_watchdog_observes_without_intervening() {
-        let specs = grid(Workload::Sort, 4, &[64, 128], &[1, 2]);
-        let reference = quiet_engine().run(specs.clone());
-        let outcome = quiet_engine()
-            .jobs(2)
-            .watchdog(WatchdogConfig::with_threshold(Duration::from_secs(600)))
-            .run(specs);
-        let w = outcome.watchdog.expect("watchdog was armed");
-        assert_eq!(w.threshold_ms, 600_000);
-        assert_eq!(w.stalls_detected, 0);
-        assert_eq!(w.requeues, 0);
-        assert_eq!(w.stale_results, 0);
-        // Supervision does not change the results.
-        for (a, b) in reference.points.iter().zip(&outcome.points) {
-            assert_eq!(a.spec, b.spec);
-            assert_eq!(a.report, b.report);
-        }
-    }
-
-    #[test]
-    fn an_aggressive_watchdog_still_produces_correct_results() {
-        // Zero threshold + zero poll: every in-flight point is requeued
-        // to the bound, exercising the duplicate-execution and
-        // stale-discard paths under contention.
-        let specs = grid(Workload::Sort, 4, &[64, 128], &[1, 2]);
-        let reference = quiet_engine().run(specs.clone());
-        let outcome = quiet_engine()
-            .jobs(3)
-            .watchdog(WatchdogConfig {
-                threshold: Duration::from_millis(0),
-                poll: Duration::from_millis(1),
-                max_requeues: 2,
-            })
-            .run(specs);
-        assert_eq!(outcome.points.len(), reference.points.len());
-        for (a, b) in reference.points.iter().zip(&outcome.points) {
-            assert_eq!(a.spec, b.spec);
-            assert_eq!(a.report, b.report, "duplicates resolve identically");
-        }
     }
 
     #[test]

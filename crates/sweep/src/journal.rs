@@ -16,7 +16,7 @@
 //! result 0 <cache key> 0 |emx-report v2\n...
 //! commit 0
 //! intent 1 <cache key>
-//! fail 1 2 |worker panicked: ...
+//! fail 1 |worker panicked: ...
 //! commit 1
 //! done 2
 //! ```
@@ -38,13 +38,13 @@ use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use emx_core::{CostPreset, FaultSpec, NetModelKind, ServiceMode};
 use emx_stats::digest::{parse_report_text, report_canonical_text};
 use emx_stats::RunReport;
-use parking_lot::Mutex;
 
-use crate::engine::{Slot, SweepEngine, SweepOutcome};
+use crate::engine::{lock, Slot, SweepEngine, SweepOutcome};
 use crate::spec::{RunSpec, Workload};
 
 /// Format tag on the journal's first line; bumped with any layout change.
@@ -350,16 +350,21 @@ impl Journal {
         &self.path
     }
 
-    fn append(&self, line: &str) -> io::Result<()> {
-        let mut file = self.file.lock();
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
-        file.flush()
+    /// Append `lines` as one uninterrupted group, flushing each line
+    /// before the next is written.
+    fn append(&self, lines: &[&str]) -> io::Result<()> {
+        let mut file = lock(&self.file);
+        for line in lines {
+            file.write_all(line.as_bytes())?;
+            file.write_all(b"\n")?;
+            file.flush()?;
+        }
+        Ok(())
     }
 
     /// Record that a worker is about to execute point `index`.
     pub(crate) fn intent(&self, index: usize, key: &str) -> io::Result<()> {
-        self.append(&format!("intent {index} {key}"))
+        self.append(&[&format!("intent {index} {key}")])
     }
 
     /// Record point `index`'s report and commit it. The result line is
@@ -371,24 +376,28 @@ impl Journal {
         cached: bool,
         report: &RunReport,
     ) -> io::Result<()> {
-        self.append(&format!(
-            "result {index} {key} {} |{}",
-            u8::from(cached),
-            esc(&report_canonical_text(report))
-        ))?;
-        self.append(&format!("commit {index}"))
+        self.append(&[
+            &format!(
+                "result {index} {key} {} |{}",
+                u8::from(cached),
+                esc(&report_canonical_text(report))
+            ),
+            &format!("commit {index}"),
+        ])
     }
 
-    /// Record point `index`'s terminal failure and commit it.
-    pub(crate) fn fail(&self, index: usize, attempts: u32, error: &str) -> io::Result<()> {
-        self.append(&format!("fail {index} {attempts} |{}", esc(error)))?;
-        self.append(&format!("commit {index}"))
+    /// Record point `index`'s failure and commit it.
+    pub(crate) fn fail(&self, index: usize, error: &str) -> io::Result<()> {
+        self.append(&[
+            &format!("fail {index} |{}", esc(error)),
+            &format!("commit {index}"),
+        ])
     }
 
     /// Mark the sweep complete: every one of `points` specs has a
     /// committed record.
     pub(crate) fn done(&self, points: usize) -> io::Result<()> {
-        self.append(&format!("done {points}"))
+        self.append(&[&format!("done {points}")])
     }
 }
 
@@ -404,12 +413,10 @@ pub enum Completed {
         /// The recorded report.
         report: RunReport,
     },
-    /// The point failed after the engine's bounded retry.
+    /// The point failed.
     Failed {
         /// The recorded error message.
         error: String,
-        /// Execution attempts the original run made.
-        attempts: u32,
     },
 }
 
@@ -581,13 +588,11 @@ fn parse_record(line: &str, total: usize) -> Option<Record> {
         });
     }
     if let Some(rest) = line.strip_prefix("fail ") {
-        let (head, payload) = rest.split_once(" |")?;
-        let (index, attempts) = head.split_once(' ')?;
+        let (index, payload) = rest.split_once(" |")?;
         return Some(Record::Result {
             index: index_in(index)?,
             completed: Completed::Failed {
                 error: unesc(payload)?,
-                attempts: attempts.parse().ok()?,
             },
         });
     }
@@ -630,7 +635,7 @@ pub fn resume(path: &Path, engine: SweepEngine) -> Result<ResumedSweep, String> 
     for (index, point) in &state.completed {
         prefilled[*index] = Some(match point {
             Completed::Ok { report, cached, .. } => Ok((report.clone(), *cached)),
-            Completed::Failed { error, attempts } => Err((error.clone(), *attempts)),
+            Completed::Failed { error } => Err(error.clone()),
         });
     }
     let engine = if state.done {
@@ -815,15 +820,20 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
+    /// `spec` with a fault plan that fails validation: a deterministic,
+    /// immediate failure.
+    fn doomed(mut spec: RunSpec) -> RunSpec {
+        let mut faults = FaultSpec::with_loss(1, 1000);
+        faults.delay_ppm = 1; // delay without max_delay: rejected
+        spec.faults = Some(faults);
+        spec
+    }
+
     #[test]
     fn failed_points_are_journaled_and_not_retried_on_resume() {
         let path = scratch("failed");
         let mut specs = grid(Workload::Sort, 4, &[64], &[1]);
-        let mut doomed = specs[0].clone();
-        let mut faults = FaultSpec::with_loss(1, 1000);
-        faults.delay_ppm = 1; // delay without max_delay: rejected
-        doomed.faults = Some(faults);
-        specs.push(doomed);
+        specs.push(doomed(specs[0].clone()));
 
         let journal = Journal::create(&path, "sweep", "failing", &specs).unwrap();
         let original = quiet_engine().journal(journal).run(specs);
@@ -834,8 +844,46 @@ mod tests {
         assert_eq!(resumed.outcome.failed.len(), 1);
         let f = &resumed.outcome.failed[0];
         assert_eq!(f.index, 1);
-        assert_eq!(f.attempts, original.failed[0].attempts);
         assert_eq!(f.error, original.failed[0].error);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_retired_fail_record_is_a_torn_tail_that_resume_reruns() {
+        let path = scratch("retired-fail");
+        let mut specs = grid(Workload::Sort, 4, &[64], &[1, 2]);
+        specs.insert(1, doomed(specs[0].clone()));
+        let journal = Journal::create(&path, "sweep", "retired", &specs).unwrap();
+        let original = quiet_engine().jobs(1).journal(journal).run(specs);
+        assert_eq!(original.failed.len(), 1);
+
+        // The previous layout carried an attempt count after the index.
+        let text = fs::read_to_string(&path).unwrap();
+        let retired = text.replace("fail 1 |", "fail 1 2 |");
+        assert_ne!(retired, text);
+        fs::write(&path, retired).unwrap();
+
+        let state = load(&path).unwrap();
+        assert!(!state.done);
+        assert_eq!(
+            state.completed.keys().copied().collect::<Vec<_>>(),
+            vec![0],
+            "replay ends at the retired line"
+        );
+
+        let resumed = resume(&path, quiet_engine()).unwrap().outcome;
+        assert_eq!(resumed.resumed, 1);
+        assert_eq!(resumed.simulated, 1, "the point after the tear reruns");
+        assert_eq!(resumed.points.len(), original.points.len());
+        for (a, b) in original.points.iter().zip(&resumed.points) {
+            assert_eq!(a.spec, b.spec);
+            assert_eq!(a.report, b.report);
+            assert_eq!(a.cached, b.cached);
+        }
+        assert_eq!(resumed.failed.len(), 1);
+        assert_eq!(resumed.failed[0].index, 1);
+        assert_eq!(resumed.failed[0].error, original.failed[0].error);
+        assert!(load(&path).unwrap().done);
         let _ = fs::remove_file(&path);
     }
 

@@ -10,11 +10,11 @@
 //! This crate exploits that three ways:
 //!
 //! * **Parallel** — [`SweepEngine`] expands a grid into an indexed list of
-//!   [`RunSpec`]s and executes them on a crossbeam scoped worker pool
-//!   ([`std::thread::available_parallelism`] workers by default,
-//!   overridable with `--jobs` or the `EMX_JOBS` environment variable),
-//!   reassembling results **by input index** so output — and every CSV
-//!   derived from it — is byte-identical to the serial path.
+//!   [`RunSpec`]s and executes them on a [`std::thread::scope`] worker
+//!   pool ([`std::thread::available_parallelism`] workers by default,
+//!   overridable with `--jobs`), reassembling results **by input index**
+//!   so output — and every CSV derived from it — is byte-identical to the
+//!   serial path.
 //! * **Cached** — results are stored content-addressed under
 //!   `results/cache/`, keyed by a stable digest of the spec, the full
 //!   machine/cost/network configuration, and the engine version
@@ -26,12 +26,12 @@
 //!
 //! Long sweeps are additionally **recoverable**: an optional write-ahead
 //! [`journal`] commits every finished point to disk so a killed process
-//! can be resumed (`emx-cli resume`) with a byte-identical outcome, and
-//! an optional wall-clock [`watchdog`] requeues points whose worker has
-//! gone silent so one wedged worker cannot stall the sweep.
+//! can be resumed (`emx-cli resume`) with a byte-identical outcome. Each
+//! point runs once, bounded by the machine's event fuel rather than a
+//! wall clock.
 //!
 //! The grid/determinism/caching contract is documented in `docs/SWEEPS.md`;
-//! the journal/watchdog recovery story in `docs/CHECKPOINT.md`.
+//! the journal recovery story in `docs/CHECKPOINT.md`.
 //!
 //! ```
 //! use emx_sweep::{grid, SweepEngine, Workload};
@@ -57,11 +57,9 @@ pub mod journal;
 pub mod progress;
 pub mod provenance;
 pub mod spec;
-pub mod watchdog;
 
 pub use cache::{CacheKey, GcAction, GcReport, RunCache, CACHE_FORMAT, DEFAULT_CACHE_DIR};
-pub use engine::{FailedRun, SweepEngine, SweepOutcome, SweepPoint, JOBS_ENV};
+pub use engine::{FailedRun, SweepEngine, SweepOutcome, SweepPoint};
 pub use journal::{resume, Completed, Journal, JournalState, ResumedSweep, JOURNAL_FORMAT};
 pub use progress::ProgressConfig;
 pub use spec::{config_canonical, grid, RunSpec, Workload};
-pub use watchdog::{WatchdogConfig, WatchdogSummary};

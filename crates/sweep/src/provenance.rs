@@ -25,7 +25,7 @@ use crate::engine::SweepOutcome;
 /// Schema identifier stamped into every sidecar. `/2` added the per-run
 /// fault plan, the `runs_failed` count, the `failed_runs` array, and the
 /// per-run cost-model `preset`; later (additively, no bump) the
-/// `runs_resumed` count and the `watchdog` observation object.
+/// `runs_resumed` count.
 pub const SCHEMA: &str = "emx-sweep/2";
 
 /// Render the sidecar JSON for `outcome`, labelled as `figure`, with
@@ -56,21 +56,6 @@ pub fn render(
     j.push_str(&format!("  \"cache_hits\": {},\n", outcome.cache_hits));
     j.push_str(&format!("  \"runs_failed\": {},\n", outcome.failed.len()));
     j.push_str(&format!("  \"runs_resumed\": {},\n", outcome.resumed));
-    match &outcome.watchdog {
-        None => j.push_str("  \"watchdog\": null,\n"),
-        Some(w) => j.push_str(&format!(
-            "  \"watchdog\": {{\"threshold_ms\": {}, \"poll_ms\": {}, \"max_requeues\": {}, \
-             \"stalls_detected\": {}, \"requeues\": {}, \"stale_results\": {}, \
-             \"max_silence_ms\": {}}},\n",
-            w.threshold_ms,
-            w.poll_ms,
-            w.max_requeues,
-            w.stalls_detected,
-            w.requeues,
-            w.stale_results,
-            w.max_silence_ms
-        )),
-    }
     j.push_str("  \"extra\": {");
     for (i, (k, v)) in extra.iter().enumerate() {
         if i > 0 {
@@ -141,7 +126,6 @@ pub fn render(
             None => j.push_str("\"faults\": null, "),
         }
         j.push_str(&format!("\"key\": {}, ", quote(f.key.hex())));
-        j.push_str(&format!("\"attempts\": {}, ", f.attempts));
         j.push_str(&format!("\"error\": {}", quote(&f.error)));
         j.push('}');
         if i + 1 < outcome.failed.len() {
@@ -198,7 +182,6 @@ mod tests {
             "\"runs_total\": 2",
             "\"runs_failed\": 0",
             "\"runs_resumed\": 0",
-            "\"watchdog\": null",
             "\"workload\": \"bitonic-sort\"",
             "\"service_mode\": \"BypassDma\"",
             "\"net_model\": \"CircularOmega\"",
