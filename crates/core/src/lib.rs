@@ -44,5 +44,7 @@ pub use config::{CostModel, CostPreset, MachineConfig, NetConfig, NetModelKind, 
 pub use error::SimError;
 pub use faults::{FaultSpec, PPM_SCALE};
 pub use packet::{Packet, PacketKind, Priority, WirePacket};
-pub use probe::{FaultKind, NullProbe, Probe, SuspendCause, TraceEvent, TraceKind, TRACE_SCHEMA};
+pub use probe::{
+    FaultKind, NullProbe, Probe, SuspendCause, TraceEvent, TraceKind, TraceLine, TRACE_SCHEMA,
+};
 pub use time::Cycle;

@@ -16,7 +16,9 @@
 //! "zero-cost-when-disabled" contract the sweep benchmarks rely on. The
 //! exporters (Perfetto/Chrome-trace JSON, columnar CSV) and the metrics
 //! registry live in the `emx-obs` crate; the wire format is specified in
-//! `docs/OBSERVABILITY.md` as `emx-trace/1`.
+//! `docs/OBSERVABILITY.md` as `emx-trace/2`. Each event also has one
+//! canonical text line, [`TraceEvent::line`], which the trace digest
+//! hashes and `Display` prints.
 
 use std::fmt;
 
@@ -225,41 +227,192 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
+impl TraceEvent {
+    /// This event's canonical `emx-trace/2` line, rendered without
+    /// allocating (see [`TraceLine`]).
+    pub fn line(&self) -> TraceLine {
+        TraceLine::render(self)
+    }
+}
+
+/// Thin wrapper over [`TraceEvent::line`]: the canonical line without its
+/// newline, so the printed form and the digested bytes cannot drift apart.
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:>10} {} ", self.at, self.pe)?;
-        match self.kind {
-            TraceKind::Dispatch { pkt } => write!(f, "dispatch {pkt:?}"),
-            TraceKind::Send { pkt, dst } => write!(f, "send {pkt:?} -> {dst}"),
+        f.write_str(self.line().as_str())
+    }
+}
+
+/// Longest canonical line in bytes, newline included: a spilled `enqueue`
+/// at maximum field values, `18446744073709551615cy PE65535 enqueue
+/// ReadBlockReq High SPILL depth=18446744073709551615` plus `\n`.
+const TRACE_LINE_MAX: usize = 90;
+
+/// One trace event's canonical line, `<cycle>cy PE<pe> <event text>\n`,
+/// in a stack buffer.
+///
+/// This is the one renderer of the `emx-trace/2` line grammar
+/// (`docs/OBSERVABILITY.md` §5): the trace digest (`emx-obs`'s
+/// `DigestProbe`) hashes [`TraceLine::as_bytes`], and [`TraceEvent`]'s
+/// `Display` prints [`TraceLine::as_str`]. Fields are never padded.
+/// Rendering writes digits by hand and takes names from fixed tables, so it
+/// allocates nothing and runs no `fmt` machinery.
+pub struct TraceLine {
+    buf: [u8; TRACE_LINE_MAX],
+    len: usize,
+}
+
+impl TraceLine {
+    fn render(e: &TraceEvent) -> TraceLine {
+        let mut l = TraceLine {
+            buf: [0; TRACE_LINE_MAX],
+            len: 0,
+        };
+        l.num(e.at.get());
+        l.put("cy PE");
+        l.num(e.pe.0.into());
+        l.put(" ");
+        match e.kind {
+            TraceKind::Dispatch { pkt } => {
+                l.put("dispatch ");
+                l.put(pkt_name(pkt));
+            }
+            TraceKind::Send { pkt, dst } => {
+                l.put("send ");
+                l.put(pkt_name(pkt));
+                l.put(" -> PE");
+                l.num(dst.0.into());
+            }
             TraceKind::ThreadSpawn { frame, entry } => {
-                write!(f, "spawn thread {frame} (entry {entry})")
+                l.put("spawn thread F");
+                l.num(frame.0.into());
+                l.put(" (entry ");
+                l.num(entry.into());
+                l.put(")");
             }
-            TraceKind::ThreadResume { frame } => write!(f, "resume thread {frame}"),
+            TraceKind::ThreadResume { frame } => {
+                l.put("resume thread F");
+                l.num(frame.0.into());
+            }
             TraceKind::ThreadSuspend { frame, cause } => {
-                write!(f, "suspend thread {frame} ({})", cause.label())
+                l.put("suspend thread F");
+                l.num(frame.0.into());
+                l.put(" (");
+                l.put(cause.label());
+                l.put(")");
             }
-            TraceKind::ThreadRetire { frame } => write!(f, "retire thread {frame}"),
+            TraceKind::ThreadRetire { frame } => {
+                l.put("retire thread F");
+                l.num(frame.0.into());
+            }
             TraceKind::Enqueue {
                 pkt,
                 priority,
                 spilled,
                 depth,
-            } => write!(
-                f,
-                "enqueue {pkt:?} {priority:?}{} depth={depth}",
-                if spilled { " SPILL" } else { "" }
-            ),
-            TraceKind::Unspill { pkt, priority } => write!(f, "unspill {pkt:?} {priority:?}"),
-            TraceKind::DmaService { pkt, words } => write!(f, "dma {pkt:?} x{words}"),
-            TraceKind::NetInject { pkt, dst, hops } => {
-                write!(f, "net-inject {pkt:?} -> {dst} ({hops} hops)")
+            } => {
+                l.put("enqueue ");
+                l.put(pkt_name(pkt));
+                l.put(" ");
+                l.put(priority_name(priority));
+                if spilled {
+                    l.put(" SPILL");
+                }
+                l.put(" depth=");
+                l.num(depth as u64);
             }
-            TraceKind::NetDeliver { pkt, src } => write!(f, "net-deliver {pkt:?} <- {src}"),
-            TraceKind::DispatchEnd => write!(f, "dispatch-end"),
+            TraceKind::Unspill { pkt, priority } => {
+                l.put("unspill ");
+                l.put(pkt_name(pkt));
+                l.put(" ");
+                l.put(priority_name(priority));
+            }
+            TraceKind::DmaService { pkt, words } => {
+                l.put("dma ");
+                l.put(pkt_name(pkt));
+                l.put(" x");
+                l.num(words.into());
+            }
+            TraceKind::NetInject { pkt, dst, hops } => {
+                l.put("net-inject ");
+                l.put(pkt_name(pkt));
+                l.put(" -> PE");
+                l.num(dst.0.into());
+                l.put(" (");
+                l.num(hops.into());
+                l.put(" hops)");
+            }
+            TraceKind::NetDeliver { pkt, src } => {
+                l.put("net-deliver ");
+                l.put(pkt_name(pkt));
+                l.put(" <- PE");
+                l.num(src.0.into());
+            }
+            TraceKind::DispatchEnd => l.put("dispatch-end"),
             TraceKind::FaultInjected { pkt, dst, fault } => {
-                write!(f, "fault {pkt:?} -> {dst} ({})", fault.label())
+                l.put("fault ");
+                l.put(pkt_name(pkt));
+                l.put(" -> PE");
+                l.num(dst.0.into());
+                l.put(" (");
+                l.put(fault.label());
+                l.put(")");
             }
         }
+        l.put("\n");
+        l
+    }
+
+    fn put(&mut self, s: &str) {
+        let end = self.len + s.len();
+        self.buf[self.len..end].copy_from_slice(s.as_bytes());
+        self.len = end;
+    }
+
+    /// Append `v` in decimal: digits least significant first, then
+    /// reversed in place.
+    fn num(&mut self, mut v: u64) {
+        let start = self.len;
+        loop {
+            self.buf[self.len] = b'0' + (v % 10) as u8;
+            self.len += 1;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.buf[start..self.len].reverse();
+    }
+
+    /// The line, newline included: the bytes the trace digest hashes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+
+    /// The line without its newline: [`TraceEvent`]'s `Display` form.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len - 1]).expect("trace lines are ASCII")
+    }
+}
+
+/// A packet kind's name as the line grammar spells it (its `Debug` form).
+fn pkt_name(pkt: PacketKind) -> &'static str {
+    match pkt {
+        PacketKind::ReadReq => "ReadReq",
+        PacketKind::ReadBlockReq => "ReadBlockReq",
+        PacketKind::ReadResp => "ReadResp",
+        PacketKind::Write => "Write",
+        PacketKind::Spawn => "Spawn",
+        PacketKind::SyncArrive => "SyncArrive",
+        PacketKind::SyncRelease => "SyncRelease",
+    }
+}
+
+/// A priority's name as the line grammar spells it (its `Debug` form).
+fn priority_name(priority: Priority) -> &'static str {
+    match priority {
+        Priority::High => "High",
+        Priority::Low => "Low",
     }
 }
 
@@ -286,6 +439,7 @@ impl Probe for NullProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn event_names_are_stable() {
@@ -360,6 +514,290 @@ mod tests {
             };
             let s = e.to_string();
             assert!(s.contains("PE0"), "{s}");
+        }
+    }
+
+    /// The `write!`-based rendering [`TraceLine`] replaced, kept as its
+    /// reference. `Cycle`'s `Display` writes with `write!`, so the `{:>10}`
+    /// pads nothing.
+    fn reference(e: &TraceEvent) -> String {
+        use std::fmt::Write;
+        let mut f = String::new();
+        write!(f, "{:>10} {} ", e.at, e.pe).unwrap();
+        match e.kind {
+            TraceKind::Dispatch { pkt } => write!(f, "dispatch {pkt:?}"),
+            TraceKind::Send { pkt, dst } => write!(f, "send {pkt:?} -> {dst}"),
+            TraceKind::ThreadSpawn { frame, entry } => {
+                write!(f, "spawn thread {frame} (entry {entry})")
+            }
+            TraceKind::ThreadResume { frame } => write!(f, "resume thread {frame}"),
+            TraceKind::ThreadSuspend { frame, cause } => {
+                write!(f, "suspend thread {frame} ({})", cause.label())
+            }
+            TraceKind::ThreadRetire { frame } => write!(f, "retire thread {frame}"),
+            TraceKind::Enqueue {
+                pkt,
+                priority,
+                spilled,
+                depth,
+            } => write!(
+                f,
+                "enqueue {pkt:?} {priority:?}{} depth={depth}",
+                if spilled { " SPILL" } else { "" }
+            ),
+            TraceKind::Unspill { pkt, priority } => write!(f, "unspill {pkt:?} {priority:?}"),
+            TraceKind::DmaService { pkt, words } => write!(f, "dma {pkt:?} x{words}"),
+            TraceKind::NetInject { pkt, dst, hops } => {
+                write!(f, "net-inject {pkt:?} -> {dst} ({hops} hops)")
+            }
+            TraceKind::NetDeliver { pkt, src } => write!(f, "net-deliver {pkt:?} <- {src}"),
+            TraceKind::DispatchEnd => write!(f, "dispatch-end"),
+            TraceKind::FaultInjected { pkt, dst, fault } => {
+                write!(f, "fault {pkt:?} -> {dst} ({})", fault.label())
+            }
+        }
+        .unwrap();
+        f
+    }
+
+    /// Assert the renderer's bytes are the reference line plus `\n`, and
+    /// that `Display` is the line without it.
+    fn assert_matches_reference(e: &TraceEvent) -> usize {
+        let want = reference(e);
+        assert_eq!(e.line().as_bytes(), format!("{want}\n").as_bytes());
+        assert_eq!(e.to_string(), want);
+        e.line().as_bytes().len()
+    }
+
+    const CAUSES: [SuspendCause; 5] = [
+        SuspendCause::RemoteRead,
+        SuspendCause::BlockRead,
+        SuspendCause::Barrier,
+        SuspendCause::ThreadSync,
+        SuspendCause::Yield,
+    ];
+    const FAULTS: [FaultKind; 3] = [FaultKind::Drop, FaultKind::Dup, FaultKind::Delay];
+
+    /// Every packet kind, by wire code.
+    fn pkt(code: u8) -> PacketKind {
+        PacketKind::from_code(code).unwrap()
+    }
+
+    /// One event of every kind with every field at its maximum, spilled
+    /// and unspilled, for each packet kind and priority.
+    fn kinds_at_maximum() -> Vec<TraceKind> {
+        let (pe, frame) = (PeId(u16::MAX), FrameId(u16::MAX));
+        let mut kinds = vec![
+            TraceKind::ThreadSpawn {
+                frame,
+                entry: u32::MAX,
+            },
+            TraceKind::ThreadResume { frame },
+            TraceKind::ThreadRetire { frame },
+            TraceKind::DispatchEnd,
+        ];
+        kinds.extend(CAUSES.map(|cause| TraceKind::ThreadSuspend { frame, cause }));
+        for pkt in (0..7).map(pkt) {
+            kinds.push(TraceKind::Dispatch { pkt });
+            kinds.push(TraceKind::Send { pkt, dst: pe });
+            for priority in [Priority::High, Priority::Low] {
+                for spilled in [false, true] {
+                    kinds.push(TraceKind::Enqueue {
+                        pkt,
+                        priority,
+                        spilled,
+                        depth: usize::MAX,
+                    });
+                }
+                kinds.push(TraceKind::Unspill { pkt, priority });
+            }
+            kinds.push(TraceKind::DmaService {
+                pkt,
+                words: u16::MAX,
+            });
+            kinds.push(TraceKind::NetInject {
+                pkt,
+                dst: pe,
+                hops: u32::MAX,
+            });
+            kinds.push(TraceKind::NetDeliver { pkt, src: pe });
+            kinds.extend(FAULTS.map(|fault| TraceKind::FaultInjected {
+                pkt,
+                dst: pe,
+                fault,
+            }));
+        }
+        kinds
+    }
+
+    #[test]
+    fn extreme_values_render_like_the_reference_within_the_bound() {
+        let kinds = kinds_at_maximum();
+        let names: std::collections::BTreeSet<_> = kinds.iter().map(TraceKind::name).collect();
+        assert_eq!(names.len(), 13, "every TraceKind variant is covered");
+        let mut longest = 0;
+        for at in [Cycle::ZERO, Cycle::new(u64::MAX)] {
+            for pe in [PeId(0), PeId(u16::MAX)] {
+                for &kind in &kinds {
+                    longest = longest.max(assert_matches_reference(&TraceEvent { at, pe, kind }));
+                }
+            }
+        }
+        // The buffer is exactly as long as the longest line: a spilled
+        // enqueue at `u64::MAX` cycles with a 64-bit `usize::MAX` depth.
+        assert!(longest <= TRACE_LINE_MAX);
+        if cfg!(target_pointer_width = "64") {
+            assert_eq!(longest, TRACE_LINE_MAX);
+        }
+    }
+
+    #[test]
+    fn canonical_lines_are_pinned_and_unpadded() {
+        for (at, pe, kind, want) in [
+            (
+                42,
+                3,
+                TraceKind::Dispatch {
+                    pkt: PacketKind::ReadReq,
+                },
+                "42cy PE3 dispatch ReadReq",
+            ),
+            (
+                7,
+                0,
+                TraceKind::Enqueue {
+                    pkt: PacketKind::ReadResp,
+                    priority: Priority::High,
+                    spilled: true,
+                    depth: 9,
+                },
+                "7cy PE0 enqueue ReadResp High SPILL depth=9",
+            ),
+            (
+                0,
+                12,
+                TraceKind::NetInject {
+                    pkt: PacketKind::Write,
+                    dst: PeId(0),
+                    hops: 10,
+                },
+                "0cy PE12 net-inject Write -> PE0 (10 hops)",
+            ),
+            (
+                1_000_000,
+                1,
+                TraceKind::ThreadSuspend {
+                    frame: FrameId(3),
+                    cause: SuspendCause::RemoteRead,
+                },
+                "1000000cy PE1 suspend thread F3 (remote-read)",
+            ),
+        ] {
+            let e = TraceEvent {
+                at: Cycle::new(at),
+                pe: PeId(pe),
+                kind,
+            };
+            assert_eq!(e.line().as_bytes(), format!("{want}\n").as_bytes());
+            assert_eq!(e.to_string(), want);
+        }
+    }
+
+    #[test]
+    fn name_tables_equal_debug() {
+        for p in (0..7).map(pkt) {
+            assert_eq!(pkt_name(p), format!("{p:?}"));
+        }
+        for p in [Priority::High, Priority::Low] {
+            assert_eq!(priority_name(p), format!("{p:?}"));
+        }
+    }
+
+    /// A value below `2^bits`, drawn at every magnitude: uniform bits
+    /// shifted right by a uniform amount, so 0, short and full-width
+    /// numbers all occur.
+    fn spread(bits: u32) -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0..=bits)
+            .prop_map(move |(v, s)| (v >> (64 - bits)).checked_shr(s).unwrap_or(0))
+    }
+
+    fn arb_pkt() -> impl Strategy<Value = PacketKind> {
+        (0u8..7).prop_map(pkt)
+    }
+
+    fn arb_priority() -> impl Strategy<Value = Priority> {
+        any::<bool>().prop_map(|high| if high { Priority::High } else { Priority::Low })
+    }
+
+    fn arb_pe() -> impl Strategy<Value = PeId> {
+        spread(16).prop_map(|v| PeId(v as u16))
+    }
+
+    fn arb_frame() -> impl Strategy<Value = FrameId> {
+        spread(16).prop_map(|v| FrameId(v as u16))
+    }
+
+    fn arb_kind() -> impl Strategy<Value = TraceKind> {
+        prop_oneof![
+            arb_pkt().prop_map(|pkt| TraceKind::Dispatch { pkt }),
+            (arb_pkt(), arb_pe()).prop_map(|(pkt, dst)| TraceKind::Send { pkt, dst }),
+            (arb_frame(), spread(32)).prop_map(|(frame, entry)| TraceKind::ThreadSpawn {
+                frame,
+                entry: entry as u32
+            }),
+            arb_frame().prop_map(|frame| TraceKind::ThreadResume { frame }),
+            (arb_frame(), 0usize..5).prop_map(|(frame, c)| TraceKind::ThreadSuspend {
+                frame,
+                cause: CAUSES[c]
+            }),
+            arb_frame().prop_map(|frame| TraceKind::ThreadRetire { frame }),
+            (arb_pkt(), arb_priority(), any::<bool>(), spread(64)).prop_map(
+                |(pkt, priority, spilled, depth)| TraceKind::Enqueue {
+                    pkt,
+                    priority,
+                    spilled,
+                    depth: depth as usize
+                }
+            ),
+            (arb_pkt(), arb_priority())
+                .prop_map(|(pkt, priority)| TraceKind::Unspill { pkt, priority }),
+            (arb_pkt(), spread(16)).prop_map(|(pkt, words)| TraceKind::DmaService {
+                pkt,
+                words: words as u16
+            }),
+            (arb_pkt(), arb_pe(), spread(32)).prop_map(|(pkt, dst, hops)| TraceKind::NetInject {
+                pkt,
+                dst,
+                hops: hops as u32
+            }),
+            (arb_pkt(), arb_pe()).prop_map(|(pkt, src)| TraceKind::NetDeliver { pkt, src }),
+            Just(TraceKind::DispatchEnd),
+            (arb_pkt(), arb_pe(), 0usize..3).prop_map(|(pkt, dst, f)| {
+                TraceKind::FaultInjected {
+                    pkt,
+                    dst,
+                    fault: FAULTS[f],
+                }
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The renderer emits exactly the bytes of the `write!` reference,
+        /// newline added, for every kind at every field magnitude.
+        #[test]
+        fn renderer_matches_the_write_reference(
+            at in spread(64),
+            pe in arb_pe(),
+            kind in arb_kind(),
+        ) {
+            let e = TraceEvent { at: Cycle::new(at), pe, kind };
+            let want = reference(&e);
+            let (line, with_newline) = (e.line(), format!("{want}\n"));
+            prop_assert_eq!(line.as_bytes(), with_newline.as_bytes());
+            prop_assert_eq!(e.to_string(), want);
         }
     }
 

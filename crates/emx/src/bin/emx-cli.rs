@@ -6,9 +6,9 @@
 //!                 [--kill-after EVENTS] [--hostprof]
 //! emx-cli sort    --pes 16 --n 16384 --threads 4 [--dist uniform] [--seed 1] [--block] [--em4] [--csv]
 //! emx-cli fft     --pes 16 --n 16384 --threads 4 [--comm-only] [--csv]
-//! emx-cli trace   <sort|fft|fig4> [--pes N --n N --threads N --seed N]
+//! emx-cli trace   <sort|fft|bfs|histogram|spmv|stencil|fig4> [--pes N --n N --threads N --seed N]
 //!                 [--format chrome|csv] [--events CAP] [--check] [--out FILE]
-//! emx-cli metrics <sort|fft|fig4> [--pes N --n N --threads N --seed N] [--csv]
+//! emx-cli metrics <sort|fft|bfs|histogram|spmv|stencil|fig4> [--pes N --n N --threads N --seed N] [--csv]
 //! emx-cli profile <sort|fft|bfs|histogram|spmv|stencil> [--pes N --n N --threads N --seed N]
 //!                 [--comm-only] [--json] [--out FILE]
 //! emx-cli profile-diff <report> [<baseline>] [--baseline-dir DIR] [--threshold PPM]
@@ -332,6 +332,71 @@ fn print_hostprof(meta: Vec<(String, String)>) {
     print!("{}", rep.canonical_text());
 }
 
+/// Run one kernel (`sort|fft|bfs|histogram|spmv|stencil`) of `n` elements
+/// with `threads` threads per PE on `cfg`. `--seed`, `--block` (sort) and
+/// `--comm-only` (fft) come from `args`; `attach` fits the subcommand's
+/// probe before the run. Returns the report and the seed the kernel ran
+/// with.
+fn run_kernel(
+    args: &Args,
+    workload: &str,
+    cfg: &MachineConfig,
+    n: usize,
+    threads: usize,
+    attach: impl FnOnce(&mut Machine),
+) -> Result<(RunReport, u64), String> {
+    let seed_or = |default: u64| args.u64_or("seed", default);
+    let (report, seed) = match workload {
+        "sort" => {
+            let mut params = SortParams::new(n, threads);
+            params.seed = seed_or(params.seed)?;
+            params.block_read = args.has("block");
+            let out = run_bitonic_observed(cfg, &params, attach);
+            (out.map(|o| o.report), params.seed)
+        }
+        "fft" => {
+            let mut params = if args.has("comm-only") {
+                FftParams::comm_only(n, threads)
+            } else {
+                FftParams::new(n, threads)
+            };
+            params.seed = seed_or(params.seed)?;
+            let out = run_fft_observed(cfg, &params, attach);
+            (out.map(|o| o.report), params.seed)
+        }
+        "bfs" => {
+            let mut params = BfsParams::new(n, threads);
+            params.seed = seed_or(params.seed)?;
+            let out = run_bfs_observed(cfg, &params, attach);
+            (out.map(|o| o.report), params.seed)
+        }
+        "histogram" => {
+            let mut params = HistogramParams::new(n, threads);
+            params.seed = seed_or(params.seed)?;
+            let out = run_histogram_observed(cfg, &params, attach);
+            (out.map(|o| o.report), params.seed)
+        }
+        "spmv" => {
+            let mut params = SpmvParams::new(n, threads);
+            params.seed = seed_or(params.seed)?;
+            let out = run_spmv_observed(cfg, &params, attach);
+            (out.map(|o| o.report), params.seed)
+        }
+        "stencil" => {
+            let mut params = StencilParams::new(n, threads);
+            params.seed = seed_or(params.seed)?;
+            let out = run_stencil_observed(cfg, &params, attach);
+            (out.map(|o| o.report), params.seed)
+        }
+        other => {
+            return Err(format!(
+                "unknown workload {other:?} (sort|fft|bfs|histogram|spmv|stencil)"
+            ))
+        }
+    };
+    Ok((report.map_err(|e| e.to_string())?, seed))
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let workload = args.positional.first().map(String::as_str).unwrap_or("fft");
     let cfg = machine_cfg(args, 64)?;
@@ -340,60 +405,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     arm_kill_switch(args)?;
     let hostprof = arm_hostprof(args);
     let (probe, handle) = DigestProbe::new();
-    let report = match workload {
-        "sort" => {
-            let mut params = SortParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            params.block_read = args.has("block");
-            run_bitonic_observed(&cfg, &params, |m| m.attach_probe(Box::new(probe)))
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "fft" => {
-            let mut params = if args.has("comm-only") {
-                FftParams::comm_only(n, threads)
-            } else {
-                FftParams::new(n, threads)
-            };
-            params.seed = args.u64_or("seed", params.seed)?;
-            run_fft_observed(&cfg, &params, |m| m.attach_probe(Box::new(probe)))
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "bfs" => {
-            let mut params = BfsParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            run_bfs_observed(&cfg, &params, |m| m.attach_probe(Box::new(probe)))
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "histogram" => {
-            let mut params = HistogramParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            run_histogram_observed(&cfg, &params, |m| m.attach_probe(Box::new(probe)))
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "spmv" => {
-            let mut params = SpmvParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            run_spmv_observed(&cfg, &params, |m| m.attach_probe(Box::new(probe)))
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        "stencil" => {
-            let mut params = StencilParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            run_stencil_observed(&cfg, &params, |m| m.attach_probe(Box::new(probe)))
-                .map_err(|e| e.to_string())?
-                .report
-        }
-        other => {
-            return Err(format!(
-                "unknown workload {other:?} (sort|fft|bfs|histogram|spmv|stencil)"
-            ))
-        }
-    };
+    let (report, _) = run_kernel(args, workload, &cfg, n, threads, |m| {
+        m.attach_probe(Box::new(probe))
+    })?;
     if !args.has("csv") {
         println!(
             "{workload}: {} elements on {} PEs, h={}, {} trace events",
@@ -465,41 +479,26 @@ fn cmd_fft(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the named workload with a [`Recorder`] attached and return the
-/// observation plus the machine clock for timestamp conversion.
+/// Run the named workload (a kernel, or `fig4`) with a [`Recorder`]
+/// attached and return the observation plus the machine clock for
+/// timestamp conversion.
 fn observed_run(args: &Args, workload: &str) -> Result<(Observation, u64), String> {
     let capacity = args.usize_or("events", 1 << 20)?;
     let (rec, handle) = Recorder::bounded(capacity);
-    let clock_hz;
-    match workload {
-        "sort" => {
-            let cfg = machine_cfg(args, 2)?;
-            clock_hz = cfg.clock_hz;
-            let n = args.usize_or("n", 64)?;
-            let threads = args.usize_or("threads", 2)?;
-            let mut params = SortParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            run_bitonic_observed(&cfg, &params, |m| m.attach_probe(Box::new(rec)))
-                .map_err(|e| e.to_string())?;
-        }
-        "fft" => {
-            let cfg = machine_cfg(args, 2)?;
-            clock_hz = cfg.clock_hz;
-            let n = args.usize_or("n", 64)?;
-            let threads = args.usize_or("threads", 2)?;
-            let mut params = FftParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            run_fft_observed(&cfg, &params, |m| m.attach_probe(Box::new(rec)))
-                .map_err(|e| e.to_string())?;
-        }
-        "fig4" => {
-            let mut m = emx::workloads::fig4::build().map_err(|e| e.to_string())?;
-            clock_hz = MachineConfig::with_pes(2).clock_hz;
-            m.attach_probe(Box::new(rec));
-            m.run().map_err(|e| e.to_string())?;
-        }
-        other => return Err(format!("unknown workload {other:?} (sort|fft|fig4)")),
-    }
+    let clock_hz = if workload == "fig4" {
+        let mut m = emx::workloads::fig4::build().map_err(|e| e.to_string())?;
+        m.attach_probe(Box::new(rec));
+        m.run().map_err(|e| e.to_string())?;
+        MachineConfig::with_pes(2).clock_hz
+    } else {
+        let cfg = machine_cfg(args, 2)?;
+        let n = args.usize_or("n", 64)?;
+        let threads = args.usize_or("threads", 2)?;
+        run_kernel(args, workload, &cfg, n, threads, |m| {
+            m.attach_probe(Box::new(rec))
+        })?;
+        cfg.clock_hz
+    };
     Ok((handle.finish(), clock_hz))
 }
 
@@ -587,87 +586,17 @@ fn profiled_run(args: &Args, workload: &str) -> Result<emx::profile::ProfileRepo
     let n = args.usize_or("n", 16 * 256)?;
     let threads = args.usize_or("threads", 4)?;
     let (probe, handle) = Profiler::new(cfg.costs);
-    let mut probe = Some(probe);
-    let mut meta = vec![
+    let (report, seed) = run_kernel(args, workload, &cfg, n, threads, |m| {
+        m.attach_probe(Box::new(probe))
+    })?;
+    let mut rep = handle.finish(&report);
+    rep.meta = vec![
         ("workload".to_string(), workload.to_string()),
         ("pes".to_string(), cfg.num_pes.to_string()),
         ("n".to_string(), n.to_string()),
         ("threads".to_string(), threads.to_string()),
+        ("seed".to_string(), seed.to_string()),
     ];
-    let report = match workload {
-        "sort" => {
-            let mut params = SortParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            params.block_read = args.has("block");
-            meta.push(("seed".to_string(), params.seed.to_string()));
-            run_bitonic_observed(&cfg, &params, |m| {
-                m.attach_probe(Box::new(probe.take().unwrap()));
-            })
-            .map_err(|e| e.to_string())?
-            .report
-        }
-        "fft" => {
-            let mut params = if args.has("comm-only") {
-                FftParams::comm_only(n, threads)
-            } else {
-                FftParams::new(n, threads)
-            };
-            params.seed = args.u64_or("seed", params.seed)?;
-            meta.push(("seed".to_string(), params.seed.to_string()));
-            run_fft_observed(&cfg, &params, |m| {
-                m.attach_probe(Box::new(probe.take().unwrap()));
-            })
-            .map_err(|e| e.to_string())?
-            .report
-        }
-        "bfs" => {
-            let mut params = BfsParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            meta.push(("seed".to_string(), params.seed.to_string()));
-            run_bfs_observed(&cfg, &params, |m| {
-                m.attach_probe(Box::new(probe.take().unwrap()));
-            })
-            .map_err(|e| e.to_string())?
-            .report
-        }
-        "histogram" => {
-            let mut params = HistogramParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            meta.push(("seed".to_string(), params.seed.to_string()));
-            run_histogram_observed(&cfg, &params, |m| {
-                m.attach_probe(Box::new(probe.take().unwrap()));
-            })
-            .map_err(|e| e.to_string())?
-            .report
-        }
-        "spmv" => {
-            let mut params = SpmvParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            meta.push(("seed".to_string(), params.seed.to_string()));
-            run_spmv_observed(&cfg, &params, |m| {
-                m.attach_probe(Box::new(probe.take().unwrap()));
-            })
-            .map_err(|e| e.to_string())?
-            .report
-        }
-        "stencil" => {
-            let mut params = StencilParams::new(n, threads);
-            params.seed = args.u64_or("seed", params.seed)?;
-            meta.push(("seed".to_string(), params.seed.to_string()));
-            run_stencil_observed(&cfg, &params, |m| {
-                m.attach_probe(Box::new(probe.take().unwrap()));
-            })
-            .map_err(|e| e.to_string())?
-            .report
-        }
-        other => {
-            return Err(format!(
-                "unknown workload {other:?} (sort|fft|bfs|histogram|spmv|stencil)"
-            ))
-        }
-    };
-    let mut rep = handle.finish(&report);
-    rep.meta = meta;
     Ok(rep)
 }
 
@@ -1513,6 +1442,21 @@ mod tests {
                 Err(format!("unknown flag --{flag} for {cmd}")),
                 "{line}"
             );
+        }
+    }
+
+    #[test]
+    fn trace_and_metrics_accept_every_kernel_and_fig4() {
+        // `trace` and `metrics` both record through `observed_run`. The
+        // stencil needs a band row per thread, so n is raised from the
+        // default 64; the default 2 PEs and h = 2 stay.
+        let args = Args::parse(&["--n".to_string(), "256".to_string()]);
+        for w in ["sort", "fft", "bfs", "histogram", "spmv", "stencil", "fig4"] {
+            for cmd in ["trace", "metrics"] {
+                assert_eq!(shape(&format!("{cmd} {w} --n 256")), Ok(()), "{cmd} {w}");
+            }
+            let (obs, _) = observed_run(&args, w).unwrap_or_else(|e| panic!("{w}: {e}"));
+            assert!(obs.log.total() > 0, "{w} recorded no events");
         }
     }
 

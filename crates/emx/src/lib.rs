@@ -82,7 +82,7 @@ pub mod prelude {
     };
     pub use emx_runtime::{
         config_digest, Action, BarrierId, EntryId, Machine, SuspendCause, ThreadBody, ThreadCtx,
-        Trace, TraceEvent, TraceKind, WorkKind, DEFAULT_FUEL,
+        TraceEvent, TraceKind, WorkKind, DEFAULT_FUEL,
     };
     pub use emx_stats::{
         ascii_chart, overlap_efficiency, Breakdown, FaultSummary, PeStats, RunReport, Series,

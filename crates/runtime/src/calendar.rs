@@ -104,6 +104,10 @@ pub(crate) struct Calendar<T> {
     now: Cycle,
 }
 
+// `push`, `push_uncounted` and `pop` are the event loop's hottest calls and
+// carry `#[inline]`: without the hint, whether they inline into the loop
+// depends on how the crate's codegen units happen to be partitioned, and an
+// unrelated edit elsewhere in the crate once moved `sort-p64` by ~5%.
 impl<T> Calendar<T> {
     /// An empty calendar at time zero.
     pub fn new() -> Self {
@@ -114,6 +118,7 @@ impl<T> Calendar<T> {
     }
 
     /// Schedule `payload` under `key`.
+    #[inline]
     pub fn push(&mut self, key: EvKey, payload: T) -> Result<(), SimError> {
         self.push_uncounted(key, payload)?;
         emx_hostprof::bump(emx_hostprof::Sim::CalPushes);
@@ -123,6 +128,7 @@ impl<T> Calendar<T> {
     /// [`Calendar::push`] without the hostprof counter — for re-inserting
     /// events that were already counted when first scheduled (snapshot
     /// restore), so `calendar.pushes` counts each event once.
+    #[inline]
     pub fn push_uncounted(&mut self, key: EvKey, payload: T) -> Result<(), SimError> {
         if key.at < self.now {
             return Err(SimError::EventInPast {
@@ -137,6 +143,7 @@ impl<T> Calendar<T> {
     /// Remove and return the smallest-keyed event, advancing the clock.
     /// Counts the pop and classifies the event by lane when host
     /// profiling is enabled.
+    #[inline]
     pub fn pop(&mut self) -> Option<(EvKey, T)> {
         let e = self.heap.pop()?;
         debug_assert!(e.key.at >= self.now, "calendar time went backwards");

@@ -83,7 +83,6 @@ impl Machine {
             core,
             entries,
             barrier_defs,
-            trace,
             probe,
             checker,
             ..
@@ -96,7 +95,6 @@ impl Machine {
         let mut fx = Fx {
             net: net.as_mut(),
             obs: Obs {
-                trace: trace.as_mut(),
                 probe: probe.as_deref_mut(),
                 emitted: 0,
             },

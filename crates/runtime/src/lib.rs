@@ -82,4 +82,4 @@ mod trace;
 pub use machine::{EntryId, Machine, BARRIER_COORDINATOR, DEFAULT_FUEL, FRAME_WORDS};
 pub use snapshot::config_digest;
 pub use thread::{Action, BarrierId, ThreadBody, ThreadCtx, WorkKind};
-pub use trace::{FaultKind, SuspendCause, Trace, TraceEvent, TraceKind, TRACE_SCHEMA};
+pub use trace::{FaultKind, SuspendCause, TraceEvent, TraceKind, TRACE_SCHEMA};

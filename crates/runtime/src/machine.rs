@@ -21,7 +21,7 @@
 //! * [`Shared`] — the immutable tables every handler reads:
 //!   configuration, entry definitions, barrier membership;
 //! * [`Fx`] — the **order-sensitive** resources an event's effects land
-//!   on: the stateful network model, the trace/probe consumers, and the
+//!   on: the stateful network model, the attached probe, and the
 //!   invariant checker. [`Core::process_event`] applies them inline, in
 //!   the order the event produces them; the driver loop (`driver.rs`)
 //!   pops events in canonical key order, so every digest is a pure
@@ -39,7 +39,7 @@ use emx_stats::{FaultSummary, PeStats, RunReport};
 
 use crate::calendar::{Calendar, EvKey, LANE_DISPATCH, LANE_LOCAL, LANE_RETRY};
 use crate::thread::{Action, BarrierId, ThreadBody, ThreadCtx, WorkKind};
-use crate::trace::{Trace, TraceKind};
+use crate::trace::TraceKind;
 
 /// Continuation slot carrying a data value or a block-read completion.
 const SLOT_DATA: SlotId = SlotId(0);
@@ -241,14 +241,13 @@ struct Charges {
     comm: u64,
 }
 
-/// The run's observation consumers — the ring trace and the attached
-/// probe — behind one [`Probe`].
+/// The run's one observation consumer, the attached probe, behind a
+/// [`Probe`] that also counts emissions.
 ///
 /// [`Obs::as_probe`] keeps the `*_probed` entry points of the processor
 /// units and the network on their `None` fast path — no event is ever
 /// constructed — when observation is off.
 pub(crate) struct Obs<'a> {
-    pub(crate) trace: Option<&'a mut Trace>,
     pub(crate) probe: Option<&'a mut (dyn Probe + Send + 'static)>,
     /// Emissions made by event processing (`replay.emissions`); a route's
     /// own narration is excluded (see [`Core::route`]).
@@ -258,7 +257,7 @@ pub(crate) struct Obs<'a> {
 impl Obs<'_> {
     #[inline]
     fn enabled(&self) -> bool {
-        self.trace.is_some() || self.probe.is_some()
+        self.probe.is_some()
     }
 
     /// `Some(self)` when observation is on, else `None`.
@@ -283,9 +282,6 @@ impl Obs<'_> {
 impl Probe for Obs<'_> {
     fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
         self.emitted += 1;
-        if let Some(t) = self.trace.as_mut() {
-            t.record(at, pe, kind);
-        }
         if let Some(p) = self.probe.as_mut() {
             p.on(at, pe, kind);
         }
@@ -364,9 +360,8 @@ pub struct Machine {
     pub(crate) entries: Vec<EntryDef>,
     /// Participants per PE for each barrier id.
     pub(crate) barrier_defs: Vec<usize>,
-    pub(crate) trace: Option<Trace>,
     /// Externally attached observability sink ([`Machine::attach_probe`]);
-    /// receives the same event stream as the trace, unbounded.
+    /// receives every trace event, unbounded.
     pub(crate) probe: Option<Box<dyn Probe + Send>>,
     /// Fault-model invariant checker, fed each event's effects as they
     /// happen, in canonical event order.
@@ -443,7 +438,6 @@ impl Machine {
             },
             entries: Vec::new(),
             barrier_defs: Vec::new(),
-            trace: None,
             probe: None,
             checker,
             ran: false,
@@ -477,20 +471,8 @@ impl Machine {
         EntryId(self.entries.len() as u32 - 1)
     }
 
-    /// Record up to `capacity` scheduling events (dispatches, packet
-    /// injections, thread lifecycle, queue and DMA activity) for post-run
-    /// inspection via [`Machine::trace`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// The recorded trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Attach an observability probe. The probe receives every event the
-    /// trace would (unbounded — the probe owns its retention policy), so
+    /// Attach an observability probe. The probe receives every trace
+    /// event (unbounded — the probe owns its retention policy), so
     /// exporters and metrics registries (`emx-obs`) can observe a run
     /// without the machine holding their storage. With no probe attached
     /// every emission site is a single `None` check and no event is built.

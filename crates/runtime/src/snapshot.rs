@@ -20,9 +20,10 @@
 //! the property `tests/snapshot_restore.rs` checks at every k-th event
 //! boundary.
 //!
-//! What is deliberately *not* serialized: the trace buffer and any attached
-//! probe (host-side observers own their retention), and the entry table
-//! itself (factories are code, not data — the shell re-registers them).
+//! What is deliberately *not* serialized: any attached probe (host-side
+//! observers own their retention; the machine keeps no trace buffer of
+//! its own), and the entry table itself (factories are code, not data —
+//! the shell re-registers them).
 
 use emx_core::{Cycle, FrameId, MachineConfig, Packet, PacketKind, PeId, Priority, SimError};
 use emx_faults::{CheckerState, InvariantChecker, Rng64};

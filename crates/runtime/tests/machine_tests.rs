@@ -1,12 +1,40 @@
 //! Integration tests of the runtime: scheduling, split-phase reads,
 //! barriers, ordering, the two servicing modes, and determinism.
 
-use emx_core::{Cycle, GlobalAddr, MachineConfig, PeId, ServiceMode, SimError};
+use std::sync::{Arc, Mutex};
+
+use emx_core::{Cycle, GlobalAddr, MachineConfig, PeId, Probe, ServiceMode, SimError};
 use emx_isa::ProgramBuilder;
-use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
+use emx_runtime::{
+    Action, BarrierId, Machine, ThreadBody, ThreadCtx, TraceEvent, TraceKind, WorkKind,
+};
 
 fn ga(pe: u16, off: u32) -> GlobalAddr {
     GlobalAddr::new(PeId(pe), off).unwrap()
+}
+
+/// A probe keeping every trace event, readable after the machine (which
+/// owns the probe) has run.
+#[derive(Clone, Default)]
+struct Events(Arc<Mutex<Vec<TraceEvent>>>);
+
+impl Events {
+    /// Attach a fresh recording probe to `m` and return its reader.
+    fn attach(m: &mut Machine) -> Events {
+        let events = Events::default();
+        m.attach_probe(Box::new(events.clone()));
+        events
+    }
+
+    fn collected(&self) -> Vec<TraceEvent> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+impl Probe for Events {
+    fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
+        self.0.lock().unwrap().push(TraceEvent { at, pe, kind });
+    }
 }
 
 /// A thread that performs a scripted sequence of actions.
@@ -546,20 +574,19 @@ fn deadlock_is_detected_not_hung() {
 #[test]
 fn trace_records_the_scheduling_interleaving() {
     let mut m = Machine::new(MachineConfig::with_pes(2)).unwrap();
-    m.enable_trace(64);
+    let events = Events::attach(&mut m);
     m.mem_mut(PeId(1)).unwrap().write(0, 5).unwrap();
     let entry = m.register_entry("reader", |_, _| {
         Box::new(Scripted::new(vec![Action::Read { addr: ga(1, 0) }]))
     });
     m.spawn_at_start(PeId(0), entry, 0).unwrap();
     m.run().unwrap();
-    let trace = m.trace().expect("tracing enabled");
+    let trace = events.collected();
     assert!(!trace.is_empty());
     // The interleaving must contain: a spawn dispatch, the read request
     // leaving PE0, and the response dispatch resuming the thread.
     use emx_core::PacketKind;
-    use emx_runtime::TraceKind;
-    let kinds: Vec<_> = trace.events().iter().map(|e| e.kind).collect();
+    let kinds: Vec<_> = trace.iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&TraceKind::Dispatch {
         pkt: PacketKind::Spawn
     }));
@@ -575,8 +602,8 @@ fn trace_records_the_scheduling_interleaving() {
     // processor's dispatches must still be monotone in time.
     for pe in [PeId(0), PeId(1)] {
         let starts: Vec<_> = trace
-            .for_pe(pe)
-            .filter(|e| matches!(e.kind, TraceKind::Dispatch { .. }))
+            .iter()
+            .filter(|e| e.pe == pe && matches!(e.kind, TraceKind::Dispatch { .. }))
             .map(|e| e.at)
             .collect();
         assert!(starts.windows(2).all(|w| w[0] <= w[1]), "{pe}: {starts:?}");
@@ -709,21 +736,10 @@ fn spawn_rejects_bad_targets() {
 
 #[test]
 fn probe_and_trace_see_the_same_lifecycle_stream() {
-    use emx_core::{PacketKind, Probe, SuspendCause, TraceEvent, TraceKind};
-    use std::sync::{Arc, Mutex};
-
-    #[derive(Clone, Default)]
-    struct Shared(Arc<Mutex<Vec<TraceEvent>>>);
-    impl Probe for Shared {
-        fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
-            self.0.lock().unwrap().push(TraceEvent { at, pe, kind });
-        }
-    }
+    use emx_core::{PacketKind, SuspendCause};
 
     let mut m = Machine::new(MachineConfig::with_pes(2)).unwrap();
-    m.enable_trace(4096);
-    let rec = Shared::default();
-    m.attach_probe(Box::new(rec.clone()));
+    let rec = Events::attach(&mut m);
     m.mem_mut(PeId(1)).unwrap().write(0, 5).unwrap();
     let entry = m.register_entry("reader", |_, _| {
         Box::new(Scripted::new(vec![
@@ -737,10 +753,7 @@ fn probe_and_trace_see_the_same_lifecycle_stream() {
     m.spawn_at_start(PeId(0), entry, 0).unwrap();
     m.run().unwrap();
 
-    let seen = rec.0.lock().unwrap().clone();
-    // Probe and bounded trace observed the identical stream.
-    assert_eq!(m.trace().unwrap().events(), &seen[..]);
-
+    let seen = rec.collected();
     let kinds: Vec<_> = seen.iter().map(|e| e.kind).collect();
     // Full lifecycle of the single thread on PE0: spawned, suspended on the
     // remote read, resumed by the response, retired at the R-cycle end.

@@ -144,8 +144,8 @@ fn fail(what: &str, detail: String) -> String {
 
 /// Verify a recorded Figure 4 event stream against the paper's hand-walked
 /// FIFO schedule (see the module docs for the four properties). `events`
-/// must be in emission (causal) order, as both `emx_runtime::Trace` and
-/// `emx_obs::Recorder` produce.
+/// must be in emission (causal) order, as an attached probe such as
+/// `emx_obs::Recorder` receives them.
 pub fn check_schedule(events: &[TraceEvent]) -> Result<ScheduleSummary, String> {
     // Property 1: each PE's first two dispatches are the Spawn packets,
     // and they spawn the two worker frames in thread order.
@@ -273,24 +273,29 @@ pub fn check_schedule(events: &[TraceEvent]) -> Result<ScheduleSummary, String> 
 mod tests {
     use super::*;
 
+    use emx_obs::{EventLog, Recorder};
+
+    /// Run the Figure 4 machine with a bounded recorder attached.
+    fn recorded_run() -> EventLog {
+        let mut m = build().unwrap();
+        let (rec, handle) = Recorder::bounded(4096);
+        m.attach_probe(Box::new(rec));
+        m.run().unwrap();
+        handle.finish().log
+    }
+
     #[test]
     fn built_machine_matches_the_paper_schedule() {
-        let mut m = build().unwrap();
-        m.enable_trace(4096);
-        m.run().unwrap();
-        let trace = m.trace().unwrap();
-        assert_eq!(trace.dropped, 0);
-        let summary = check_schedule(trace.events()).unwrap();
+        let log = recorded_run();
+        assert_eq!(log.dropped(), 0);
+        let summary = check_schedule(log.events()).unwrap();
         assert_eq!(summary.data_resumes.len(), 8);
         assert_eq!(summary.retires.len(), 4);
     }
 
     #[test]
     fn check_rejects_a_reordered_stream() {
-        let mut m = build().unwrap();
-        m.enable_trace(4096);
-        m.run().unwrap();
-        let mut events = m.trace().unwrap().events().to_vec();
+        let mut events = recorded_run().events().to_vec();
         // Swap the first two data-resume events: FIFO order breaks.
         let resumes: Vec<usize> = events
             .iter()

@@ -5,9 +5,9 @@
 //! run in thread order).
 //!
 //! The scenario lives in `emx::workloads::fig4`; this example records it
-//! through the observability probe, machine-checks the schedule against
-//! the paper's narration, prints the event table, and writes a Perfetto
-//! trace of it.
+//! through the observability probe, prints each event's canonical trace
+//! line, machine-checks the schedule against the paper's narration, and
+//! writes a Perfetto trace of it.
 //!
 //! ```text
 //! cargo run --release -p emx --example figure4_trace
@@ -18,18 +18,19 @@ use emx::workloads::fig4;
 
 fn main() {
     let mut m = fig4::build().unwrap();
-    m.enable_trace(4096); // human-readable table
-    let (rec, handle) = Recorder::unbounded(); // exporters + metrics
+    let (rec, handle) = Recorder::unbounded();
     m.attach_probe(Box::new(rec));
     let report = m.run().unwrap();
+    let obs = handle.finish();
 
     println!("Figure 4 rebuilt: 2 PEs x 2 threads, 8 elements, one merge step\n");
-    let trace = m.trace().unwrap();
-    println!("{}", trace.to_table().render());
+    for e in obs.log.events() {
+        println!("{e}");
+    }
     println!(
-        "{} events ({} dropped); elapsed {} = {:.2} µs",
-        trace.len(),
-        trace.dropped,
+        "\n{} events ({} dropped); elapsed {} = {:.2} µs",
+        obs.log.total(),
+        obs.log.dropped(),
         report.elapsed,
         report.elapsed.as_emx_micros()
     );
@@ -37,7 +38,6 @@ fn main() {
     // The machine-checked version of the paper's narration: spawns first,
     // reads resume FIFO t0,t1,t0,t1, an all-suspended window before the
     // first response, merges retire in thread order.
-    let obs = handle.finish();
     let summary = fig4::check_schedule(obs.log.events()).unwrap();
     println!(
         "\nschedule check: OK — data resumes {:?}, retires {:?}",

@@ -3,8 +3,9 @@
 //! The contract under test (see `docs/OBSERVABILITY.md` § "Host
 //! profiling"): the deterministic `counters` section is byte-identical
 //! across `--jobs` values for error-free runs, arming the
-//! sweep heartbeat never changes sweep results, and the counting
-//! allocator's totals are monotone.
+//! sweep heartbeat never changes sweep results, the counting
+//! allocator's totals are monotone, and the trace digest hashes each
+//! event without allocating.
 //!
 //! Counters are process-global, so every test serializes on one lock and
 //! leaves the gate disabled on exit.
@@ -105,6 +106,47 @@ fn counting_allocator_totals_are_monotone() {
     // decrease them.
     assert!(a2 >= a1);
     assert!(b2 >= b1);
+}
+
+#[test]
+fn digest_probe_allocates_nothing_per_event() {
+    use emx::core::{FrameId, Probe};
+    let _g = LOCK.lock().unwrap();
+    let (mut probe, handle) = DigestProbe::new();
+    let kinds = [
+        TraceKind::Dispatch {
+            pkt: PacketKind::ReadReq,
+        },
+        TraceKind::Enqueue {
+            pkt: PacketKind::ReadResp,
+            priority: Priority::High,
+            spilled: true,
+            depth: usize::MAX,
+        },
+        TraceKind::ThreadSpawn {
+            frame: FrameId(u16::MAX),
+            entry: u32::MAX,
+        },
+        TraceKind::DispatchEnd,
+    ];
+    // The test harness may still allocate on its own threads while this
+    // test holds the lock, so the claim is that some round of 1000 events
+    // allocates nothing at all; a `String` per event allocates every round.
+    let fewest = (0..5u16)
+        .map(|round| {
+            let (before, _) = hostprof::CountingAlloc::raw_totals();
+            for i in 0..1000u64 {
+                probe.on(
+                    Cycle::new(u64::MAX - i),
+                    PeId(round),
+                    kinds[i as usize % kinds.len()],
+                );
+            }
+            hostprof::CountingAlloc::raw_totals().0 - before
+        })
+        .min();
+    assert_eq!(fewest, Some(0));
+    assert_eq!(handle.events(), 5000);
 }
 
 #[test]
