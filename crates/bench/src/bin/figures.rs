@@ -17,9 +17,7 @@
 //! (network-model ablation), `workloads` (every kernel — regular and
 //! irregular — compared across the Omega, 2D-mesh and fat-tree fabrics;
 //! see `docs/WORKLOADS.md`), `scaling` (FFT processor-count scaling out to
-//! the 1024-PE limit — n = 8M at `full` scale), `bench` (criterion-free
-//! wall-clock timing of the simulator itself, written to
-//! `results/BENCH_profile.json`), `all`.
+//! the 1024-PE limit — n = 8M at `full` scale), `all`.
 //!
 //! Every sweep runs through the `emx-sweep` engine: points execute in
 //! parallel (`--jobs N`, default all host cores), results
@@ -41,8 +39,8 @@ use emx::prelude::*;
 use emx::sweep::{grid, provenance, RunSpec, SweepEngine, SweepOutcome};
 use emx_bench::{fmt_n, series_by_size, Point, Scale, Workload};
 
-/// Opt in to the hostprof counting allocator so the bench files carry
-/// real `alloc.allocs` / `alloc.bytes` annotations per point.
+/// The hostprof counting allocator, as `emx-cli` installs it: both
+/// binaries allocate through the path the repository benchmark times.
 #[global_allocator]
 static ALLOC: emx::hostprof::CountingAlloc = emx::hostprof::CountingAlloc::new();
 
@@ -755,115 +753,9 @@ fn scaling(opts: &Opts) {
     );
 }
 
-/// One timed repetition with the hostprof counters rebaselined around it:
-/// returns the run report, the elapsed nanoseconds, and the settled
-/// counter report covering exactly this execution.
-fn timed_rep(spec: &RunSpec) -> (RunReport, u64, emx::hostprof::HostProfReport) {
-    use std::time::Instant;
-    emx::hostprof::reset();
-    let t0 = Instant::now();
-    let out = spec
-        .execute()
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let hp = emx::hostprof::HostProfReport::new(Vec::new(), emx::hostprof::snapshot());
-    (out, ns, hp)
-}
-
-/// Criterion-free timing harness: wall-clock the simulator itself on a
-/// small bench matrix and write `results/BENCH_profile.json`. Every point
-/// is executed `REPS` times directly (never through the cache — the wall
-/// time must be real); the fastest repetition is reported, and both the
-/// report digest and the hostprof counter digest must be identical across
-/// repetitions or the harness aborts. The file is `emx-bench/2`, written
-/// by [`emx::hostprof::BenchFile`]: `cycles`, `digest`, `hostprof_digest`
-/// and the `counters`/`host` objects are deterministic; `wall_ns`, the
-/// `wall` object and `host_threads` are host-dependent annotations,
-/// excluded from every digest.
-fn bench(opts: &Opts) {
-    use emx::hostprof::{BenchFile, BenchPoint};
-    use emx::stats::report_digest;
-
-    const REPS: usize = 3;
-    println!("\n=== bench: simulator wall-clock timing ({REPS} reps, uncached) ===");
-    emx::hostprof::set_enabled(true);
-
-    let p = 16;
-    let threads = [1usize, 4];
-    let mut table = Table::new([
-        "workload",
-        "P",
-        "h",
-        "R/PE",
-        "cycles",
-        "wall (ms)",
-        "digest",
-    ]);
-    let mut file = BenchFile {
-        scale: opts.scale.name().to_string(),
-        reps: REPS as u64,
-        host_threads: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-        points: Vec::new(),
-    };
-    for w in [Workload::Sort, Workload::Fft] {
-        let r = sizes_for(w, opts.scale)[0];
-        for &h in &threads {
-            let spec = RunSpec::new(w, p, r, h);
-            let mut best_ns = u64::MAX;
-            let mut point: Option<BenchPoint> = None;
-            for _ in 0..REPS {
-                let (out, ns, hp) = timed_rep(&spec);
-                let this = BenchPoint {
-                    workload: w.name().to_string(),
-                    p: p as u64,
-                    h: h as u64,
-                    r: r as u64,
-                    n: spec.n() as u64,
-                    cycles: out.elapsed.get(),
-                    digest: report_digest(&out),
-                    ..BenchPoint::from_hostprof(&hp)
-                };
-                if let Some(last) = &point {
-                    let label = spec.label();
-                    assert_eq!(this.digest, last.digest, "{label}: nondeterministic report");
-                    assert_eq!(
-                        this.hostprof_digest, last.hostprof_digest,
-                        "{label}: nondeterministic hostprof counters"
-                    );
-                }
-                best_ns = best_ns.min(ns);
-                point = Some(this);
-            }
-            let mut point = point.expect("at least one rep ran");
-            point.wall_ns = best_ns;
-            table.row([
-                w.name().to_string(),
-                p.to_string(),
-                h.to_string(),
-                fmt_n(r),
-                point.cycles.to_string(),
-                format!("{:.3}", best_ns as f64 / 1e6),
-                point.digest.clone(),
-            ]);
-            file.points.push(point);
-        }
-    }
-    println!("{}", table.render());
-
-    let dir = Path::new("results");
-    if fs::create_dir_all(dir).is_ok() {
-        let path = dir.join("BENCH_profile.json");
-        if fs::write(&path, file.render()).is_ok() {
-            println!("  [json] {}", path.display());
-        }
-    }
-
-    emx::hostprof::set_enabled(false);
-}
-
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [fig4|fig6|fig7|fig8|fig9|latency|model|ablation|block|priority|runlength|topology|workloads|scaling|bench|all]\n\
+        "usage: figures [fig4|fig6|fig7|fig8|fig9|latency|model|ablation|block|priority|runlength|topology|workloads|scaling|all]\n\
          \x20              [quick|standard|full] [--jobs N] [--no-cache]"
     );
     std::process::exit(2);
@@ -931,7 +823,6 @@ fn main() {
         "topology" => topology(&opts),
         "workloads" => workloads(&opts),
         "scaling" => scaling(&opts),
-        "bench" => bench(&opts),
         "all" => {
             fig4();
             fig6(&opts, &mut cache);

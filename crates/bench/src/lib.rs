@@ -1,10 +1,9 @@
 //! # emx-bench
 //!
-//! Benchmark harness regenerating every figure of the SPAA'97 EM-X paper.
+//! Figure harness regenerating every figure of the SPAA'97 EM-X paper.
 //!
 //! Every figure is a sweep over (workload, P, n, h) plus ablation knobs,
-//! executed by the [`emx_sweep::SweepEngine`] (re-exported as
-//! [`emx::sweep`]) — parallel across host
+//! executed by the [`emx::sweep::SweepEngine`] — parallel across host
 //! threads, deterministic (results are assembled in grid order, so CSV
 //! output is byte-identical at any `--jobs` count), and cached
 //! content-addressed under `results/cache/` (see `docs/SWEEPS.md`). This
@@ -16,17 +15,14 @@
 //!   scale sweeps;
 //! * [`Workload`] — the paper's two kernels (re-exported from
 //!   `emx-sweep`): multithreaded bitonic sorting and multithreaded FFT;
-//! * [`run_one`] / [`sweep`] — single-point and grid execution, used by
-//!   the Criterion benches and the `figures` binary. `run_one(w, p,
-//!   per_pe, h)` is exactly `RunSpec::new(w, p, per_pe, h).execute()`, so
-//!   bench numbers and figure numbers can never drift apart;
 //! * [`series_by_size`] — regroup sweep points into the per-size series
 //!   the figure panels plot.
 //!
 //! The `figures` binary (`cargo run --release -p emx-bench --bin figures`)
 //! regenerates every figure and ablation as tables + CSV + provenance
 //! sidecars; see its `--help` text and README § "Regenerating the
-//! figures".
+//! figures". Simulator performance is measured by the repository
+//! benchmark (`benchmark/README.md`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +30,6 @@
 use emx::prelude::*;
 
 pub use emx::sweep::Workload;
-use emx::sweep::{grid, RunSpec, SweepEngine};
 
 /// How big the regenerated figures are.
 ///
@@ -134,53 +129,6 @@ pub struct Point {
     pub report: RunReport,
 }
 
-/// Machine configuration used by all figure sweeps: paper-default EM-X with
-/// memory sized to the largest block the sweep needs. Exactly
-/// [`RunSpec::machine_config`] for a baseline spec, so benches that build
-/// configurations by hand agree with the engine's cache keys.
-pub fn machine_cfg(p: usize, per_pe: usize) -> MachineConfig {
-    RunSpec::new(Workload::Sort, p, per_pe, 1).machine_config()
-}
-
-/// Run one baseline configuration (no ablation knobs), without caching.
-/// The Criterion benches call this directly; the figure harness routes
-/// the same [`RunSpec`]s through the cached parallel engine.
-pub fn run_one(w: Workload, p: usize, per_pe: usize, h: usize) -> Point {
-    let spec = RunSpec::new(w, p, per_pe, h);
-    let report = spec
-        .execute()
-        .unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
-    Point {
-        p,
-        n: spec.n(),
-        h,
-        report,
-    }
-}
-
-/// Sweep `per_pe_sizes x threads` for one workload and processor count,
-/// fanning configurations across host threads via the sweep engine
-/// (uncached, quiet — the figure harness uses the engine directly for
-/// caching and progress). Results come back sorted by (n, h).
-pub fn sweep(w: Workload, p: usize, per_pe_sizes: &[usize], threads: &[usize]) -> Vec<Point> {
-    let outcome = SweepEngine::new()
-        .cache(None)
-        .quiet(true)
-        .run(grid(w, p, per_pe_sizes, threads));
-    let mut out: Vec<Point> = outcome
-        .points
-        .into_iter()
-        .map(|pt| Point {
-            p: pt.spec.pes,
-            n: pt.spec.n(),
-            h: pt.spec.threads,
-            report: pt.report,
-        })
-        .collect();
-    out.sort_by_key(|pt| (pt.n, pt.h));
-    out
-}
-
 /// Group a sweep's points into per-size series of (h, y) pairs using the
 /// given metric.
 pub fn series_by_size(
@@ -216,6 +164,7 @@ pub fn fmt_n(n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emx::sweep::RunSpec;
 
     #[test]
     fn scales_parse() {
@@ -233,44 +182,21 @@ mod tests {
     }
 
     #[test]
-    fn sweep_covers_the_grid_in_order() {
-        let pts = sweep(Workload::Sort, 4, &[64, 128], &[1, 2]);
-        let grid: Vec<(usize, usize)> = pts.iter().map(|p| (p.n, p.h)).collect();
-        assert_eq!(grid, vec![(256, 1), (256, 2), (512, 1), (512, 2)]);
-    }
-
-    #[test]
     fn series_by_size_groups() {
-        let pts = sweep(Workload::Fft, 4, &[64], &[1, 2]);
+        let pts: Vec<Point> = [1, 2]
+            .into_iter()
+            .map(|h| {
+                let spec = RunSpec::new(Workload::Fft, 4, 64, h);
+                Point {
+                    p: spec.pes,
+                    n: spec.n(),
+                    h,
+                    report: spec.execute().unwrap(),
+                }
+            })
+            .collect();
         let series = series_by_size(&pts, |p| p.report.comm_sync_time_secs());
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].1.len(), 2);
-    }
-
-    #[test]
-    fn run_one_equals_the_engine_path() {
-        // The bench shortcut and the cached engine path must agree bit
-        // for bit, or bench numbers could drift from figure numbers.
-        let direct = run_one(Workload::Sort, 4, 64, 2);
-        let via_engine = SweepEngine::new()
-            .cache(None)
-            .quiet(true)
-            .jobs(1)
-            .run(vec![RunSpec::new(Workload::Sort, 4, 64, 2)]);
-        assert_eq!(direct.report, via_engine.points[0].report);
-    }
-
-    #[test]
-    fn machine_cfg_matches_spec_expansion() {
-        let cfg = machine_cfg(16, 512);
-        assert_eq!(
-            cfg.local_memory_words,
-            (512usize * 6 + 256).next_power_of_two()
-        );
-        assert_eq!(cfg.num_pes, 16);
-        assert_eq!(
-            cfg,
-            RunSpec::new(Workload::Fft, 16, 512, 4).machine_config()
-        );
     }
 }

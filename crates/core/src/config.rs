@@ -25,6 +25,26 @@ pub enum ServiceMode {
     ExuThread,
 }
 
+impl ServiceMode {
+    /// Stable word for the sweep journal and `.emxfuzz` cases: `bypass`
+    /// or `exu`.
+    pub fn name(self) -> &'static str {
+        match self {
+            ServiceMode::BypassDma => "bypass",
+            ServiceMode::ExuThread => "exu",
+        }
+    }
+
+    /// Parse a word (inverse of [`ServiceMode::name`]).
+    pub fn parse(s: &str) -> Option<ServiceMode> {
+        match s {
+            "bypass" => Some(ServiceMode::BypassDma),
+            "exu" => Some(ServiceMode::ExuThread),
+            _ => None,
+        }
+    }
+}
+
 /// Which network model routes packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NetModelKind {
@@ -60,6 +80,40 @@ pub enum NetModelKind {
         /// sub-links.
         arity: u32,
     },
+}
+
+impl NetModelKind {
+    /// Stable one-word spelling for the sweep journal, `.emxfuzz` cases and
+    /// `--net`: `omega`, `ideal:L`, `crossbar`, `torus`, `mesh` or
+    /// `fattree:K`.
+    pub fn name(self) -> String {
+        match self {
+            NetModelKind::CircularOmega => "omega".into(),
+            NetModelKind::Ideal { latency } => format!("ideal:{latency}"),
+            NetModelKind::FullCrossbar => "crossbar".into(),
+            NetModelKind::Torus2D => "torus".into(),
+            NetModelKind::Mesh2D => "mesh".into(),
+            NetModelKind::FatTree { arity } => format!("fattree:{arity}"),
+        }
+    }
+
+    /// Parse a word (inverse of [`NetModelKind::name`]). Strict: `ideal`
+    /// and `fattree` need their `u32` parameter, and the others take none.
+    pub fn parse(s: &str) -> Option<NetModelKind> {
+        Some(match s.split_once(':') {
+            None if s == "omega" => NetModelKind::CircularOmega,
+            None if s == "crossbar" => NetModelKind::FullCrossbar,
+            None if s == "torus" => NetModelKind::Torus2D,
+            None if s == "mesh" => NetModelKind::Mesh2D,
+            Some(("ideal", latency)) => NetModelKind::Ideal {
+                latency: latency.parse().ok()?,
+            },
+            Some(("fattree", arity)) => NetModelKind::FatTree {
+                arity: arity.parse().ok()?,
+            },
+            _ => return None,
+        })
+    }
 }
 
 /// Network timing parameters.
@@ -460,5 +514,34 @@ mod tests {
         }
         assert_eq!(CostPreset::parse("quantum"), None);
         assert_eq!(CostPreset::default(), CostPreset::Paper);
+    }
+
+    #[test]
+    fn net_and_service_names_round_trip() {
+        for net in [
+            NetModelKind::CircularOmega,
+            NetModelKind::Ideal { latency: u32::MAX },
+            NetModelKind::FullCrossbar,
+            NetModelKind::Torus2D,
+            NetModelKind::Mesh2D,
+            NetModelKind::FatTree { arity: 4 },
+        ] {
+            assert_eq!(NetModelKind::parse(&net.name()), Some(net), "{net:?}");
+        }
+        assert_eq!(NetModelKind::FatTree { arity: 2 }.name(), "fattree:2");
+        // The CLI's shortcuts and anything that does not fit stay out.
+        for word in [
+            "ideal",
+            "fattree",
+            "fat-tree:4",
+            "ideal:4294967296",
+            "mesh:3",
+        ] {
+            assert_eq!(NetModelKind::parse(word), None, "{word}");
+        }
+        for mode in [ServiceMode::BypassDma, ServiceMode::ExuThread] {
+            assert_eq!(ServiceMode::parse(mode.name()), Some(mode));
+        }
+        assert_eq!(ServiceMode::ExuThread.name(), "exu");
     }
 }

@@ -23,7 +23,7 @@ use crate::error::SimError;
 ///
 /// The IBU "has two levels of priority packet buffers for flexible thread
 /// scheduling" (paper §2.2). By default everything travels at [`Priority::Low`];
-/// the scheduler ablation benches raise read responses to [`Priority::High`].
+/// the scheduler ablation (`figures priority`) raises read responses to [`Priority::High`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Priority {
     /// Serviced first.

@@ -12,8 +12,6 @@
 //! emx-cli profile <sort|fft|bfs|histogram|spmv|stencil> [--pes N --n N --threads N --seed N]
 //!                 [--comm-only] [--json] [--out FILE]
 //! emx-cli profile-diff <report> [<baseline>] [--baseline-dir DIR] [--threshold PPM]
-//! emx-cli bench-diff <BENCH.json> [<baseline>] [--baseline-dir DIR]
-//!                 [--threshold PPM] [--wall-threshold PPM]
 //! emx-cli sweep   --workload <sort|fft|bfs|histogram|spmv|stencil> --pes 16 --sizes 512,2048
 //!                 --threads 1,2,4 [--net MODEL] [--preset paper|modern]
 //!                 [--jobs N] [--no-cache] [--csv] [--out results/sweep.csv]
@@ -67,8 +65,8 @@
 //! reports (or one report against its committed baseline under
 //! `results/baselines/`) and exits 3 when the attribution story drifted
 //! beyond `--threshold` (default 20000 ppm = 2 percentage points), 1 on
-//! schema or digest errors, 2 without a report argument — the exit
-//! contract of both drift gates (`docs/OBSERVABILITY.md` § "Drift gates").
+//! schema or digest errors, 2 without a report argument — the drift
+//! gate's exit contract (`docs/OBSERVABILITY.md` § "Drift gate").
 //!
 //! `--hostprof` (on `run`, `sweep`, `faults` and `resume`) arms the
 //! `emx-hostprof` host-side counters and appends the digest-stamped
@@ -77,15 +75,10 @@
 //! traffic, replay emissions — byte-identical on every invocation and at
 //! any `--jobs` value), host-structure counters (sweep points and cache
 //! hits) and wall-clock annotations (sweep and journal time, allocator
-//! traffic). `bench-diff` compares an `emx-bench/2` file against its
-//! committed baseline (default under `results/baselines/`): deterministic
-//! fields (cycles, digests, counters) are hard-gated by `--threshold`
-//! (default 0 ppm — exact) and exit 3 on drift; wall-clock annotations only warn
-//! past `--wall-threshold` (default 500000 ppm). `--progress[=EVERY-MS]`
-//! (on `sweep`, `faults` and `resume`) prints a heartbeat line to stderr
-//! at the given cadence (default 1 s) — points done/total, cache hits,
-//! running labels, ETA — without touching stdout bytes. See
-//! `docs/OBSERVABILITY.md` § "Host profiling".
+//! traffic). `--progress[=EVERY-MS]` (on `sweep`, `faults` and `resume`)
+//! prints a heartbeat line to stderr at the given cadence (default 1 s) —
+//! points done/total, cache hits, running labels, ETA — without touching
+//! stdout bytes. See `docs/OBSERVABILITY.md` § "Host profiling".
 //!
 //! Every subcommand that emits a content digest prints it as a final
 //! `digest: <32 hex>` line (the canonical form smoke tests assert on).
@@ -121,7 +114,7 @@
 //!
 //! Exit codes: 0 success; 1 runtime error; 2 usage error (unknown
 //! command, subcommand or flag, or missing required argument); 3 drift
-//! (`profile-diff`, `bench-diff`); 4 syntactically invalid argument
+//! (`profile-diff`); 4 syntactically invalid argument
 //! value. The table is documented in README.md and relied on by scripts
 //! and CI.
 //!
@@ -215,36 +208,19 @@ impl Args {
     }
 }
 
-/// Parse a `--net` word: `omega | ideal[:LAT] | crossbar | torus | mesh |
-/// fattree[:ARITY]`.
+/// Parse a `--net` word: the spelling of [`NetModelKind::parse`], plus
+/// the CLI's shortcuts — bare `ideal` is latency 1, bare `fattree` or
+/// `fat-tree` is arity 4, and `fat-tree:K` is `fattree:K`.
 fn parse_net(s: &str) -> Result<NetModelKind, String> {
-    let (head, param) = match s.split_once(':') {
-        Some((h, p)) => (h, Some(p)),
-        None => (s, None),
+    let word = match s.split_once(':') {
+        None if s == "ideal" => "ideal:1".to_string(),
+        None if s == "fattree" || s == "fat-tree" => "fattree:4".to_string(),
+        Some(("fat-tree", arity)) => format!("fattree:{arity}"),
+        _ => s.to_string(),
     };
-    let num = |default: u64| -> Result<u64, String> {
-        match param {
-            None => Ok(default),
-            Some(p) => p
-                .parse()
-                .map_err(|_| format!("--net {head}:{p}: {p:?} is not a number")),
-        }
-    };
-    match head {
-        "omega" => Ok(NetModelKind::CircularOmega),
-        "ideal" => Ok(NetModelKind::Ideal {
-            latency: num(1)? as u32,
-        }),
-        "crossbar" => Ok(NetModelKind::FullCrossbar),
-        "torus" => Ok(NetModelKind::Torus2D),
-        "mesh" => Ok(NetModelKind::Mesh2D),
-        "fattree" | "fat-tree" => Ok(NetModelKind::FatTree {
-            arity: num(4)? as u32,
-        }),
-        other => Err(format!(
-            "unknown network {other:?} (omega|ideal[:LAT]|crossbar|torus|mesh|fattree[:ARITY])"
-        )),
-    }
+    NetModelKind::parse(&word).ok_or(format!(
+        "unknown network {s:?} (omega|ideal[:LAT]|crossbar|torus|mesh|fattree[:ARITY])"
+    ))
 }
 
 /// Parse a `--preset` word into a cost-model preset.
@@ -624,16 +600,16 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `profile-diff` and `bench-diff`: parse the current report and its
-/// baseline (the second argument, or the same file name under
-/// `--baseline-dir`, default `results/baselines`), run the format's gate
-/// and print the diff. `main` maps the verdict to exit 0 or 3.
-fn cmd_diff(cmd: &str, args: &Args) -> Result<Verdict, String> {
+/// `profile-diff`: parse the current report and its baseline (the second
+/// argument, or the same file name under `--baseline-dir`, default
+/// `results/baselines`), run the gate and print the diff. `main` maps the
+/// verdict to exit 0 or 3.
+fn cmd_diff(args: &Args) -> Result<Verdict, String> {
     use std::path::Path;
-    fn load<T>(path: &Path, parse: impl Fn(&str) -> Result<T, String>) -> Result<T, String> {
+    let load = |path: &Path| {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-    }
+        parse_text(&text).map_err(|e| format!("{}: {e}", path.display()))
+    };
     // `validate_shape` guarantees the first positional.
     let current = Path::new(&args.positional[0]);
     let baseline = match args.positional.get(1) {
@@ -645,21 +621,11 @@ fn cmd_diff(cmd: &str, args: &Args) -> Result<Verdict, String> {
             Path::new(args.get("baseline-dir").unwrap_or("results/baselines")).join(name)
         }
     };
-    let diff = if cmd == "profile-diff" {
-        diff_profiles(
-            &load(current, parse_text)?,
-            &load(&baseline, parse_text)?,
-            args.u64_or("threshold", DEFAULT_THRESHOLD_PPM)?,
-        )
-    } else {
-        use emx::hostprof::{diff_bench, BenchFile};
-        diff_bench(
-            &load(current, BenchFile::parse)?,
-            &load(&baseline, BenchFile::parse)?,
-            args.u64_or("threshold", emx::hostprof::DEFAULT_THRESHOLD_PPM)?,
-            args.u64_or("wall-threshold", emx::hostprof::DEFAULT_WALL_THRESHOLD_PPM)?,
-        )
-    };
+    let diff = diff_profiles(
+        &load(current)?,
+        &load(&baseline)?,
+        args.u64_or("threshold", DEFAULT_THRESHOLD_PPM)?,
+    );
     print!("{}", diff.render());
     Ok(diff.verdict())
 }
@@ -1256,7 +1222,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str = "usage: emx-cli <run|sort|fft|trace|metrics|profile|profile-diff|bench-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
+const USAGE: &str = "usage: emx-cli <run|sort|fft|trace|metrics|profile|profile-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
 
 /// Flags `machine_cfg` reads.
 #[rustfmt::skip]
@@ -1278,7 +1244,6 @@ const FLAGS: &[(&str, &[&[&str]])] = &[
     ("metrics", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "csv"]]),
     ("profile", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "json", "out"]]),
     ("profile-diff", &[&["baseline-dir", "threshold"]]),
-    ("bench-diff", &[&["baseline-dir", "threshold", "wall-threshold"]]),
     ("sweep", &[SWEEP_FLAGS, &["workload", "pes", "sizes", "threads", "net", "preset", "journal"]]),
     ("faults", &[SWEEP_FLAGS, &["workload", "pes", "sizes", "threads", "net", "preset", "journal",
         "loss", "seed", "dup", "delay", "max-delay", "timeout", "backoff-cap", "max-attempts",
@@ -1312,8 +1277,8 @@ fn validate_shape(cmd: &str, args: &Args) -> Result<(), String> {
             _ => Err("cache wants a subcommand: gc".into()),
         },
         "resume" if args.positional.is_empty() => Err("resume wants a journal file".into()),
-        "profile-diff" | "bench-diff" if args.positional.is_empty() => {
-            Err(format!("{cmd} wants <report> [<baseline>]"))
+        "profile-diff" if args.positional.is_empty() => {
+            Err("profile-diff wants <report> [<baseline>]".into())
         }
         "asm" if args.positional.is_empty() => Err("asm wants a source file path".into()),
         _ => Ok(()),
@@ -1342,7 +1307,7 @@ fn validate_values(cmd: &str, args: &Args) -> Result<(), String> {
             ))?;
         }
     }
-    for flag in ["kill-after", "threshold", "wall-threshold", "progress"] {
+    for flag in ["kill-after", "threshold", "progress"] {
         if let Some(v) = args.get(flag) {
             v.parse::<u64>()
                 .map_err(|_| format!("bad value for --{flag}: {v:?} is not a number"))?;
@@ -1366,8 +1331,8 @@ fn main() -> ExitCode {
         eprintln!("emx-cli: {msg}");
         return ExitCode::from(4);
     }
-    if cmd == "profile-diff" || cmd == "bench-diff" {
-        return match cmd_diff(&cmd, &args) {
+    if cmd == "profile-diff" {
+        return match cmd_diff(&args) {
             Ok(Verdict::Drift) => ExitCode::from(3),
             Ok(_) => ExitCode::SUCCESS,
             Err(msg) => {
@@ -1443,6 +1408,16 @@ mod tests {
                 "{line}"
             );
         }
+    }
+
+    #[test]
+    fn net_flag_adds_its_shortcuts_to_the_shared_spelling() {
+        assert_eq!(parse_net("mesh"), Ok(NetModelKind::Mesh2D));
+        assert_eq!(parse_net("ideal"), Ok(NetModelKind::Ideal { latency: 1 }));
+        for word in ["fattree", "fat-tree", "fattree:4", "fat-tree:4"] {
+            assert_eq!(parse_net(word), Ok(NetModelKind::FatTree { arity: 4 }));
+        }
+        assert!(parse_net("ideal:4294967296").is_err());
     }
 
     #[test]

@@ -121,65 +121,71 @@ impl Op {
         }
     }
 
-    /// Parse a case-file token.
+    /// Parse a case-file token (inverse of [`Op::token`]): each operand
+    /// at its field's width, and exactly as many operands as the op takes.
     pub fn parse_token(tok: &str) -> Result<Op, String> {
-        let bad = || format!("malformed op token {tok:?}");
-        let (head, rest) = match tok.split_once(':') {
-            Some((h, r)) => (h, r),
-            None => (tok, ""),
-        };
-        let nums: Vec<u64> = if rest.is_empty() {
-            Vec::new()
-        } else {
-            rest.split(',')
-                .map(|s| s.parse::<u64>().map_err(|_| bad()))
-                .collect::<Result<_, _>>()?
-        };
-        let n = |i: usize| -> Result<u64, String> { nums.get(i).copied().ok_or_else(bad) };
-        let op = match head {
+        let (head, rest) = tok.split_once(':').unwrap_or((tok, ""));
+        let a = &mut operands(rest);
+        let op = Op::from_operands(head, a).filter(|_| a.next().is_none());
+        op.ok_or_else(|| format!("malformed op token {tok:?}"))
+    }
+
+    fn from_operands<'a>(head: &str, a: &mut impl Iterator<Item = &'a str>) -> Option<Op> {
+        Some(match head {
             "work" => Op::Work {
-                cycles: n(0)? as u32,
+                cycles: operand(a)?,
             },
             "read" => Op::Read {
-                pe: n(0)? as u16,
-                offset: n(1)? as u32,
+                pe: operand(a)?,
+                offset: operand(a)?,
             },
             "rblk" => Op::ReadBlock {
-                pe: n(0)? as u16,
-                offset: n(1)? as u32,
-                len: n(2)? as u16,
-                dst: n(3)? as u32,
+                pe: operand(a)?,
+                offset: operand(a)?,
+                len: operand(a)?,
+                dst: operand(a)?,
             },
             "write" => Op::Write {
-                pe: n(0)? as u16,
-                offset: n(1)? as u32,
-                value: n(2)? as u32,
+                pe: operand(a)?,
+                offset: operand(a)?,
+                value: operand(a)?,
             },
             "spawn" => Op::Spawn {
-                pe: n(0)? as u16,
-                prog: n(1)? as u16,
-                arg: n(2)? as u32,
+                pe: operand(a)?,
+                prog: operand(a)?,
+                arg: operand(a)?,
             },
-            "sig" => Op::SignalSeq { cell: n(0)? as u32 },
+            "sig" => Op::SignalSeq { cell: operand(a)? },
             "wait" => Op::WaitSeq {
-                cell: n(0)? as u32,
-                threshold: n(1)?,
+                cell: operand(a)?,
+                threshold: operand(a)?,
             },
             "barrier" => Op::Barrier,
             "yield" => Op::Yield,
             "rmw" => Op::RmwAdd {
-                pe: n(0)? as u16,
-                offset: n(1)? as u32,
+                pe: operand(a)?,
+                offset: operand(a)?,
             },
             "halo" => Op::Halo {
-                offset: n(0)? as u32,
-                len: n(1)? as u16,
-                dst: n(2)? as u32,
+                offset: operand(a)?,
+                len: operand(a)?,
+                dst: operand(a)?,
             },
-            _ => return Err(bad()),
-        };
-        Ok(op)
+            _ => return None,
+        })
     }
+}
+
+/// The comma-separated numbers of an op token, a `root` value or a fault
+/// field, in order; none for an empty list.
+fn operands(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',').filter(move |_| !list.is_empty())
+}
+
+/// The next operand, parsed at the width of the field it fills: `None`
+/// when it is missing or out of range, never a wrapped value.
+fn operand<'a, T: std::str::FromStr>(a: &mut impl Iterator<Item = &'a str>) -> Option<T> {
+    a.next()?.trim().parse().ok()
 }
 
 /// One generated program: a finite op list, stepped one op per resumption.
@@ -198,6 +204,19 @@ pub struct Root {
     pub prog: u16,
     /// Argument word.
     pub arg: u32,
+}
+
+impl Root {
+    /// Parse a `root =` value, `pe,prog,arg`.
+    fn parse(value: &str) -> Option<Root> {
+        let a = &mut operands(value);
+        let root = Root {
+            pe: operand(a)?,
+            prog: operand(a)?,
+            arg: operand(a)?,
+        };
+        a.next().is_none().then_some(root)
+    }
 }
 
 /// The oracle outcome a committed case expects on replay.
@@ -278,24 +297,12 @@ impl CaseSpec {
         s.push_str(&format!("name = {}\n", self.name));
         s.push_str(&format!("seed = {}\n", self.seed));
         s.push_str(&format!("pes = {}\n", self.pes));
-        let net = match self.net {
-            NetModelKind::CircularOmega => "omega".to_string(),
-            NetModelKind::Ideal { latency } => format!("ideal:{latency}"),
-            NetModelKind::FullCrossbar => "crossbar".to_string(),
-            NetModelKind::Torus2D => "torus".to_string(),
-            NetModelKind::Mesh2D => "mesh".to_string(),
-            NetModelKind::FatTree { arity } => format!("fattree:{arity}"),
-        };
-        s.push_str(&format!("net = {net}\n"));
+        s.push_str(&format!("net = {}\n", self.net.name()));
         s.push_str(&format!("ibu = {}\n", self.ibu_capacity));
         s.push_str(&format!("frames = {}\n", self.frames_per_pe));
         s.push_str(&format!("mem = {}\n", self.memory_words));
         s.push_str(&format!("fuel = {}\n", self.fuel));
-        let service = match self.service_mode {
-            ServiceMode::BypassDma => "bypass",
-            ServiceMode::ExuThread => "exu",
-        };
-        s.push_str(&format!("service = {service}\n"));
+        s.push_str(&format!("service = {}\n", self.service_mode.name()));
         s.push_str(&format!(
             "prio-responses = {}\n",
             self.priority_read_responses
@@ -378,29 +385,8 @@ impl CaseSpec {
                 }
                 "pes" => case.pes = parse_usize(value)?,
                 "net" => {
-                    case.net = match value {
-                        "omega" => NetModelKind::CircularOmega,
-                        "crossbar" => NetModelKind::FullCrossbar,
-                        "torus" => NetModelKind::Torus2D,
-                        "mesh" => NetModelKind::Mesh2D,
-                        other => {
-                            if let Some(lat) = other.strip_prefix("ideal:") {
-                                NetModelKind::Ideal {
-                                    latency: lat
-                                        .parse()
-                                        .map_err(|_| at(format!("bad ideal latency {lat:?}")))?,
-                                }
-                            } else if let Some(k) = other.strip_prefix("fattree:") {
-                                NetModelKind::FatTree {
-                                    arity: k
-                                        .parse()
-                                        .map_err(|_| at(format!("bad fat-tree arity {k:?}")))?,
-                                }
-                            } else {
-                                return Err(at(format!("unknown net model {other:?}")));
-                            }
-                        }
-                    }
+                    case.net = NetModelKind::parse(value)
+                        .ok_or_else(|| at(format!("unknown net model {value:?}")))?;
                 }
                 "ibu" => case.ibu_capacity = parse_usize(value)?,
                 "frames" => case.frames_per_pe = parse_usize(value)?,
@@ -411,11 +397,8 @@ impl CaseSpec {
                         .map_err(|_| at(format!("bad fuel {value:?}")))?
                 }
                 "service" => {
-                    case.service_mode = match value {
-                        "bypass" => ServiceMode::BypassDma,
-                        "exu" => ServiceMode::ExuThread,
-                        other => return Err(at(format!("unknown service mode {other:?}"))),
-                    }
+                    case.service_mode = ServiceMode::parse(value)
+                        .ok_or_else(|| at(format!("unknown service mode {value:?}")))?;
                 }
                 "prio-responses" => {
                     case.priority_read_responses = value
@@ -436,22 +419,12 @@ impl CaseSpec {
                     case.expect = Some(e);
                 }
                 "root" => {
-                    let nums: Vec<u64> = value
-                        .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse()
-                                .map_err(|_| at(format!("bad root {value:?}")))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if nums.len() != 3 {
-                        return Err(at(format!("root wants pe,prog,arg; got {value:?}")));
-                    }
-                    case.roots.push(Root {
-                        pe: nums[0] as u16,
-                        prog: nums[1] as u16,
-                        arg: nums[2] as u32,
-                    });
+                    let root = Root::parse(value).ok_or_else(|| {
+                        at(format!(
+                            "root wants pe,prog,arg (u16,u16,u32), got {value:?}"
+                        ))
+                    })?;
+                    case.roots.push(root);
                 }
                 k if k.starts_with("prog ") => {
                     let idx: usize = k[5..]
@@ -713,49 +686,31 @@ impl CaseSpec {
 fn parse_faults(value: &str) -> Result<FaultSpec, String> {
     let mut f = FaultSpec::new(0);
     for part in value.split_whitespace() {
-        let (key, v) = part
-            .split_once(':')
-            .ok_or_else(|| format!("malformed fault field {part:?}"))?;
-        let nums = |v: &str, want: usize| -> Result<Vec<u64>, String> {
-            let ns: Vec<u64> = v
-                .split(',')
-                .map(|s| s.parse().map_err(|_| format!("bad fault number {v:?}")))
-                .collect::<Result<_, _>>()?;
-            if ns.len() != want {
-                return Err(format!("fault field {key} wants {want} numbers, got {v:?}"));
-            }
-            Ok(ns)
-        };
-        match key {
-            "fseed" => f.seed = nums(v, 1)?[0],
-            "drop" => f.drop_ppm = nums(v, 1)?[0] as u32,
-            "dup" => f.dup_ppm = nums(v, 1)?[0] as u32,
-            "delay" => {
-                let n = nums(v, 2)?;
-                f.delay_ppm = n[0] as u32;
-                f.max_delay = n[1] as u32;
-            }
-            "spill" => f.spill_ppm = nums(v, 1)?[0] as u32,
-            "dma" => {
-                let n = nums(v, 2)?;
-                f.dma_stall_ppm = n[0] as u32;
-                f.dma_stall_cycles = n[1] as u32;
-            }
-            "cap" => {
-                f.frame_cap = if v == "none" {
-                    None
-                } else {
-                    Some(nums(v, 1)?[0] as u32)
+        let bad = || format!("malformed fault field {part:?}");
+        let (key, v) = part.split_once(':').ok_or_else(bad)?;
+        let a = &mut operands(v);
+        let mut read = || -> Option<()> {
+            match key {
+                "fseed" => f.seed = operand(a)?,
+                "drop" => f.drop_ppm = operand(a)?,
+                "dup" => f.dup_ppm = operand(a)?,
+                "delay" => (f.delay_ppm, f.max_delay) = (operand(a)?, operand(a)?),
+                "spill" => f.spill_ppm = operand(a)?,
+                "dma" => (f.dma_stall_ppm, f.dma_stall_cycles) = (operand(a)?, operand(a)?),
+                "cap" if v == "none" => {
+                    f.frame_cap = None;
+                    return Some(());
                 }
+                "cap" => f.frame_cap = Some(operand(a)?),
+                "retry" => {
+                    (f.retry_timeout, f.retry_backoff_cap, f.max_attempts) =
+                        (operand(a)?, operand(a)?, operand(a)?);
+                }
+                _ => return None,
             }
-            "retry" => {
-                let n = nums(v, 3)?;
-                f.retry_timeout = n[0] as u32;
-                f.retry_backoff_cap = n[1] as u32;
-                f.max_attempts = n[2] as u32;
-            }
-            other => return Err(format!("unknown fault field {other:?}")),
-        }
+            a.next().is_none().then_some(())
+        };
+        read().ok_or_else(bad)?;
     }
     Ok(f)
 }
@@ -895,5 +850,14 @@ mod tests {
         assert!(CaseSpec::parse("emx-fuzz/1\nprog 1 = work:1\n").is_err());
         assert!(Op::parse_token("read:1").is_err());
         assert!(Op::parse_token("frobnicate:2").is_err());
+        // Each operand must fit its field, and the count must be exact.
+        assert!(Op::parse_token("rblk:65535,4294967295,65535,0").is_ok());
+        for tok in ["read:65536,0", "read:0,4294967296", "work:-1", "work:"] {
+            assert!(Op::parse_token(tok).is_err(), "{tok}");
+        }
+        for tok in ["read:1,2,", "read:1,2,3", "barrier:0", "yield:9"] {
+            assert!(Op::parse_token(tok).is_err(), "{tok}");
+        }
+        assert!(parse_faults("cap:none,1").is_err());
     }
 }

@@ -44,8 +44,7 @@ pub enum Sim {
 }
 
 /// Host-configuration counters (the `host` section): deterministic for a
-/// fixed cache configuration. Digest-excluded; hard-compared by
-/// `bench-diff` when configs match.
+/// fixed cache configuration. Digest-excluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Host {
@@ -62,8 +61,7 @@ pub enum Host {
 }
 
 /// Wall-clock annotations (the `wall` section): nanosecond section timers
-/// plus the counting-allocator totals. Digest-excluded and warn-only in
-/// `bench-diff`.
+/// plus the counting-allocator totals. Digest-excluded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Wall {

@@ -15,11 +15,11 @@
 //!   settings, because the event loop pops every event in canonical
 //!   order. The report digest covers *only* this section.
 //! * **`host`** ([`Host`]) — deterministic for a fixed host configuration
-//!   but dependent on it (sweep points, cache hits). Reported,
-//!   digest-excluded, hard-compared by `bench-diff` at equal config.
+//!   but dependent on it (sweep points, cache hits). Reported and
+//!   digest-excluded.
 //! * **`wall`** ([`Wall`]) — wall-clock section timers in nanoseconds and
-//!   the opt-in counting-allocator totals. Annotations only: digest-
-//!   excluded and warn-only in `bench-diff`.
+//!   the opt-in counting-allocator totals. Annotations only:
+//!   digest-excluded.
 //!
 //! Counting is globally gated by an atomic flag ([`set_enabled`]); when
 //! disabled every hook is a single relaxed load and branch, so the hot
@@ -27,10 +27,9 @@
 //! atomics: sums are order-independent, which is exactly why the counter
 //! section is reproducible at any worker count.
 //!
-//! The crate also owns the `emx-bench/2` benchmark file ([`mod@bench`]: types,
-//! writer and parser), which embeds these sections per point, and its
-//! `bench-diff` gate ([`diff`]). See `docs/OBSERVABILITY.md` § "Host
-//! profiling" for the schema, the counter glossary, and the CI workflow.
+//! The workspace test `tests/hostprof.rs` pins the exact counters of four
+//! small sort and FFT runs. See `docs/OBSERVABILITY.md` § "Host
+//! profiling" for the schema and the counter glossary.
 
 // `deny` rather than the workspace-usual `forbid`: the counting global
 // allocator is the one place that needs `unsafe` (GlobalAlloc), and it
@@ -39,16 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod bench;
 pub mod counters;
-pub mod diff;
 pub mod report;
 
 pub use alloc::{alloc_totals, CountingAlloc};
-pub use bench::{BenchFile, BenchPoint, BENCH_SCHEMA};
 pub use counters::{
     add, add_host, add_wall, bump, count_lane, enabled, now, reset, set_enabled, snapshot,
     wall_since, Host, Sim, Snapshot, Wall, HOST_NAMES, SIM_NAMES, WALL_NAMES,
 };
-pub use diff::{diff_bench, DEFAULT_THRESHOLD_PPM, DEFAULT_WALL_THRESHOLD_PPM};
 pub use report::{HostProfReport, HOSTPROF_SCHEMA};

@@ -1,6 +1,6 @@
 //! The `emx-hostprof/1` report: the canonical text rendering of a counter
 //! [`Snapshot`], digest-stamped over the deterministic `counters` section
-//! only. Bench files embed the same sections as JSON (see [`crate::bench`]).
+//! only.
 
 use crate::counters::{Snapshot, HOST_NAMES, SIM_NAMES, WALL_NAMES};
 use emx_stats::digest::Digest128;

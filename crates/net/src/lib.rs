@@ -13,7 +13,7 @@
 //! over `log2(P)` stages of 2x2 switches and per-output-port occupancy
 //! tracking. [`IdealNetwork`] (fixed latency, no contention) and
 //! [`CrossbarNetwork`] (single hop, endpoint contention only) isolate
-//! topology effects for the ablation benches.
+//! topology effects for the topology ablations.
 //!
 //! All models implement [`Network`]: given the injection time of a packet
 //! they return its arrival time at the destination's Input Buffer Unit, and

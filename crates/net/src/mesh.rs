@@ -1,7 +1,7 @@
 //! A 2D mesh with XY dimension-order routing: the torus without wraparound.
 //!
 //! Mesh fabrics are the workhorse of modern manycore interconnects, so the
-//! cross-topology benches want one next to the torus: identical link
+//! cross-topology ablations want one next to the torus: identical link
 //! timing, but edge nodes pay the full Manhattan distance instead of
 //! taking the short way around a ring. Packets route X first then Y; every
 //! unidirectional link is a contended resource with the same

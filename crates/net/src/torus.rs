@@ -1,7 +1,7 @@
 //! A 2D torus with dimension-order routing, for cross-topology ablations.
 //!
 //! The EM-X's contemporaries (and the EM-4 testbeds) were frequently
-//! evaluated against mesh/torus fabrics; this model lets the benches ask
+//! evaluated against mesh/torus fabrics; this model lets the ablations ask
 //! how much of the EM-X's behaviour is Omega-specific. Packets route X
 //! first then Y, taking the shorter way around each ring; every
 //! unidirectional link is a contended resource with the same

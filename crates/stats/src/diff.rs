@@ -1,8 +1,8 @@
-//! The drift comparator behind both report gates: `profile-diff`
-//! (`emx-profile/1`) and `bench-diff` (`emx-bench/2`) are field lists over
-//! [`Diff`]. Equal quantities record nothing, and the worst recorded entry
-//! is the [`Verdict`]. `docs/OBSERVABILITY.md` § "Drift gates" gives the
-//! rules and the exit codes the CLI maps verdicts to.
+//! The drift comparator behind the report gate: `profile-diff`
+//! (`emx-profile/1`) is a field list over [`Diff`]. Equal quantities
+//! record nothing, and the worst recorded entry is the [`Verdict`].
+//! `docs/OBSERVABILITY.md` § "Drift gate" gives the rules and the exit
+//! codes the CLI maps verdicts to.
 
 use std::cmp::Reverse;
 
@@ -11,8 +11,8 @@ use std::cmp::Reverse;
 pub enum Verdict {
     /// Nothing differs.
     Identical,
-    /// A difference within its threshold, or a moved annotation: reported,
-    /// passes the gate.
+    /// A difference within its threshold, or in a value that only warns:
+    /// reported, passes the gate.
     Warn,
     /// A gated quantity beyond its threshold, or a changed pinned value:
     /// fails the gate.
@@ -22,7 +22,7 @@ pub enum Verdict {
 /// One quantity that differs between the current and the baseline report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiffEntry {
-    /// What was compared, e.g. `share wait` or `fft p=16 h=4 r=256 :: cycles`.
+    /// What was compared, e.g. `share wait` or `elapsed`.
     pub what: String,
     /// The current report's value.
     pub current: String,
@@ -68,15 +68,6 @@ impl Diff {
     /// Gate a count by its [`delta_ppm`].
     pub fn count(&mut self, what: impl Into<String>, cur: u64, base: u64, limit: u64) {
         self.gate(what, cur, base, delta_ppm(cur, base), limit);
-    }
-
-    /// A host-dependent number: a warning when its [`delta_ppm`] is beyond
-    /// `limit`, otherwise nothing. Never drift.
-    pub fn annotation(&mut self, what: impl Into<String>, cur: u64, base: u64, limit: u64) {
-        let delta = delta_ppm(cur, base);
-        if delta > limit {
-            self.push(what, cur, base, Some(delta), Verdict::Warn);
-        }
     }
 
     /// A value that must match: a mismatch records `verdict`.
@@ -156,7 +147,6 @@ mod tests {
     fn the_worst_entry_decides_and_renders_first() {
         let mut d = Diff::default();
         d.count("same", 7, 7, 0);
-        d.annotation("wall", 1100, 1000, 500_000);
         assert_eq!(d.verdict(), Verdict::Identical, "nothing recorded");
         d.gate("share busy", 510_000, 500_000, 10_000, 20_000);
         d.text("digest", "ab", "cd", Verdict::Drift);

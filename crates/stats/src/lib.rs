@@ -19,8 +19,8 @@
 //!   the canonical `emx-report v2` text;
 //! * [`json`] — the one JSON string escaper and the JSON reader every
 //!   report writer and parser shares;
-//! * [`diff`] — the drift comparator behind `profile-diff` and
-//!   `bench-diff`: one [`Verdict`], one [`DiffEntry`], one delta rule.
+//! * [`diff`] — the drift comparator behind `profile-diff`: one
+//!   [`Verdict`], one [`DiffEntry`], one delta rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -83,35 +83,6 @@ fn unesc(s: &str) -> Option<String> {
     Some(out)
 }
 
-/// One-word rendering of a network model, invertible by [`net_parse`].
-fn net_word(net: NetModelKind) -> String {
-    match net {
-        NetModelKind::CircularOmega => "omega".into(),
-        NetModelKind::Ideal { latency } => format!("ideal:{latency}"),
-        NetModelKind::FullCrossbar => "crossbar".into(),
-        NetModelKind::Torus2D => "torus".into(),
-        NetModelKind::Mesh2D => "mesh".into(),
-        NetModelKind::FatTree { arity } => format!("fattree:{arity}"),
-    }
-}
-
-fn net_parse(w: &str) -> Option<NetModelKind> {
-    match w {
-        "omega" => return Some(NetModelKind::CircularOmega),
-        "crossbar" => return Some(NetModelKind::FullCrossbar),
-        "torus" => return Some(NetModelKind::Torus2D),
-        "mesh" => return Some(NetModelKind::Mesh2D),
-        _ => {}
-    }
-    let (head, param) = w.split_once(':')?;
-    let param: u32 = param.parse().ok()?;
-    match head {
-        "ideal" => Some(NetModelKind::Ideal { latency: param }),
-        "fattree" => Some(NetModelKind::FatTree { arity: param }),
-        _ => None,
-    }
-}
-
 /// One-word (comma-joined) rendering of a fault plan, invertible by
 /// [`faults_parse`]. Every field appears exactly once.
 fn faults_word(f: &FaultSpec) -> String {
@@ -150,9 +121,12 @@ fn faults_word(f: &FaultSpec) -> String {
 
 fn faults_parse(w: &str) -> Option<FaultSpec> {
     let mut f = FaultSpec::new(0);
-    let mut seen = 0u32;
+    let mut seen: Vec<&str> = Vec::new();
     for field in w.split(',') {
         let (name, value) = field.split_once(':')?;
+        if seen.contains(&name) {
+            return None;
+        }
         match name {
             "seed" => f.seed = value.parse().ok()?,
             "drop" => f.drop_ppm = value.parse().ok()?,
@@ -183,9 +157,9 @@ fn faults_parse(w: &str) -> Option<FaultSpec> {
             "check" => f.check_invariants = value.parse().ok()?,
             _ => return None,
         }
-        seen += 1;
+        seen.push(name);
     }
-    (seen == 14).then_some(f)
+    (seen.len() == 14).then_some(f)
 }
 
 /// Render a [`RunSpec`] as one self-contained journal line: `key=value`
@@ -206,12 +180,9 @@ pub fn spec_to_line(s: &RunSpec) -> String {
         s.comm_only,
         s.block_read,
         opt(s.point_cycles.map(u64::from)),
-        match s.service_mode {
-            ServiceMode::BypassDma => "bypass",
-            ServiceMode::ExuThread => "exu",
-        },
+        s.service_mode.name(),
         s.priority_read_responses,
-        net_word(s.net_model),
+        s.net_model.name(),
         s.preset.name(),
         match &s.faults {
             Some(f) => faults_word(f),
@@ -226,12 +197,15 @@ pub fn spec_to_line(s: &RunSpec) -> String {
 pub fn spec_from_line(line: &str) -> Result<RunSpec, String> {
     let bad = |msg: String| Err(format!("bad spec line: {msg}"));
     let mut spec = RunSpec::new(Workload::Sort, 0, 0, 0);
-    let mut seen = 0u32;
+    let mut seen: Vec<&str> = Vec::new();
     for token in line.split_whitespace() {
         let Some((name, value)) = token.split_once('=') else {
             return bad(format!("token {token:?} is not key=value"));
         };
-        let field = |what: &str| format!("{what} {value:?}");
+        if seen.contains(&name) {
+            return bad(format!("repeated field {name:?}"));
+        }
+        let field = |what: &str| format!("bad spec line: {what} {value:?}");
         match name {
             "workload" => {
                 spec.workload = Workload::parse(value).ok_or_else(|| field("unknown workload"))?;
@@ -256,18 +230,16 @@ pub fn spec_from_line(line: &str) -> Result<RunSpec, String> {
                 }
             }
             "service" => {
-                spec.service_mode = match value {
-                    "bypass" => ServiceMode::BypassDma,
-                    "exu" => ServiceMode::ExuThread,
-                    _ => return bad(field("unknown service mode")),
-                }
+                spec.service_mode =
+                    ServiceMode::parse(value).ok_or_else(|| field("unknown service mode"))?;
             }
             "prio_responses" => {
                 spec.priority_read_responses =
                     value.parse().map_err(|_| field("bad prio_responses"))?;
             }
             "net" => {
-                spec.net_model = net_parse(value).ok_or_else(|| field("unknown net model"))?;
+                spec.net_model =
+                    NetModelKind::parse(value).ok_or_else(|| field("unknown net model"))?;
             }
             "preset" => {
                 spec.preset = CostPreset::parse(value).ok_or_else(|| field("unknown preset"))?;
@@ -280,10 +252,10 @@ pub fn spec_from_line(line: &str) -> Result<RunSpec, String> {
             }
             other => return bad(format!("unknown field {other:?}")),
         }
-        seen += 1;
+        seen.push(name);
     }
-    if seen != 13 {
-        return bad(format!("{seen} fields, want 13"));
+    if seen.len() != 13 {
+        return bad(format!("{} fields, want 13", seen.len()));
     }
     Ok(spec)
 }
@@ -723,6 +695,23 @@ mod tests {
             "a missing field is rejected"
         );
         assert!(spec_from_line("").is_err());
+    }
+
+    #[test]
+    fn spec_line_parser_rejects_repeated_fields() {
+        // Thirteen fields, but `per_pe` twice and no `threads`: counting
+        // tokens would load this as a run with zero threads.
+        let line =
+            spec_to_line(&RunSpec::new(Workload::Sort, 4, 64, 2)).replace("threads=2", "per_pe=64");
+        assert_eq!(
+            spec_from_line(&line),
+            Err("bad spec line: repeated field \"per_pe\"".to_string())
+        );
+        // The same in the fault plan: `seed` twice and no `drop`.
+        let line = spec_to_line(&full_spec()).replace("drop:10000", "seed:7");
+        assert!(line.contains(",seed:7,"));
+        let err = spec_from_line(&line).unwrap_err();
+        assert!(err.starts_with("bad spec line: bad fault plan"), "{err}");
     }
 
     #[test]

@@ -385,6 +385,27 @@ mod tests {
     }
 
     #[test]
+    fn machine_config_sizes_memory_and_pes_per_workload() {
+        // Part of the cache key: memory is (per_pe · words + 256) rounded
+        // up to a power of two, with 20 words per element for spmv's
+        // nonzeros and 6 for every other workload.
+        for w in Workload::all() {
+            let cfg = RunSpec::new(w, 16, 512, 4).machine_config();
+            let mem = if w == Workload::Spmv { 16384 } else { 4096 };
+            assert_eq!(cfg.local_memory_words, mem, "{}", w.name());
+            assert_eq!(cfg.num_pes, 16);
+        }
+        let cfg = RunSpec::new(Workload::Fft, 64, 1000, 1).machine_config();
+        assert_eq!((cfg.local_memory_words, cfg.num_pes), (8192, 64));
+        // Neither the thread count nor (spmv aside) the workload reaches
+        // the machine, so a panel's points share one configuration.
+        assert_eq!(
+            RunSpec::new(Workload::Sort, 16, 512, 1).machine_config(),
+            RunSpec::new(Workload::Fft, 16, 512, 4).machine_config()
+        );
+    }
+
+    #[test]
     fn preset_flows_into_machine_config() {
         let mut spec = RunSpec::new(Workload::Sort, 4, 64, 2);
         let paper = spec.machine_config();

@@ -64,6 +64,29 @@ fn corpus_cases_reproduce_their_pinned_outcomes() {
 }
 
 #[test]
+fn out_of_range_numbers_and_surplus_operands_are_rejected_by_line() {
+    let text = std::fs::read_to_string(corpus_dir().join("pass-mesh-rmw.emxfuzz")).unwrap();
+    for (from, to) in [
+        // A pe that only fits after wrapping to 16 bits.
+        ("read:5,64", "read:65541,64"),
+        // A root whose pe and arg wrap to 3 and 2.
+        ("root = 3,0,2", "root = 65539,0,4294967298"),
+        // Surplus operands on an op that takes two, and on one that takes none.
+        ("read:5,64", "read:5,64,77"),
+        (" yield ", " yield:9 "),
+        // A fault rate that wraps to 0, and a surplus retry operand.
+        ("drop:0", "drop:4294967296"),
+        ("retry:64,4096,0", "retry:64,4096,0,1"),
+    ] {
+        let mutant = text.replacen(from, to, 1);
+        assert_ne!(mutant, text, "{from:?} occurs in the case");
+        let line = 1 + mutant.lines().position(|l| l.contains(to.trim())).unwrap();
+        let err = CaseSpec::parse(&mutant).expect_err(to);
+        assert!(err.starts_with(&format!("line {line}: ")), "{to}: {err}");
+    }
+}
+
+#[test]
 fn corpus_files_roundtrip_through_the_text_format() {
     for path in corpus_files() {
         let text = std::fs::read_to_string(&path).unwrap();

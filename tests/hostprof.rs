@@ -2,10 +2,10 @@
 //!
 //! The contract under test (see `docs/OBSERVABILITY.md` § "Host
 //! profiling"): the deterministic `counters` section is byte-identical
-//! across `--jobs` values for error-free runs, arming the
-//! sweep heartbeat never changes sweep results, the counting
-//! allocator's totals are monotone, and the trace digest hashes each
-//! event without allocating.
+//! across `--jobs` values for error-free runs and exact on four pinned
+//! quick points, arming the sweep heartbeat never changes sweep results,
+//! the counting allocator's totals are monotone, and the trace digest
+//! hashes each event without allocating.
 //!
 //! Counters are process-global, so every test serializes on one lock and
 //! leaves the gate disabled on exit.
@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use emx::hostprof;
 use emx::prelude::*;
-use emx::sweep::{grid, ProgressConfig, SweepEngine, Workload};
+use emx::sweep::{grid, ProgressConfig, RunSpec, SweepEngine, Workload};
 
 /// This test binary opts in to the counting allocator, exercising the
 /// same wiring `emx-cli` and `figures` use.
@@ -75,6 +75,46 @@ fn counter_and_host_sections_are_identical_across_jobs() {
     assert_eq!(serial.snap.host[hostprof::Host::SweepPoints as usize], 4);
     assert_eq!(serial.snap.host[hostprof::Host::SweepSimulated as usize], 4);
     assert_eq!(serial.snap.host[hostprof::Host::SweepCacheHits as usize], 0);
+}
+
+/// (workload, h, cycles, report digest, hostprof digest, the `counters`
+/// section in `SIM_NAMES` order).
+type QuickPoint = (Workload, usize, u64, &'static str, &'static str, [u64; 14]);
+
+/// Bitonic sort and comm-only FFT at P = 16, 256 elements per PE, h = 1
+/// and h = 4. Any change to these numbers is a change in simulated work:
+/// name the counter that moved and why, then update the pin.
+#[rustfmt::skip]
+const QUICK_POINTS: [QuickPoint; 4] = [
+    (Workload::Sort, 1, 138_305, "1ecabfd9382064ccfef34e2e8b3320dc", "42cc4378bd280a39576ad2f165f798dc",
+        [81226, 81226, 30316, 9370, 0, 41540, 30316, 30316, 0, 0, 20594, 20946, 0, 41540]),
+    (Workload::Sort, 4, 100_340, "5c5e12d5b7cfb048e1cf7bd634e0cb3a", "8631804a882a28d2aaffdf7f46374827",
+        [123010, 123010, 46792, 17014, 0, 59204, 46792, 46792, 4, 0, 29426, 29778, 0, 59204]),
+    (Workload::Fft, 1, 478_491, "ec3da430f77226d563f829e2bc2c99f3", "aac5d699c703b457835a59242ee0574e",
+        [155282, 155282, 61257, 28361, 0, 65664, 61257, 61257, 0, 0, 32768, 32896, 0, 65664]),
+    (Workload::Fft, 4, 283_309, "8db15f425ed2abfeb929aadaccc58464", "c5fd0e7d3883bc6b9850cefa0d2ec3a3",
+        [110704, 110704, 38968, 6072, 0, 65664, 38968, 38968, 1, 0, 32768, 32896, 0, 65664]),
+];
+
+#[test]
+fn quick_point_counters_are_exact() {
+    let _g = LOCK.lock().unwrap();
+    hostprof::set_enabled(true);
+    for (workload, threads, cycles, report_digest, hostprof_digest, counters) in QUICK_POINTS {
+        let spec = RunSpec::new(workload, 16, 256, threads);
+        let label = spec.label();
+        hostprof::reset();
+        let report = spec.execute().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let rep = hostprof::HostProfReport::new(Vec::new(), hostprof::snapshot());
+        assert_eq!(report.elapsed.get(), cycles, "{label}");
+        assert_eq!(emx::stats::report_digest(&report), report_digest, "{label}");
+        let named = |vals: [u64; 14]| hostprof::SIM_NAMES.iter().zip(vals).collect::<Vec<_>>();
+        assert_eq!(named(rep.snap.sim), named(counters), "{label}");
+        // A direct run outside a sweep touches no host counter.
+        assert_eq!(rep.snap.host, [0; hostprof::HOST_NAMES.len()], "{label}");
+        assert_eq!(rep.digest(), hostprof_digest, "{label}");
+    }
+    hostprof::set_enabled(false);
 }
 
 #[test]
