@@ -262,8 +262,6 @@ pub struct MachineConfig {
     pub local_memory_words: usize,
     /// Capacity of each on-chip IBU priority FIFO, in packets. Default 8.
     pub ibu_fifo_capacity: usize,
-    /// Capacity of the OBU FIFO, in packets. Default 8.
-    pub obu_fifo_capacity: usize,
     /// Activation frames available per processor.
     pub frames_per_pe: usize,
     /// Remote-read servicing mode (EM-X by-pass vs EM-4 EXU-thread).
@@ -291,7 +289,6 @@ impl Default for MachineConfig {
             clock_hz: EMX_CLOCK_HZ,
             local_memory_words: 1 << 20,
             ibu_fifo_capacity: 8,
-            obu_fifo_capacity: 8,
             frames_per_pe: 4096,
             service_mode: ServiceMode::BypassDma,
             priority_read_responses: false,
@@ -345,8 +342,8 @@ impl MachineConfig {
         if self.clock_hz == 0 {
             return fail("clock must be positive".into());
         }
-        if self.ibu_fifo_capacity == 0 || self.obu_fifo_capacity == 0 {
-            return fail("buffer units need capacity of at least one packet".into());
+        if self.ibu_fifo_capacity == 0 {
+            return fail("the IBU FIFO needs capacity of at least one packet".into());
         }
         if self.costs.obu_forward == 0 {
             // Canonical network-arrival keys name a packet by its sender's
@@ -358,12 +355,6 @@ impl MachineConfig {
                 "frames_per_pe must be in 1..={}",
                 crate::addr::MAX_FRAMES
             ));
-        }
-        if matches!(self.net.model, NetModelKind::CircularOmega) && !self.num_pes.is_power_of_two()
-        {
-            // The circular Omega router pads to the next power of two; that
-            // is allowed, but warn-level validation keeps it explicit.
-            // (The 80-PE prototype routes as a padded 128-port network.)
         }
         if self.net.port_service == 0 {
             return fail("network port service time must be at least one cycle".into());

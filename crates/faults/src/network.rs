@@ -1,8 +1,9 @@
 //! A fault-injecting wrapper around any [`Network`] model.
 //!
-//! [`FaultyNetwork`] composes with every topology the simulator knows
-//! (ideal, crossbar, omega, torus): it forwards routing to the wrapped model
-//! and perturbs the result according to a seeded [`FaultPlan`]. Data-plane
+//! [`FaultyNetwork`] composes with every model
+//! [`build_network`](emx_net::build_network) makes (omega, ideal, crossbar,
+//! torus, mesh and fat-tree): it forwards routing to the wrapped model and
+//! perturbs the result according to a seeded [`FaultPlan`]. Data-plane
 //! packets may be dropped at injection, duplicated (both copies traverse the
 //! inner network), or delayed; control traffic is only ever delayed, because
 //! the runtime has no acknowledgement protocol for it (see

@@ -1,78 +1,34 @@
-//! A full-crossbar network, for ablation.
+//! A full crossbar, for ablation.
 //!
 //! Every source reaches every destination in a single hop, but each
 //! destination input port still accepts only one packet per
 //! [`port_service`](emx_core::NetConfig::port_service) cycles. Comparing
-//! against [`crate::OmegaNetwork`] separates *endpoint* contention (many
-//! readers hammering one processor's IBU) from *path* contention inside the
-//! multistage fabric.
+//! against the circular Omega separates *endpoint* contention (many readers
+//! hammering one processor's IBU) from *path* contention inside the
+//! multistage fabric. A local packet also passes through its destination
+//! port, but counts zero hops.
 
-use emx_core::{Cycle, NetConfig, PeId};
+use std::ops::Range;
 
-use crate::stats::NetStats;
-use crate::Network;
+use crate::fabric::Topology;
 
-/// Single-hop crossbar with per-destination-port serialization.
-pub struct CrossbarNetwork {
-    cfg: NetConfig,
-    /// First cycle each destination port can accept another packet.
-    next_free: Vec<Cycle>,
-    stats: NetStats,
+/// One input port per processor.
+pub(crate) struct Crossbar {
+    pub(crate) pes: usize,
 }
 
-impl CrossbarNetwork {
-    /// A crossbar for `num_pes` endpoints.
-    pub fn new(num_pes: usize, cfg: NetConfig) -> Self {
-        CrossbarNetwork {
-            cfg,
-            next_free: vec![Cycle::ZERO; num_pes],
-            stats: NetStats::default(),
-        }
-    }
-}
-
-impl Network for CrossbarNetwork {
-    fn route(&mut self, now: Cycle, src: PeId, dst: PeId) -> Cycle {
-        debug_assert!(dst.index() < self.next_free.len());
-        let hop = u64::from(self.cfg.hop_cycles);
-        let head = now + hop;
-        let free = self.next_free[dst.index()];
-        let ready = head.max(free);
-        let waited = ready - head;
-        self.next_free[dst.index()] = ready + u64::from(self.cfg.port_service);
-        self.stats.record(1, if src == dst { 0 } else { 1 }, waited);
-        ready + hop
+impl Topology for Crossbar {
+    fn ports(&self) -> usize {
+        self.pes
     }
 
-    fn hops(&self, src: PeId, dst: PeId) -> u32 {
-        if src == dst {
-            0
-        } else {
-            1
-        }
+    fn path(&self, src: usize, dst: usize, out: &mut Vec<Range<usize>>) -> u32 {
+        out.push(dst..dst + 1);
+        self.hops(src, dst)
     }
 
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn save_state(&self) -> crate::NetSnapshot {
-        crate::NetSnapshot {
-            stats: self.stats.clone(),
-            words: self.next_free.iter().map(|c| c.get()).collect(),
-            inner: None,
-        }
-    }
-
-    fn load_state(&mut self, snap: &crate::NetSnapshot) -> Result<(), emx_core::SimError> {
-        if snap.words.len() != self.next_free.len() {
-            return Err(crate::NetSnapshot::shape_error("crossbar"));
-        }
-        self.stats = snap.stats.clone();
-        for (slot, &w) in self.next_free.iter_mut().zip(&snap.words) {
-            *slot = Cycle::new(w);
-        }
-        Ok(())
+    fn hops(&self, src: usize, dst: usize) -> u32 {
+        u32::from(src != dst)
     }
 
     fn name(&self) -> &'static str {
@@ -82,10 +38,15 @@ impl Network for CrossbarNetwork {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{build_network, Network};
+    use emx_core::{Cycle, NetConfig, NetModelKind, PeId};
 
-    fn net(pes: usize) -> CrossbarNetwork {
-        CrossbarNetwork::new(pes, NetConfig::default())
+    fn net(pes: usize) -> Box<dyn Network> {
+        let cfg = NetConfig {
+            model: NetModelKind::FullCrossbar,
+            ..NetConfig::default()
+        };
+        build_network(&cfg, pes).unwrap()
     }
 
     #[test]
@@ -103,6 +64,11 @@ mod tests {
         assert!(b > a, "same destination must serialize");
         let c = n.route(Cycle::new(0), PeId(2), PeId(6));
         assert_eq!(c, Cycle::new(2), "different destination is unaffected");
+        // A local packet queues on its destination port too, at zero hops.
+        let d = n.route(Cycle::new(0), PeId(5), PeId(5));
+        assert!(d > b, "local delivery passes through the busy port");
+        assert_eq!(n.hops(PeId(5), PeId(5)), 0);
+        assert_eq!(n.stats().total_hops, 3);
     }
 
     #[test]

@@ -14,106 +14,60 @@
 //! up multiplies the bundle width by `arity`), so the aggregate capacity
 //! entering any subtree equals the leaves below it. A packet climbs
 //! up-edges to the lowest common ancestor of source and destination, then
-//! descends down-edges; each sub-link has the same virtual-cut-through
-//! timing as every other model here (head advances
-//! [`hop_cycles`](emx_core::NetConfig::hop_cycles) per traversed edge,
-//! a sub-link stays busy [`port_service`](emx_core::NetConfig::port_service)
-//! cycles per packet). A packet entering a bundle takes the
-//! earliest-free sub-link, lowest index on ties — deterministic, and
-//! monotone: a reservation only raises sub-link free times, so the bundle
-//! minimum never decreases and same-pair packets (which traverse the
-//! identical bundle sequence) cannot overtake.
+//! descends down-edges, one [fabric](crate::fabric) bundle per edge: it
+//! takes the earliest-free sub-link, lowest index on ties. That is
+//! deterministic and monotone — a reservation only raises sub-link free
+//! times, so the bundle minimum never decreases and same-pair packets
+//! (which traverse the identical bundle sequence) cannot overtake.
 
-use emx_core::{Cycle, NetConfig, PeId, SimError};
+use std::ops::Range;
 
-use crate::stats::NetStats;
-use crate::Network;
+use emx_core::SimError;
 
-/// A k-ary fat-tree with per-sub-link contention.
-pub struct FatTreeNetwork {
+use crate::fabric::Topology;
+
+/// A k-ary fat-tree over `P` leaves.
+pub(crate) struct FatTree {
     arity: usize,
-    /// Up-edge levels: a packet from leaf to root traverses
-    /// `levels` up-edges. 0 for a single-leaf machine.
-    levels: usize,
-    cfg: NetConfig,
-    /// `up[l]` / `down[l]`: the sub-link free times of every level-`l`
-    /// edge, flattened as `node * width[l] + sublink` where `node` is the
-    /// level-`l` node id (`leaf / arity^l`).
-    up: Vec<Vec<Cycle>>,
-    down: Vec<Vec<Cycle>>,
-    /// Sub-links per level-`l` edge: `arity^l`.
-    width: Vec<usize>,
-    stats: NetStats,
+    /// Per up-edge level `l`: the first port of the level's up-edges, and
+    /// the first port of its down-edges. The fabric's ports hold every up
+    /// level, then every down level; a level-`l` node `leaf / arity^l`
+    /// owns the `arity^l` sub-links from `node * arity^l`.
+    up: Vec<usize>,
+    down: Vec<usize>,
+    ports: usize,
 }
 
-/// Reserve the earliest-free sub-link of one bundle (lowest index on
-/// ties): the packet head arrives at `head`, waits until the link frees,
-/// holds it for `service`, and advances `hop` cycles.
-fn traverse(bundle: &mut [Cycle], head: Cycle, hop: u64, service: u64) -> (Cycle, Cycle) {
-    let mut best = 0;
-    for (i, &free) in bundle.iter().enumerate() {
-        if free < bundle[best] {
-            best = i;
-        }
-    }
-    let ready = head.max(bundle[best]);
-    let waited = ready - head;
-    bundle[best] = ready + service;
-    (ready + hop, waited)
-}
-
-impl FatTreeNetwork {
-    /// Build a fat-tree over `num_pes` leaves with `arity` children per
-    /// switch.
-    pub fn new(num_pes: usize, arity: usize, cfg: NetConfig) -> Result<Self, SimError> {
-        if num_pes == 0 {
-            return Err(SimError::BadConfig {
-                reason: "fat-tree needs at least one leaf".into(),
-            });
-        }
+impl FatTree {
+    /// The fat-tree over `num_pes` leaves with `arity` children per switch.
+    pub(crate) fn new(num_pes: usize, arity: usize) -> Result<FatTree, SimError> {
         if arity < 2 {
             return Err(SimError::BadConfig {
                 reason: format!("fat-tree arity must be at least 2, got {arity}"),
             });
         }
-        let mut levels = 0usize;
-        let mut span = 1usize; // leaves under one level-`levels` node
+        // Level-l edges: ceil(P / arity^l) nodes of arity^l sub-links each.
+        let mut up = Vec::new();
+        let (mut span, mut nodes, mut next) = (1usize, num_pes, 0usize);
         while span < num_pes {
+            up.push(next);
+            next += nodes * span;
             span *= arity;
-            levels += 1;
-        }
-        let mut up = Vec::with_capacity(levels);
-        let mut down = Vec::with_capacity(levels);
-        let mut width = Vec::with_capacity(levels);
-        let mut w = 1usize;
-        let mut nodes = num_pes;
-        for _ in 0..levels {
-            up.push(vec![Cycle::ZERO; nodes * w]);
-            down.push(vec![Cycle::ZERO; nodes * w]);
-            width.push(w);
-            w *= arity;
             nodes = nodes.div_ceil(arity);
         }
-        Ok(FatTreeNetwork {
+        let down = up.iter().map(|&start| start + next).collect();
+        Ok(FatTree {
             arity,
-            levels,
-            cfg,
             up,
             down,
-            width,
-            stats: NetStats::default(),
+            ports: 2 * next,
         })
-    }
-
-    /// `(arity, up-edge levels)` of the built tree.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.arity, self.levels)
     }
 
     /// Number of up-edges from `src`'s leaf to the lowest common ancestor
     /// with `dst` (equals the down-edges back out).
-    fn lca_level(&self, src: PeId, dst: PeId) -> usize {
-        let (mut a, mut b) = (src.index(), dst.index());
+    fn lca_level(&self, src: usize, dst: usize) -> usize {
+        let (mut a, mut b) = (src, dst);
         let mut l = 0;
         while a != b {
             a /= self.arity;
@@ -122,85 +76,30 @@ impl FatTreeNetwork {
         }
         l
     }
+
+    /// The bundle of `leaf`'s level-`l` ancestor edge whose level starts at
+    /// port `first`.
+    fn bundle(&self, first: usize, l: usize, leaf: usize) -> Range<usize> {
+        let width = self.arity.pow(l as u32);
+        let start = first + leaf / width * width;
+        start..start + width
+    }
 }
 
-impl Network for FatTreeNetwork {
-    fn route(&mut self, now: Cycle, src: PeId, dst: PeId) -> Cycle {
-        if src == dst {
-            self.stats.record(1, 0, Cycle::ZERO);
-            return now + u64::from(self.cfg.hop_cycles);
-        }
-        let hop = u64::from(self.cfg.hop_cycles);
-        let service = u64::from(self.cfg.port_service);
+impl Topology for FatTree {
+    fn ports(&self) -> usize {
+        self.ports
+    }
+
+    fn path(&self, src: usize, dst: usize, out: &mut Vec<Range<usize>>) -> u32 {
         let lca = self.lca_level(src, dst);
-        let mut head = now + hop;
-        let mut waited = Cycle::ZERO;
-        for l in 0..lca {
-            let node = src.index() / self.arity.pow(l as u32);
-            let w = self.width[l];
-            let bundle = &mut self.up[l][node * w..(node + 1) * w];
-            let (h, wt) = traverse(bundle, head, hop, service);
-            head = h;
-            waited += wt;
-        }
-        for l in (0..lca).rev() {
-            let node = dst.index() / self.arity.pow(l as u32);
-            let w = self.width[l];
-            let bundle = &mut self.down[l][node * w..(node + 1) * w];
-            let (h, wt) = traverse(bundle, head, hop, service);
-            head = h;
-            waited += wt;
-        }
-        self.stats.record(1, (2 * lca) as u32, waited);
-        head
+        out.extend((0..lca).map(|l| self.bundle(self.up[l], l, src)));
+        out.extend((0..lca).rev().map(|l| self.bundle(self.down[l], l, dst)));
+        (2 * lca) as u32
     }
 
-    fn hops(&self, src: PeId, dst: PeId) -> u32 {
-        if src == dst {
-            return 0;
-        }
+    fn hops(&self, src: usize, dst: usize) -> u32 {
         (2 * self.lca_level(src, dst)) as u32
-    }
-
-    fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    fn save_state(&self) -> crate::NetSnapshot {
-        // Up-edge timelines of every level, then down-edge timelines, in
-        // level order; the level shapes are configuration, so lengths
-        // restore unambiguously.
-        let words = self
-            .up
-            .iter()
-            .chain(self.down.iter())
-            .flat_map(|level| level.iter().map(|c| c.get()))
-            .collect();
-        crate::NetSnapshot {
-            stats: self.stats.clone(),
-            words,
-            inner: None,
-        }
-    }
-
-    fn load_state(&mut self, snap: &crate::NetSnapshot) -> Result<(), SimError> {
-        let total: usize = self
-            .up
-            .iter()
-            .chain(self.down.iter())
-            .map(|level| level.len())
-            .sum();
-        if snap.words.len() != total {
-            return Err(crate::NetSnapshot::shape_error("fat-tree"));
-        }
-        self.stats = snap.stats.clone();
-        let mut words = snap.words.iter();
-        for level in self.up.iter_mut().chain(self.down.iter_mut()) {
-            for slot in level.iter_mut() {
-                *slot = Cycle::new(*words.next().expect("length checked"));
-            }
-        }
-        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -211,17 +110,32 @@ impl Network for FatTreeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{build_network, Network};
+    use emx_core::{Cycle, NetConfig, NetModelKind, PeId};
 
-    fn net(pes: usize, arity: usize) -> FatTreeNetwork {
-        FatTreeNetwork::new(pes, arity, NetConfig::default()).unwrap()
+    fn net(pes: usize, arity: u32) -> Box<dyn Network> {
+        let cfg = NetConfig {
+            model: NetModelKind::FatTree { arity },
+            ..NetConfig::default()
+        };
+        build_network(&cfg, pes).unwrap()
     }
 
     #[test]
     fn shape_matches_the_leaf_count() {
-        assert_eq!(net(16, 4).shape(), (4, 2));
-        assert_eq!(net(16, 2).shape(), (2, 4));
-        assert_eq!(net(1, 2).shape(), (2, 0));
-        assert_eq!(net(17, 4).shape(), (4, 3), "padding rounds the depth up");
+        let levels = |pes, arity| FatTree::new(pes, arity).unwrap().up.len();
+        assert_eq!(levels(16, 4), 2);
+        assert_eq!(levels(16, 2), 4);
+        assert_eq!(levels(1, 2), 0);
+        assert_eq!(levels(17, 4), 3, "padding rounds the depth up");
+        // 17 leaves, arity 4: levels of 17x1, 5x4 and 2x16 sub-links, up
+        // then down.
+        let t = FatTree::new(17, 4).unwrap();
+        assert_eq!(
+            (t.up.as_slice(), t.down.as_slice()),
+            (&[0, 17, 37][..], &[69, 86, 106][..])
+        );
+        assert_eq!(t.ports, 138);
     }
 
     #[test]
@@ -293,7 +207,11 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_parameters() {
-        assert!(FatTreeNetwork::new(0, 2, NetConfig::default()).is_err());
-        assert!(FatTreeNetwork::new(8, 1, NetConfig::default()).is_err());
+        let cfg = |arity| NetConfig {
+            model: NetModelKind::FatTree { arity },
+            ..NetConfig::default()
+        };
+        assert!(build_network(&cfg(2), 0).is_err());
+        assert!(build_network(&cfg(1), 8).is_err());
     }
 }

@@ -1,9 +1,9 @@
 //! A contention-free fixed-latency network, for ablation.
 //!
 //! Every packet arrives exactly `latency` cycles after injection, regardless
-//! of traffic. Comparing a workload on [`IdealNetwork`] against
-//! [`crate::OmegaNetwork`] isolates how much of its communication time is
-//! path contention rather than raw distance.
+//! of traffic. Comparing a workload on [`IdealNetwork`] against the
+//! circular Omega isolates how much of its communication time is path
+//! contention rather than raw distance.
 
 use emx_core::{Cycle, PeId};
 

@@ -9,34 +9,52 @@
 //! port "can transfer a packet ... at every second cycle", and the Switching
 //! Unit enforces message non-overtaking.
 //!
-//! [`OmegaNetwork`] reproduces those properties with destination-tag routing
-//! over `log2(P)` stages of 2x2 switches and per-output-port occupancy
-//! tracking. [`IdealNetwork`] (fixed latency, no contention) and
-//! [`CrossbarNetwork`] (single hop, endpoint contention only) isolate
-//! topology effects for the topology ablations.
+//! That timing rule lives once, in the crate-private fabric: it owns the
+//! port timelines, the statistics, the snapshot image and the cut-through
+//! walk. Each contended topology is only a routing function over it — the
+//! circular Omega (destination-tag routing over `log2(P)` stages of 2x2
+//! switches, see [`route_ports`]), a full crossbar (single hop, endpoint
+//! contention only), a 2D mesh or torus (one grid, X-then-Y routing, with
+//! or without wraparound) and a k-ary fat-tree (up/down through the lowest
+//! common ancestor over widening link bundles). [`IdealNetwork`] (fixed
+//! latency, no contention) isolates topology effects for the ablations.
 //!
-//! All models implement [`Network`]: given the injection time of a packet
-//! they return its arrival time at the destination's Input Buffer Unit, and
-//! they guarantee non-overtaking per (source, destination) pair.
+//! [`build_network`] makes every model from a [`NetConfig`]. All of them
+//! implement [`Network`]: given the injection time of a packet they return
+//! its arrival time at the destination's Input Buffer Unit, and they
+//! guarantee non-overtaking per (source, destination) pair.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod crossbar;
+mod fabric;
 mod fattree;
+mod grid;
 mod ideal;
-mod mesh;
 mod omega;
 mod stats;
-mod torus;
 
-pub use crossbar::CrossbarNetwork;
-pub use fattree::FatTreeNetwork;
+// The mesh and the torus are one grid but two models, each with its own
+// unit tests.
+#[cfg(test)]
+mod mesh {
+    crate::grid::grid_model_tests!(emx_core::NetModelKind::Mesh2D, false);
+}
+#[cfg(test)]
+mod torus {
+    crate::grid::grid_model_tests!(emx_core::NetModelKind::Torus2D, true);
+}
+
 pub use ideal::IdealNetwork;
-pub use mesh::MeshNetwork;
-pub use omega::{route_ports, OmegaNetwork, PortId};
+pub use omega::{route_ports, PortId};
 pub use stats::NetStats;
-pub use torus::TorusNetwork;
+
+use crossbar::Crossbar;
+use fabric::Fabric;
+use fattree::FatTree;
+use grid::Grid;
+use omega::Omega;
 
 use emx_core::{Cycle, NetConfig, NetModelKind, PacketKind, PeId, Probe, SimError, TraceKind};
 
@@ -241,13 +259,13 @@ pub fn build_network(cfg: &NetConfig, num_pes: usize) -> Result<Box<dyn Network>
         });
     }
     Ok(match cfg.model {
-        NetModelKind::CircularOmega => Box::new(OmegaNetwork::new(num_pes, *cfg)?),
+        NetModelKind::CircularOmega => Box::new(Fabric::new(Omega::new(num_pes), cfg)),
         NetModelKind::Ideal { latency } => Box::new(IdealNetwork::new(num_pes, latency)),
-        NetModelKind::FullCrossbar => Box::new(CrossbarNetwork::new(num_pes, *cfg)),
-        NetModelKind::Torus2D => Box::new(TorusNetwork::new(num_pes, *cfg)?),
-        NetModelKind::Mesh2D => Box::new(MeshNetwork::new(num_pes, *cfg)?),
+        NetModelKind::FullCrossbar => Box::new(Fabric::new(Crossbar { pes: num_pes }, cfg)),
+        NetModelKind::Torus2D => Box::new(Fabric::new(Grid::new(num_pes, true), cfg)),
+        NetModelKind::Mesh2D => Box::new(Fabric::new(Grid::new(num_pes, false), cfg)),
         NetModelKind::FatTree { arity } => {
-            Box::new(FatTreeNetwork::new(num_pes, arity as usize, *cfg)?)
+            Box::new(Fabric::new(FatTree::new(num_pes, arity as usize)?, cfg))
         }
     })
 }
@@ -274,7 +292,20 @@ mod tests {
 
     #[test]
     fn factory_rejects_empty_machine() {
-        assert!(build_network(&NetConfig::default(), 0).is_err());
+        for model in [
+            NetModelKind::CircularOmega,
+            NetModelKind::Ideal { latency: 1 },
+            NetModelKind::FullCrossbar,
+            NetModelKind::Torus2D,
+            NetModelKind::Mesh2D,
+            NetModelKind::FatTree { arity: 2 },
+        ] {
+            let cfg = NetConfig {
+                model,
+                ..NetConfig::default()
+            };
+            assert!(build_network(&cfg, 0).is_err(), "{model:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the network models.
 
 use emx_core::{Cycle, NetConfig, NetModelKind, PeId};
-use emx_net::{build_network, route_ports, Network, OmegaNetwork};
+use emx_net::{build_network, route_ports};
 use proptest::prelude::*;
 
 proptest! {
@@ -38,20 +38,22 @@ proptest! {
     }
 
     /// Arrival time is never before injection + (hops + 1) cycles, and
-    /// non-overtaking holds per pair under arbitrary interleavings.
+    /// non-overtaking holds per pair under arbitrary interleavings, on
+    /// every model and machine size.
     #[test]
     fn network_latency_lower_bound_and_ordering(
-        model in 0usize..4,
-        pes_log in 1u32..=6,
+        model in 0usize..8,
+        pes in 1usize..=64,
         traffic in proptest::collection::vec((0u16..64, 0u16..64, 0u64..32), 1..200),
     ) {
-        let pes = 1usize << pes_log;
         let cfg = NetConfig {
             model: match model {
                 0 => NetModelKind::CircularOmega,
                 1 => NetModelKind::Ideal { latency: 9 },
                 2 => NetModelKind::FullCrossbar,
-                _ => NetModelKind::Torus2D,
+                3 => NetModelKind::Torus2D,
+                4 => NetModelKind::Mesh2D,
+                k => NetModelKind::FatTree { arity: k as u32 - 3 },
             },
             ..NetConfig::default()
         };
@@ -64,11 +66,11 @@ proptest! {
             let dst = PeId(d % pes as u16);
             now += dt; // injections move forward in time
             let arr = net.route(now, src, dst);
-            // Lower bound: cut-through distance (or fixed latency).
+            // Lower bound: hops + 1 cut-through cycles (or fixed latency).
             match cfg.model {
                 NetModelKind::Ideal { latency } =>
                     prop_assert_eq!(arr, now + u64::from(latency)),
-                _ => prop_assert!(arr.get() >= now.get() + u64::from(net.hops(src, dst)) ),
+                _ => prop_assert!(arr.get() > now.get() + u64::from(net.hops(src, dst))),
             }
             // Non-overtaking per (src, dst) pair.
             if let Some(prev) = last_arrival.insert((src.0, dst.0), arr) {
@@ -82,8 +84,8 @@ proptest! {
     /// same-pair traffic so the path is shared end-to-end).
     #[test]
     fn omega_contention_accounting_consistent(count in 1usize..64) {
-        let mut net = OmegaNetwork::new(16, NetConfig::default()).unwrap();
-        let uncontended = u64::from(net.stages()) + 1;
+        let mut net = build_network(&NetConfig::default(), 16).unwrap();
+        let uncontended = u64::from(net.hops(PeId(0), PeId(9))) + 1;
         let mut lateness = 0u64;
         for _ in 0..count {
             let arr = net.route(Cycle::ZERO, PeId(0), PeId(9));

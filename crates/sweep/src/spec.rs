@@ -290,8 +290,8 @@ impl RunSpec {
 pub fn config_canonical(cfg: &MachineConfig) -> String {
     let c = &cfg.costs;
     format!(
-        "emx-config v2\n\
-         num_pes={} clock_hz={} local_memory_words={} ibu_fifo={} obu_fifo={} frames={}\n\
+        "emx-config v3\n\
+         num_pes={} clock_hz={} local_memory_words={} ibu_fifo={} frames={}\n\
          service_mode={:?} priority_read_responses={}\n\
          costs: context_switch={} send_packet={} dma_service={} ibu_spill={} obu_forward={} \
          fdiv={} mem_exchange={} barrier_poll_interval={}\n\
@@ -301,7 +301,6 @@ pub fn config_canonical(cfg: &MachineConfig) -> String {
         cfg.clock_hz,
         cfg.local_memory_words,
         cfg.ibu_fifo_capacity,
-        cfg.obu_fifo_capacity,
         cfg.frames_per_pe,
         cfg.service_mode,
         cfg.priority_read_responses,
