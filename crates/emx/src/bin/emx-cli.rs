@@ -41,6 +41,10 @@
 //! paper|modern` (the cost model: the paper's calibrated charges, or a
 //! modern latency/bandwidth ratio — see `docs/WORKLOADS.md`).
 //!
+//! Without `--threads`, `run`, `trace`, `metrics` and `profile` give the
+//! stencil no more threads than its grid has band rows per processor
+//! (`n / pes / 32`), so every kernel runs at its defaults.
+//!
 //! `run` executes one workload with the streaming trace digest attached
 //! and prints the run report followed by two stable fingerprints: a
 //! `report digest:` line (canonical report text) and the final `digest:`
@@ -373,11 +377,32 @@ fn run_kernel(
     Ok((report.map_err(|e| e.to_string())?, seed))
 }
 
+/// `--threads`, else the subcommand's `default`. The stencil needs a
+/// band row per thread, so without the flag it runs no more threads than
+/// its grid has rows per processor; an explicit value is passed through
+/// for the stencil to accept or reject.
+fn threads_or(
+    args: &Args,
+    workload: &str,
+    cfg: &MachineConfig,
+    n: usize,
+    default: usize,
+) -> Result<usize, String> {
+    let default = match (workload, n.checked_div(cfg.num_pes)) {
+        ("stencil", Some(per_pe)) => {
+            let rows = per_pe / StencilParams::new(n, default).width;
+            default.min(rows).max(1)
+        }
+        _ => default,
+    };
+    args.usize_or("threads", default)
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
     let workload = args.positional.first().map(String::as_str).unwrap_or("fft");
     let cfg = machine_cfg(args, 64)?;
     let n = args.usize_or("n", 4096)?;
-    let threads = args.usize_or("threads", 4)?;
+    let threads = threads_or(args, workload, &cfg, n, 4)?;
     arm_kill_switch(args)?;
     let hostprof = arm_hostprof(args);
     let (probe, handle) = DigestProbe::new();
@@ -469,7 +494,7 @@ fn observed_run(args: &Args, workload: &str) -> Result<(Observation, u64), Strin
     } else {
         let cfg = machine_cfg(args, 2)?;
         let n = args.usize_or("n", 64)?;
-        let threads = args.usize_or("threads", 2)?;
+        let threads = threads_or(args, workload, &cfg, n, 2)?;
         run_kernel(args, workload, &cfg, n, threads, |m| {
             m.attach_probe(Box::new(rec))
         })?;
@@ -560,7 +585,7 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 fn profiled_run(args: &Args, workload: &str) -> Result<emx::profile::ProfileReport, String> {
     let cfg = machine_cfg(args, 16)?;
     let n = args.usize_or("n", 16 * 256)?;
-    let threads = args.usize_or("threads", 4)?;
+    let threads = threads_or(args, workload, &cfg, n, 4)?;
     let (probe, handle) = Profiler::new(cfg.costs);
     let (report, seed) = run_kernel(args, workload, &cfg, n, threads, |m| {
         m.attach_probe(Box::new(probe))

@@ -22,15 +22,6 @@ use emx_core::{Continuation, Cycle, Packet, PacketKind, PeId, Probe, SimError, T
 
 use crate::memory::LocalMemory;
 
-/// The result of servicing one request through the by-pass path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DmaOutcome {
-    /// Response packets, paired with their departure times from the OBU.
-    pub responses: Vec<(Cycle, Packet)>,
-    /// When the IBU finished with this request (its service timeline).
-    pub ibu_done: Cycle,
-}
-
 /// Per-processor IBU/OBU service timelines for the by-pass path.
 #[derive(Debug, Clone)]
 pub struct BypassDma {
@@ -86,7 +77,11 @@ impl BypassDma {
         done
     }
 
-    /// Service a remote access arriving at `now`.
+    /// Service a remote access arriving at `now`, appending each response
+    /// packet with its departure time from the OBU to `responses`, and
+    /// return when the IBU finished with the request (its service
+    /// timeline). The caller owns `responses`, so servicing allocates
+    /// nothing once it has grown.
     ///
     /// * `ReadReq` — one memory read, one `ReadResp` out through the OBU;
     /// * `ReadBlockReq` — `block_len` pipelined reads, one `ReadResp` per
@@ -97,7 +92,8 @@ impl BypassDma {
         now: Cycle,
         pkt: &Packet,
         mem: &mut LocalMemory,
-    ) -> Result<DmaOutcome, SimError> {
+        responses: &mut Vec<(Cycle, Packet)>,
+    ) -> Result<Cycle, SimError> {
         emx_hostprof::bump(emx_hostprof::Sim::DmaServices);
         match pkt.kind {
             PacketKind::Write => {
@@ -105,10 +101,7 @@ impl BypassDma {
                 debug_assert_eq!(ga.pe, self.pe);
                 let done = self.ibu_deposit(now);
                 mem.write(ga.offset, pkt.data)?;
-                Ok(DmaOutcome {
-                    responses: Vec::new(),
-                    ibu_done: done,
-                })
+                Ok(done)
             }
             PacketKind::ReadReq => {
                 let ga = pkt.global_addr();
@@ -123,16 +116,13 @@ impl BypassDma {
                 // Echo the request's retry sequence number so the requester
                 // can match the response against its current attempt.
                 let resp = Packet::read_resp(self.pe, cont, value).with_seq(pkt.seq);
-                Ok(DmaOutcome {
-                    responses: vec![(depart, resp)],
-                    ibu_done: fetched,
-                })
+                responses.push((depart, resp));
+                Ok(fetched)
             }
             PacketKind::ReadBlockReq => {
                 let ga = pkt.global_addr();
                 debug_assert_eq!(ga.pe, self.pe);
                 let cont = Continuation::unpack(pkt.data);
-                let mut responses = Vec::with_capacity(pkt.block_len as usize);
                 let mut t = now.max(self.ibu_free);
                 for i in 0..u32::from(pkt.block_len) {
                     t += u64::from(self.dma_service);
@@ -149,10 +139,7 @@ impl BypassDma {
                     responses.push((depart, resp));
                 }
                 self.ibu_free = t;
-                Ok(DmaOutcome {
-                    responses,
-                    ibu_done: t,
-                })
+                Ok(t)
             }
             other => Err(SimError::Workload {
                 reason: format!("by-pass DMA cannot service {other:?}"),
@@ -169,9 +156,10 @@ impl BypassDma {
         now: Cycle,
         pkt: &Packet,
         mem: &mut LocalMemory,
+        responses: &mut Vec<(Cycle, Packet)>,
         probe: Option<&mut dyn Probe>,
-    ) -> Result<DmaOutcome, SimError> {
-        let outcome = self.service(now, pkt, mem)?;
+    ) -> Result<Cycle, SimError> {
+        let ibu_done = self.service(now, pkt, mem, responses)?;
         if let Some(p) = probe {
             let words = match pkt.kind {
                 PacketKind::ReadBlockReq => pkt.block_len,
@@ -186,7 +174,7 @@ impl BypassDma {
                 },
             );
         }
-        Ok(outcome)
+        Ok(ibu_done)
     }
 
     /// Reserve the OBU for one EXU-generated packet leaving at `now`;
@@ -219,9 +207,13 @@ mod tests {
         let mut mem = LocalMemory::new(0, 64);
         mem.write(10, 777).unwrap();
         let req = Packet::read_req(PeId(1), ga(0, 10), cont());
-        let out = dma.service(Cycle::new(100), &req, &mut mem).unwrap();
-        assert_eq!(out.responses.len(), 1);
-        let (t, resp) = &out.responses[0];
+        let mut out = Vec::new();
+        let done = dma
+            .service(Cycle::new(100), &req, &mut mem, &mut out)
+            .unwrap();
+        assert_eq!(done, Cycle::new(104));
+        assert_eq!(out.len(), 1);
+        let (t, resp) = &out[0];
         assert_eq!(resp.kind, PacketKind::ReadResp);
         assert_eq!(resp.data, 777);
         assert_eq!(resp.dst(), PeId(1));
@@ -234,14 +226,18 @@ mod tests {
         let mut dma = BypassDma::new(PeId(0), 4, 1);
         let mut mem = LocalMemory::new(0, 64);
         let req = Packet::read_req(PeId(1), ga(0, 0), cont());
-        let a = dma.service(Cycle::new(0), &req, &mut mem).unwrap();
-        let b = dma.service(Cycle::new(0), &req, &mut mem).unwrap();
-        assert_eq!(a.ibu_done, Cycle::new(4));
-        assert_eq!(
-            b.ibu_done,
-            Cycle::new(8),
-            "second request waits for the first"
-        );
+        let mut out = Vec::new();
+        let a = dma
+            .service(Cycle::new(0), &req, &mut mem, &mut out)
+            .unwrap();
+        let b = dma
+            .service(Cycle::new(0), &req, &mut mem, &mut out)
+            .unwrap();
+        assert_eq!(a, Cycle::new(4));
+        assert_eq!(b, Cycle::new(8), "second request waits for the first");
+        // Responses append: the caller's buffer is never cleared.
+        assert_eq!(out.len(), 2);
+        assert!(out[0].0 < out[1].0);
     }
 
     #[test]
@@ -249,15 +245,17 @@ mod tests {
         let mut dma = BypassDma::new(PeId(0), 4, 1);
         let mut mem = LocalMemory::new(0, 64);
         let req = Packet::read_req(PeId(1), ga(0, 0), cont()).with_seq(7);
-        let out = dma.service(Cycle::ZERO, &req, &mut mem).unwrap();
-        assert_eq!(out.responses[0].1.seq, 7);
-        assert_eq!(out.responses[0].1.idx, 0);
+        let mut out = Vec::new();
+        dma.service(Cycle::ZERO, &req, &mut mem, &mut out).unwrap();
+        assert_eq!(out[0].1.seq, 7);
+        assert_eq!(out[0].1.idx, 0);
 
         let blk = Packet::read_block_req(PeId(1), ga(0, 0), cont(), 4)
             .unwrap()
             .with_seq(9);
-        let out = dma.service(Cycle::ZERO, &blk, &mut mem).unwrap();
-        for (i, (_, p)) in out.responses.iter().enumerate() {
+        out.clear();
+        dma.service(Cycle::ZERO, &blk, &mut mem, &mut out).unwrap();
+        for (i, (_, p)) in out.iter().enumerate() {
             assert_eq!(p.seq, 9);
             assert_eq!(p.idx, i as u16);
         }
@@ -268,8 +266,10 @@ mod tests {
         let mut dma = BypassDma::new(PeId(0), 4, 1);
         let mut mem = LocalMemory::new(0, 16);
         let w = Packet::write(PeId(1), ga(0, 5), 42);
-        let out = dma.service(Cycle::new(0), &w, &mut mem).unwrap();
-        assert!(out.responses.is_empty());
+        let mut out = Vec::new();
+        let done = dma.service(Cycle::new(0), &w, &mut mem, &mut out).unwrap();
+        assert_eq!(done, Cycle::new(4));
+        assert!(out.is_empty());
         assert_eq!(mem.read(5).unwrap(), 42);
     }
 
@@ -281,16 +281,20 @@ mod tests {
             mem.write(i, 100 + i).unwrap();
         }
         let req = Packet::read_block_req(PeId(1), ga(0, 0), cont(), 8).unwrap();
-        let out = dma.service(Cycle::new(0), &req, &mut mem).unwrap();
-        assert_eq!(out.responses.len(), 8);
-        for (i, (_, p)) in out.responses.iter().enumerate() {
+        let mut out = Vec::new();
+        let done = dma
+            .service(Cycle::new(0), &req, &mut mem, &mut out)
+            .unwrap();
+        assert_eq!(done, Cycle::new(32), "eight pipelined 4-cycle reads");
+        assert_eq!(out.len(), 8);
+        for (i, (_, p)) in out.iter().enumerate() {
             assert_eq!(p.kind, PacketKind::ReadResp);
             assert_eq!(p.data, 100 + i as u32);
             assert_eq!(p.continuation(), cont());
         }
         // Departures are monotone (OBU serializes) — order on the wire is
         // the deposit order at the requester.
-        let times: Vec<Cycle> = out.responses.iter().map(|(t, _)| *t).collect();
+        let times: Vec<Cycle> = out.iter().map(|(t, _)| *t).collect();
         assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 
@@ -321,11 +325,12 @@ mod tests {
         let mut dma = BypassDma::new(PeId(0), 4, 1);
         let mut mem = LocalMemory::new(0, 64);
         let mut rec = Rec::default();
+        let mut out = Vec::new();
         let req = Packet::read_req(PeId(1), ga(0, 0), cont());
-        dma.service_probed(Cycle::ZERO, &req, &mut mem, Some(&mut rec))
+        dma.service_probed(Cycle::ZERO, &req, &mut mem, &mut out, Some(&mut rec))
             .unwrap();
         let blk = Packet::read_block_req(PeId(1), ga(0, 0), cont(), 6).unwrap();
-        dma.service_probed(Cycle::ZERO, &blk, &mut mem, Some(&mut rec))
+        dma.service_probed(Cycle::ZERO, &blk, &mut mem, &mut out, Some(&mut rec))
             .unwrap();
         assert_eq!(
             rec.0,
@@ -342,8 +347,9 @@ mod tests {
         );
         // Probe-less calls are the plain service path.
         assert!(dma
-            .service_probed(Cycle::ZERO, &req, &mut mem, None)
+            .service_probed(Cycle::ZERO, &req, &mut mem, &mut out, None)
             .is_ok());
+        assert_eq!(out.len(), 1 + 6 + 1);
     }
 
     #[test]
@@ -351,7 +357,9 @@ mod tests {
         let mut dma = BypassDma::new(PeId(0), 4, 1);
         let mut mem = LocalMemory::new(0, 8);
         let sp = Packet::spawn(PeId(1), ga(0, 0), 0);
-        assert!(dma.service(Cycle::ZERO, &sp, &mut mem).is_err());
+        let mut out = Vec::new();
+        assert!(dma.service(Cycle::ZERO, &sp, &mut mem, &mut out).is_err());
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -362,7 +370,9 @@ mod tests {
         assert_eq!(d1, Cycle::new(11));
         // A DMA response right after must queue behind the EXU packet.
         let req = Packet::read_req(PeId(1), ga(0, 0), cont());
-        let out = dma.service(Cycle::new(0), &req, &mut mem).unwrap();
-        assert!(out.responses[0].0 > d1);
+        let mut out = Vec::new();
+        dma.service(Cycle::new(0), &req, &mut mem, &mut out)
+            .unwrap();
+        assert!(out[0].0 > d1);
     }
 }

@@ -26,7 +26,7 @@ mod frames;
 mod memory;
 mod queue;
 
-pub use dma::{BypassDma, DmaOutcome};
+pub use dma::BypassDma;
 pub use frames::FrameTable;
 pub use memory::LocalMemory;
 pub use queue::{PacketQueue, Pushed, QueueState};

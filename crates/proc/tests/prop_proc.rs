@@ -94,11 +94,14 @@ proptest! {
         let cont = Continuation::new(PeId(1), FrameId(0), SlotId(0)).unwrap();
         let mut last_depart = Cycle::ZERO;
         let mut now = Cycle::ZERO;
+        let mut out = Vec::new();
         for (off, dt) in reqs {
             now += dt;
             let req = Packet::read_req(PeId(1), GlobalAddr::new(PeId(0), off).unwrap(), cont);
-            let out = dma.service(now, &req, &mut mem).unwrap();
-            let (depart, resp) = out.responses[0];
+            out.clear();
+            dma.service(now, &req, &mut mem, &mut out).unwrap();
+            prop_assert_eq!(out.len(), 1);
+            let (depart, resp) = out[0];
             prop_assert_eq!(resp.data, off * 3 + 1);
             prop_assert!(depart > now, "response departs after arrival");
             prop_assert!(depart >= last_depart, "OBU order preserved");
@@ -123,10 +126,11 @@ proptest! {
             len,
         )
         .unwrap();
-        let out = dma.service(Cycle::ZERO, &req, &mut mem).unwrap();
-        prop_assert_eq!(out.responses.len(), len as usize);
+        let mut out = Vec::new();
+        dma.service(Cycle::ZERO, &req, &mut mem, &mut out).unwrap();
+        prop_assert_eq!(out.len(), len as usize);
         let mut last = Cycle::ZERO;
-        for (i, (t, p)) in out.responses.iter().enumerate() {
+        for (i, (t, p)) in out.iter().enumerate() {
             prop_assert_eq!(p.data, (start + i as u32) ^ 0xAAAA);
             prop_assert!(*t > last);
             last = *t;

@@ -325,6 +325,13 @@ pub(crate) struct Core {
     /// Recovery tallies (DMA stalls, retries, stale responses) for the
     /// report.
     pub(crate) fsummary: FaultSummary,
+    /// The packets a dispatch produces, routed once its charges are
+    /// committed. Kept between dispatches, empty, so that a dispatch does
+    /// not allocate.
+    out: Vec<Outgoing>,
+    /// The responses a by-pass DMA service produces, kept between
+    /// arrivals, empty, for the same reason.
+    dma_out: Vec<(Cycle, Packet)>,
 }
 
 /// The immutable tables every event handler reads during a run.
@@ -435,6 +442,8 @@ impl Machine {
                 barrier_counts: Vec::new(),
                 progress: Cycle::ZERO,
                 fsummary: FaultSummary::default(),
+                out: Vec::new(),
+                dma_out: Vec::new(),
             },
             entries: Vec::new(),
             barrier_defs: Vec::new(),
@@ -829,7 +838,8 @@ impl Core {
                     .faults
                     .as_ref()
                     .map_or((0, 0), |s| (s.dma_stall_ppm, s.dma_stall_cycles));
-                let outcome = {
+                let mut responses = std::mem::take(&mut self.dma_out);
+                {
                     let pe = &mut self.pes[pe_id.index()];
                     // An injected DMA stall holds the request at the IBU
                     // before the by-pass path services it.
@@ -843,12 +853,18 @@ impl Core {
                     } else {
                         t
                     };
-                    pe.dma
-                        .service_probed(t, &pkt, &mut pe.mem, fx.obs.as_probe())?
-                };
-                for (depart, resp) in outcome.responses {
+                    pe.dma.service_probed(
+                        t,
+                        &pkt,
+                        &mut pe.mem,
+                        &mut responses,
+                        fx.obs.as_probe(),
+                    )?;
+                }
+                for (depart, resp) in responses.drain(..) {
                     self.route(sh, fx, depart, pe_id, resp)?;
                 }
+                self.dma_out = responses;
                 Ok(())
             }
             // Block-read data words are deposited by the *requester's* IBU,
@@ -979,7 +995,7 @@ impl Core {
 
         let mut now = start;
         let mut ch = Charges::default();
-        let mut out: Vec<Outgoing> = Vec::new();
+        let mut out = std::mem::take(&mut self.out);
         if spilled {
             // Restoring a packet from the on-memory overflow buffer costs
             // extra IBU/memory cycles, charged to switching.
@@ -1308,7 +1324,7 @@ impl Core {
         // value committed to busy_until above, so the profiler can
         // reconstruct per-PE occupancy without the cost model.
         fx.obs.record(now, pe_id, TraceKind::DispatchEnd);
-        for o in out {
+        for o in out.drain(..) {
             match o {
                 Outgoing::Net { depart, pkt } => self.route(sh, fx, depart, pe_id, pkt)?,
                 Outgoing::LocalAt { at, pkt } => {
@@ -1321,6 +1337,7 @@ impl Core {
                 }
             }
         }
+        self.out = out;
         let redispatch = {
             let pe = &mut self.pes[pe_idx];
             if !pe.queue.is_empty() && !pe.dispatch_scheduled {

@@ -285,7 +285,7 @@ impl ThreadBody for SortWorker {
             }
             self.steps = Some(steps);
         }
-        let steps = self.steps.as_ref().expect("set above").clone();
+        let steps = self.steps.as_deref().expect("set above");
 
         loop {
             match self.phase {

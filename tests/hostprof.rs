@@ -4,8 +4,8 @@
 //! profiling"): the deterministic `counters` section is byte-identical
 //! across `--jobs` values for error-free runs and exact on four pinned
 //! quick points, arming the sweep heartbeat never changes sweep results,
-//! the counting allocator's totals are monotone, and the trace digest
-//! hashes each event without allocating.
+//! the counting allocator's totals are monotone, and neither the event
+//! loop nor the trace digest allocates per event.
 //!
 //! Counters are process-global, so every test serializes on one lock and
 //! leaves the gate disabled on exit.
@@ -113,6 +113,45 @@ fn quick_point_counters_are_exact() {
         // A direct run outside a sweep touches no host counter.
         assert_eq!(rep.snap.host, [0; hostprof::HOST_NAMES.len()], "{label}");
         assert_eq!(rep.digest(), hostprof_digest, "{label}");
+    }
+    hostprof::set_enabled(false);
+}
+
+/// Allocations made by one direct run of `workload` at `per_pe`, and the
+/// events it popped.
+fn allocs_and_pops(workload: Workload, per_pe: usize) -> (u64, u64) {
+    let spec = RunSpec::new(workload, 16, per_pe, 2);
+    hostprof::reset();
+    let (before, _) = hostprof::CountingAlloc::raw_totals();
+    spec.execute()
+        .unwrap_or_else(|e| panic!("{}: {e}", spec.label()));
+    let (after, _) = hostprof::CountingAlloc::raw_totals();
+    let pops = hostprof::snapshot().sim[hostprof::Sim::CalPops as usize];
+    (after - before, pops)
+}
+
+/// The event loop allocates nothing per event: doubling a workload's size
+/// adds tens of thousands of events but only a handful of allocations
+/// (larger memories and inputs, buffers growing to a new high-water mark).
+/// Histogram is left out because it boxes one thread body per increment,
+/// and stencil because its pop count does not grow with `per_pe`.
+#[test]
+fn event_loop_allocates_nothing_per_event() {
+    let _g = LOCK.lock().unwrap();
+    hostprof::set_enabled(true);
+    for workload in [Workload::Sort, Workload::Fft, Workload::Bfs, Workload::Spmv] {
+        let (allocs_small, pops_small) = allocs_and_pops(workload, 256);
+        let (allocs_large, pops_large) = allocs_and_pops(workload, 512);
+        let extra_pops = pops_large - pops_small;
+        let extra_allocs = allocs_large.saturating_sub(allocs_small);
+        assert!(
+            extra_pops >= 10_000,
+            "{workload:?}: {extra_pops} extra pops are too few to tell"
+        );
+        assert!(
+            extra_allocs * 100 <= extra_pops,
+            "{workload:?}: {extra_allocs} extra allocations for {extra_pops} extra pops"
+        );
     }
     hostprof::set_enabled(false);
 }
