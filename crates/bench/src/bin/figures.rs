@@ -6,6 +6,11 @@
 //! cargo run --release -p emx-bench --bin figures -- fig6 standard --no-cache
 //! ```
 //!
+//! The committed `results/` come from two commands: `figures all standard`,
+//! then `figures scaling full`. `all` runs every figure but `scaling`, whose
+//! one CSV (`results/scaling_fft.csv`) holds the `full`-scale run out to
+//! n = 8M; rerun it only at `full` scale to keep the committed file.
+//!
 //! Subcommands: `fig4` (the hand-walked scheduling interleaving, checked
 //! against a probe-recorded trace and exported for Perfetto — see
 //! `docs/OBSERVABILITY.md`), `fig6` (communication time vs threads), `fig7` (overlap
@@ -17,7 +22,8 @@
 //! (network-model ablation), `workloads` (every kernel — regular and
 //! irregular — compared across the Omega, 2D-mesh and fat-tree fabrics;
 //! see `docs/WORKLOADS.md`), `scaling` (FFT processor-count scaling out to
-//! the 1024-PE limit — n = 8M at `full` scale), `all`.
+//! the 1024-PE limit — n = 8M at `full` scale), `all` (every figure but
+//! `scaling`).
 //!
 //! Every sweep runs through the `emx-sweep` engine: points execute in
 //! parallel (`--jobs N`, default all host cores), results
@@ -28,9 +34,10 @@
 //! sidecar recording the exact specs, seeds, cache keys and report digests
 //! behind it — see `docs/SWEEPS.md`.
 //!
-//! `latency` and `model` are direct single-machine probes (interpreted ISA
-//! kernels and custom thread bodies), not grid sweeps; they run outside the
-//! engine and carry no sidecar.
+//! `latency` and `model` are direct single-machine probes (the
+//! `emx-workloads` microprobes: an interpreted ISA read loop and the native
+//! 12-cycle read loop), not grid sweeps; they run outside the engine and
+//! carry no sidecar.
 
 use std::fs;
 use std::path::Path;
@@ -288,10 +295,19 @@ fn fig9(opts: &Opts) {
     );
 }
 
+/// A paper-default machine of `pes` processors with memories trimmed to
+/// what the microprobes touch.
+fn probe_machine(pes: usize) -> MachineConfig {
+    let mut cfg = MachineConfig::with_pes(pes);
+    cfg.local_memory_words = 1 << 12;
+    cfg
+}
+
 /// In-text claim: remote read latency of 20-40 clocks (1-2 µs).
 ///
-/// A direct probe (interpreted ISA kernel on a hand-built machine), not a
-/// grid sweep — it runs outside the sweep engine and writes no sidecar.
+/// A direct probe (`emx_workloads::remote_read_latency`, an interpreted
+/// ISA kernel), not a grid sweep — it runs outside the sweep engine and
+/// writes no sidecar.
 fn latency() {
     println!("\n=== Remote read latency probe (interpreted ISA kernel) ===");
     let mut table = Table::new(["PEs", "readers", "cycles/read", "us/read"]);
@@ -303,31 +319,8 @@ fn latency() {
         (64, 16),
         (64, 32),
     ] {
-        let mut cfg = MachineConfig::with_pes(pes);
-        cfg.local_memory_words = 1 << 12;
-        let mut m = Machine::new(cfg).unwrap();
-        let (counter, limit) = (Reg::r(7), Reg::r(8));
-        let mut b = ProgramBuilder::new("probe");
-        b.addi(limit, Reg::ZERO, 64);
-        b.label("loop");
-        b.rread(Reg::r(5), Reg::ARG);
-        b.addi(counter, counter, 1);
-        b.bne(counter, limit, "loop");
-        b.end();
-        let tmpl = m.register_template(b.build().unwrap());
-        let target = (pes - 1) as u16;
-        for r in 0..readers {
-            let addr = GlobalAddr::new(PeId(target), 64).unwrap().pack();
-            m.spawn_at_start(PeId(r as u16), tmpl, addr).unwrap();
-        }
-        let report = m.run().unwrap();
-        // Round trip = idle waiting plus suspend/resume switching, the
-        // quantity the paper's 20-40 clock band describes.
-        let wait: f64 = report.per_pe[..readers]
-            .iter()
-            .map(|p| (p.breakdown.comm + p.breakdown.switch).get() as f64)
-            .sum();
-        let per_read = wait / report.total_reads() as f64;
+        let per_read =
+            remote_read_latency(&probe_machine(pes), readers, 64).expect("latency probe runs");
         table.row([
             pes.to_string(),
             readers.to_string(),
@@ -340,74 +333,22 @@ fn latency() {
     println!("paper: \"approximately 1 to 2 us, or 20-40 clocks\" under normal load.");
 }
 
-/// Simulated idle cycles per read for h threads each running the
-/// 12-cycle read loop over `reads_per_thread` reads.
-fn sim_read_loop(h: usize, reads_per_thread: u32) -> f64 {
-    struct ReadLoop {
-        remaining: u32,
-        cursor: u32,
-        issued_work: bool,
-    }
-    impl ThreadBody for ReadLoop {
-        fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
-            if self.remaining == 0 {
-                return Action::End;
-            }
-            if !self.issued_work {
-                self.issued_work = true;
-                return Action::Work {
-                    cycles: 11,
-                    kind: WorkKind::Overhead,
-                };
-            }
-            self.issued_work = false;
-            self.remaining -= 1;
-            let mate = PeId((ctx.pe.0 + 1) % ctx.npes as u16);
-            self.cursor += 1;
-            Action::Read {
-                addr: GlobalAddr::new(mate, 64 + (self.cursor % 512)).unwrap(),
-            }
-        }
-    }
-    let mut cfg = MachineConfig::paper_p16();
-    cfg.local_memory_words = 1 << 12;
-    let mut m = Machine::new(cfg).unwrap();
-    let entry = m.register_entry("readloop", move |_, _| {
-        Box::new(ReadLoop {
-            remaining: reads_per_thread,
-            cursor: 0,
-            issued_work: false,
-        })
-    });
-    for pe in 0..16u16 {
-        for _ in 0..h {
-            m.spawn_at_start(PeId(pe), entry, 0).unwrap();
-        }
-    }
-    let report = m.run().unwrap();
-    let idle: f64 = report
-        .per_pe
-        .iter()
-        .map(|p| p.breakdown.comm.get() as f64)
-        .sum();
-    idle / report.total_reads() as f64
-}
-
-/// Analytic model (Saavedra-Barrera) vs simulation on a synthetic read loop.
+/// Analytic model (Saavedra-Barrera) vs simulation on the native 12-cycle
+/// read loop (`emx_workloads::read_loop_idle`).
 ///
-/// Uses a custom `ThreadBody`, so — like `latency` — it runs outside the
-/// sweep engine.
+/// A direct probe like `latency`, it runs outside the sweep engine.
 fn model() {
     println!("\n=== Analytic model vs simulation ===");
-    let cfg = MachineConfig::paper_p16();
+    let cfg = probe_machine(16);
     // Self-calibrate: the single-thread simulated idle per read IS the
     // model's effective latency parameter.
-    let measured_latency = sim_read_loop(1, 128);
+    let idle = |h: usize| read_loop_idle(&cfg, h, 128).expect("read loop runs");
+    let measured_latency = idle(1);
     let m = ModelParams::sorting(&cfg.costs, measured_latency);
     println!("calibrated L = {measured_latency:.1} cycles from the h=1 run");
     let mut table = Table::new(["h", "model idle/read", "sim idle/read", "model region"]);
     for h in [1u32, 2, 3, 4, 8, 16] {
-        let pt = sim_read_loop(h as usize, 128);
+        let pt = idle(h as usize);
         table.row([
             h.to_string(),
             format!("{:.1}", m.idle_per_read(h)),
@@ -756,7 +697,9 @@ fn scaling(opts: &Opts) {
 fn usage() -> ! {
     eprintln!(
         "usage: figures [fig4|fig6|fig7|fig8|fig9|latency|model|ablation|block|priority|runlength|topology|workloads|scaling|all]\n\
-         \x20              [quick|standard|full] [--jobs N] [--no-cache]"
+         \x20              [quick|standard|full] [--jobs N] [--no-cache]\n\
+         `all` is every figure but `scaling`; the committed results/ are\n\
+         `figures all standard`, then `figures scaling full`"
     );
     std::process::exit(2);
 }
@@ -837,7 +780,6 @@ fn main() {
             runlength(&opts);
             topology(&opts);
             workloads(&opts);
-            scaling(&opts);
         }
         other => {
             eprintln!("unknown figure {other:?}");

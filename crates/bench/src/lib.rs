@@ -13,8 +13,9 @@
 //!   runs, `standard` for EXPERIMENTS.md numbers, `full` near paper
 //!   sizes), and which per-PE sizes / thread counts / PE panels each
 //!   scale sweeps;
-//! * [`Workload`] — the paper's two kernels (re-exported from
-//!   `emx-sweep`): multithreaded bitonic sorting and multithreaded FFT;
+//! * [`Workload`] — the six kernels (re-exported from `emx-sweep`): the
+//!   paper's multithreaded bitonic sorting and FFT, and the irregular
+//!   BFS, histogram, spmv and stencil;
 //! * [`series_by_size`] — regroup sweep points into the per-size series
 //!   the figure panels plot.
 //!

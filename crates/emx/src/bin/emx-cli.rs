@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! emx-cli run     <sort|fft|bfs|histogram|spmv|stencil> --pes 64 --n 4096 --threads 4
-//!                 [--comm-only] [--seed N] [--net MODEL] [--preset paper|modern] [--csv]
+//!                 [--comm-only] [--block] [--seed N] [--net MODEL] [--preset paper|modern]
+//!                 [--em4] [--priority-responses] [--memory-words N] [--csv]
 //!                 [--kill-after EVENTS] [--hostprof]
-//! emx-cli sort    --pes 16 --n 16384 --threads 4 [--dist uniform] [--seed 1] [--block] [--em4] [--csv]
-//! emx-cli fft     --pes 16 --n 16384 --threads 4 [--comm-only] [--csv]
 //! emx-cli trace   <sort|fft|bfs|histogram|spmv|stencil|fig4> [--pes N --n N --threads N --seed N]
 //!                 [--format chrome|csv] [--events CAP] [--check] [--out FILE]
 //! emx-cli metrics <sort|fft|bfs|histogram|spmv|stencil|fig4> [--pes N --n N --threads N --seed N] [--csv]
@@ -41,9 +40,14 @@
 //! paper|modern` (the cost model: the paper's calibrated charges, or a
 //! modern latency/bandwidth ratio — see `docs/WORKLOADS.md`).
 //!
-//! Without `--threads`, `run`, `trace`, `metrics` and `profile` give the
-//! stencil no more threads than its grid has band rows per processor
-//! (`n / pes / 32`), so every kernel runs at its defaults.
+//! `run`, `trace`, `metrics` and `profile` take the workload words
+//! `sweep --workload` takes (`bitonic` and `hist` included) and build the
+//! kernel's parameters the way a sweep does: their flags become a
+//! `RunSpec` of `--n / --pes` elements per processor, run by
+//! `RunSpec::execute_on` on the machine the flags configure. `--pes` must
+//! divide `--n`. Without `--threads` they give the stencil no more threads
+//! than its grid has band rows per processor (`n / pes / 32`), so every
+//! kernel runs at its defaults.
 //!
 //! `run` executes one workload with the streaming trace digest attached
 //! and prints the run report followed by two stable fingerprints: a
@@ -141,7 +145,6 @@ use emx::sweep::{
     grid, provenance, GcAction, Journal, ProgressConfig, RunCache, SweepEngine, SweepOutcome,
     Workload, DEFAULT_CACHE_DIR,
 };
-use emx::workloads::{run_null_loop, NullLoopParams};
 
 /// Opt in to the hostprof counting allocator, so `--hostprof` reports
 /// carry `alloc.allocs` / `alloc.bytes` (see `docs/OBSERVABILITY.md`
@@ -202,13 +205,17 @@ impl Args {
         }
     }
 
+    fn u64_opt(&self, name: &str) -> Result<Option<u64>, String> {
+        self.get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name} wants a number, got {v:?}"))
+            })
+            .transpose()
+    }
+
     fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} wants a number, got {v:?}")),
-        }
+        Ok(self.u64_opt(name)?.unwrap_or(default))
     }
 }
 
@@ -312,109 +319,61 @@ fn print_hostprof(meta: Vec<(String, String)>) {
     print!("{}", rep.canonical_text());
 }
 
-/// Run one kernel (`sort|fft|bfs|histogram|spmv|stencil`) of `n` elements
-/// with `threads` threads per PE on `cfg`. `--seed`, `--block` (sort) and
-/// `--comm-only` (fft) come from `args`; `attach` fits the subcommand's
-/// probe before the run. Returns the report and the seed the kernel ran
-/// with.
-fn run_kernel(
+/// The kernel subcommands' flags as a [`RunSpec`] for `cfg`: the
+/// `workload` word, `--n` total elements (else `default_n`; `--pes` must
+/// divide it), `--threads` (else `default_threads`), `--seed`,
+/// `--comm-only` (fft) and `--block` (sort). The stencil needs a band row
+/// per thread, so without `--threads` it runs no more threads than its
+/// grid has rows per processor; an explicit value is passed through for
+/// the stencil to accept or reject.
+fn kernel_spec(
     args: &Args,
     workload: &str,
     cfg: &MachineConfig,
-    n: usize,
-    threads: usize,
-    attach: impl FnOnce(&mut Machine),
-) -> Result<(RunReport, u64), String> {
-    let seed_or = |default: u64| args.u64_or("seed", default);
-    let (report, seed) = match workload {
-        "sort" => {
-            let mut params = SortParams::new(n, threads);
-            params.seed = seed_or(params.seed)?;
-            params.block_read = args.has("block");
-            let out = run_bitonic_observed(cfg, &params, attach);
-            (out.map(|o| o.report), params.seed)
+    default_n: usize,
+    default_threads: usize,
+) -> Result<RunSpec, String> {
+    let kernel = Workload::parse(workload).ok_or(format!("unknown workload {workload:?}"))?;
+    let (n, pes) = (args.usize_or("n", default_n)?, cfg.num_pes);
+    if pes == 0 || n % pes != 0 {
+        return Err(format!("n={n} not divisible by P={pes}"));
+    }
+    let per_pe = n / pes;
+    let default_threads = match kernel {
+        Workload::Stencil => {
+            let rows = per_pe / StencilParams::new(n, default_threads).width;
+            default_threads.min(rows).max(1)
         }
-        "fft" => {
-            let mut params = if args.has("comm-only") {
-                FftParams::comm_only(n, threads)
-            } else {
-                FftParams::new(n, threads)
-            };
-            params.seed = seed_or(params.seed)?;
-            let out = run_fft_observed(cfg, &params, attach);
-            (out.map(|o| o.report), params.seed)
-        }
-        "bfs" => {
-            let mut params = BfsParams::new(n, threads);
-            params.seed = seed_or(params.seed)?;
-            let out = run_bfs_observed(cfg, &params, attach);
-            (out.map(|o| o.report), params.seed)
-        }
-        "histogram" => {
-            let mut params = HistogramParams::new(n, threads);
-            params.seed = seed_or(params.seed)?;
-            let out = run_histogram_observed(cfg, &params, attach);
-            (out.map(|o| o.report), params.seed)
-        }
-        "spmv" => {
-            let mut params = SpmvParams::new(n, threads);
-            params.seed = seed_or(params.seed)?;
-            let out = run_spmv_observed(cfg, &params, attach);
-            (out.map(|o| o.report), params.seed)
-        }
-        "stencil" => {
-            let mut params = StencilParams::new(n, threads);
-            params.seed = seed_or(params.seed)?;
-            let out = run_stencil_observed(cfg, &params, attach);
-            (out.map(|o| o.report), params.seed)
-        }
-        other => {
-            return Err(format!(
-                "unknown workload {other:?} (sort|fft|bfs|histogram|spmv|stencil)"
-            ))
-        }
+        _ => default_threads,
     };
-    Ok((report.map_err(|e| e.to_string())?, seed))
-}
-
-/// `--threads`, else the subcommand's `default`. The stencil needs a
-/// band row per thread, so without the flag it runs no more threads than
-/// its grid has rows per processor; an explicit value is passed through
-/// for the stencil to accept or reject.
-fn threads_or(
-    args: &Args,
-    workload: &str,
-    cfg: &MachineConfig,
-    n: usize,
-    default: usize,
-) -> Result<usize, String> {
-    let default = match (workload, n.checked_div(cfg.num_pes)) {
-        ("stencil", Some(per_pe)) => {
-            let rows = per_pe / StencilParams::new(n, default).width;
-            default.min(rows).max(1)
-        }
-        _ => default,
-    };
-    args.usize_or("threads", default)
+    let mut spec = RunSpec::new(
+        kernel,
+        pes,
+        per_pe,
+        args.usize_or("threads", default_threads)?,
+    );
+    spec.seed = args.u64_opt("seed")?;
+    spec.comm_only = args.has("comm-only");
+    spec.block_read = args.has("block");
+    Ok(spec)
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
     let workload = args.positional.first().map(String::as_str).unwrap_or("fft");
     let cfg = machine_cfg(args, 64)?;
-    let n = args.usize_or("n", 4096)?;
-    let threads = threads_or(args, workload, &cfg, n, 4)?;
+    let spec = kernel_spec(args, workload, &cfg, 4096, 4)?;
     arm_kill_switch(args)?;
     let hostprof = arm_hostprof(args);
     let (probe, handle) = DigestProbe::new();
-    let (report, _) = run_kernel(args, workload, &cfg, n, threads, |m| {
-        m.attach_probe(Box::new(probe))
-    })?;
+    let report = spec
+        .execute_on(&cfg, |m| m.attach_probe(Box::new(probe)))
+        .map_err(|e| e.to_string())?;
     if !args.has("csv") {
         println!(
             "{workload}: {} elements on {} PEs, h={}, {} trace events",
-            n,
+            spec.n(),
             cfg.num_pes,
-            threads,
+            spec.threads,
             handle.events()
         );
     }
@@ -426,57 +385,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             ("cmd".to_string(), "run".to_string()),
             ("workload".to_string(), workload.to_string()),
             ("pes".to_string(), cfg.num_pes.to_string()),
-            ("n".to_string(), n.to_string()),
-            ("threads".to_string(), threads.to_string()),
+            ("n".to_string(), spec.n().to_string()),
+            ("threads".to_string(), spec.threads.to_string()),
         ]);
     }
-    Ok(())
-}
-
-fn cmd_sort(args: &Args) -> Result<(), String> {
-    let cfg = machine_cfg(args, 16)?;
-    let n = args.usize_or("n", 16 * 1024)?;
-    let threads = args.usize_or("threads", 4)?;
-    let mut params = SortParams::new(n, threads);
-    params.seed = args.u64_or("seed", params.seed)?;
-    params.block_read = args.has("block");
-    params.dist = match args.get("dist").unwrap_or("uniform") {
-        "uniform" => KeyDist::Uniform,
-        "sorted" => KeyDist::Sorted,
-        "reverse" => KeyDist::Reverse,
-        "gaussian" => KeyDist::Gaussian,
-        "constant" => KeyDist::Constant,
-        other => return Err(format!("unknown distribution {other:?}")),
-    };
-    let out = run_bitonic(&cfg, &params).map_err(|e| e.to_string())?;
-    if !args.has("csv") {
-        println!(
-            "sorted {} keys on {} PEs with h={} (verified)",
-            n, cfg.num_pes, threads
-        );
-    }
-    print_report(&out.report, args.has("csv"));
-    Ok(())
-}
-
-fn cmd_fft(args: &Args) -> Result<(), String> {
-    let cfg = machine_cfg(args, 16)?;
-    let n = args.usize_or("n", 16 * 1024)?;
-    let threads = args.usize_or("threads", 4)?;
-    let mut params = if args.has("comm-only") {
-        FftParams::comm_only(n, threads)
-    } else {
-        FftParams::new(n, threads)
-    };
-    params.seed = args.u64_or("seed", params.seed)?;
-    let out = run_fft(&cfg, &params).map_err(|e| e.to_string())?;
-    if !args.has("csv") {
-        println!(
-            "transformed {} points on {} PEs with h={} (verified against f64 reference)",
-            n, cfg.num_pes, threads
-        );
-    }
-    print_report(&out.report, args.has("csv"));
     Ok(())
 }
 
@@ -493,11 +405,9 @@ fn observed_run(args: &Args, workload: &str) -> Result<(Observation, u64), Strin
         MachineConfig::with_pes(2).clock_hz
     } else {
         let cfg = machine_cfg(args, 2)?;
-        let n = args.usize_or("n", 64)?;
-        let threads = threads_or(args, workload, &cfg, n, 2)?;
-        run_kernel(args, workload, &cfg, n, threads, |m| {
-            m.attach_probe(Box::new(rec))
-        })?;
+        kernel_spec(args, workload, &cfg, 64, 2)?
+            .execute_on(&cfg, |m| m.attach_probe(Box::new(rec)))
+            .map_err(|e| e.to_string())?;
         cfg.clock_hz
     };
     Ok((handle.finish(), clock_hz))
@@ -584,19 +494,18 @@ fn cmd_metrics(args: &Args) -> Result<(), String> {
 /// return the finished profile report with provenance metadata filled in.
 fn profiled_run(args: &Args, workload: &str) -> Result<emx::profile::ProfileReport, String> {
     let cfg = machine_cfg(args, 16)?;
-    let n = args.usize_or("n", 16 * 256)?;
-    let threads = threads_or(args, workload, &cfg, n, 4)?;
+    let spec = kernel_spec(args, workload, &cfg, 16 * 256, 4)?;
     let (probe, handle) = Profiler::new(cfg.costs);
-    let (report, seed) = run_kernel(args, workload, &cfg, n, threads, |m| {
-        m.attach_probe(Box::new(probe))
-    })?;
+    let report = spec
+        .execute_on(&cfg, |m| m.attach_probe(Box::new(probe)))
+        .map_err(|e| e.to_string())?;
     let mut rep = handle.finish(&report);
     rep.meta = vec![
         ("workload".to_string(), workload.to_string()),
         ("pes".to_string(), cfg.num_pes.to_string()),
-        ("n".to_string(), n.to_string()),
-        ("threads".to_string(), threads.to_string()),
-        ("seed".to_string(), seed.to_string()),
+        ("n".to_string(), spec.n().to_string()),
+        ("threads".to_string(), spec.threads.to_string()),
+        ("seed".to_string(), spec.effective_seed().to_string()),
     ];
     Ok(rep)
 }
@@ -754,50 +663,93 @@ fn faults_table(outcome: &SweepOutcome) -> (Table, String) {
     (t, digest.hex())
 }
 
-/// Write `table` as CSV to `--out` with a provenance sidecar, if asked.
-fn write_csv_out(
+/// The report tail `sweep`, `faults` and `resume` share. `mode` (the
+/// journal's, for `resume`) picks the table: `sweep`'s, or `faults`'s with
+/// its matrix digest. Prints the table (CSV with `--csv`) and the digest,
+/// lists failed points on stderr, writes the `--out` CSV and its sidecar
+/// (`source` is `emx-cli <cmd>`, then `facts`, then the matrix digest),
+/// and prints the hostprof report when `hostprof` is on.
+fn sweep_report(
     args: &Args,
-    table: &Table,
+    cmd: &str,
+    mode: &str,
     figure: &str,
     outcome: &SweepOutcome,
-    extra: &[(&str, String)],
+    facts: Vec<(&str, String)>,
+    hostprof: bool,
 ) -> Result<(), String> {
-    let Some(out) = args.get("out") else {
-        return Ok(());
+    let mut extra = vec![("source", format!("emx-cli {cmd}"))];
+    extra.extend(facts);
+    let (t, digest) = match mode {
+        "sweep" => (sweep_table(outcome), None),
+        "faults" => {
+            let (t, digest) = faults_table(outcome);
+            extra.push(("matrix_digest", digest.clone()));
+            (t, Some(digest))
+        }
+        other => return Err(format!("unknown journal mode {other:?} for {figure}")),
     };
-    let path = std::path::Path::new(out);
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    if args.has("csv") {
+        print!("{}", t.to_csv());
+    } else {
+        print!("{}", t.render());
     }
-    std::fs::write(path, table.to_csv()).map_err(|e| format!("{out}: {e}"))?;
-    let side = provenance::write_sidecar(path, figure, outcome, extra)
-        .map_err(|e| format!("{out}: {e}"))?;
-    eprintln!("wrote {} and {}", path.display(), side.display());
+    if let Some(digest) = digest {
+        println!("digest: {digest}");
+    }
+    for f in &outcome.failed {
+        eprintln!("emx-cli: point {} FAILED: {}", f.spec.label(), f.error);
+    }
+    if let Some(out) = args.get("out") {
+        let path = std::path::Path::new(out);
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        }
+        std::fs::write(path, t.to_csv()).map_err(|e| format!("{out}: {e}"))?;
+        let side = provenance::write_sidecar(path, figure, outcome, &extra)
+            .map_err(|e| format!("{out}: {e}"))?;
+        eprintln!("wrote {} and {}", path.display(), side.display());
+    }
+    if hostprof {
+        print_hostprof(vec![
+            ("cmd".to_string(), cmd.to_string()),
+            ("figure".to_string(), figure.to_string()),
+            ("points".to_string(), outcome.points.len().to_string()),
+            ("jobs".to_string(), outcome.jobs.to_string()),
+        ]);
+    }
+    Ok(())
+}
+
+/// `--workload` of a sweep-shaped subcommand (`validate_values` has
+/// checked the word), else sorting.
+fn workload_flag(args: &Args) -> Workload {
+    args.get("workload")
+        .and_then(Workload::parse)
+        .unwrap_or(Workload::Sort)
+}
+
+/// Apply a sweep-shaped subcommand's `--net` and `--preset` to `spec`.
+fn machine_flags(args: &Args, spec: &mut RunSpec) -> Result<(), String> {
+    if let Some(net) = args.get("net") {
+        spec.net_model = parse_net(net)?;
+    }
+    if let Some(preset) = args.get("preset") {
+        spec.preset = parse_preset(preset)?;
+    }
     Ok(())
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
-    let workload = match args.get("workload") {
-        None => Workload::Sort,
-        Some(w) => Workload::parse(w).ok_or(format!(
-            "unknown workload {w:?} (sort|fft|bfs|histogram|spmv|stencil)"
-        ))?,
-    };
+    let workload = workload_flag(args);
     let pes = args.usize_or("pes", 16)?;
     let sizes = parse_list("sizes", args.get("sizes").unwrap_or("512,2048"))?;
     let threads = parse_list("threads", args.get("threads").unwrap_or("1,2,4,8"))?;
 
     let mut engine = engine_from_args(args)?;
-    let net_model = args.get("net").map(parse_net).transpose()?;
-    let preset = args.get("preset").map(parse_preset).transpose()?;
     let mut specs = grid(workload, pes, &sizes, &threads);
     for s in &mut specs {
-        if let Some(net) = net_model {
-            s.net_model = net;
-        }
-        if let Some(p) = preset {
-            s.preset = p;
-        }
+        machine_flags(args, s)?;
     }
     let figure = format!("sweep_{}_p{pes}", workload.name());
     if let Some(journal) = args.get("journal") {
@@ -809,29 +761,7 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
     arm_kill_switch(args)?;
     let hostprof = arm_hostprof(args);
     let outcome = engine.run(specs);
-
-    let t = sweep_table(&outcome);
-    if args.has("csv") {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
-    write_csv_out(
-        args,
-        &t,
-        &figure,
-        &outcome,
-        &[("source", "emx-cli sweep".to_string())],
-    )?;
-    if hostprof {
-        print_hostprof(vec![
-            ("cmd".to_string(), "sweep".to_string()),
-            ("figure".to_string(), figure),
-            ("points".to_string(), outcome.points.len().to_string()),
-            ("jobs".to_string(), outcome.jobs.to_string()),
-        ]);
-    }
-    Ok(())
+    sweep_report(args, "sweep", "sweep", &figure, &outcome, vec![], hostprof)
 }
 
 /// Derive the per-point fault seed: a stable hash of the base seed and
@@ -844,12 +774,7 @@ fn point_seed(base: u64, per_pe: usize, threads: usize, loss_ppm: u32) -> u64 {
 }
 
 fn cmd_faults(args: &Args) -> Result<(), String> {
-    let workload = match args.get("workload") {
-        None => Workload::Sort,
-        Some(w) => Workload::parse(w).ok_or(format!(
-            "unknown workload {w:?} (sort|fft|bfs|histogram|spmv|stencil)"
-        ))?,
-    };
+    let workload = workload_flag(args);
     let pes = args.usize_or("pes", 16)?;
     let sizes = parse_list("sizes", args.get("sizes").unwrap_or("512"))?;
     let threads = parse_list("threads", args.get("threads").unwrap_or("1,2,4"))?;
@@ -862,8 +787,6 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let backoff_cap = args.u64_or("backoff-cap", 4096)? as u32;
     let max_attempts = args.u64_or("max-attempts", 0)? as u32;
     let check = args.has("check-invariants");
-    let net_model = args.get("net").map(parse_net).transpose()?;
-    let preset = args.get("preset").map(parse_preset).transpose()?;
 
     // Grid order: size-major, then threads, then loss — every loss column
     // of one (n, h) row is adjacent in the CSV.
@@ -874,12 +797,7 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
                 let loss =
                     u32::try_from(loss).map_err(|_| format!("--loss {loss} out of range"))?;
                 let mut spec = RunSpec::new(workload, pes, per_pe, h);
-                if let Some(net) = net_model {
-                    spec.net_model = net;
-                }
-                if let Some(p) = preset {
-                    spec.preset = p;
-                }
+                machine_flags(args, &mut spec)?;
                 let mut fs = FaultSpec::new(point_seed(seed, per_pe, h, loss));
                 fs.drop_ppm = loss;
                 fs.dup_ppm = dup;
@@ -910,37 +828,8 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     arm_kill_switch(args)?;
     let hostprof = arm_hostprof(args);
     let outcome = engine.run(specs);
-
-    let (t, digest) = faults_table(&outcome);
-    if args.has("csv") {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
-    println!("digest: {digest}");
-    for f in &outcome.failed {
-        eprintln!("emx-cli: point {} FAILED: {}", f.spec.label(), f.error);
-    }
-    write_csv_out(
-        args,
-        &t,
-        &figure,
-        &outcome,
-        &[
-            ("source", "emx-cli faults".to_string()),
-            ("seed", seed.to_string()),
-            ("matrix_digest", digest),
-        ],
-    )?;
-    if hostprof {
-        print_hostprof(vec![
-            ("cmd".to_string(), "faults".to_string()),
-            ("figure".to_string(), figure),
-            ("points".to_string(), outcome.points.len().to_string()),
-            ("jobs".to_string(), outcome.jobs.to_string()),
-        ]);
-    }
-    Ok(())
+    let facts = vec![("seed", seed.to_string())];
+    sweep_report(args, "faults", "faults", &figure, &outcome, facts, hostprof)
 }
 
 fn cmd_resume(args: &Args) -> Result<(), String> {
@@ -952,41 +841,18 @@ fn cmd_resume(args: &Args) -> Result<(), String> {
     arm_kill_switch(args)?;
     let hostprof = arm_hostprof(args);
     let resumed = emx::sweep::resume(std::path::Path::new(journal), engine)?;
-    let outcome = &resumed.outcome;
-    // The CSV table is chosen by the journal's recorded mode, so a
-    // resumed run produces byte-identical output to the uninterrupted
-    // invocation it recovers.
-    let mut extra = vec![("source", "emx-cli resume".to_string())];
-    let (t, digest) = match resumed.mode.as_str() {
-        "sweep" => (sweep_table(outcome), None),
-        "faults" => {
-            let (t, digest) = faults_table(outcome);
-            extra.push(("matrix_digest", digest.clone()));
-            (t, Some(digest))
-        }
-        other => return Err(format!("{journal}: unknown journal mode {other:?}")),
-    };
-    if args.has("csv") {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.render());
-    }
-    if let Some(digest) = digest {
-        println!("digest: {digest}");
-    }
-    for f in &outcome.failed {
-        eprintln!("emx-cli: point {} FAILED: {}", f.spec.label(), f.error);
-    }
-    write_csv_out(args, &t, &resumed.label, outcome, &extra)?;
-    if hostprof {
-        print_hostprof(vec![
-            ("cmd".to_string(), "resume".to_string()),
-            ("figure".to_string(), resumed.label.clone()),
-            ("points".to_string(), outcome.points.len().to_string()),
-            ("jobs".to_string(), outcome.jobs.to_string()),
-        ]);
-    }
-    Ok(())
+    // The table follows the journal's recorded mode, so a resumed run
+    // prints what the uninterrupted invocation it recovers would have.
+    let (mode, label) = (resumed.mode.as_str(), resumed.label.as_str());
+    sweep_report(
+        args,
+        "resume",
+        mode,
+        label,
+        &resumed.outcome,
+        vec![],
+        hostprof,
+    )
 }
 
 fn cmd_cache(args: &Args) -> Result<(), String> {
@@ -1160,26 +1026,8 @@ fn cmd_nullloop(args: &Args) -> Result<(), String> {
 fn cmd_latency(args: &Args) -> Result<(), String> {
     let cfg = machine_cfg(args, 16)?;
     let readers = args.usize_or("readers", 1)?;
-    let reads = args.usize_or("reads", 64)? as i16;
-    if readers == 0 || readers >= cfg.num_pes {
-        return Err("--readers must be in 1..pes".into());
-    }
-    let mut m = Machine::new(cfg.clone()).map_err(|e| e.to_string())?;
-    let tmpl = m.register_template(emx::isa::kernels::read_loop(reads, 0));
-    let target = (cfg.num_pes - 1) as u16;
-    for r in 0..readers {
-        let addr = GlobalAddr::new(PeId(target), 64).unwrap().pack();
-        m.spawn_at_start(PeId(r as u16), tmpl, addr)
-            .map_err(|e| e.to_string())?;
-    }
-    let report = m.run().map_err(|e| e.to_string())?;
-    // Round trip = idle waiting plus the suspend/resume switch machinery,
-    // which is what the paper's 20-40 clock figure covers.
-    let wait: f64 = report.per_pe[..readers]
-        .iter()
-        .map(|p| (p.breakdown.comm + p.breakdown.switch).get() as f64)
-        .sum();
-    let per_read = wait / report.total_reads() as f64;
+    let reads = args.usize_or("reads", 64)?;
+    let per_read = remote_read_latency(&cfg, readers, reads).map_err(|e| e.to_string())?;
     println!(
         "{} reader(s) on {} PEs: {:.1} cycles/read = {:.2} µs at 20 MHz (paper band: 20-40 cycles)",
         readers,
@@ -1247,7 +1095,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str = "usage: emx-cli <run|sort|fft|trace|metrics|profile|profile-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
+const USAGE: &str = "usage: emx-cli <run|trace|metrics|profile|profile-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
 
 /// Flags `machine_cfg` reads.
 #[rustfmt::skip]
@@ -1263,8 +1111,6 @@ const SWEEP_FLAGS: &[&str] = &["jobs", "no-cache", "progress", "kill-after", "ho
 #[rustfmt::skip]
 const FLAGS: &[(&str, &[&[&str]])] = &[
     ("run", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "csv", "kill-after", "hostprof"]]),
-    ("sort", &[MACHINE_FLAGS, &["n", "threads", "seed", "block", "dist", "csv"]]),
-    ("fft", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "csv"]]),
     ("trace", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "format", "check", "out"]]),
     ("metrics", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "csv"]]),
     ("profile", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "json", "out"]]),
@@ -1311,8 +1157,9 @@ fn validate_shape(cmd: &str, args: &Args) -> Result<(), String> {
 }
 
 /// Argument-value validation (exit 4): flags whose value has a closed
-/// syntax are checked up front, so a typo fails fast with a distinct
-/// exit code instead of surfacing mid-run as a generic error.
+/// syntax, and the workload word of the kernel subcommands, are checked up
+/// front, so a typo fails fast with a distinct exit code instead of
+/// surfacing mid-run as a generic error.
 fn validate_values(cmd: &str, args: &Args) -> Result<(), String> {
     if let Some(net) = args.get("net") {
         parse_net(net).map_err(|e| format!("bad value for --net: {e}"))?;
@@ -1325,11 +1172,13 @@ fn validate_values(cmd: &str, args: &Args) -> Result<(), String> {
             "bad value for --workload: unknown workload {w:?} (sort|fft|bfs|histogram|spmv|stencil)"
         ))?;
     }
-    if cmd == "run" {
-        if let Some(w) = args.positional.first() {
-            Workload::parse(w).ok_or(format!(
-                "bad workload {w:?} (sort|fft|bfs|histogram|spmv|stencil)"
-            ))?;
+    let takes_fig4 = matches!(cmd, "trace" | "metrics");
+    if let ("run" | "trace" | "metrics" | "profile", Some(w)) = (cmd, args.positional.first()) {
+        if Workload::parse(w).is_none() && !(takes_fig4 && w == "fig4") {
+            let more = if takes_fig4 { "|fig4" } else { "" };
+            return Err(format!(
+                "bad workload {w:?} (sort|fft|bfs|histogram|spmv|stencil{more})"
+            ));
         }
     }
     for flag in ["kill-after", "threshold", "progress"] {
@@ -1368,8 +1217,6 @@ fn main() -> ExitCode {
     }
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),
-        "sort" => cmd_sort(&args),
-        "fft" => cmd_fft(&args),
         "trace" => cmd_trace(&args),
         "metrics" => cmd_metrics(&args),
         "profile" => cmd_profile(&args),

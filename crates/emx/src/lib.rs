@@ -18,7 +18,7 @@
 //! | [`isa`] | EMC-Y instruction set, assembler, interpreter |
 //! | [`proc`] | processor units: memory, packet queue, frames, by-pass DMA |
 //! | [`runtime`] | threads, scheduling, barriers, the [`Machine`](runtime::Machine) |
-//! | [`workloads`] | bitonic sorting, FFT, BFS, histogram, spmv, stencil drivers |
+//! | [`workloads`] | bitonic sorting, FFT, BFS, histogram, spmv, stencil drivers; the §5 null loop and latency probes |
 //! | [`model`] | the Saavedra-Barrera analytic multithreading model |
 //! | [`stats`] | breakdowns, switch censuses, reporters, stable digests |
 //! | [`sweep`] | parallel deterministic cached sweep engine + provenance |
@@ -91,11 +91,11 @@ pub mod prelude {
     pub use emx_sweep::{RunCache, RunSpec, SweepEngine};
     pub use emx_workloads::gen::{dft, keys, signal, KeyDist, Signal};
     pub use emx_workloads::{
-        build_bfs, build_fft, finish_bfs, finish_fft, run_bfs, run_bfs_observed, run_bitonic,
-        run_bitonic_observed, run_fft, run_fft_observed, run_histogram, run_histogram_observed,
-        run_null_loop, run_spmv, run_spmv_observed, run_stencil, run_stencil_observed, BfsOutcome,
-        BfsParams, FftOutcome, FftParams, HistogramOutcome, HistogramParams, NullLoopOutcome,
-        NullLoopParams, SortOutcome, SortParams, SpmvOutcome, SpmvParams, StencilOutcome,
-        StencilParams,
+        build_bfs, build_fft, finish_bfs, finish_fft, read_loop_idle, remote_read_latency, run_bfs,
+        run_bfs_observed, run_bitonic, run_bitonic_observed, run_fft, run_fft_observed,
+        run_histogram, run_histogram_observed, run_null_loop, run_spmv, run_spmv_observed,
+        run_stencil, run_stencil_observed, BfsOutcome, BfsParams, FftOutcome, FftParams,
+        HistogramOutcome, HistogramParams, NullLoopOutcome, NullLoopParams, SortOutcome,
+        SortParams, SpmvOutcome, SpmvParams, StencilOutcome, StencilParams,
     };
 }

@@ -7,10 +7,12 @@
 //! expands to) is a sound cache address.
 
 use emx_core::{CostPreset, FaultSpec, MachineConfig, NetModelKind, ServiceMode, SimError};
+use emx_runtime::Machine;
 use emx_stats::RunReport;
 use emx_workloads::{
-    run_bfs, run_bitonic, run_fft, run_histogram, run_spmv, run_stencil, BfsParams, FftParams,
-    HistogramParams, SortParams, SpmvParams, StencilParams,
+    run_bfs_observed, run_bitonic_observed, run_fft_observed, run_histogram_observed,
+    run_spmv_observed, run_stencil_observed, BfsParams, FftParams, HistogramParams, SortParams,
+    SpmvParams, StencilParams,
 };
 
 /// Which workload a spec runs.
@@ -180,7 +182,21 @@ impl RunSpec {
     /// Run the simulation this spec describes. Pure: the result depends
     /// only on the spec (plus the crate versions of the simulator).
     pub fn execute(&self) -> Result<RunReport, SimError> {
-        let cfg = self.machine_config();
+        self.execute_on(&self.machine_config(), |_| {})
+    }
+
+    /// Run this spec's kernel on `cfg` instead of [`RunSpec::machine_config`]
+    /// — `attach` receives the freshly built machine before anything is
+    /// loaded or spawned, so it can fit a probe. The workspace's one place
+    /// a kernel's parameters are built: the kernel, n, h, seed, `comm_only`,
+    /// `block_read` and `point_cycles` come from the spec; the machine, and
+    /// so the spec's service-mode, network, preset and fault knobs, from
+    /// `cfg`.
+    pub fn execute_on(
+        &self,
+        cfg: &MachineConfig,
+        attach: impl FnOnce(&mut Machine),
+    ) -> Result<RunReport, SimError> {
         let n = self.n();
         match self.workload {
             Workload::Sort => {
@@ -189,7 +205,7 @@ impl RunSpec {
                     params.seed = seed;
                 }
                 params.block_read = self.block_read;
-                run_bitonic(&cfg, &params).map(|o| o.report)
+                run_bitonic_observed(cfg, &params, attach).map(|o| o.report)
             }
             Workload::Fft => {
                 let mut params = if self.comm_only {
@@ -203,35 +219,35 @@ impl RunSpec {
                 if let Some(pc) = self.point_cycles {
                     params.point_cycles = pc;
                 }
-                run_fft(&cfg, &params).map(|o| o.report)
+                run_fft_observed(cfg, &params, attach).map(|o| o.report)
             }
             Workload::Bfs => {
                 let mut params = BfsParams::new(n, self.threads);
                 if let Some(seed) = self.seed {
                     params.seed = seed;
                 }
-                run_bfs(&cfg, &params).map(|o| o.report)
+                run_bfs_observed(cfg, &params, attach).map(|o| o.report)
             }
             Workload::Histogram => {
                 let mut params = HistogramParams::new(n, self.threads);
                 if let Some(seed) = self.seed {
                     params.seed = seed;
                 }
-                run_histogram(&cfg, &params).map(|o| o.report)
+                run_histogram_observed(cfg, &params, attach).map(|o| o.report)
             }
             Workload::Spmv => {
                 let mut params = SpmvParams::new(n, self.threads);
                 if let Some(seed) = self.seed {
                     params.seed = seed;
                 }
-                run_spmv(&cfg, &params).map(|o| o.report)
+                run_spmv_observed(cfg, &params, attach).map(|o| o.report)
             }
             Workload::Stencil => {
                 let mut params = StencilParams::new(n, self.threads);
                 if let Some(seed) = self.seed {
                     params.seed = seed;
                 }
-                run_stencil(&cfg, &params).map(|o| o.report)
+                run_stencil_observed(cfg, &params, attach).map(|o| o.report)
             }
         }
     }
@@ -425,6 +441,11 @@ mod tests {
                 .execute()
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
             assert!(report.elapsed.0 > 0, "{} ran no cycles", w.name());
+            // `execute` is `execute_on` its own machine, with `attach`
+            // seeing the machine exactly once.
+            let mut attached = 0;
+            let on = spec.execute_on(&spec.machine_config(), |_| attached += 1);
+            assert_eq!((attached, on), (1, Ok(report)), "{}", w.name());
         }
     }
 

@@ -41,7 +41,10 @@
 //!
 //! [`gen`] provides seeded input generators so every run is reproducible,
 //! and [`fig4`] rebuilds the paper's Figure 4 scheduling scenario with a
-//! checker for its hand-walked FIFO schedule.
+//! checker for its hand-walked FIFO schedule. [`nullloop`] is the paper's
+//! §5 packet-overhead measurement, and [`probes`] holds its two in-text
+//! microprobes: the remote-read latency and the 12-cycle read loop behind
+//! the analytic-model check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,6 +56,7 @@ pub mod fig4;
 pub mod gen;
 pub mod histogram;
 pub mod nullloop;
+pub mod probes;
 pub mod spmv;
 pub mod stencil;
 
@@ -61,5 +65,6 @@ pub use bitonic::{run_bitonic, run_bitonic_observed, SortOutcome, SortParams};
 pub use fft::{build_fft, finish_fft, run_fft, run_fft_observed, FftOutcome, FftParams};
 pub use histogram::{run_histogram, run_histogram_observed, HistogramOutcome, HistogramParams};
 pub use nullloop::{run_null_loop, NullLoopOutcome, NullLoopParams};
+pub use probes::{read_loop_idle, remote_read_latency};
 pub use spmv::{run_spmv, run_spmv_observed, SpmvOutcome, SpmvParams};
 pub use stencil::{run_stencil, run_stencil_observed, StencilOutcome, StencilParams};

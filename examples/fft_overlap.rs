@@ -6,6 +6,7 @@
 //! ```
 
 use emx::prelude::*;
+use emx::sweep::Workload;
 
 fn main() {
     let mut cfg = MachineConfig::paper_p16();
@@ -18,8 +19,10 @@ fn main() {
     let mut base = None;
     let mut best = 0.0f64;
     for &h in &threads {
-        let out = run_fft(&cfg, &FftParams::comm_only(n, h)).expect("fft runs");
-        let comm = out.report.comm_time_secs();
+        let report = RunSpec::new(Workload::Fft, cfg.num_pes, n / cfg.num_pes, h)
+            .execute_on(&cfg, |_| {})
+            .expect("fft runs");
+        let comm = report.comm_time_secs();
         let base_val = *base.get_or_insert(comm);
         let eff = overlap_efficiency(base_val, comm);
         best = best.max(eff);
@@ -27,7 +30,7 @@ fn main() {
             h.to_string(),
             format!("{:.4}", comm * 1e3),
             format!("{:.1}", eff),
-            out.report.total_switches().thread_sync.to_string(),
+            report.total_switches().thread_sync.to_string(),
         ]);
     }
     println!("{}", table.render());

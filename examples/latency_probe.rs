@@ -2,7 +2,8 @@
 //! paper's in-text claim: "A typical remote read takes approximately 1 µs"
 //! (20 cycles at 20 MHz), with a 20–40 cycle band under load.
 //!
-//! A single-thread read loop's communication (idle) time divided by the
+//! Reader processors each run a 64-read loop against the last processor
+//! ([`remote_read_latency`]); their idle plus switch time divided by the
 //! number of reads is the average unmasked round-trip latency.
 //!
 //! ```text
@@ -10,44 +11,6 @@
 //! ```
 
 use emx::prelude::*;
-
-/// Build the probe template: `reads` split-phase reads of the packed global
-/// address passed as the thread argument.
-fn probe_template(reads: i16) -> Program {
-    let (counter, limit) = (Reg::r(7), Reg::r(8));
-    let mut b = ProgramBuilder::new("latency-probe");
-    b.addi(limit, Reg::ZERO, reads);
-    b.label("loop");
-    b.rread(Reg::r(5), Reg::ARG); // address arrives as the argument word
-    b.addi(counter, counter, 1);
-    b.bne(counter, limit, "loop");
-    b.end();
-    b.build().expect("probe assembles")
-}
-
-fn measure(pes: usize, readers: usize, reads: i16) -> (f64, f64) {
-    let mut cfg = MachineConfig::with_pes(pes);
-    cfg.local_memory_words = 1 << 12;
-    let mut m = Machine::new(cfg).unwrap();
-    let tmpl = m.register_template(probe_template(reads));
-    // `readers` PEs all hammer PE (pes-1), so contention grows with the
-    // reader count.
-    let target = (pes - 1) as u16;
-    for r in 0..readers {
-        let addr = GlobalAddr::new(PeId(target), 64).unwrap().pack();
-        m.spawn_at_start(PeId(r as u16), tmpl, addr).unwrap();
-    }
-    let report = m.run().unwrap();
-    // Round trip = idle waiting plus suspend/resume switching, the
-    // quantity the paper's 20-40 clock band describes.
-    let wait: f64 = report.per_pe[..readers]
-        .iter()
-        .map(|p| (p.breakdown.comm + p.breakdown.switch).get() as f64)
-        .sum();
-    let total_reads = report.total_reads() as f64;
-    let per_read = wait / total_reads;
-    (per_read, per_read / 20.0) // cycles, microseconds at 20 MHz
-}
 
 fn main() {
     println!("remote read latency probe (interpreted EMC-Y kernel)\n");
@@ -60,12 +23,14 @@ fn main() {
         (64, 16),
         (64, 32),
     ] {
-        let (cycles, micros) = measure(pes, readers, 64);
+        let mut cfg = MachineConfig::with_pes(pes);
+        cfg.local_memory_words = 1 << 12;
+        let cycles = remote_read_latency(&cfg, readers, 64).expect("probe runs");
         t.row([
             pes.to_string(),
             readers.to_string(),
             format!("{cycles:.1}"),
-            format!("{micros:.2}"),
+            format!("{:.2}", cycles / 20.0), // microseconds at 20 MHz
         ]);
     }
     println!("{}", t.render());

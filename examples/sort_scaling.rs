@@ -7,6 +7,7 @@
 //! ```
 
 use emx::prelude::*;
+use emx::sweep::Workload;
 
 fn main() {
     let mut cfg = MachineConfig::paper_p16();
@@ -19,15 +20,17 @@ fn main() {
     let mut table = Table::new(["h", "comm (ms)", "efficiency E (%)", "switches/PE"]);
     let mut base = None;
     for &h in &threads {
-        let out = run_bitonic(&cfg, &SortParams::new(n, h)).expect("sort runs");
-        let comm = out.report.comm_time_secs();
+        let report = RunSpec::new(Workload::Sort, cfg.num_pes, n / cfg.num_pes, h)
+            .execute_on(&cfg, |_| {})
+            .expect("sort runs");
+        let comm = report.comm_time_secs();
         let base_val = *base.get_or_insert(comm);
         let eff = overlap_efficiency(base_val, comm);
         table.row([
             h.to_string(),
             format!("{:.4}", comm * 1e3),
             format!("{:.1}", eff),
-            out.report.mean_switches().total().to_string(),
+            report.mean_switches().total().to_string(),
         ]);
         series.push((h as f64, comm));
     }

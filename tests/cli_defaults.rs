@@ -1,4 +1,5 @@
-//! `emx-cli` runs every kernel at its defaults.
+//! `emx-cli` runs every kernel at its defaults, under every workload
+//! word, and rejects the shapes it cannot run with a message.
 //!
 //! The stencil needs a band row per thread, so when `--threads` is absent
 //! the CLI caps the subcommand's default thread count at the rows the
@@ -48,4 +49,80 @@ fn explicit_out_of_range_threads_still_fail() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
+}
+
+/// Every word `Workload::parse` accepts.
+const WORKLOAD_WORDS: [&str; 9] = [
+    "sort",
+    "bitonic",
+    "bitonic-sort",
+    "fft",
+    "bfs",
+    "histogram",
+    "hist",
+    "spmv",
+    "stencil",
+];
+
+#[test]
+fn every_workload_word_runs_through_the_run_family() {
+    for cmd in ["run", "trace", "metrics", "profile"] {
+        for word in WORKLOAD_WORDS {
+            let out = emx_cli(&[cmd, word, "--pes", "4", "--n", "256", "--threads", "2"]);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{cmd} {word}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        let out = emx_cli(&[cmd, "foo"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{cmd} foo: {stderr}");
+        assert!(
+            stderr.contains("bad workload \"foo\""),
+            "{cmd} foo: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn shapes_the_kernels_cannot_run_fail_with_a_message() {
+    for (args, message) in [
+        (
+            &["run", "bfs", "--pes", "0"][..],
+            "n=4096 not divisible by P=0",
+        ),
+        (
+            &["run", "bfs", "--pes", "3", "--n", "100"][..],
+            "n=100 not divisible by P=3",
+        ),
+        (
+            &["profile", "fft", "--pes", "16", "--n", "2047"][..],
+            "n=2047 not divisible by P=16",
+        ),
+    ] {
+        let out = emx_cli(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn latency_reads_must_fit_the_loop_limit() {
+    // The read loop's limit is a 16-bit signed immediate: 65537 reads
+    // would wrap to one, and zero would loop until the fuel runs out.
+    for (reads, message) in [
+        ("65537", "reads=65537 must be in 1..=32767"),
+        ("32768", "reads=32768 must be in 1..=32767"),
+        ("0", "reads=0 must be in 1..=32767"),
+    ] {
+        let out = emx_cli(&["latency", "--pes", "4", "--reads", reads]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--reads {reads}: {stderr}");
+        assert!(stderr.contains(message), "--reads {reads}: {stderr}");
+    }
+    let out = emx_cli(&["latency", "--pes", "4", "--reads", "32767"]);
+    assert_eq!(out.status.code(), Some(0), "--reads 32767");
 }

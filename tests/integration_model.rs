@@ -3,57 +3,12 @@
 
 use emx::prelude::*;
 
-/// Simulated idle cycles per read for h threads running the paper's
-/// 12-cycle read loop (11 cycles of loop overhead + 1 send).
-fn sim_idle_per_read(h: usize) -> f64 {
-    struct ReadLoop {
-        remaining: u32,
-        cursor: u32,
-        work_phase: bool,
-    }
-    impl ThreadBody for ReadLoop {
-        fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
-            if self.remaining == 0 {
-                return Action::End;
-            }
-            if !self.work_phase {
-                self.work_phase = true;
-                return Action::Work {
-                    cycles: 11,
-                    kind: WorkKind::Overhead,
-                };
-            }
-            self.work_phase = false;
-            self.remaining -= 1;
-            self.cursor += 1;
-            let mate = PeId((ctx.pe.0 + 1) % ctx.npes as u16);
-            Action::Read {
-                addr: GlobalAddr::new(mate, 64 + (self.cursor % 512)).unwrap(),
-            }
-        }
-    }
+/// Simulated idle cycles per read for h threads per PE on the paper's
+/// 16-PE machine, each running the 12-cycle read loop for 200 reads.
+fn idle_per_read(h: usize) -> f64 {
     let mut cfg = MachineConfig::paper_p16();
     cfg.local_memory_words = 1 << 12;
-    let mut m = Machine::new(cfg).unwrap();
-    let entry = m.register_entry("readloop", |_, _| {
-        Box::new(ReadLoop {
-            remaining: 200,
-            cursor: 0,
-            work_phase: false,
-        })
-    });
-    for pe in 0..16u16 {
-        for _ in 0..h {
-            m.spawn_at_start(PeId(pe), entry, 0).unwrap();
-        }
-    }
-    let report = m.run().unwrap();
-    let idle: f64 = report
-        .per_pe
-        .iter()
-        .map(|p| p.breakdown.comm.get() as f64)
-        .sum();
-    idle / report.total_reads() as f64
+    read_loop_idle(&cfg, h, 200).unwrap()
 }
 
 #[test]
@@ -61,14 +16,14 @@ fn model_and_simulation_agree_on_the_masking_trend() {
     // Use the simulated h=1 idle as the model's latency parameter, then
     // check the model predicts the simulated idle within a factor at every
     // h (the model is deterministic; the simulator adds queueing noise).
-    let l = sim_idle_per_read(1);
+    let l = idle_per_read(1);
     assert!(
         l > 5.0,
         "baseline idle per read should be noticeable, got {l:.1}"
     );
     let m = ModelParams::sorting(&MachineConfig::paper_p16().costs, l);
     for h in [2u32, 3, 4] {
-        let sim = sim_idle_per_read(h as usize);
+        let sim = idle_per_read(h as usize);
         let pred = m.idle_per_read(h);
         assert!(
             (sim - pred).abs() <= l * 0.35,
@@ -79,14 +34,14 @@ fn model_and_simulation_agree_on_the_masking_trend() {
 
 #[test]
 fn saturation_region_has_negligible_idle() {
-    let l = sim_idle_per_read(1);
+    let l = idle_per_read(1);
     let m = ModelParams::sorting(&MachineConfig::paper_p16().costs, l);
     let h_sat = m.optimal_threads();
     assert!(
         h_sat <= 4,
         "paper: 2-4 threads mask the latency, model says {h_sat}"
     );
-    let sim = sim_idle_per_read((h_sat + 2) as usize);
+    let sim = idle_per_read((h_sat + 2) as usize);
     assert!(
         sim < l * 0.25,
         "beyond saturation the simulated idle should collapse: {sim:.1} vs baseline {l:.1}"
