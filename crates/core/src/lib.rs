@@ -26,12 +26,15 @@
 //!   the [`Probe`] sink the observability layer hangs off
 //!   (exporters and metrics live in `emx-obs`; spec in
 //!   `docs/OBSERVABILITY.md`).
+//! * [`codec`] — the [`Codec`] every checkpointed field passes through,
+//!   once, in its owner's `snap` method.
 //! * [`error`] — [`SimError`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod codec;
 pub mod config;
 pub mod error;
 pub mod faults;
@@ -40,6 +43,7 @@ pub mod probe;
 pub mod time;
 
 pub use addr::{Continuation, FrameId, GlobalAddr, PeId, SlotId};
+pub use codec::Codec;
 pub use config::{CostModel, CostPreset, MachineConfig, NetConfig, NetModelKind, ServiceMode};
 pub use error::SimError;
 pub use faults::{FaultSpec, PPM_SCALE};

@@ -17,6 +17,7 @@
 use std::fmt;
 
 use crate::addr::{Continuation, GlobalAddr, PeId};
+use crate::codec::Codec;
 use crate::error::SimError;
 
 /// Priority class of a packet in the Input Buffer Unit.
@@ -59,11 +60,12 @@ impl Priority {
 /// The EMC-Y implements "four types of send instructions ... including remote
 /// read request for one data and for a block of data" (paper §2.2); responses,
 /// writes, spawns and the two barrier packets complete the protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PacketKind {
     /// Split-phase remote read of one word. Address word: packed
     /// [`GlobalAddr`]; data word: packed [`Continuation`]. Serviced by the
     /// by-passing DMA without involving the remote EXU.
+    #[default]
     ReadReq,
     /// Block variant of [`PacketKind::ReadReq`]: requests `block_len`
     /// consecutive words; the remote IBU emits one response per word.
@@ -125,8 +127,9 @@ impl PacketKind {
     }
 }
 
-/// A packet in flight, as the simulator sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A packet in flight, as the simulator sees it. The default is the
+/// all-zero packet, the blank a snapshot decodes into.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Packet {
     /// What the packet asks of the receiver.
     pub kind: PacketKind,
@@ -157,6 +160,24 @@ pub struct Packet {
 }
 
 impl Packet {
+    /// Pass the packet's fields through `c`: kind code, priority bit,
+    /// address and data words, block length, sequence number, word index
+    /// and source.
+    pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        let mut kind = self.kind.code();
+        c.u8(&mut kind)?;
+        self.kind = PacketKind::from_code(kind)?;
+        let mut priority = self.priority.bit();
+        c.u8(&mut priority)?;
+        self.priority = Priority::from_bit(priority);
+        c.u32(&mut self.addr)?;
+        c.u32(&mut self.data)?;
+        c.u16(&mut self.block_len)?;
+        c.u16(&mut self.seq)?;
+        c.u16(&mut self.idx)?;
+        c.u16(&mut self.src.0)
+    }
+
     /// Build a split-phase read request.
     pub fn read_req(src: PeId, target: GlobalAddr, cont: Continuation) -> Packet {
         Packet {

@@ -217,6 +217,13 @@ impl Args {
     fn u64_or(&self, name: &str, default: u64) -> Result<u64, String> {
         Ok(self.u64_opt(name)?.unwrap_or(default))
     }
+
+    /// A 32-bit value: one past `u32::MAX` fails naming the flag instead
+    /// of wrapping.
+    fn u32_or(&self, name: &str, default: u32) -> Result<u32, String> {
+        let v = self.u64_or(name, u64::from(default))?;
+        u32::try_from(v).map_err(|_| format!("--{name} {v} out of range"))
+    }
 }
 
 /// Parse a `--net` word: the spelling of [`NetModelKind::parse`], plus
@@ -780,12 +787,12 @@ fn cmd_faults(args: &Args) -> Result<(), String> {
     let threads = parse_list("threads", args.get("threads").unwrap_or("1,2,4"))?;
     let losses = parse_list("loss", args.get("loss").unwrap_or("0,1000,10000"))?;
     let seed = args.u64_or("seed", 1)?;
-    let dup = args.u64_or("dup", 0)? as u32;
-    let delay = args.u64_or("delay", 0)? as u32;
-    let max_delay = args.u64_or("max-delay", if delay > 0 { 16 } else { 0 })? as u32;
-    let timeout = args.u64_or("timeout", 128)? as u32;
-    let backoff_cap = args.u64_or("backoff-cap", 4096)? as u32;
-    let max_attempts = args.u64_or("max-attempts", 0)? as u32;
+    let dup = args.u32_or("dup", 0)?;
+    let delay = args.u32_or("delay", 0)?;
+    let max_delay = args.u32_or("max-delay", if delay > 0 { 16 } else { 0 })?;
+    let timeout = args.u32_or("timeout", 128)?;
+    let backoff_cap = args.u32_or("backoff-cap", 4096)?;
+    let max_attempts = args.u32_or("max-attempts", 0)?;
     let check = args.has("check-invariants");
 
     // Grid order: size-major, then threads, then loss — every loss column
@@ -1009,10 +1016,7 @@ fn fuzz_shrink(args: &Args) -> Result<(), String> {
 
 fn cmd_nullloop(args: &Args) -> Result<(), String> {
     let cfg = machine_cfg(args, 4)?;
-    let params = NullLoopParams::new(
-        args.usize_or("packets", 100)? as u32,
-        args.usize_or("threads", 2)?,
-    );
+    let params = NullLoopParams::new(args.u32_or("packets", 100)?, args.usize_or("threads", 2)?);
     let out = run_null_loop(&cfg, &params).map_err(|e| e.to_string())?;
     println!(
         "null loop: {:.2} overhead cycles per generated packet (paper measures \

@@ -14,8 +14,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use emx_core::{Cycle, PeId, SimError};
+use emx_core::{Codec, Cycle, PeId, SimError};
 use emx_net::FaultCounters;
+
+use crate::snap_pairs;
 
 /// A structured description of one invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,24 +46,6 @@ impl fmt::Display for FaultReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}: {}", self.invariant, self.detail)
     }
-}
-
-/// The plain-data image of an [`InvariantChecker`] mid-run, for snapshots.
-///
-/// `last_pair` is sorted by `(src, dst)` so the image — and anything
-/// digested over it — is independent of `HashMap` iteration order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CheckerState {
-    /// Latest event time observed.
-    pub last_event: u64,
-    /// Per-(src, dst) latest scheduled arrival, sorted by key.
-    pub last_pair: Vec<(u16, u16, u64)>,
-    /// Packets injected into the network so far.
-    pub injected: u64,
-    /// Arrivals scheduled so far.
-    pub scheduled: u64,
-    /// Arrivals delivered so far.
-    pub delivered: u64,
 }
 
 /// Checks the machine's core invariants as the event loop runs.
@@ -135,37 +119,16 @@ impl InvariantChecker {
         self.delivered += 1;
     }
 
-    /// The checker's current ledger as a deterministic plain-data image.
-    pub fn save_state(&self) -> CheckerState {
-        let mut last_pair: Vec<(u16, u16, u64)> = self
-            .last_pair
-            .iter()
-            .map(|(&(s, d), &t)| (s.0, d.0, t.get()))
-            .collect();
-        last_pair.sort_unstable();
-        CheckerState {
-            last_event: self.last_event.get(),
-            last_pair,
-            injected: self.injected,
-            scheduled: self.scheduled,
-            delivered: self.delivered,
-        }
-    }
-
-    /// A checker resumed from a ledger previously read via
-    /// [`save_state`](InvariantChecker::save_state).
-    pub fn from_state(st: &CheckerState) -> InvariantChecker {
-        InvariantChecker {
-            last_event: Cycle::new(st.last_event),
-            last_pair: st
-                .last_pair
-                .iter()
-                .map(|&(s, d, t)| ((PeId(s), PeId(d)), Cycle::new(t)))
-                .collect(),
-            injected: st.injected,
-            scheduled: st.scheduled,
-            delivered: st.delivered,
-        }
+    /// Pass the ledger through `c`: the latest event time, the per-pair
+    /// latest arrivals, and the three packet counts.
+    pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.cycle(&mut self.last_event)?;
+        let mut pairs = self.last_pair.len();
+        c.usize(&mut pairs)?;
+        snap_pairs(c, pairs, &mut self.last_pair)?;
+        c.u64(&mut self.injected)?;
+        c.u64(&mut self.scheduled)?;
+        c.u64(&mut self.delivered)
     }
 
     /// End-of-run packet conservation: every injection is accounted for as a

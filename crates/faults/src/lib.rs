@@ -29,12 +29,43 @@ pub mod kill;
 mod network;
 mod rng;
 
-pub use checker::{CheckerState, FaultReport, InvariantChecker};
+pub use checker::{FaultReport, InvariantChecker};
 pub use network::FaultyNetwork;
 pub use rng::{FaultPlan, Rng64};
 
 pub use emx_core::faults::PPM_SCALE;
 pub use emx_core::FaultSpec;
+
+use std::collections::HashMap;
+
+use emx_core::{Codec, Cycle, PeId, SimError};
+
+/// Pass `len` entries of a per-pair cycle table through `c` as
+/// (src, dst, cycle) triples sorted by pair, so the image does not depend
+/// on `HashMap` order.
+fn snap_pairs(
+    c: &mut dyn Codec,
+    len: usize,
+    table: &mut HashMap<(PeId, PeId), Cycle>,
+) -> Result<(), SimError> {
+    let mut triples: Vec<(PeId, PeId, Cycle)> = table
+        .iter()
+        .map(|(&(src, dst), &at)| (src, dst, at))
+        .collect();
+    triples.sort_unstable();
+    c.items(len, &mut triples, |(src, dst, at), c| {
+        c.u16(&mut src.0)?;
+        c.u16(&mut dst.0)?;
+        c.cycle(at)
+    })?;
+    if c.decoding() {
+        *table = triples
+            .into_iter()
+            .map(|(src, dst, at)| ((src, dst), at))
+            .collect();
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod proptests {

@@ -16,10 +16,11 @@
 
 use std::collections::HashMap;
 
-use emx_core::{Cycle, FaultKind, PacketKind, PeId, Probe, TraceKind};
+use emx_core::{Codec, Cycle, FaultKind, PacketKind, PeId, Probe, SimError, TraceKind};
 use emx_net::{Deliveries, DeliveryClass, FaultCounters, NetStats, Network};
 
 use crate::rng::{FaultPlan, Rng64};
+use crate::snap_pairs;
 
 /// A [`Network`] that injects seeded drop/duplicate/delay faults into an
 /// inner model.
@@ -153,51 +154,28 @@ impl Network for FaultyNetwork {
         Some(self.counters)
     }
 
-    fn save_state(&self) -> emx_net::NetSnapshot {
-        // Words: RNG cursor, the three fault counters, then the
-        // non-overtaking clamp table as (src, dst, cycle) triples sorted by
-        // pair — the sort keeps the image independent of HashMap order.
-        let mut words = vec![
-            self.rng.state(),
-            self.counters.dropped,
-            self.counters.duplicated,
-            self.counters.delayed,
-        ];
-        let mut pairs: Vec<(u16, u16, u64)> = self
-            .last_arrival
-            .iter()
-            .map(|(&(s, d), &t)| (s.0, d.0, t.get()))
-            .collect();
-        pairs.sort_unstable();
-        for (s, d, t) in pairs {
-            words.extend([u64::from(s), u64::from(d), t]);
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        // This layer's statistics are the wrapped model's: encoded here and
+        // again with the wrapped state, which is where decoding takes them.
+        self.inner.stats().clone().snap(c)?;
+        // Words: the RNG cursor, the three fault counters, then the
+        // non-overtaking clamp table as (src, dst, cycle) triples.
+        let misfit = |c: &dyn Codec| c.invalid("network state does not fit the faulty model");
+        let mut words = 4 + 3 * self.last_arrival.len();
+        c.usize(&mut words)?;
+        let clamps = words.checked_sub(4).filter(|n| n % 3 == 0);
+        let clamps = clamps.ok_or_else(|| misfit(c))? / 3;
+        self.rng.snap(c)?;
+        c.u64(&mut self.counters.dropped)?;
+        c.u64(&mut self.counters.duplicated)?;
+        c.u64(&mut self.counters.delayed)?;
+        snap_pairs(c, clamps, &mut self.last_arrival)?;
+        let mut wraps = true;
+        c.bool(&mut wraps)?;
+        if !wraps {
+            return Err(misfit(c));
         }
-        emx_net::NetSnapshot {
-            stats: self.inner.stats().clone(),
-            words,
-            inner: Some(Box::new(self.inner.save_state())),
-        }
-    }
-
-    fn load_state(&mut self, snap: &emx_net::NetSnapshot) -> Result<(), emx_core::SimError> {
-        let Some(inner) = snap.inner.as_deref() else {
-            return Err(emx_net::NetSnapshot::shape_error("faulty"));
-        };
-        if snap.words.len() < 4 || (snap.words.len() - 4) % 3 != 0 {
-            return Err(emx_net::NetSnapshot::shape_error("faulty"));
-        }
-        self.inner.load_state(inner)?;
-        self.rng = Rng64::from_state(snap.words[0]);
-        self.counters = FaultCounters {
-            dropped: snap.words[1],
-            duplicated: snap.words[2],
-            delayed: snap.words[3],
-        };
-        self.last_arrival = snap.words[4..]
-            .chunks_exact(3)
-            .map(|c| ((PeId(c[0] as u16), PeId(c[1] as u16)), Cycle::new(c[2])))
-            .collect();
-        Ok(())
+        self.inner.snap(c)
     }
 
     fn name(&self) -> &'static str {

@@ -8,7 +8,7 @@
 //! adding a decision in one layer never perturbs another layer's stream.
 
 use emx_core::faults::PPM_SCALE;
-use emx_core::FaultSpec;
+use emx_core::{Codec, FaultSpec, SimError};
 
 /// SplitMix64 increment (Weyl sequence constant).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -18,7 +18,7 @@ const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 /// This is the workspace's only SplitMix64: the fault streams and the
 /// workload input generators (`emx_workloads::gen`) both draw from it, so
 /// a change to its output changes every committed input and digest.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Rng64 {
     state: u64,
 }
@@ -57,17 +57,10 @@ impl Rng64 {
         self.next_u64() % n
     }
 
-    /// The generator's cursor. Together with [`from_state`](Rng64::from_state)
-    /// this lets a snapshot capture a stream mid-flight: SplitMix64 is fully
-    /// determined by this single word.
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// A generator resumed at a cursor previously read via
-    /// [`state`](Rng64::state).
-    pub fn from_state(state: u64) -> Rng64 {
-        Rng64 { state }
+    /// Pass the cursor through `c`: SplitMix64 is fully determined by this
+    /// one word, so a snapshot resumes the stream mid-flight.
+    pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.u64(&mut self.state)
     }
 }
 

@@ -9,7 +9,7 @@
 //!    (outcome, `emx-trace` stream digest, event count, canonical report
 //!    text) must be byte-identical; any difference is nondeterminism.
 //! 3. **Checkpoint run** — step to a seed-derived event index, snapshot
-//!    (`emx-snap`), restore into a fresh shell, and run that to
+//!    (`emx-snap/1`), restore into a fresh shell, and run that to
 //!    completion. The stitched fingerprint — trace digest continued
 //!    across the restore, final report, outcome — must match the
 //!    reference byte for byte: checkpoints are transparent or they are a
@@ -549,5 +549,80 @@ mod tests {
             "case quiesced before event {k}; the checkpoint arm never fires mid-run"
         );
         m.snapshot().expect("mid-run snapshot of the corpus case");
+    }
+
+    /// Fold the snapshots of `case` into `out`, one digest line each: at
+    /// the checkpoint index the oracle uses, then at two later boundaries
+    /// while the run is still live. Returns how many were taken.
+    fn fold_snapshots(case: &CaseSpec, out: &mut String) -> usize {
+        let Ok(mut m) = build_machine(case, false) else {
+            return 0;
+        };
+        let fuel = Cycle::new(case.fuel);
+        let mut taken = 0;
+        for events in [1 + case.seed % 97, 97, 97] {
+            if !matches!(m.step_events(events, fuel), Ok(None)) {
+                break;
+            }
+            let snap = m.snapshot().expect("snapshot of a live run");
+            out.push_str(&emx_stats::digest::digest_hex(&snap));
+            out.push('\n');
+            taken += 1;
+        }
+        taken
+    }
+
+    /// One digest over the snapshots of `cases`, plus the cases that
+    /// yielded at least one snapshot.
+    fn snapshot_digest(cases: &[CaseSpec]) -> (String, Vec<&CaseSpec>) {
+        let mut lines = String::new();
+        let snapped = cases
+            .iter()
+            .filter(|case| fold_snapshots(case, &mut lines) > 0)
+            .collect();
+        (emx_stats::digest::digest_hex(&lines), snapped)
+    }
+
+    /// Pins the `emx-snap/1` bytes of every committed corpus case and of
+    /// the first 50 cases the campaign at seed 7 draws. Together they
+    /// snapshot EM-4 mode, all six network models and every fault kind, so
+    /// a change to what any section holds, or to its token order, moves a
+    /// digest.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "emxfuzz"))
+            .collect();
+        paths.sort();
+        let corpus: Vec<CaseSpec> = paths
+            .iter()
+            .map(|p| CaseSpec::parse(&std::fs::read_to_string(p).unwrap()).unwrap())
+            .collect();
+        let generated: Vec<CaseSpec> = (0..50)
+            .map(|i| crate::generate(crate::case_seed(7, i)))
+            .collect();
+
+        let (corpus_digest, mut snapped) = snapshot_digest(&corpus);
+        let (generated_digest, more) = snapshot_digest(&generated);
+        snapped.extend(more);
+        assert!(snapped
+            .iter()
+            .any(|c| c.service_mode == emx_core::ServiceMode::ExuThread));
+        let models: std::collections::BTreeSet<String> = snapped
+            .iter()
+            .map(|c| c.net.name().split(':').next().unwrap().to_string())
+            .collect();
+        assert_eq!(models.len(), 6, "network models snapshotted: {models:?}");
+        let f = |pick: fn(&emx_core::FaultSpec) -> bool| snapped.iter().any(|c| pick(&c.faults));
+        assert!(f(|s| s.drop_ppm > 0) && f(|s| s.dup_ppm > 0) && f(|s| s.delay_ppm > 0));
+        assert!(
+            f(|s| s.spill_ppm > 0) && f(|s| s.dma_stall_ppm > 0) && f(|s| s.frame_cap.is_some())
+        );
+
+        assert_eq!(corpus_digest, "caeb7758abbd64ea05199d4b2b9d0b21");
+        assert_eq!(generated_digest, "34187809de8d746257241d62abd6a9ef");
     }
 }

@@ -19,7 +19,7 @@ use crate::reg::Reg;
 /// version does not share registers across threads." (paper §2.3) — so each
 /// thread owns a full `ThreadState`, saved to its activation frame on
 /// suspension.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ThreadState {
     /// The 32-register file (r0 reads as zero regardless of content).
     pub regs: [u32; Reg::COUNT],

@@ -18,9 +18,9 @@
 
 use std::ops::Range;
 
-use emx_core::{Cycle, NetConfig, PeId, SimError};
+use emx_core::{Codec, Cycle, NetConfig, PeId, SimError};
 
-use crate::{NetSnapshot, NetStats, Network};
+use crate::{snap_bare, NetStats, Network};
 
 /// Where packets go: the routing function of one contended topology.
 pub(crate) trait Topology: Send {
@@ -97,23 +97,8 @@ impl<T: Topology> Network for Fabric<T> {
         &self.stats
     }
 
-    fn save_state(&self) -> NetSnapshot {
-        NetSnapshot {
-            stats: self.stats.clone(),
-            words: self.next_free.iter().map(|c| c.get()).collect(),
-            inner: None,
-        }
-    }
-
-    fn load_state(&mut self, snap: &NetSnapshot) -> Result<(), SimError> {
-        if snap.words.len() != self.next_free.len() {
-            return Err(NetSnapshot::shape_error(self.topo.name()));
-        }
-        self.stats = snap.stats.clone();
-        for (slot, &w) in self.next_free.iter_mut().zip(&snap.words) {
-            *slot = Cycle::new(w);
-        }
-        Ok(())
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        snap_bare(c, self.topo.name(), &mut self.stats, &mut self.next_free)
     }
 
     fn name(&self) -> &'static str {
@@ -157,15 +142,60 @@ mod tests {
             .map(|_| f.route(Cycle::new(10), PeId(0), PeId(1)).get())
             .collect();
         assert_eq!(t, [13, 15, 17]);
-        assert_eq!(f.save_state().words, [15, 13, 18]);
+        assert_eq!(f.next_free, [15, 13, 18].map(Cycle::new));
         assert_eq!(f.stats().contention_wait, Cycle::new(2 + 2 + 2));
+    }
+
+    /// A token tape: encodes onto `tokens`, or decodes them from `at`.
+    struct Tape {
+        tokens: Vec<u64>,
+        at: Option<usize>,
+    }
+
+    impl Codec for Tape {
+        fn decoding(&self) -> bool {
+            self.at.is_some()
+        }
+
+        fn section(&mut self, _: &str) -> Result<(), SimError> {
+            Ok(())
+        }
+
+        fn u64(&mut self, v: &mut u64) -> Result<(), SimError> {
+            match self.at {
+                None => self.tokens.push(*v),
+                Some(at) => {
+                    *v = *self.tokens.get(at).ok_or(self.invalid("ran out"))?;
+                    self.at = Some(at + 1);
+                }
+            }
+            Ok(())
+        }
+
+        fn str(&mut self, _: &mut String) -> Result<(), SimError> {
+            unreachable!("a network holds no strings")
+        }
+
+        fn invalid(&self, detail: &str) -> SimError {
+            SimError::SnapshotInvalid {
+                reason: detail.into(),
+            }
+        }
     }
 
     #[test]
     fn a_state_image_of_the_wrong_length_is_rejected() {
         let mut f = Fabric::new(TwoLane, &NetConfig::default());
-        let mut snap = f.save_state();
-        snap.words.pop();
-        assert!(f.load_state(&snap).is_err());
+        let mut tape = Tape {
+            tokens: Vec::new(),
+            at: None,
+        };
+        f.snap(&mut tape).unwrap();
+        // Statistics, the port count, three ports, the no-wrap flag.
+        assert_eq!(tape.tokens, [0, 0, 0, 3, 0, 0, 0, 0]);
+        tape.tokens.remove(4);
+        tape.tokens[3] = 2;
+        tape.at = Some(0);
+        assert!(f.snap(&mut tape).is_err());
     }
 }

@@ -5,10 +5,10 @@
 //! circular Omega isolates how much of its communication time is path
 //! contention rather than raw distance.
 
-use emx_core::{Cycle, PeId};
+use emx_core::{Codec, Cycle, PeId, SimError};
 
 use crate::stats::NetStats;
-use crate::{NetSnapshot, Network};
+use crate::{snap_bare, Network};
 
 /// Fixed-latency, infinite-bandwidth network model.
 pub struct IdealNetwork {
@@ -55,16 +55,8 @@ impl Network for IdealNetwork {
         &self.stats
     }
 
-    fn save_state(&self) -> NetSnapshot {
-        NetSnapshot::stats_only(self.stats.clone())
-    }
-
-    fn load_state(&mut self, snap: &NetSnapshot) -> Result<(), emx_core::SimError> {
-        if !snap.words.is_empty() {
-            return Err(NetSnapshot::shape_error("ideal"));
-        }
-        self.stats = snap.stats.clone();
-        Ok(())
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        snap_bare(c, "ideal", &mut self.stats, &mut Vec::new())
     }
 
     fn name(&self) -> &'static str {

@@ -56,7 +56,9 @@ use fattree::FatTree;
 use grid::Grid;
 use omega::Omega;
 
-use emx_core::{Cycle, NetConfig, NetModelKind, PacketKind, PeId, Probe, SimError, TraceKind};
+use emx_core::{
+    Codec, Cycle, NetConfig, NetModelKind, PacketKind, PeId, Probe, SimError, TraceKind,
+};
 
 /// How a packet may be treated by a fault-injecting network layer.
 ///
@@ -135,40 +137,25 @@ pub struct FaultCounters {
     pub delayed: u64,
 }
 
-/// The complete mutable state of a network model, captured by
-/// [`Network::save_state`] for machine snapshots and reinstated by
-/// [`Network::load_state`] on an identically configured model.
-///
-/// `words` is the model-specific port-timeline image (layout private to
-/// each model — a snapshot only ever restores into the same model shape,
-/// which [`Network::load_state`] verifies by length). A wrapping layer
-/// (fault injection) stores the wrapped model's state in `inner`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetSnapshot {
-    /// Accumulated traffic statistics.
-    pub stats: NetStats,
-    /// Model-specific timeline words.
-    pub words: Vec<u64>,
-    /// State of the wrapped model, for wrapper layers.
-    pub inner: Option<Box<NetSnapshot>>,
-}
-
-impl NetSnapshot {
-    /// State for a model whose only mutable state is its statistics.
-    pub fn stats_only(stats: NetStats) -> NetSnapshot {
-        NetSnapshot {
-            stats,
-            words: Vec::new(),
-            inner: None,
-        }
+/// Pass the state of a model that wraps no other through `c`: its
+/// statistics, its port timeline with its length (empty for a model
+/// without ports), and the flag that no wrapped state follows. Decoding
+/// rejects a timeline of another length, and a wrapped state.
+pub(crate) fn snap_bare(
+    c: &mut dyn Codec,
+    model: &str,
+    stats: &mut NetStats,
+    ports: &mut Vec<Cycle>,
+) -> Result<(), SimError> {
+    stats.snap(c)?;
+    let len = ports.len();
+    c.vec(ports, |t, c| c.cycle(t))?;
+    let mut wraps = false;
+    c.bool(&mut wraps)?;
+    if ports.len() != len || wraps {
+        return Err(c.invalid(&format!("network state does not fit the {model} model")));
     }
-
-    /// The error for a state image that does not fit the model.
-    pub fn shape_error(model: &str) -> SimError {
-        SimError::BadConfig {
-            reason: format!("network snapshot does not fit the {model} model"),
-        }
-    }
+    Ok(())
 }
 
 /// A network model: maps packet injections to arrival times.
@@ -233,14 +220,11 @@ pub trait Network: Send {
     /// Accumulated traffic statistics.
     fn stats(&self) -> &NetStats;
 
-    /// Capture the model's complete mutable state (statistics plus port
-    /// timelines) for a machine snapshot.
-    fn save_state(&self) -> NetSnapshot;
-
-    /// Reinstate state captured by [`save_state`](Network::save_state).
-    /// The model must be configured identically to the one that captured
-    /// it; a state image of the wrong shape is a [`SimError::BadConfig`].
-    fn load_state(&mut self, snap: &NetSnapshot) -> Result<(), SimError>;
+    /// Pass the model's complete mutable state through `c`: its
+    /// statistics, its state words with their count, and whether a wrapped
+    /// model's state follows, then that state. Decoding requires a model
+    /// configured like the one that encoded.
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError>;
 
     /// Counters of injected faults; `None` unless this is a fault layer.
     fn fault_counters(&self) -> Option<FaultCounters> {

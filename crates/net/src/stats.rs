@@ -1,6 +1,6 @@
 //! Network traffic statistics.
 
-use emx_core::Cycle;
+use emx_core::{Codec, Cycle, SimError};
 
 /// Accumulated traffic statistics for a network model.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -20,6 +20,13 @@ impl NetStats {
         self.packets += packets;
         self.total_hops += u64::from(hops) * packets;
         self.contention_wait += waited;
+    }
+
+    /// Pass the three counters through `c`.
+    pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.u64(&mut self.packets)?;
+        c.u64(&mut self.total_hops)?;
+        c.cycle(&mut self.contention_wait)
     }
 
     /// Mean hops per packet (0 if no traffic).

@@ -4,13 +4,13 @@
 //! included) on odd, power-of-two and padded machine sizes under three
 //! (hop, service) timings: the paper's (1, 2), the modern preset's (8, 1)
 //! and (3, 5). One FNV-1a digest per model folds in every arrival cycle,
-//! every `hops()` value, the final `NetStats`, the `save_state` words, and
-//! the arrivals of a second stream routed after a `load_state`. Any change
-//! to a route, a tie-break, a hop count or the snapshot word layout moves
-//! the digest.
+//! every `hops()` value, and the model state `snap` encodes — the final
+//! `NetStats` and the port timeline — and the arrivals of a second stream
+//! routed after that state is decoded back. Any change to a route, a
+//! tie-break, a hop count or the snapshot word layout moves the digest.
 
-use emx_core::{Cycle, NetConfig, NetModelKind, PeId};
-use emx_net::{build_network, NetSnapshot, Network};
+use emx_core::{Codec, Cycle, NetConfig, NetModelKind, PeId, SimError};
+use emx_net::{build_network, Network};
 
 const SIZES: [usize; 10] = [1, 2, 3, 7, 9, 16, 17, 64, 80, 100];
 const TIMINGS: [(u32, u32); 3] = [(1, 2), (8, 1), (3, 5)];
@@ -25,15 +25,72 @@ impl Fnv {
         }
     }
 
-    fn snapshot(&mut self, s: &NetSnapshot) {
-        self.word(s.stats.packets);
-        self.word(s.stats.total_hops);
-        self.word(s.stats.contention_wait.get());
-        self.word(s.words.len() as u64);
-        for &w in &s.words {
+    /// Fold in an encoded model state: statistics, the word count and the
+    /// words. The trailing flag says whether a wrapped model's state
+    /// follows; a bare model has none.
+    fn snapshot(&mut self, tokens: &[u64]) {
+        let (&wrapped, state) = tokens.split_last().expect("a model state");
+        assert_eq!(wrapped, 0, "a bare model has no wrapped state");
+        for &w in state {
             self.word(w);
         }
-        assert!(s.inner.is_none(), "a bare model has no wrapped state");
+    }
+}
+
+/// A token tape: encodes onto `tokens`, or decodes them from `at`.
+struct Tape {
+    tokens: Vec<u64>,
+    at: Option<usize>,
+}
+
+impl Tape {
+    fn encode(net: &mut dyn Network) -> Vec<u64> {
+        let mut tape = Tape {
+            tokens: Vec::new(),
+            at: None,
+        };
+        net.snap(&mut tape).unwrap();
+        tape.tokens
+    }
+
+    fn decode(net: &mut dyn Network, tokens: &[u64]) {
+        let mut tape = Tape {
+            tokens: tokens.to_vec(),
+            at: Some(0),
+        };
+        net.snap(&mut tape).unwrap();
+        assert_eq!(tape.at, Some(tokens.len()), "decode left tokens over");
+    }
+}
+
+impl Codec for Tape {
+    fn decoding(&self) -> bool {
+        self.at.is_some()
+    }
+
+    fn section(&mut self, _: &str) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64) -> Result<(), SimError> {
+        match self.at {
+            None => self.tokens.push(*v),
+            Some(at) => {
+                *v = *self.tokens.get(at).ok_or(self.invalid("ran out"))?;
+                self.at = Some(at + 1);
+            }
+        }
+        Ok(())
+    }
+
+    fn str(&mut self, _: &mut String) -> Result<(), SimError> {
+        unreachable!("a network holds no strings")
+    }
+
+    fn invalid(&self, detail: &str) -> SimError {
+        SimError::SnapshotInvalid {
+            reason: detail.into(),
+        }
     }
 }
 
@@ -92,7 +149,7 @@ fn model_digest(model: NetModelKind) -> u64 {
             let mut net = build_network(&cfg, pes).unwrap();
             let mut rng = Rng((pes as u64) << 16 | u64::from(hop_cycles) << 8);
             let now = stream(net.as_mut(), &mut rng, &mut h, pes, Cycle::ZERO, PACKETS);
-            let saved = net.save_state();
+            let saved = Tape::encode(net.as_mut());
             h.snapshot(&saved);
 
             // Route on, then restore and replay the same tail: the restored
@@ -107,7 +164,7 @@ fn model_digest(model: NetModelKind) -> u64 {
                 now,
                 PACKETS / 2,
             );
-            net.load_state(&saved).unwrap();
+            Tape::decode(net.as_mut(), &saved);
             let mut again = Fnv(0);
             stream(
                 net.as_mut(),
@@ -122,7 +179,7 @@ fn model_digest(model: NetModelKind) -> u64 {
                 "{model:?} P={pes}: restore changed the tail"
             );
             h.word(again.0);
-            h.snapshot(&net.save_state());
+            h.snapshot(&Tape::encode(net.as_mut()));
             for b in net.name().bytes() {
                 h.word(u64::from(b));
             }

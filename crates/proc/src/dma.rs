@@ -18,7 +18,7 @@
 //! by-pass path (see `emx-runtime`), so no extra addressing travels on the
 //! wire.
 
-use emx_core::{Continuation, Cycle, Packet, PacketKind, PeId, Probe, SimError, TraceKind};
+use emx_core::{Codec, Continuation, Cycle, Packet, PacketKind, PeId, Probe, SimError, TraceKind};
 
 use crate::memory::LocalMemory;
 
@@ -53,17 +53,12 @@ impl BypassDma {
         self.ibu_free
     }
 
-    /// When this processor's OBU next comes free (snapshot capture).
-    pub fn obu_free(&self) -> Cycle {
-        self.obu_free
-    }
-
-    /// Replace the mutable timeline state (snapshot restore). The unit
-    /// costs are configuration and are kept.
-    pub fn restore_state(&mut self, ibu_free: Cycle, obu_free: Cycle, serviced_words: u64) {
-        self.ibu_free = ibu_free;
-        self.obu_free = obu_free;
-        self.serviced_words = serviced_words;
+    /// Pass the timelines and the service count through `c`. The unit
+    /// costs are configuration, not state.
+    pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.cycle(&mut self.ibu_free)?;
+        c.cycle(&mut self.obu_free)?;
+        c.u64(&mut self.serviced_words)
     }
 
     /// Occupy the IBU for one word-deposit starting no earlier than `now`;

@@ -12,7 +12,7 @@
 //! [`frames_per_pe`](emx_core::MachineConfig::frames_per_pe) and by the
 //! 14-bit frame field of the packed continuation.
 
-use emx_core::{FrameId, SimError};
+use emx_core::{Codec, FrameId, SimError};
 
 /// Slab of activation frames with O(1) allocate/free.
 #[derive(Debug)]
@@ -92,62 +92,68 @@ impl<T> FrameTable<T> {
         self.live == 0
     }
 
-    /// The free-list in allocation order (for machine snapshots: the order
-    /// determines which index the next `alloc` hands out, so restoring it
-    /// exactly keeps future allocations byte-deterministic).
-    pub fn free_list(&self) -> &[u16] {
-        &self.free
-    }
-
     /// Total slot capacity.
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
 
-    /// Replace the table's contents with captured state (snapshot restore):
-    /// live frames by index, the exact free-list order, and the high-water
-    /// mark. Indices must be in range and must not collide with the free
-    /// list; violations surface as [`SimError::FrameOutOfRange`].
-    pub fn restore_state(
+    /// Pass the table through `c`: the live frames as (index, payload)
+    /// in index order, each payload through `each`, then the free list in
+    /// allocation order (it decides which index the next
+    /// [`alloc`](Self::alloc) hands out) and the high-water mark.
+    /// Decoding fills the table anew from blank `T::default()` payloads; a
+    /// live index out of range or taken twice, a free index that is not a
+    /// vacant slot, or lists that do not add up to the capacity is a
+    /// [`SimError::FrameOutOfRange`].
+    pub fn snap(
         &mut self,
-        frames: Vec<(FrameId, T)>,
-        free: Vec<u16>,
-        max_live: usize,
-    ) -> Result<(), SimError> {
-        if frames.len() + free.len() != self.slots.len() {
-            return Err(SimError::FrameOutOfRange {
-                frame: frames.len() + free.len(),
-            });
-        }
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        self.live = 0;
-        for (id, payload) in frames {
-            let slot = self
-                .slots
-                .get_mut(id.index())
-                .ok_or(SimError::FrameOutOfRange { frame: id.index() })?;
-            if slot.is_some() {
-                return Err(SimError::FrameOutOfRange { frame: id.index() });
+        c: &mut dyn Codec,
+        mut each: impl FnMut(&mut T, &mut dyn Codec) -> Result<(), SimError>,
+    ) -> Result<(), SimError>
+    where
+        T: Default,
+    {
+        let mut live = self.live;
+        c.usize(&mut live)?;
+        if c.decoding() {
+            self.slots.fill_with(|| None);
+            self.live = 0;
+            for _ in 0..live {
+                let mut idx = 0;
+                c.u16(&mut idx)?;
+                let mut payload = T::default();
+                each(&mut payload, c)?;
+                let vacant = self.slots.get_mut(usize::from(idx)).filter(|s| s.is_none());
+                let Some(slot) = vacant else {
+                    return Err(SimError::FrameOutOfRange {
+                        frame: usize::from(idx),
+                    });
+                };
+                *slot = Some(payload);
+                self.live += 1;
             }
-            *slot = Some(payload);
-            self.live += 1;
-        }
-        for &idx in &free {
-            if self
-                .slots
-                .get(idx as usize)
-                .is_none_or(|slot| slot.is_some())
-            {
-                return Err(SimError::FrameOutOfRange {
-                    frame: idx as usize,
-                });
+        } else {
+            for (idx, slot) in self.slots.iter_mut().enumerate() {
+                if let Some(payload) = slot {
+                    c.u16(&mut (idx as u16))?;
+                    each(payload, c)?;
+                }
             }
         }
-        self.free = free;
-        self.max_live = max_live;
-        Ok(())
+        c.vec(&mut self.free, |idx, c| c.u16(idx))?;
+        c.usize(&mut self.max_live)?;
+        let listed = self.live + self.free.len();
+        let taken = |idx: &&u16| {
+            self.slots
+                .get(usize::from(**idx))
+                .is_none_or(Option::is_some)
+        };
+        let frame = match self.free.iter().find(taken) {
+            Some(&idx) => usize::from(idx),
+            None if listed != self.slots.len() => listed,
+            None => return Ok(()),
+        };
+        Err(SimError::FrameOutOfRange { frame })
     }
 
     /// Iterate over live frames (for deadlock diagnostics).

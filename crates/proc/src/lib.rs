@@ -29,4 +29,4 @@ mod queue;
 pub use dma::BypassDma;
 pub use frames::FrameTable;
 pub use memory::LocalMemory;
-pub use queue::{PacketQueue, Pushed, QueueState};
+pub use queue::{PacketQueue, Pushed};

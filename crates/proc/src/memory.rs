@@ -1,6 +1,6 @@
 //! The Memory Control Unit's local memory.
 
-use emx_core::SimError;
+use emx_core::{Codec, SimError};
 use emx_isa::MemoryBus;
 
 /// One processor's local memory: a flat array of 32-bit words.
@@ -35,21 +35,24 @@ impl LocalMemory {
         self.words.is_empty()
     }
 
-    /// Iterate over nonzero words as `(offset, value)` pairs in address
-    /// order — the sparse image machine snapshots store (memory starts
-    /// zeroed, so zero words carry no information).
-    pub fn nonzero_words(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.words
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w != 0)
-            .map(|(i, &w)| (i as u32, w))
-    }
-
-    /// Zero every word (snapshot restore resets before replaying the
-    /// sparse image).
-    pub fn reset(&mut self) {
-        self.words.fill(0);
+    /// Pass the contents through `c` as the sparse (offset, value) pairs
+    /// of the nonzero words, in address order: memory starts zeroed, so
+    /// zero words carry nothing. Decoding zeroes the memory and writes the
+    /// pairs back.
+    pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        let nonzero = self.words.iter().zip(0..).filter(|(&w, _)| w != 0);
+        let mut pairs: Vec<(u32, u32)> = nonzero.map(|(&w, i)| (i, w)).collect();
+        c.vec(&mut pairs, |(offset, value), c| {
+            c.u32(offset)?;
+            c.u32(value)
+        })?;
+        if c.decoding() {
+            self.words.fill(0);
+            for (offset, value) in pairs {
+                self.write(offset, value)?;
+            }
+        }
+        Ok(())
     }
 
     /// Read the word at `offset`.

@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use emx_core::{Cycle, Packet, PeId, Priority, Probe, TraceKind};
+use emx_core::{Codec, Cycle, Packet, PeId, Priority, Probe, SimError, TraceKind};
 
 /// Where a pushed packet landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,42 +24,11 @@ pub enum Pushed {
     Spilled,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
     pkt: Packet,
     spilled: bool,
     seq: u64,
-}
-
-/// The complete mutable state of a [`PacketQueue`], as captured by
-/// [`PacketQueue::save_state`] for machine snapshots. Queued packets are
-/// listed in FIFO order per class as `(packet, spilled, seq)`.
-#[derive(Debug, Clone)]
-pub struct QueueState {
-    /// High-priority FIFO contents.
-    pub high: Vec<(Packet, bool, u64)>,
-    /// Low-priority FIFO contents.
-    pub low: Vec<(Packet, bool, u64)>,
-    /// Lifetime spill count across both priorities.
-    pub spills: u64,
-    /// High-water mark of total queued packets.
-    pub max_depth: usize,
-    /// Spills from the high-priority FIFO.
-    pub high_spills: u64,
-    /// Spills from the low-priority FIFO.
-    pub low_spills: u64,
-    /// Spills forced by fault injection.
-    pub forced_spills: u64,
-    /// High-water mark of the high-priority FIFO.
-    pub max_high_depth: usize,
-    /// High-water mark of the low-priority FIFO.
-    pub max_low_depth: usize,
-    /// Out-of-order pops observed (zero by construction).
-    pub fifo_violations: u64,
-    /// Next enqueue sequence number.
-    pub next_seq: u64,
-    /// Last popped sequence number per class (high, low).
-    pub last_popped: [u64; 2],
 }
 
 /// Two-priority FIFO with bounded on-chip capacity and unbounded memory
@@ -229,45 +198,29 @@ impl PacketQueue {
         Some((slot.pkt, slot.spilled))
     }
 
-    /// Capture the complete queue state for a machine snapshot.
-    pub fn save_state(&self) -> QueueState {
-        let grab = |q: &VecDeque<Slot>| q.iter().map(|s| (s.pkt, s.spilled, s.seq)).collect();
-        QueueState {
-            high: grab(&self.high),
-            low: grab(&self.low),
-            spills: self.spills,
-            max_depth: self.max_depth,
-            high_spills: self.high_spills,
-            low_spills: self.low_spills,
-            forced_spills: self.forced_spills,
-            max_high_depth: self.max_high_depth,
-            max_low_depth: self.max_low_depth,
-            fifo_violations: self.fifo_violations,
-            next_seq: self.next_seq,
-            last_popped: self.last_popped,
+    /// Pass the queue's state through `c`: each class's packets in FIFO
+    /// order as (packet, spilled, sequence number), then the counters and
+    /// cursors. The on-chip capacity is configuration, not state.
+    pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        for class in [&mut self.high, &mut self.low] {
+            c.vec(class, |slot: &mut Slot, c| {
+                slot.pkt.snap(c)?;
+                c.bool(&mut slot.spilled)?;
+                c.u64(&mut slot.seq)
+            })?;
         }
-    }
-
-    /// Replace the queue's state with a captured one (snapshot restore).
-    /// The on-chip capacity is configuration, not state, and is kept.
-    pub fn restore_state(&mut self, st: QueueState) {
-        let fill = |v: Vec<(Packet, bool, u64)>| {
-            v.into_iter()
-                .map(|(pkt, spilled, seq)| Slot { pkt, spilled, seq })
-                .collect()
-        };
-        self.high = fill(st.high);
-        self.low = fill(st.low);
-        self.spills = st.spills;
-        self.max_depth = st.max_depth;
-        self.high_spills = st.high_spills;
-        self.low_spills = st.low_spills;
-        self.forced_spills = st.forced_spills;
-        self.max_high_depth = st.max_high_depth;
-        self.max_low_depth = st.max_low_depth;
-        self.fifo_violations = st.fifo_violations;
-        self.next_seq = st.next_seq;
-        self.last_popped = st.last_popped;
+        c.u64(&mut self.spills)?;
+        c.usize(&mut self.max_depth)?;
+        c.u64(&mut self.high_spills)?;
+        c.u64(&mut self.low_spills)?;
+        c.u64(&mut self.forced_spills)?;
+        c.usize(&mut self.max_high_depth)?;
+        c.usize(&mut self.max_low_depth)?;
+        c.u64(&mut self.fifo_violations)?;
+        c.u64(&mut self.next_seq)?;
+        let [high, low] = &mut self.last_popped;
+        c.u64(high)?;
+        c.u64(low)
     }
 
     /// Packets currently queued across both classes.

@@ -60,7 +60,7 @@ pub(crate) const LANE_NET: u8 = 3;
 /// * lane 3 — network arrivals, `a` = source PE, `b` = `2 * depart + dup`
 ///   (the sender's OBU depart cycle is strictly monotone per source, so the
 ///   pair is unique; `dup` distinguishes a duplicated delivery's copies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub(crate) struct EvKey {
     /// Simulation time of the event.
     pub at: Cycle,

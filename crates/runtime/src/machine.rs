@@ -111,6 +111,16 @@ pub(crate) enum EntryDef {
     Template(Program),
 }
 
+impl EntryDef {
+    /// The registered name; a template reports its program's.
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            EntryDef::Native { name, .. } => name,
+            EntryDef::Template(p) => &p.name,
+        }
+    }
+}
+
 pub(crate) enum ThreadKind {
     /// A native body plus the entry index it was instantiated from, kept so
     /// a snapshot can name the factory that rebuilds the body on restore.
@@ -124,9 +134,20 @@ pub(crate) enum ThreadKind {
     },
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The blank a snapshot decodes a frame's thread over.
+impl Default for ThreadKind {
+    fn default() -> Self {
+        ThreadKind::Isa {
+            state: ThreadState::default(),
+            template: 0,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) enum Wait {
     /// Running or queued for dispatch.
+    #[default]
     Ready,
     /// One split-phase read outstanding; for ISA threads the register the
     /// value lands in.
@@ -146,6 +167,7 @@ pub(crate) enum Wait {
     Yielded,
 }
 
+#[derive(Default)]
 pub(crate) struct Frame {
     pub(crate) thread: ThreadKind,
     pub(crate) wait: Wait,
@@ -226,6 +248,13 @@ pub(crate) enum Ev {
     Dispatch(PeId),
     /// Retry timer for frame `FrameId` (identified by uid) read `seq`.
     Retry(PeId, FrameId, u64, u16),
+}
+
+/// The blank a snapshot decodes a calendar event over.
+impl Default for Ev {
+    fn default() -> Self {
+        Ev::Dispatch(PeId(0))
+    }
 }
 
 /// Cycle charges accumulated during one dispatch, by breakdown class.
@@ -387,64 +416,74 @@ const _: fn() = || {
     assert_send::<Machine>();
 };
 
+/// The parts of a machine a run mutates: the network, the processors and
+/// the calendar, and the invariant checker.
+pub(crate) type Parts = (Box<dyn Network>, Core, Option<InvariantChecker>);
+
+/// Build [`Parts`] from the configuration alone: the network behind the
+/// fault layer when the plan injects network faults, and the checker when
+/// armed. [`Machine::new`] builds a machine around them, and restore
+/// decodes a snapshot into a fresh set.
+pub(crate) fn parts(cfg: &MachineConfig) -> Result<Parts, SimError> {
+    let mut net = build_network(&cfg.net, cfg.num_pes)?;
+    let plan = cfg.faults.as_ref().map(|spec| FaultPlan::new(spec.clone()));
+    let checker = cfg
+        .faults
+        .as_ref()
+        .and_then(|spec| spec.check_invariants.then(InvariantChecker::new));
+    if let Some(spec) = &cfg.faults {
+        if spec.any_net_faults() {
+            net = Box::new(FaultyNetwork::new(net, &FaultPlan::new(spec.clone())));
+        }
+    }
+    let pes = (0..cfg.num_pes)
+        .map(|i| {
+            let frames = match cfg.faults.as_ref().and_then(|s| s.frame_cap_for(i)) {
+                Some(cap) => (cap as usize).min(cfg.frames_per_pe),
+                None => cfg.frames_per_pe,
+            };
+            Pe {
+                mem: LocalMemory::new(i, cfg.local_memory_words),
+                queue: PacketQueue::new(cfg.ibu_fifo_capacity),
+                frames: FrameTable::new(i, frames),
+                dma: BypassDma::new(PeId(i as u16), cfg.costs.dma_service, cfg.costs.obu_forward),
+                busy_until: Cycle::ZERO,
+                dispatch_scheduled: false,
+                live_threads: 0,
+                seq_cells: Vec::new(),
+                seq_waiters: Vec::new(),
+                barriers: Vec::new(),
+                stats: PeStats::default(),
+                next_uid: 0,
+                spill_rng: plan.as_ref().map(|p| p.spill_rng_for(i)),
+                dma_rng: plan.as_ref().map(|p| p.dma_rng_for(i)),
+                ev_dispatch_seq: 0,
+                ev_local_seq: 0,
+                ev_retry_seq: 0,
+            }
+        })
+        .collect();
+    let core = Core {
+        pes,
+        cal: Calendar::new(),
+        barrier_counts: Vec::new(),
+        progress: Cycle::ZERO,
+        fsummary: FaultSummary::default(),
+        out: Vec::new(),
+        dma_out: Vec::new(),
+    };
+    Ok((net, core, checker))
+}
+
 impl Machine {
     /// Build a machine from a validated configuration.
     pub fn new(cfg: MachineConfig) -> Result<Self, SimError> {
         cfg.validate()?;
-        let mut net = build_network(&cfg.net, cfg.num_pes)?;
-        let plan = cfg.faults.as_ref().map(|spec| FaultPlan::new(spec.clone()));
-        let checker = cfg
-            .faults
-            .as_ref()
-            .and_then(|spec| spec.check_invariants.then(InvariantChecker::new));
-        if let Some(spec) = &cfg.faults {
-            if spec.any_net_faults() {
-                net = Box::new(FaultyNetwork::new(net, &FaultPlan::new(spec.clone())));
-            }
-        }
-        let pes = (0..cfg.num_pes)
-            .map(|i| {
-                let frames = match cfg.faults.as_ref().and_then(|s| s.frame_cap_for(i)) {
-                    Some(cap) => (cap as usize).min(cfg.frames_per_pe),
-                    None => cfg.frames_per_pe,
-                };
-                Pe {
-                    mem: LocalMemory::new(i, cfg.local_memory_words),
-                    queue: PacketQueue::new(cfg.ibu_fifo_capacity),
-                    frames: FrameTable::new(i, frames),
-                    dma: BypassDma::new(
-                        PeId(i as u16),
-                        cfg.costs.dma_service,
-                        cfg.costs.obu_forward,
-                    ),
-                    busy_until: Cycle::ZERO,
-                    dispatch_scheduled: false,
-                    live_threads: 0,
-                    seq_cells: Vec::new(),
-                    seq_waiters: Vec::new(),
-                    barriers: Vec::new(),
-                    stats: PeStats::default(),
-                    next_uid: 0,
-                    spill_rng: plan.as_ref().map(|p| p.spill_rng_for(i)),
-                    dma_rng: plan.as_ref().map(|p| p.dma_rng_for(i)),
-                    ev_dispatch_seq: 0,
-                    ev_local_seq: 0,
-                    ev_retry_seq: 0,
-                }
-            })
-            .collect();
+        let (net, core, checker) = parts(&cfg)?;
         Ok(Machine {
             cfg,
             net,
-            core: Core {
-                pes,
-                cal: Calendar::new(),
-                barrier_counts: Vec::new(),
-                progress: Cycle::ZERO,
-                fsummary: FaultSummary::default(),
-                out: Vec::new(),
-                dma_out: Vec::new(),
-            },
+            core,
             entries: Vec::new(),
             barrier_defs: Vec::new(),
             probe: None,
@@ -497,10 +536,7 @@ impl Machine {
     /// Name of a registered entry (for traces; templates report their
     /// program name).
     pub fn entry_name(&self, entry: EntryId) -> Option<&str> {
-        self.entries.get(entry.0 as usize).map(|d| match d {
-            EntryDef::Native { name, .. } => name.as_str(),
-            EntryDef::Template(p) => p.name.as_str(),
-        })
+        self.entries.get(entry.0 as usize).map(EntryDef::name)
     }
 
     /// Define a global barrier with `participants_per_pe` threads arriving

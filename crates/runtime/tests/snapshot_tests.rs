@@ -1,6 +1,7 @@
 //! Checkpoint/restore: a machine snapshotted at an event boundary and
 //! restored into a fresh shell finishes byte-identically to the
-//! uninterrupted run — reports, memories, and under either driver.
+//! uninterrupted run — reports and memories — and a snapshot the shell
+//! cannot hold fails to restore without touching the shell.
 
 use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
@@ -124,7 +125,7 @@ fn resumed_shell_snapshot(snap: &str) -> String {
 
 #[test]
 fn pre_run_snapshot_restores_the_initial_state() {
-    let m = build();
+    let mut m = build();
     let snap = m.snapshot().unwrap();
     let mut resumed = build();
     resumed.restore(&snap).unwrap();
@@ -135,7 +136,7 @@ fn pre_run_snapshot_restores_the_initial_state() {
 
 #[test]
 fn restore_rejects_config_mismatch() {
-    let m = build();
+    let mut m = build();
     let snap = m.snapshot().unwrap();
     let mut other = Machine::new(MachineConfig::with_pes(8)).unwrap();
     let err = other.restore(&snap).unwrap_err();
@@ -145,7 +146,7 @@ fn restore_rejects_config_mismatch() {
 
 #[test]
 fn restore_rejects_entry_table_mismatch() {
-    let m = build();
+    let mut m = build();
     let snap = m.snapshot().unwrap();
     // Same config, different registration: restore must refuse.
     let mut shell = Machine::new(MachineConfig::with_pes(usize::from(NPES))).unwrap();
@@ -159,7 +160,7 @@ fn restore_rejects_entry_table_mismatch() {
 
 #[test]
 fn restore_rejects_tampered_text() {
-    let m = build();
+    let mut m = build();
     let snap = m.snapshot().unwrap();
     let tampered = snap.replacen("s meta", "s mata", 1);
     assert!(matches!(
@@ -204,4 +205,148 @@ fn snapshot_of_hookless_native_thread_is_unsupported() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
+}
+
+/// `snap` with token `index` of the `nth` line of section `section`
+/// replaced by `value`, and the digest line restamped so the text still
+/// parses: a well-formed snapshot that holds a value the machine cannot.
+fn retoken(snap: &str, section: &str, nth: usize, index: usize, value: &str) -> String {
+    let prefix = format!("s {section} ");
+    let mut lines: Vec<String> = snap
+        .lines()
+        .filter(|l| !l.starts_with("digest "))
+        .map(str::to_string)
+        .collect();
+    let line = lines
+        .iter_mut()
+        .filter(|l| l.starts_with(&prefix))
+        .nth(nth)
+        .expect("section present");
+    let mut tokens: Vec<&str> = line.split(' ').collect();
+    tokens[index] = value;
+    *line = tokens.join(" ");
+    let body: String = lines.iter().map(|l| format!("{l}\n")).collect();
+    let digest = emx_stats::digest::digest_hex(&body);
+    format!("{body}digest {digest}\n")
+}
+
+/// Step `m` one event at a time until a PE's only live frame waits with
+/// `tag` (the token at `at` on its `frames` line); returns the snapshot
+/// and the PE.
+fn snapshot_waiting(m: &mut Machine, tag: &str, at: usize) -> (String, usize) {
+    for _ in 0..200 {
+        let snap = m.snapshot().unwrap();
+        let waiting = snap
+            .lines()
+            .filter(|l| l.starts_with("s frames "))
+            .position(|l| l.split(' ').nth(at) == Some(tag));
+        if let Some(pe) = waiting {
+            return (snap, pe);
+        }
+        let paused = m.step_events(1, emx_core::Cycle::new(emx_runtime::DEFAULT_FUEL));
+        assert!(paused.unwrap().is_none(), "run ended before the wait");
+    }
+    panic!("no frame ever waited with tag {tag}");
+}
+
+#[test]
+fn a_failed_restore_leaves_the_shell_as_it_was() {
+    let mut reference = build();
+    let ref_report = reference.run().unwrap();
+
+    let mut paused = build();
+    assert!(paused
+        .step_events(6, emx_core::Cycle::new(emx_runtime::DEFAULT_FUEL))
+        .unwrap()
+        .is_none());
+    // The last PE's first nonzero word moves outside its memory: the text
+    // parses, and the failure surfaces only on the last PE.
+    let bad = retoken(
+        &paused.snapshot().unwrap(),
+        "mem",
+        usize::from(NPES) - 1,
+        3,
+        "ffffffff",
+    );
+
+    let mut shell = build();
+    let before = shell.snapshot().unwrap();
+    let err = shell.restore(&bad).unwrap_err();
+    assert!(err.to_string().contains("ffffffff"), "{err}");
+    assert_eq!(shell.snapshot().unwrap(), before, "restore half-applied");
+    assert_eq!(shell.run().unwrap(), ref_report);
+}
+
+#[test]
+fn restore_rejects_an_event_on_a_pe_outside_the_machine() {
+    // Token 9 of the `cal` line is the first event's PE (after the
+    // count, the five key fields and the event tag).
+    let snap = build().snapshot().unwrap();
+    let bad = retoken(&snap, "cal", 0, 9, "3e7");
+    let err = build().restore(&bad).unwrap_err();
+    assert!(matches!(err, SimError::SnapshotInvalid { .. }), "{err}");
+}
+
+#[test]
+fn restore_rejects_a_barrier_wait_outside_the_barrier_table() {
+    // A relay frame's line: count, fid, native tag, entry, two words,
+    // then the wait tag (3 is a barrier wait) and the barrier id.
+    let mut m = build();
+    let (snap, pe) = snapshot_waiting(&mut m, "3", 9);
+    let bad = retoken(&snap, "frames", pe, 10, "3e7");
+    let err = build().restore(&bad).unwrap_err();
+    assert!(matches!(err, SimError::SnapshotInvalid { .. }), "{err}");
+}
+
+/// Waits on sequence cell 0 (arg 0), or works and then signals it (arg 1).
+struct SeqPair {
+    step: u8,
+}
+
+impl ThreadBody for SeqPair {
+    fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
+        self.step += 1;
+        match (ctx.arg, self.step) {
+            (0, 1) => Action::WaitSeq {
+                cell: 0,
+                threshold: 1,
+            },
+            (1, 1) => Action::Work {
+                cycles: 50,
+                kind: WorkKind::Compute,
+            },
+            (1, 2) => Action::SignalSeq { cell: 0 },
+            _ => Action::End,
+        }
+    }
+
+    fn save_state(&self) -> Option<Vec<u64>> {
+        Some(vec![u64::from(self.step)])
+    }
+
+    fn load_state(&mut self, words: &[u64]) -> bool {
+        let [step] = words else { return false };
+        self.step = *step as u8;
+        true
+    }
+}
+
+fn build_seq_pair() -> Machine {
+    let mut m = Machine::new(MachineConfig::with_pes(2)).unwrap();
+    let entry = m.register_entry("seq-pair", |_pe, _arg| Box::new(SeqPair { step: 0 }));
+    m.define_seq_cells(1);
+    m.spawn_at_start(PeId(0), entry, 0).unwrap();
+    m.spawn_at_start(PeId(0), entry, 1).unwrap();
+    m
+}
+
+#[test]
+fn restore_rejects_a_seq_wait_outside_the_seq_cells() {
+    // A one-word frame's line: count, fid, native tag, entry, one word,
+    // then the wait tag (4 is a seq wait) and the cell.
+    let mut m = build_seq_pair();
+    let (snap, pe) = snapshot_waiting(&mut m, "4", 8);
+    let bad = retoken(&snap, "frames", pe, 9, "3e7");
+    let err = build_seq_pair().restore(&bad).unwrap_err();
+    assert!(matches!(err, SimError::SnapshotInvalid { .. }), "{err}");
 }

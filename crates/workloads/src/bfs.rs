@@ -389,7 +389,7 @@ pub fn run_bfs_observed(
 /// Build a machine loaded and spawned for a BFS run, but not yet run.
 ///
 /// The returned machine can be driven by [`Machine::run`], stepped with
-/// [`Machine::step_events`], or used as a restore shell for an `emx-snap`
+/// [`Machine::step_events`], or used as a restore shell for an `emx-snap/1`
 /// checkpoint of an identically built machine; [`finish_bfs`] gathers and
 /// verifies once it quiesces.
 pub fn build_bfs(

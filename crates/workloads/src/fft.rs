@@ -484,7 +484,7 @@ pub fn run_fft_observed(
 /// Build a machine loaded and spawned for an FFT run, but not yet run.
 ///
 /// The returned machine can be driven by [`Machine::run`], stepped with
-/// [`Machine::step_events`], or used as a restore shell for an `emx-snap`
+/// [`Machine::step_events`], or used as a restore shell for an `emx-snap/1`
 /// checkpoint of an identically built machine; [`finish_fft`] gathers and
 /// verifies once it quiesces.
 pub fn build_fft(

@@ -126,3 +126,48 @@ fn latency_reads_must_fit_the_loop_limit() {
     let out = emx_cli(&["latency", "--pes", "4", "--reads", "32767"]);
     assert_eq!(out.status.code(), Some(0), "--reads 32767");
 }
+
+#[test]
+fn thirty_two_bit_flags_fail_instead_of_wrapping() {
+    // 2^32 + 1 would wrap to 1, and 2^32 + 128 to 128: the run would
+    // print what the small value prints.
+    let out = emx_cli(&["nullloop", "--packets", "4294967297"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "--packets: {stderr}");
+    assert!(
+        stderr.contains("--packets 4294967297 out of range"),
+        "{stderr}"
+    );
+    for flag in [
+        "dup",
+        "delay",
+        "max-delay",
+        "timeout",
+        "backoff-cap",
+        "max-attempts",
+    ] {
+        let flag = format!("--{flag}");
+        let out = emx_cli(&[
+            "faults",
+            "--workload",
+            "fft",
+            "--pes",
+            "2",
+            "--sizes",
+            "16",
+            "--threads",
+            "1",
+            "--loss",
+            "0",
+            "--no-cache",
+            &flag,
+            "4294967424",
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} 4294967424 out of range")),
+            "{flag}: {stderr}"
+        );
+    }
+}

@@ -4,7 +4,7 @@
 //! output of the uninterrupted run.
 
 use emx::prelude::*;
-use emx::stats::digest::report_canonical_text;
+use emx::stats::digest::{digest_hex, report_canonical_text};
 
 const STRIDES: [u64; 3] = [1, 7, 64];
 
@@ -82,6 +82,37 @@ fn bfs_checkpoints_are_transparent_at_any_stride() {
         let n = walk_checkpoints(build(), build, stride, &ref_report);
         assert!(n > 0, "stride {stride} never paused mid-run");
     }
+}
+
+/// One digest over every snapshot of a stride-7 walk of `machine`.
+fn walk_digest(mut machine: Machine) -> String {
+    let mut lines = String::new();
+    while machine
+        .step_events(7, Cycle::new(DEFAULT_FUEL))
+        .unwrap()
+        .is_none()
+    {
+        lines.push_str(&digest_hex(&machine.snapshot().unwrap()));
+        lines.push('\n');
+    }
+    digest_hex(&lines)
+}
+
+/// Pins the `emx-snap/1` bytes of the FFT walk: a change to what any
+/// section holds, or to its token order, moves the digest.
+#[test]
+fn fft_walk_snapshot_bytes_are_pinned() {
+    let params = FftParams::comm_only(32, 2);
+    let machine = build_fft(&cfg(4), &params, |_| {}).unwrap();
+    assert_eq!(walk_digest(machine), "9e363969be5133ccb64b34a6185f599e");
+}
+
+/// Pins the `emx-snap/1` bytes of the BFS walk.
+#[test]
+fn bfs_walk_snapshot_bytes_are_pinned() {
+    let params = BfsParams::new(32, 2);
+    let machine = build_bfs(&cfg(4), &params, |_| {}).unwrap();
+    assert_eq!(walk_digest(machine), "17b26e5e3bec21385c0a8c0f7bf31bba");
 }
 
 #[test]
