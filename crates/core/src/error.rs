@@ -36,6 +36,13 @@ pub enum SimError {
         /// The offending frame index.
         frame: usize,
     },
+    /// A barrier packet names a barrier id the machine does not define.
+    BadBarrier {
+        /// Processor that received the packet.
+        pe: usize,
+        /// The undefined barrier id.
+        id: u32,
+    },
     /// Frame table exhausted on a processor.
     OutOfFrames {
         /// Processor whose frame table overflowed.
@@ -140,6 +147,9 @@ impl fmt::Display for SimError {
             ),
             SimError::FrameOutOfRange { frame } => {
                 write!(f, "frame index {frame} exceeds packed continuation range")
+            }
+            SimError::BadBarrier { pe, id } => {
+                write!(f, "PE{pe} received a packet for undefined barrier {id}")
             }
             SimError::OutOfFrames { pe } => write!(f, "PE{pe} exhausted its frame table"),
             SimError::BadPacketKind { code } => write!(f, "unassigned packet kind code {code}"),

@@ -178,18 +178,24 @@ impl Packet {
         c.u16(&mut self.src.0)
     }
 
-    /// Build a split-phase read request.
-    pub fn read_req(src: PeId, target: GlobalAddr, cont: Continuation) -> Packet {
+    /// The packet every constructor starts from: low priority, one word,
+    /// no sequence number or word index.
+    fn build(kind: PacketKind, src: PeId, addr: u32, data: u32) -> Packet {
         Packet {
-            kind: PacketKind::ReadReq,
+            kind,
             priority: Priority::Low,
-            addr: target.pack(),
-            data: cont.pack(),
+            addr,
+            data,
             block_len: 1,
             seq: 0,
             idx: 0,
             src,
         }
+    }
+
+    /// Build a split-phase read request.
+    pub fn read_req(src: PeId, target: GlobalAddr, cont: Continuation) -> Packet {
+        Packet::build(PacketKind::ReadReq, src, target.pack(), cont.pack())
     }
 
     /// Build a block read request for `len` consecutive words.
@@ -203,57 +209,35 @@ impl Packet {
             return Err(SimError::EmptyBlockRead);
         }
         Ok(Packet {
-            kind: PacketKind::ReadBlockReq,
-            priority: Priority::Low,
-            addr: target.pack(),
-            data: cont.pack(),
             block_len: len,
-            seq: 0,
-            idx: 0,
-            src,
+            ..Packet::build(PacketKind::ReadBlockReq, src, target.pack(), cont.pack())
         })
     }
 
     /// Build the response to a read request.
     pub fn read_resp(src: PeId, cont: Continuation, value: u32) -> Packet {
-        Packet {
-            kind: PacketKind::ReadResp,
-            priority: Priority::Low,
-            addr: cont.pack(),
-            data: value,
-            block_len: 1,
-            seq: 0,
-            idx: 0,
-            src,
-        }
+        Packet::build(PacketKind::ReadResp, src, cont.pack(), value)
     }
 
     /// Build a remote write.
     pub fn write(src: PeId, target: GlobalAddr, value: u32) -> Packet {
-        Packet {
-            kind: PacketKind::Write,
-            priority: Priority::Low,
-            addr: target.pack(),
-            data: value,
-            block_len: 1,
-            seq: 0,
-            idx: 0,
-            src,
-        }
+        Packet::build(PacketKind::Write, src, target.pack(), value)
     }
 
     /// Build a thread-invocation (spawn) packet.
     pub fn spawn(src: PeId, entry: GlobalAddr, arg: u32) -> Packet {
-        Packet {
-            kind: PacketKind::Spawn,
-            priority: Priority::Low,
-            addr: entry.pack(),
-            data: arg,
-            block_len: 1,
-            seq: 0,
-            idx: 0,
-            src,
-        }
+        Packet::build(PacketKind::Spawn, src, entry.pack(), arg)
+    }
+
+    /// Build a barrier packet: a [`PacketKind::SyncArrive`] or a
+    /// [`PacketKind::SyncRelease`], addressed to `barrier`, whose offset is
+    /// the barrier id, on the processor that receives it.
+    pub fn sync(kind: PacketKind, src: PeId, barrier: GlobalAddr, data: u32) -> Packet {
+        debug_assert!(matches!(
+            kind,
+            PacketKind::SyncArrive | PacketKind::SyncRelease
+        ));
+        Packet::build(kind, src, barrier.pack(), data)
     }
 
     /// The processor this packet must be routed to, derived from the address
@@ -264,6 +248,16 @@ impl Packet {
             GlobalAddr::unpack(self.addr).pe
         } else {
             Continuation::unpack(self.addr).pe
+        }
+    }
+
+    /// Words the packet asks its receiver to move: the block length of a
+    /// [`PacketKind::ReadBlockReq`], one for every other kind.
+    #[inline]
+    pub fn words(&self) -> u16 {
+        match self.kind {
+            PacketKind::ReadBlockReq => self.block_len,
+            _ => 1,
         }
     }
 

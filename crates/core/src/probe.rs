@@ -51,6 +51,15 @@ pub enum SuspendCause {
 }
 
 impl SuspendCause {
+    /// Every cause, in declaration order: `cause as usize` indexes it.
+    pub const ALL: [SuspendCause; 5] = [
+        SuspendCause::RemoteRead,
+        SuspendCause::BlockRead,
+        SuspendCause::Barrier,
+        SuspendCause::ThreadSync,
+        SuspendCause::Yield,
+    ];
+
     /// Short lower-case label used by the CSV and Chrome-trace exporters.
     pub fn label(self) -> &'static str {
         match self {
@@ -75,6 +84,9 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Every fault kind, in declaration order: `fault as usize` indexes it.
+    pub const ALL: [FaultKind; 3] = [FaultKind::Drop, FaultKind::Dup, FaultKind::Delay];
+
     /// Short lower-case label used by the CSV and Chrome-trace exporters.
     pub fn label(self) -> &'static str {
         match self {
@@ -195,24 +207,50 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
+    /// Number of variants.
+    pub const COUNT: usize = 13;
+
+    /// Each variant's [`name`](Self::name), at its [`index`](Self::index).
+    pub const NAMES: [&'static str; TraceKind::COUNT] = [
+        "dispatch",
+        "send",
+        "thread-spawn",
+        "thread-resume",
+        "thread-suspend",
+        "thread-retire",
+        "enqueue",
+        "unspill",
+        "dma-service",
+        "net-inject",
+        "net-deliver",
+        "dispatch-end",
+        "fault-injected",
+    ];
+
+    /// Dense index of the variant, in declaration order, for per-kind
+    /// tables.
+    pub fn index(&self) -> usize {
+        match self {
+            TraceKind::Dispatch { .. } => 0,
+            TraceKind::Send { .. } => 1,
+            TraceKind::ThreadSpawn { .. } => 2,
+            TraceKind::ThreadResume { .. } => 3,
+            TraceKind::ThreadSuspend { .. } => 4,
+            TraceKind::ThreadRetire { .. } => 5,
+            TraceKind::Enqueue { .. } => 6,
+            TraceKind::Unspill { .. } => 7,
+            TraceKind::DmaService { .. } => 8,
+            TraceKind::NetInject { .. } => 9,
+            TraceKind::NetDeliver { .. } => 10,
+            TraceKind::DispatchEnd => 11,
+            TraceKind::FaultInjected { .. } => 12,
+        }
+    }
+
     /// Short lower-case event name used by the CSV and Chrome-trace
     /// exporters and documented in `docs/OBSERVABILITY.md`.
     pub fn name(&self) -> &'static str {
-        match self {
-            TraceKind::Dispatch { .. } => "dispatch",
-            TraceKind::Send { .. } => "send",
-            TraceKind::ThreadSpawn { .. } => "thread-spawn",
-            TraceKind::ThreadResume { .. } => "thread-resume",
-            TraceKind::ThreadSuspend { .. } => "thread-suspend",
-            TraceKind::ThreadRetire { .. } => "thread-retire",
-            TraceKind::Enqueue { .. } => "enqueue",
-            TraceKind::Unspill { .. } => "unspill",
-            TraceKind::DmaService { .. } => "dma-service",
-            TraceKind::NetInject { .. } => "net-inject",
-            TraceKind::NetDeliver { .. } => "net-deliver",
-            TraceKind::DispatchEnd => "dispatch-end",
-            TraceKind::FaultInjected { .. } => "fault-injected",
-        }
+        TraceKind::NAMES[self.index()]
     }
 }
 
@@ -700,6 +738,16 @@ mod tests {
             };
             assert_eq!(e.line().as_bytes(), format!("{want}\n").as_bytes());
             assert_eq!(e.to_string(), want);
+        }
+    }
+
+    #[test]
+    fn variant_tables_follow_declaration_order() {
+        for (i, cause) in SuspendCause::ALL.into_iter().enumerate() {
+            assert_eq!(cause as usize, i);
+        }
+        for (i, fault) in FaultKind::ALL.into_iter().enumerate() {
+            assert_eq!(fault as usize, i);
         }
     }
 

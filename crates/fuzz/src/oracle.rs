@@ -301,6 +301,7 @@ pub fn error_kind(e: &SimError) -> &'static str {
         SimError::AddressOutOfRange { .. } => "address-range",
         SimError::MemoryFault { .. } => "memory-fault",
         SimError::FrameOutOfRange { .. } => "frame-range",
+        SimError::BadBarrier { .. } => "bad-barrier",
         SimError::OutOfFrames { .. } => "out-of-frames",
         SimError::BadPacketKind { .. } => "bad-packet-kind",
         SimError::EmptyBlockRead => "empty-block-read",
@@ -622,7 +623,7 @@ mod tests {
             f(|s| s.spill_ppm > 0) && f(|s| s.dma_stall_ppm > 0) && f(|s| s.frame_cap.is_some())
         );
 
-        assert_eq!(corpus_digest, "caeb7758abbd64ea05199d4b2b9d0b21");
+        assert_eq!(corpus_digest, "8458a965e3576ab22d097bd0c52bfc07");
         assert_eq!(generated_digest, "34187809de8d746257241d62abd6a9ef");
     }
 }

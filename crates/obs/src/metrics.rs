@@ -184,34 +184,6 @@ pub struct PeMetrics {
     pub faults_by_kind: [u64; 3],
 }
 
-fn cause_index(c: SuspendCause) -> usize {
-    match c {
-        SuspendCause::RemoteRead => 0,
-        SuspendCause::BlockRead => 1,
-        SuspendCause::Barrier => 2,
-        SuspendCause::ThreadSync => 3,
-        SuspendCause::Yield => 4,
-    }
-}
-
-const CAUSE_NAMES: [&str; 5] = [
-    "remote-read",
-    "block-read",
-    "barrier",
-    "thread-sync",
-    "yield",
-];
-
-fn fault_index(f: FaultKind) -> usize {
-    match f {
-        FaultKind::Drop => 0,
-        FaultKind::Dup => 1,
-        FaultKind::Delay => 2,
-    }
-}
-
-const FAULT_NAMES: [&str; 3] = ["drop", "dup", "delay"];
-
 /// Per-PE burst/read trackers, kept outside [`PeMetrics`] so the public
 /// counters stay plain data.
 #[derive(Debug, Clone, Default)]
@@ -281,7 +253,7 @@ impl MetricsRegistry {
             }
             TraceKind::ThreadSuspend { frame, cause } => {
                 m.suspends += 1;
-                m.suspends_by_cause[cause_index(cause)] += 1;
+                m.suspends_by_cause[cause as usize] += 1;
                 if matches!(cause, SuspendCause::RemoteRead | SuspendCause::BlockRead) {
                     tr.reads.push((frame, at));
                 }
@@ -322,7 +294,7 @@ impl MetricsRegistry {
                 tr.burst_start = None;
             }
             TraceKind::FaultInjected { fault, .. } => {
-                m.faults_by_kind[fault_index(fault)] += 1;
+                m.faults_by_kind[fault as usize] += 1;
             }
         }
     }
@@ -382,11 +354,11 @@ impl MetricsRegistry {
                 m.net_delivers,
                 m.max_queue_depth,
             ));
-            for (name, n) in CAUSE_NAMES.iter().zip(m.suspends_by_cause) {
-                s.push_str(&format!(" suspend[{name}]={n}"));
+            for (cause, n) in SuspendCause::ALL.iter().zip(m.suspends_by_cause) {
+                s.push_str(&format!(" suspend[{}]={n}", cause.label()));
             }
-            for (name, n) in FAULT_NAMES.iter().zip(m.faults_by_kind) {
-                s.push_str(&format!(" fault[{name}]={n}"));
+            for (fault, n) in FaultKind::ALL.iter().zip(m.faults_by_kind) {
+                s.push_str(&format!(" fault[{}]={n}", fault.label()));
             }
             s.push('\n');
         }

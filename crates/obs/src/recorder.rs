@@ -16,45 +16,6 @@ use emx_core::{Cycle, PeId, Probe, TraceEvent, TraceKind};
 
 use crate::metrics::MetricsRegistry;
 
-/// Number of [`TraceKind`] variants; per-kind exact counters are this wide.
-pub(crate) const N_KINDS: usize = 13;
-
-/// Dense index of a [`TraceKind`] variant, for exact per-kind counting.
-pub(crate) fn kind_index(kind: &TraceKind) -> usize {
-    match kind {
-        TraceKind::Dispatch { .. } => 0,
-        TraceKind::Send { .. } => 1,
-        TraceKind::ThreadSpawn { .. } => 2,
-        TraceKind::ThreadResume { .. } => 3,
-        TraceKind::ThreadSuspend { .. } => 4,
-        TraceKind::ThreadRetire { .. } => 5,
-        TraceKind::Enqueue { .. } => 6,
-        TraceKind::Unspill { .. } => 7,
-        TraceKind::DmaService { .. } => 8,
-        TraceKind::NetInject { .. } => 9,
-        TraceKind::NetDeliver { .. } => 10,
-        TraceKind::DispatchEnd => 11,
-        TraceKind::FaultInjected { .. } => 12,
-    }
-}
-
-/// The stable exporter name of each kind index (see `docs/OBSERVABILITY.md`).
-pub(crate) const KIND_NAMES: [&str; N_KINDS] = [
-    "dispatch",
-    "send",
-    "thread-spawn",
-    "thread-resume",
-    "thread-suspend",
-    "thread-retire",
-    "enqueue",
-    "unspill",
-    "dma-service",
-    "net-inject",
-    "net-deliver",
-    "dispatch-end",
-    "fault-injected",
-];
-
 /// A bounded log of trace events with exact per-kind counts.
 ///
 /// Once `capacity` events are stored, further events are counted (total,
@@ -64,7 +25,7 @@ pub struct EventLog {
     events: Vec<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    counts: [u64; N_KINDS],
+    counts: [u64; TraceKind::COUNT],
 }
 
 impl EventLog {
@@ -74,12 +35,12 @@ impl EventLog {
             events: Vec::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
-            counts: [0; N_KINDS],
+            counts: [0; TraceKind::COUNT],
         }
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        self.counts[kind_index(&ev.kind)] += 1;
+        self.counts[ev.kind.index()] += 1;
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else {
@@ -104,12 +65,12 @@ impl EventLog {
 
     /// Exact count of events of `kind`'s variant, kept or dropped.
     pub fn count_of(&self, kind: &TraceKind) -> u64 {
-        self.counts[kind_index(kind)]
+        self.counts[kind.index()]
     }
 
     /// Exact per-kind counts as `(name, count)` pairs, in schema order.
     pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        KIND_NAMES.iter().zip(self.counts).map(|(n, c)| (*n, c))
+        TraceKind::NAMES.into_iter().zip(self.counts)
     }
 }
 
@@ -240,8 +201,17 @@ mod tests {
                 src: PeId(0),
             },
         ];
+        let mut log = EventLog::new(kinds.len());
+        for kind in kinds {
+            log.push(TraceEvent {
+                at: Cycle::ZERO,
+                pe: PeId(0),
+                kind,
+            });
+        }
+        // Each kind is counted at its index, under its own name.
         for k in kinds {
-            assert_eq!(KIND_NAMES[kind_index(&k)], k.name());
+            assert_eq!(log.counts().nth(k.index()), Some((k.name(), 1)));
         }
     }
 }

@@ -98,39 +98,26 @@ impl BypassDma {
                 mem.write(ga.offset, pkt.data)?;
                 Ok(done)
             }
-            PacketKind::ReadReq => {
-                let ga = pkt.global_addr();
-                debug_assert_eq!(ga.pe, self.pe);
-                let fetched = now.max(self.ibu_free) + u64::from(self.dma_service);
-                self.ibu_free = fetched;
-                let value = mem.read(ga.offset)?;
-                self.serviced_words += 1;
-                let depart = fetched.max(self.obu_free) + u64::from(self.obu_forward);
-                self.obu_free = depart;
-                let cont = Continuation::unpack(pkt.data);
-                // Echo the request's retry sequence number so the requester
-                // can match the response against its current attempt.
-                let resp = Packet::read_resp(self.pe, cont, value).with_seq(pkt.seq);
-                responses.push((depart, resp));
-                Ok(fetched)
-            }
-            PacketKind::ReadBlockReq => {
+            // A single-word read is the one-word case of a block read.
+            PacketKind::ReadReq | PacketKind::ReadBlockReq => {
                 let ga = pkt.global_addr();
                 debug_assert_eq!(ga.pe, self.pe);
                 let cont = Continuation::unpack(pkt.data);
                 let mut t = now.max(self.ibu_free);
-                for i in 0..u32::from(pkt.block_len) {
+                for i in 0..pkt.words() {
                     t += u64::from(self.dma_service);
-                    let value = mem.read(ga.offset + i)?;
+                    let value = mem.read(ga.offset + u32::from(i))?;
                     self.serviced_words += 1;
                     let depart = t.max(self.obu_free) + u64::from(self.obu_forward);
                     self.obu_free = depart;
-                    // Each word carries its block index (the wire word
-                    // otherwise unused on responses) so a retried block read
-                    // can deposit duplicates idempotently.
+                    // Each response echoes the request's retry sequence
+                    // number, so the requester can match it against its
+                    // current attempt, and carries its word index (the wire
+                    // word otherwise unused on responses), so a retried
+                    // block read can deposit duplicates idempotently.
                     let resp = Packet::read_resp(self.pe, cont, value)
                         .with_seq(pkt.seq)
-                        .with_idx(i as u16);
+                        .with_idx(i);
                     responses.push((depart, resp));
                 }
                 self.ibu_free = t;
@@ -156,16 +143,12 @@ impl BypassDma {
     ) -> Result<Cycle, SimError> {
         let ibu_done = self.service(now, pkt, mem, responses)?;
         if let Some(p) = probe {
-            let words = match pkt.kind {
-                PacketKind::ReadBlockReq => pkt.block_len,
-                _ => 1,
-            };
             p.on(
                 now,
                 self.pe,
                 TraceKind::DmaService {
                     pkt: pkt.kind,
-                    words,
+                    words: pkt.words(),
                 },
             );
         }

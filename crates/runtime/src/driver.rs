@@ -20,21 +20,11 @@ use crate::machine::{Core, Fx, Machine, Obs, Shared};
 
 impl Machine {
     /// Run to quiescence, failing if simulated time passes `limit` (guards
-    /// against livelock from a barrier that can never be satisfied).
+    /// against livelock from a barrier that can never be satisfied): a
+    /// [`Machine::step_events`] with no event budget.
     pub fn run_until(&mut self, limit: Cycle) -> Result<RunReport, SimError> {
-        if self.ran {
-            return Err(SimError::Workload {
-                reason: "Machine::run may only be called once per machine".into(),
-            });
-        }
-        self.ran = true;
-        let mut res = self
-            .drive_events(limit, u64::MAX)
-            .and_then(|_| self.finish());
-        if let Err(SimError::FuelExhausted { live_threads, .. }) = &mut res {
-            *live_threads = self.core.suspended();
-        }
-        res
+        let report = self.step_events(u64::MAX, limit)?;
+        Ok(report.expect("an unbudgeted step runs to quiescence"))
     }
 
     /// Step the machine forward by at most `max_events` events, pausing at
@@ -53,7 +43,7 @@ impl Machine {
     ) -> Result<Option<RunReport>, SimError> {
         if self.ran {
             return Err(SimError::Workload {
-                reason: "Machine::step_events on a finished machine".into(),
+                reason: "the machine has already run to completion".into(),
             });
         }
         match self.drive_events(limit, max_events) {
@@ -145,7 +135,7 @@ fn drive(
             break;
         };
         if head.at > limit {
-            // `run_until` / `step_events` patch in the live-thread census.
+            // `step_events` patches in the live-thread census.
             return Err(SimError::FuelExhausted {
                 cycle: head.at.get(),
                 live_threads: 0,

@@ -1,14 +1,37 @@
 //! The [`Machine`]: processors, network, event loop, and scheduling.
 //!
-//! The simulator is event-driven: the only events are packet arrivals and
-//! EXU dispatch attempts. A thread's execution between two suspension points
-//! (a *burst*) is computed in one event, accumulating cycle charges into the
-//! four Figure-8 classes; the Input/Output Buffer Units and the by-pass DMA
-//! run on their own per-processor timelines, so remote reads are serviced
-//! without consuming EXU cycles — unless the EM-4 ablation mode
-//! ([`ServiceMode::ExuThread`]) is selected, in which case requests join the
-//! packet queue and steal processor time exactly as the paper describes for
-//! the EM-X's predecessor.
+//! The simulator is event-driven: the events are packet arrivals, EXU
+//! dispatch attempts and read-retry timers. The Input/Output Buffer Units
+//! and the by-pass DMA run on their own per-processor timelines, so remote
+//! reads are serviced without consuming EXU cycles — unless the EM-4
+//! ablation mode ([`ServiceMode::ExuThread`]) is selected, in which case
+//! requests join the packet queue and steal processor time exactly as the
+//! paper describes for the EM-X's predecessor.
+//!
+//! ## The thread lifecycle
+//!
+//! A dispatch pops one packet and computes everything the EXU does for it
+//! in one [`Burst`]: the EXU clock, the cycles charged to each Figure 8
+//! class ([`Burst::charge`]) and the packets it sends. Each step of the
+//! paper's lifecycle (§2.3) has one path:
+//!
+//! * **switch-in** ([`Core::switch_in`]): the context switch, then
+//!   `thread-spawn` or `thread-resume`, then the thread's burst. A spawn
+//!   packet allocates a frame first; a wake-up packet goes through
+//!   [`Core::wake`], whose slot only decides whether the thread resumes,
+//!   keeps waiting (a failed barrier poll, a spurious sequence wake, an
+//!   EM-4 partial block) or was addressed by a stale response;
+//! * **the burst** ([`Core::run_burst`]): step the thread, applying each
+//!   non-suspending action inline, until it retires or an action names a
+//!   [`SuspendCause`] together with the wait it leaves behind. Both read
+//!   actions send their request through [`Pe::issue_read`];
+//! * **switch-out**, the burst's tail: the context switch, then
+//!   `thread-suspend` or `thread-retire`;
+//! * **block-word deposit** ([`Frame::deposit`]): one path for both service
+//!   modes — the requester's IBU in by-pass mode, the EXU in EM-4 mode.
+//!
+//! A dispatch ends by committing the burst's charges, then routing its
+//! packets in the order it produced them.
 //!
 //! ## Execution split: core vs. shared vs. effects
 //!
@@ -35,7 +58,7 @@ use emx_faults::{FaultPlan, FaultReport, FaultyNetwork, InvariantChecker, Rng64}
 use emx_isa::{Effect, Program, Reg, ThreadState};
 use emx_net::{build_network, DeliveryClass, Network};
 use emx_proc::{BypassDma, FrameTable, LocalMemory, PacketQueue};
-use emx_stats::{FaultSummary, PeStats, RunReport};
+use emx_stats::{Breakdown, FaultSummary, PeStats, RunReport};
 
 use crate::calendar::{Calendar, EvKey, LANE_DISPATCH, LANE_LOCAL, LANE_RETRY};
 use crate::thread::{Action, BarrierId, ThreadBody, ThreadCtx, WorkKind};
@@ -53,7 +76,8 @@ const SLOT_YIELD: SlotId = SlotId(3);
 /// The processor that runs the barrier-coordination service threads.
 pub const BARRIER_COORDINATOR: PeId = PeId(0);
 
-/// Deterministic jitter added to barrier re-poll delays.
+/// When a barrier poll made at `now` by frame `fid` on processor `pe`
+/// polls again: `interval` cycles later, plus a deterministic jitter.
 ///
 /// A fully deterministic machine with identical per-PE work phase-locks:
 /// every processor polls on the same grid, and quantization offsets can
@@ -63,7 +87,7 @@ pub const BARRIER_COORDINATOR: PeId = PeId(0);
 /// function of (pe, frame, time), so runs remain exactly reproducible —
 /// breaks the phase lock.
 #[inline]
-fn poll_jitter(pe: usize, fid: FrameId, now: Cycle) -> u64 {
+fn next_poll(pe: usize, fid: FrameId, now: Cycle, interval: u32) -> Cycle {
     let mut x = (pe as u64)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(u64::from(fid.0) << 32)
@@ -71,7 +95,7 @@ fn poll_jitter(pe: usize, fid: FrameId, now: Cycle) -> u64 {
     x ^= x >> 33;
     x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
     x ^= x >> 33;
-    x % 13
+    now + u64::from(interval) + x % 13
 }
 
 /// The sequence number of a processor's latest split-phase read: its
@@ -202,6 +226,42 @@ impl Frame {
         self.seen[w] |= 1 << b;
         hit
     }
+
+    /// Write block-read word `pkt` into `mem` for this frame's block read,
+    /// in either service mode. Without the retry protocol words arrive in
+    /// order and land one after another; with it, each lands at its own
+    /// index, and a word from a superseded attempt or one already
+    /// deposited is discarded: `None`. Otherwise returns whether the block
+    /// is now complete.
+    fn deposit(
+        &mut self,
+        mem: &mut LocalMemory,
+        pkt: &Packet,
+        retry_armed: bool,
+    ) -> Result<Option<bool>, SimError> {
+        let Wait::Block {
+            local_dst,
+            len,
+            received,
+        } = self.wait
+        else {
+            return Err(SimError::Workload {
+                reason: format!("block deposit for a frame in state {:?}", self.wait),
+            });
+        };
+        let idx = if retry_armed { pkt.idx } else { received };
+        if retry_armed && (pkt.seq != self.cur_seq || self.seen_test_and_set(idx)) {
+            return Ok(None);
+        }
+        mem.write(local_dst + u32::from(idx), pkt.data)?;
+        let received = received + 1;
+        self.wait = Wait::Block {
+            local_dst,
+            len,
+            received,
+        };
+        Ok(Some(received == len))
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -230,13 +290,11 @@ pub(crate) struct Pe {
     /// how other processors' events interleave with its own.
     pub(crate) spill_rng: Option<Rng64>,
     pub(crate) dma_rng: Option<Rng64>,
-    /// Canonical-key counters, one per [`EvKey`] lane homed on this PE.
-    /// They advance only while this PE's own events execute (or during
-    /// pre-run setup), so an event's key is a function of its own
-    /// processor's history.
-    pub(crate) ev_dispatch_seq: u64,
-    pub(crate) ev_local_seq: u64,
-    pub(crate) ev_retry_seq: u64,
+    /// Canonical-key counters, one per [`EvKey`] lane homed on this PE,
+    /// indexed by lane (dispatch, local, retry). They advance only while
+    /// this PE's own events execute (or during pre-run setup), so an
+    /// event's key is a function of its own processor's history.
+    pub(crate) ev_seq: [u64; 3],
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -257,17 +315,54 @@ impl Default for Ev {
     }
 }
 
-/// Cycle charges accumulated during one dispatch, by breakdown class.
-#[derive(Debug, Default, Clone, Copy)]
-struct Charges {
-    compute: u64,
-    overhead: u64,
-    switch: u64,
+/// The Figure 8 class a span of EXU cycles is charged to.
+#[derive(Debug, Clone, Copy)]
+enum Class {
+    Compute,
+    Overhead,
+    Switch,
     /// Busy cycles that are really synchronization waiting in disguise
     /// (barrier re-polls); classified as communication time, matching the
     /// paper's observation that excessive iteration-sync switching erodes
     /// the communication minimum at high thread counts.
-    comm: u64,
+    Comm,
+}
+
+/// What one dispatch does on the EXU: the EXU clock, the cycles charged to
+/// each Figure 8 class, and the packets produced, routed once the charges
+/// are committed.
+struct Burst {
+    now: Cycle,
+    spent: Breakdown,
+    out: Vec<Outgoing>,
+}
+
+impl Burst {
+    /// Advance the EXU clock by `cycles`, charged to `class`.
+    #[inline]
+    fn charge(&mut self, class: Class, cycles: impl Into<u64>) {
+        let cycles = cycles.into();
+        self.now += cycles;
+        let spent = match class {
+            Class::Compute => &mut self.spent.compute,
+            Class::Overhead => &mut self.spent.overhead,
+            Class::Switch => &mut self.spent.switch,
+            Class::Comm => &mut self.spent.comm,
+        };
+        *spent += cycles;
+    }
+
+    /// Send `pkt` out of `pe`'s OBU at the current EXU cycle.
+    fn send(&mut self, pe: &mut Pe, pkt: Packet) {
+        let depart = pe.dma.obu_depart(self.now);
+        pe.stats.packets_sent += 1;
+        self.out.push(Outgoing::Net { depart, pkt });
+    }
+
+    /// Deliver `pkt` to this processor's own queue at `at`.
+    fn local(&mut self, at: Cycle, pkt: Packet) {
+        self.out.push(Outgoing::LocalAt { at, pkt });
+    }
 }
 
 /// The run's one observation consumer, the attached probe, behind a
@@ -354,9 +449,8 @@ pub(crate) struct Core {
     /// Recovery tallies (DMA stalls, retries, stale responses) for the
     /// report.
     pub(crate) fsummary: FaultSummary,
-    /// The packets a dispatch produces, routed once its charges are
-    /// committed. Kept between dispatches, empty, so that a dispatch does
-    /// not allocate.
+    /// The packet buffer of each dispatch's [`Burst`]. Kept between
+    /// dispatches, empty, so that a dispatch does not allocate.
     out: Vec<Outgoing>,
     /// The responses a by-pass DMA service produces, kept between
     /// arrivals, empty, for the same reason.
@@ -457,9 +551,7 @@ pub(crate) fn parts(cfg: &MachineConfig) -> Result<Parts, SimError> {
                 next_uid: 0,
                 spill_rng: plan.as_ref().map(|p| p.spill_rng_for(i)),
                 dma_rng: plan.as_ref().map(|p| p.dma_rng_for(i)),
-                ev_dispatch_seq: 0,
-                ev_local_seq: 0,
-                ev_retry_seq: 0,
+                ev_seq: [0; 3],
             }
         })
         .collect();
@@ -664,12 +756,7 @@ impl Core {
 
     /// Mint the canonical key for the next lane-`lane` event homed on `pe`.
     fn lane_key(&mut self, at: Cycle, pe: PeId, lane: u8) -> EvKey {
-        let p = &mut self.pes[pe.index()];
-        let ctr = match lane {
-            LANE_DISPATCH => &mut p.ev_dispatch_seq,
-            LANE_LOCAL => &mut p.ev_local_seq,
-            _ => &mut p.ev_retry_seq,
-        };
+        let ctr = &mut self.pes[pe.index()].ev_seq[usize::from(lane)];
         let a = *ctr;
         *ctr += 1;
         EvKey {
@@ -908,57 +995,26 @@ impl Core {
             // the queue.
             PacketKind::ReadResp if bypass && pkt.continuation().slot == SLOT_DATA => {
                 let cont = pkt.continuation();
-                let retry_armed = sh.retry_armed();
                 let pe = &mut self.pes[pe_id.index()];
-                let is_block = matches!(
-                    pe.frames.get(cont.frame).map(|f| f.wait),
-                    Some(Wait::Block { .. })
-                );
-                if is_block {
-                    let frame = pe
-                        .frames
-                        .get_mut(cont.frame)
-                        .ok_or(SimError::FrameOutOfRange {
-                            frame: cont.frame.index(),
-                        })?;
-                    let Wait::Block {
-                        local_dst,
-                        len,
-                        received,
-                    } = frame.wait
-                    else {
-                        return Err(SimError::Workload {
-                            reason: format!("block deposit for non-block frame {}", cont.frame),
-                        });
-                    };
-                    // Response matching: a word from a superseded attempt,
-                    // or one already deposited, is discarded at the IBU.
-                    let idx = if retry_armed { pkt.idx } else { received };
-                    if retry_armed && (pkt.seq != frame.cur_seq || frame.seen_test_and_set(idx)) {
-                        self.fsummary.stale_responses += 1;
-                        return Ok(());
-                    }
-                    let done = pe.dma.ibu_deposit(t);
-                    let cur_seq = frame.cur_seq;
-                    pe.mem.write(local_dst + u32::from(idx), pkt.data)?;
-                    let received = received + 1;
-                    frame.wait = Wait::Block {
-                        local_dst,
-                        len,
-                        received,
-                    };
-                    if received == len {
-                        let resume = Packet::read_resp(pe_id, cont, u32::from(len));
-                        let resume = if retry_armed {
-                            resume.with_seq(cur_seq)
-                        } else {
-                            resume
-                        };
-                        self.enqueue(sh, fx, done, pe_id, resume)?;
-                    }
+                let waiting = pe.frames.get_mut(cont.frame).and_then(|f| match f.wait {
+                    Wait::Block { len, .. } => Some((f, len)),
+                    _ => None,
+                });
+                let Some((frame, len)) = waiting else {
+                    return self.enqueue(sh, fx, t, pe_id, prioritize(sh.cfg, pkt));
+                };
+                let Some(complete) = frame.deposit(&mut pe.mem, &pkt, sh.retry_armed())? else {
+                    self.fsummary.stale_responses += 1;
                     return Ok(());
+                };
+                let done = pe.dma.ibu_deposit(t);
+                if complete {
+                    // `cur_seq` is 0 unless the retry protocol is armed.
+                    let resume =
+                        Packet::read_resp(pe_id, cont, u32::from(len)).with_seq(frame.cur_seq);
+                    self.enqueue(sh, fx, done, pe_id, resume)?;
                 }
-                self.enqueue(sh, fx, t, pe_id, prioritize(sh.cfg, pkt))
+                Ok(())
             }
             _ => self.enqueue(sh, fx, t, pe_id, prioritize(sh.cfg, pkt)),
         }
@@ -979,27 +1035,11 @@ fn prioritize(cfg: &MachineConfig, pkt: Packet) -> Packet {
     }
 }
 
-/// Build the thread body for a spawn of `entry`.
-fn instantiate(sh: &Shared<'_>, entry: u32, pe: PeId, arg: u32) -> Result<ThreadKind, SimError> {
-    let def = sh
-        .entries
-        .get(entry as usize)
-        .ok_or_else(|| SimError::Workload {
-            reason: format!("spawn of unregistered entry {entry}"),
-        })?;
-    Ok(match def {
-        EntryDef::Native { factory, .. } => ThreadKind::Native {
-            body: factory(pe, arg),
-            entry,
-        },
-        EntryDef::Template(_) => ThreadKind::Isa {
-            state: ThreadState::at_entry(pe.0, sh.cfg.num_pes as u32, 0, arg),
-            template: entry,
-        },
-    })
-}
-
 impl Core {
+    /// Pop the next packet on `pe_id`'s queue and act on it in one
+    /// [`Burst`]: spawn or wake a thread, handle a barrier packet, or
+    /// (EM-4) service a remote access; then commit the burst's charges and
+    /// route what it produced.
     fn on_dispatch(
         &mut self,
         sh: &Shared<'_>,
@@ -1009,358 +1049,91 @@ impl Core {
     ) -> Result<(), SimError> {
         let pe_idx = pe_id.index();
         let costs = sh.cfg.costs;
-        let (pkt, spilled, start) = {
-            let pe = &mut self.pes[pe_idx];
-            pe.dispatch_scheduled = false;
-            let start = t.max(pe.busy_until);
-            let Some((pkt, spilled)) = pe.queue.pop_probed(start, pe_id, fx.obs.as_probe()) else {
-                return Ok(());
-            };
-            // EXU idle between the last burst and this dispatch: if this
-            // processor still had live (suspended) threads, the gap is time
-            // lost to communication/synchronization — the Figure 6 quantity.
-            let gap = start - pe.busy_until;
-            if pe.live_threads > 0 && gap.get() > 0 {
-                pe.stats.breakdown.comm += gap;
-            }
-            pe.stats.dispatches += 1;
-            fx.obs
-                .record(start, pe_id, TraceKind::Dispatch { pkt: pkt.kind });
-            (pkt, spilled, start)
+        let pe = &mut self.pes[pe_idx];
+        pe.dispatch_scheduled = false;
+        let start = t.max(pe.busy_until);
+        let Some((pkt, spilled)) = pe.queue.pop_probed(start, pe_id, fx.obs.as_probe()) else {
+            return Ok(());
         };
+        // EXU idle between the last burst and this dispatch: if this
+        // processor still had live (suspended) threads, the gap is time
+        // lost to communication/synchronization — the Figure 6 quantity.
+        let gap = start - pe.busy_until;
+        if pe.live_threads > 0 && gap.get() > 0 {
+            pe.stats.breakdown.comm += gap;
+        }
+        pe.stats.dispatches += 1;
+        fx.obs
+            .record(start, pe_id, TraceKind::Dispatch { pkt: pkt.kind });
 
-        let mut now = start;
-        let mut ch = Charges::default();
-        let mut out = std::mem::take(&mut self.out);
+        let mut b = Burst {
+            now: start,
+            spent: Breakdown::default(),
+            out: std::mem::take(&mut self.out),
+        };
         if spilled {
             // Restoring a packet from the on-memory overflow buffer costs
             // extra IBU/memory cycles, charged to switching.
-            now += u64::from(costs.ibu_spill);
-            ch.switch += u64::from(costs.ibu_spill);
+            b.charge(Class::Switch, costs.ibu_spill);
         }
-
         match pkt.kind {
             PacketKind::Spawn => {
                 let entry = pkt.global_addr().offset;
-                let arg = pkt.data;
-                let thread = instantiate(sh, entry, pe_id, arg)?;
-                now += u64::from(costs.context_switch);
-                ch.switch += u64::from(costs.context_switch);
-                let fid = {
-                    let pe = &mut self.pes[pe_idx];
-                    pe.live_threads += 1;
-                    pe.next_uid += 1;
-                    let fid = pe.frames.alloc(Frame {
-                        thread,
-                        wait: Wait::Ready,
-                        arg,
-                        inbox: None,
-                        uid: pe.next_uid,
-                        cur_seq: 0,
-                        attempts: 0,
-                        pending: None,
-                        seen: Vec::new(),
-                    })?;
-                    // ISA threads address their operand segment through fp.
-                    if let Some(Frame {
-                        thread: ThreadKind::Isa { state, .. },
-                        ..
-                    }) = pe.frames.get_mut(fid)
-                    {
-                        state.set(Reg::FP, fid.index() as u32 * FRAME_WORDS);
-                    }
-                    fid
-                };
-                fx.obs
-                    .record(now, pe_id, TraceKind::ThreadSpawn { frame: fid, entry });
-                self.run_burst(sh, &mut fx.obs, pe_idx, fid, &mut now, &mut ch, &mut out)?;
+                let fid = self.spawn(sh, pe_idx, entry, pkt.data)?;
+                self.switch_in(sh, &mut fx.obs, pe_idx, fid, Some(entry), &mut b)?;
             }
             PacketKind::ReadResp => {
-                let cont = pkt.continuation();
-                let fid = cont.frame;
-                match cont.slot {
-                    SLOT_DATA => {
-                        // In EM-4 mode incoming block-read words are not
-                        // intercepted by the IBU; the EXU deposits each one
-                        // (consuming cycles) and the thread resumes only
-                        // after the last.
-                        //
-                        // With the retry protocol armed, a response whose
-                        // sequence number does not match the frame's current
-                        // read — or that lands on a dead, recycled, or
-                        // already-resumed frame — is a late duplicate of a
-                        // retried request and is discarded silently.
-                        let retry_armed = sh.retry_armed();
-                        let mut resume = true;
-                        let mut stale = false;
-                        {
-                            let pe = &mut self.pes[pe_idx];
-                            match pe.frames.get_mut(fid) {
-                                None if retry_armed => stale = true,
-                                None => {
-                                    return Err(SimError::Workload {
-                                        reason: format!("response for dead frame {fid} on {pe_id}"),
-                                    })
-                                }
-                                Some(frame) if retry_armed && pkt.seq != frame.cur_seq => {
-                                    stale = true;
-                                }
-                                Some(frame) => {
-                                    match frame.wait {
-                                        Wait::Value { isa_dst } => {
-                                            frame.inbox = Some(pkt.data);
-                                            if let (Some(reg), ThreadKind::Isa { state, .. }) =
-                                                (isa_dst, &mut frame.thread)
-                                            {
-                                                state.set(reg, pkt.data);
-                                            }
-                                        }
-                                        Wait::Block { len, received, .. } if received == len => {
-                                            frame.inbox = Some(u32::from(len));
-                                        }
-                                        Wait::Block {
-                                            local_dst,
-                                            len,
-                                            received,
-                                        } => {
-                                            debug_assert_eq!(
-                                                sh.cfg.service_mode,
-                                                ServiceMode::ExuThread,
-                                                "partial block deposits reach the EXU only in EM-4 mode"
-                                            );
-                                            let idx = if retry_armed { pkt.idx } else { received };
-                                            if retry_armed && frame.seen_test_and_set(idx) {
-                                                stale = true;
-                                            } else {
-                                                now += u64::from(costs.dma_service);
-                                                ch.overhead += u64::from(costs.dma_service);
-                                                pe.mem
-                                                    .write(local_dst + u32::from(idx), pkt.data)?;
-                                                let received = received + 1;
-                                                frame.wait = Wait::Block {
-                                                    local_dst,
-                                                    len,
-                                                    received,
-                                                };
-                                                if received == len {
-                                                    frame.inbox = Some(u32::from(len));
-                                                } else {
-                                                    resume = false;
-                                                }
-                                            }
-                                        }
-                                        _ if retry_armed => stale = true,
-                                        other => {
-                                            return Err(SimError::Workload {
-                                                reason: format!(
-                                                "data response for frame {fid} in state {other:?}"
-                                            ),
-                                            })
-                                        }
-                                    }
-                                    if resume && !stale {
-                                        frame.wait = Wait::Ready;
-                                        frame.pending = None;
-                                    }
-                                }
-                            }
-                        }
-                        if stale {
-                            self.fsummary.stale_responses += 1;
-                        } else if resume {
-                            now += u64::from(costs.context_switch);
-                            ch.switch += u64::from(costs.context_switch);
-                            fx.obs
-                                .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                            self.run_burst(
-                                sh,
-                                &mut fx.obs,
-                                pe_idx,
-                                fid,
-                                &mut now,
-                                &mut ch,
-                                &mut out,
-                            )?;
-                        }
-                    }
-                    SLOT_POLL => {
-                        let released = {
-                            let pe = &self.pes[pe_idx];
-                            let frame = pe.frames.get(fid).ok_or_else(|| SimError::Workload {
-                                reason: format!("poll for dead frame {fid} on {pe_id}"),
-                            })?;
-                            let Wait::Barrier { id, target } = frame.wait else {
-                                return Err(SimError::Workload {
-                                    reason: format!("poll for non-waiting frame {fid}"),
-                                });
-                            };
-                            pe.barriers[id as usize].releases >= target
-                        };
-                        if released {
-                            now += u64::from(costs.context_switch);
-                            ch.switch += u64::from(costs.context_switch);
-                            self.pes[pe_idx]
-                                .frames
-                                .get_mut(fid)
-                                .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?
-                                .wait = Wait::Ready;
-                            fx.obs
-                                .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                            self.run_burst(
-                                sh,
-                                &mut fx.obs,
-                                pe_idx,
-                                fid,
-                                &mut now,
-                                &mut ch,
-                                &mut out,
-                            )?;
-                        } else {
-                            // Unsuccessful check: the iteration-sync switch
-                            // of Figure 9. Its cycles are synchronization
-                            // waiting, so they count as communication time.
-                            // Re-poll after the configured interval.
-                            now += 2;
-                            ch.comm += 2;
-                            self.pes[pe_idx].stats.switches.iter_sync += 1;
-                            out.push(Outgoing::LocalAt {
-                                at: now
-                                    + u64::from(costs.barrier_poll_interval)
-                                    + poll_jitter(pe_idx, fid, now),
-                                pkt,
-                            });
-                        }
-                    }
-                    SLOT_SEQ => {
-                        let satisfied = {
-                            let pe = &self.pes[pe_idx];
-                            let frame = pe.frames.get(fid).ok_or_else(|| SimError::Workload {
-                                reason: format!("seq wake for dead frame {fid} on {pe_id}"),
-                            })?;
-                            match frame.wait {
-                                Wait::Seq { cell, threshold } => {
-                                    pe.seq_cells[cell as usize] >= threshold
-                                }
-                                _ => {
-                                    return Err(SimError::Workload {
-                                        reason: format!("seq wake for non-waiting frame {fid}"),
-                                    })
-                                }
-                            }
-                        };
-                        if satisfied {
-                            now += u64::from(costs.context_switch);
-                            ch.switch += u64::from(costs.context_switch);
-                            self.pes[pe_idx]
-                                .frames
-                                .get_mut(fid)
-                                .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?
-                                .wait = Wait::Ready;
-                            fx.obs
-                                .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                            self.run_burst(
-                                sh,
-                                &mut fx.obs,
-                                pe_idx,
-                                fid,
-                                &mut now,
-                                &mut ch,
-                                &mut out,
-                            )?;
-                        } else {
-                            // Spurious wake (signal raced a higher
-                            // threshold): re-register and count the
-                            // thread-sync switch.
-                            now += 2;
-                            ch.switch += 2;
-                            let pe = &mut self.pes[pe_idx];
-                            pe.stats.switches.thread_sync += 1;
-                            let frame = pe
-                                .frames
-                                .get(fid)
-                                .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?;
-                            if let Wait::Seq { cell, threshold } = frame.wait {
-                                pe.seq_waiters.push((fid, cell, threshold));
-                            }
-                        }
-                    }
-                    SLOT_YIELD => {
-                        now += u64::from(costs.context_switch);
-                        ch.switch += u64::from(costs.context_switch);
-                        let frame = self.pes[pe_idx].frames.get_mut(fid).ok_or_else(|| {
-                            SimError::Workload {
-                                reason: format!("yield resume for dead frame {fid}"),
-                            }
-                        })?;
-                        frame.wait = Wait::Ready;
-                        fx.obs
-                            .record(now, pe_id, TraceKind::ThreadResume { frame: fid });
-                        self.run_burst(sh, &mut fx.obs, pe_idx, fid, &mut now, &mut ch, &mut out)?;
-                    }
-                    other => {
-                        return Err(SimError::Workload {
-                            reason: format!("unknown continuation slot {}", other.0),
-                        })
-                    }
+                if self.wake(sh, pe_idx, &pkt, &mut b)? {
+                    let fid = pkt.continuation().frame;
+                    self.switch_in(sh, &mut fx.obs, pe_idx, fid, None, &mut b)?;
                 }
             }
             PacketKind::SyncArrive => {
                 debug_assert_eq!(pe_id, BARRIER_COORDINATOR);
-                let id = pkt.global_addr().offset as usize;
-                now += 2;
-                ch.switch += 2;
-                self.barrier_counts[id] += 1;
-                if self.barrier_counts[id] == sh.cfg.num_pes {
-                    self.barrier_counts[id] = 0;
+                let id = pkt.global_addr().offset;
+                b.charge(Class::Switch, 2u64);
+                let count = self
+                    .barrier_counts
+                    .get_mut(id as usize)
+                    .ok_or(SimError::BadBarrier { pe: pe_idx, id })?;
+                *count += 1;
+                if *count == sh.cfg.num_pes {
+                    *count = 0;
                     // Release broadcast: one send instruction per processor.
+                    let pe = &mut self.pes[pe_idx];
                     for j in 0..sh.cfg.num_pes {
-                        now += u64::from(costs.send_packet);
-                        ch.switch += u64::from(costs.send_packet);
-                        let depart = self.pes[pe_idx].dma.obu_depart(now);
-                        let target = PeId(j as u16);
-                        let rel = Packet {
-                            kind: PacketKind::SyncRelease,
-                            priority: Priority::Low,
-                            addr: GlobalAddr::new(target, id as u32)?.pack(),
-                            data: 0,
-                            block_len: 1,
-                            src: pe_id,
-                            seq: 0,
-                            idx: 0,
-                        };
-                        out.push(Outgoing::Net { depart, pkt: rel });
-                        self.pes[pe_idx].stats.packets_sent += 1;
+                        b.charge(Class::Switch, costs.send_packet);
+                        let to = GlobalAddr::new(PeId(j as u16), id)?;
+                        b.send(pe, Packet::sync(PacketKind::SyncRelease, pe_id, to, 0));
                     }
                 }
             }
             PacketKind::SyncRelease => {
-                let id = pkt.global_addr().offset as usize;
-                now += 2;
-                ch.switch += 2;
-                self.pes[pe_idx].barriers[id].releases += 1;
+                let id = pkt.global_addr().offset;
+                b.charge(Class::Switch, 2u64);
+                self.pes[pe_idx]
+                    .barriers
+                    .get_mut(id as usize)
+                    .ok_or(SimError::BadBarrier { pe: pe_idx, id })?
+                    .releases += 1;
             }
             // EM-4 ablation: remote accesses consume EXU cycles as
             // one-instruction threads.
             PacketKind::ReadReq | PacketKind::ReadBlockReq | PacketKind::Write => {
                 debug_assert_eq!(sh.cfg.service_mode, ServiceMode::ExuThread);
-                self.exu_service(sh, pe_idx, &pkt, &mut now, &mut ch, &mut out)?;
+                self.exu_service(sh, pe_idx, &pkt, &mut b)?;
             }
         }
 
         // Commit charges and schedule follow-ups.
-        {
-            let pe = &mut self.pes[pe_idx];
-            pe.busy_until = now;
-            pe.stats.breakdown.compute += ch.compute;
-            pe.stats.breakdown.overhead += ch.overhead;
-            pe.stats.breakdown.switch += ch.switch;
-            pe.stats.breakdown.comm += Cycle::new(ch.comm);
-        }
+        let pe = &mut self.pes[pe_idx];
+        pe.busy_until = b.now;
+        pe.stats.breakdown += b.spent;
         // The burst's occupied span is exactly [start, now]: `now` is the
         // value committed to busy_until above, so the profiler can
         // reconstruct per-PE occupancy without the cost model.
-        fx.obs.record(now, pe_id, TraceKind::DispatchEnd);
-        for o in out.drain(..) {
+        fx.obs.record(b.now, pe_id, TraceKind::DispatchEnd);
+        for o in b.out.drain(..) {
             match o {
                 Outgoing::Net { depart, pkt } => self.route(sh, fx, depart, pe_id, pkt)?,
                 Outgoing::LocalAt { at, pkt } => {
@@ -1373,86 +1146,242 @@ impl Core {
                 }
             }
         }
-        self.out = out;
-        let redispatch = {
-            let pe = &mut self.pes[pe_idx];
-            if !pe.queue.is_empty() && !pe.dispatch_scheduled {
-                pe.dispatch_scheduled = true;
-                Some(pe.busy_until)
-            } else {
-                None
-            }
-        };
-        if let Some(at) = redispatch {
-            let key = self.lane_key(at, pe_id, LANE_DISPATCH);
+        self.out = b.out;
+        let pe = &mut self.pes[pe_idx];
+        if !pe.queue.is_empty() && !pe.dispatch_scheduled {
+            pe.dispatch_scheduled = true;
+            let key = self.lane_key(b.now, pe_id, LANE_DISPATCH);
             self.cal.push(key, Ev::Dispatch(pe_id))?;
         }
         Ok(())
     }
-}
 
-impl Core {
-    /// EM-4-mode servicing of a remote access on the EXU.
+    /// Allocate a frame on `pe_idx` for a new thread of `entry` with
+    /// argument `arg`.
+    fn spawn(
+        &mut self,
+        sh: &Shared<'_>,
+        pe_idx: usize,
+        entry: u32,
+        arg: u32,
+    ) -> Result<FrameId, SimError> {
+        let pe_id = PeId(pe_idx as u16);
+        let thread = match sh.entries.get(entry as usize) {
+            Some(EntryDef::Native { factory, .. }) => ThreadKind::Native {
+                body: factory(pe_id, arg),
+                entry,
+            },
+            Some(EntryDef::Template(_)) => ThreadKind::Isa {
+                state: ThreadState::at_entry(pe_id.0, sh.cfg.num_pes as u32, 0, arg),
+                template: entry,
+            },
+            None => {
+                return Err(SimError::Workload {
+                    reason: format!("spawn of unregistered entry {entry}"),
+                })
+            }
+        };
+        let pe = &mut self.pes[pe_idx];
+        pe.live_threads += 1;
+        pe.next_uid += 1;
+        let fid = pe.frames.alloc(Frame {
+            thread,
+            arg,
+            uid: pe.next_uid,
+            ..Frame::default()
+        })?;
+        // ISA threads address their operand segment through fp.
+        if let Some(Frame {
+            thread: ThreadKind::Isa { state, .. },
+            ..
+        }) = pe.frames.get_mut(fid)
+        {
+            state.set(Reg::FP, fid.index() as u32 * FRAME_WORDS);
+        }
+        Ok(fid)
+    }
+
+    /// Switch thread `fid` in: the context switch, then `thread-spawn` (a
+    /// new thread of `spawned`) or `thread-resume`, then its burst.
+    fn switch_in(
+        &mut self,
+        sh: &Shared<'_>,
+        obs: &mut Obs<'_>,
+        pe_idx: usize,
+        fid: FrameId,
+        spawned: Option<u32>,
+        b: &mut Burst,
+    ) -> Result<(), SimError> {
+        b.charge(Class::Switch, sh.cfg.costs.context_switch);
+        let kind = match spawned {
+            Some(entry) => TraceKind::ThreadSpawn { frame: fid, entry },
+            None => TraceKind::ThreadResume { frame: fid },
+        };
+        obs.record(b.now, PeId(pe_idx as u16), kind);
+        self.run_burst(sh, obs, pe_idx, fid, b)
+    }
+
+    /// A wake-up packet for a suspended thread reached the EXU: returns
+    /// whether the thread resumes. Its continuation slot decides; a thread
+    /// that keeps waiting (a failed barrier poll, a spurious sequence wake,
+    /// an EM-4 block still missing words) has its cycles charged here.
+    ///
+    /// With the retry protocol armed, a data response whose sequence
+    /// number does not match the frame's current read — or that lands on
+    /// a dead, recycled, or already-resumed frame — is a late duplicate of
+    /// a retried request and is discarded silently.
+    fn wake(
+        &mut self,
+        sh: &Shared<'_>,
+        pe_idx: usize,
+        pkt: &Packet,
+        b: &mut Burst,
+    ) -> Result<bool, SimError> {
+        let costs = sh.cfg.costs;
+        let retry_armed = sh.retry_armed();
+        let cont = pkt.continuation();
+        let fid = cont.frame;
+        let pe = &mut self.pes[pe_idx];
+        let Some(frame) = pe.frames.get_mut(fid) else {
+            if retry_armed && cont.slot == SLOT_DATA {
+                return Ok(self.stale());
+            }
+            return Err(SimError::Workload {
+                reason: format!("wake-up for dead frame {fid} on {}", PeId(pe_idx as u16)),
+            });
+        };
+        match cont.slot {
+            SLOT_DATA => {
+                if retry_armed && pkt.seq != frame.cur_seq {
+                    return Ok(self.stale());
+                }
+                match frame.wait {
+                    Wait::Value { isa_dst } => {
+                        frame.inbox = Some(pkt.data);
+                        if let (Some(reg), ThreadKind::Isa { state, .. }) =
+                            (isa_dst, &mut frame.thread)
+                        {
+                            state.set(reg, pkt.data);
+                        }
+                    }
+                    // A by-pass block read's completion.
+                    Wait::Block { len, received, .. } if received == len => {
+                        frame.inbox = Some(u32::from(len));
+                    }
+                    // In EM-4 mode incoming block-read words are not
+                    // intercepted by the IBU; the EXU deposits each one
+                    // (consuming cycles) and the thread resumes only after
+                    // the last.
+                    Wait::Block { len, .. } => {
+                        debug_assert_eq!(
+                            sh.cfg.service_mode,
+                            ServiceMode::ExuThread,
+                            "partial block deposits reach the EXU only in EM-4 mode"
+                        );
+                        let Some(complete) = frame.deposit(&mut pe.mem, pkt, retry_armed)? else {
+                            return Ok(self.stale());
+                        };
+                        b.charge(Class::Overhead, costs.dma_service);
+                        if !complete {
+                            return Ok(false);
+                        }
+                        frame.inbox = Some(u32::from(len));
+                    }
+                    _ if retry_armed => return Ok(self.stale()),
+                    other => {
+                        return Err(SimError::Workload {
+                            reason: format!("data response for frame {fid} in state {other:?}"),
+                        })
+                    }
+                }
+                frame.pending = None;
+            }
+            SLOT_POLL => {
+                let Wait::Barrier { id, target } = frame.wait else {
+                    return Err(SimError::Workload {
+                        reason: format!("poll for non-waiting frame {fid}"),
+                    });
+                };
+                if pe.barriers[id as usize].releases < target {
+                    // Unsuccessful check: the iteration-sync switch of
+                    // Figure 9. Its cycles are synchronization waiting, so
+                    // they count as communication time. Re-poll after the
+                    // configured interval.
+                    b.charge(Class::Comm, 2u64);
+                    pe.stats.switches.iter_sync += 1;
+                    let at = next_poll(pe_idx, fid, b.now, costs.barrier_poll_interval);
+                    b.local(at, *pkt);
+                    return Ok(false);
+                }
+            }
+            SLOT_SEQ => {
+                let Wait::Seq { cell, threshold } = frame.wait else {
+                    return Err(SimError::Workload {
+                        reason: format!("seq wake for non-waiting frame {fid}"),
+                    });
+                };
+                if pe.seq_cells[cell as usize] < threshold {
+                    // Spurious wake (signal raced a higher threshold):
+                    // re-register and count the thread-sync switch.
+                    b.charge(Class::Switch, 2u64);
+                    pe.stats.switches.thread_sync += 1;
+                    pe.seq_waiters.push((fid, cell, threshold));
+                    return Ok(false);
+                }
+            }
+            SLOT_YIELD => {}
+            other => {
+                return Err(SimError::Workload {
+                    reason: format!("unknown continuation slot {}", other.0),
+                })
+            }
+        }
+        frame.wait = Wait::Ready;
+        Ok(true)
+    }
+
+    /// Count a discarded stale response; its thread does not resume.
+    fn stale(&mut self) -> bool {
+        self.fsummary.stale_responses += 1;
+        false
+    }
+
+    /// EM-4-mode servicing of a remote access on the EXU. A single-word
+    /// read is the one-word case of a block read.
     fn exu_service(
         &mut self,
         sh: &Shared<'_>,
         pe_idx: usize,
         pkt: &Packet,
-        now: &mut Cycle,
-        ch: &mut Charges,
-        out: &mut Vec<Outgoing>,
+        b: &mut Burst,
     ) -> Result<(), SimError> {
-        let costs = sh.cfg.costs;
+        let dma_service = sh.cfg.costs.dma_service;
         let pe = &mut self.pes[pe_idx];
-        match pkt.kind {
-            PacketKind::Write => {
-                *now += u64::from(costs.dma_service);
-                ch.overhead += u64::from(costs.dma_service);
-                let ga = pkt.global_addr();
-                pe.mem.write(ga.offset, pkt.data)?;
-            }
-            PacketKind::ReadReq => {
-                *now += u64::from(costs.dma_service);
-                ch.overhead += u64::from(costs.dma_service);
-                let ga = pkt.global_addr();
-                let value = pe.mem.read(ga.offset)?;
-                let depart = pe.dma.obu_depart(*now);
-                let resp = Packet::read_resp(PeId(pe_idx as u16), pkt.continuation(), value)
-                    .with_seq(pkt.seq);
-                pe.stats.packets_sent += 1;
-                out.push(Outgoing::Net { depart, pkt: resp });
-            }
-            PacketKind::ReadBlockReq => {
-                let ga = pkt.global_addr();
-                for i in 0..u32::from(pkt.block_len) {
-                    *now += u64::from(costs.dma_service);
-                    ch.overhead += u64::from(costs.dma_service);
-                    let value = pe.mem.read(ga.offset + i)?;
-                    let depart = pe.dma.obu_depart(*now);
-                    let resp = Packet::read_resp(PeId(pe_idx as u16), pkt.continuation(), value)
-                        .with_seq(pkt.seq)
-                        .with_idx(i as u16);
-                    pe.stats.packets_sent += 1;
-                    out.push(Outgoing::Net { depart, pkt: resp });
-                }
-            }
-            _ => unreachable!("exu_service only handles remote accesses"),
+        let ga = pkt.global_addr();
+        if pkt.kind == PacketKind::Write {
+            b.charge(Class::Overhead, dma_service);
+            return pe.mem.write(ga.offset, pkt.data);
+        }
+        for i in 0..pkt.words() {
+            b.charge(Class::Overhead, dma_service);
+            let value = pe.mem.read(ga.offset + u32::from(i))?;
+            let resp = Packet::read_resp(PeId(pe_idx as u16), pkt.continuation(), value)
+                .with_seq(pkt.seq)
+                .with_idx(i);
+            b.send(pe, resp);
         }
         Ok(())
     }
 
-    /// Execute a thread burst: repeatedly step the thread, applying
-    /// non-suspending actions inline, until it suspends or ends.
-    #[allow(clippy::too_many_arguments)]
+    /// Run thread `fid` on the EXU: step it, applying each non-suspending
+    /// action inline, until it retires or suspends, then switch it out.
     fn run_burst(
         &mut self,
         sh: &Shared<'_>,
         obs: &mut Obs<'_>,
         pe_idx: usize,
         fid: FrameId,
-        now: &mut Cycle,
-        ch: &mut Charges,
-        out: &mut Vec<Outgoing>,
+        b: &mut Burst,
     ) -> Result<(), SimError> {
         let costs = sh.cfg.costs;
         let npes = sh.cfg.num_pes as u32;
@@ -1463,11 +1392,11 @@ impl Core {
         } else {
             None
         };
-        let entries = sh.entries;
-        let barrier_defs = sh.barrier_defs;
         let pe = &mut self.pes[pe_idx];
 
-        loop {
+        // Each suspending action sets up what its wake-up needs and names
+        // the wait it leaves and its cause; `None` retires the thread.
+        let suspend = loop {
             let Pe {
                 mem,
                 frames,
@@ -1484,7 +1413,7 @@ impl Core {
                     let mut ctx = ThreadCtx {
                         pe: pe_id,
                         npes,
-                        now: *now,
+                        now: b.now,
                         value: frame.inbox.take(),
                         arg: frame.arg,
                         mem,
@@ -1493,355 +1422,227 @@ impl Core {
                     (body.step(&mut ctx), None)
                 }
                 ThreadKind::Isa { state, template } => {
-                    let prog = match &entries[*template as usize] {
-                        EntryDef::Template(p) => p,
-                        EntryDef::Native { .. } => unreachable!("template id points at native"),
+                    let EntryDef::Template(prog) = &sh.entries[*template as usize] else {
+                        unreachable!("template id points at native");
                     };
                     frame.inbox = None;
-                    let mut translated: Option<(Action, Option<Reg>)> = None;
-                    while translated.is_none() {
+                    loop {
                         let outcome = emx_isa::step(prog, state, mem, &costs)?;
-                        let cost = u64::from(outcome.cost);
-                        match outcome.effect {
-                            Effect::None => {
-                                *now += cost;
-                                ch.compute += cost;
-                            }
+                        let (class, effect) = match outcome.effect {
+                            Effect::None => (Class::Compute, None),
                             Effect::RemoteWrite { gaddr, value } => {
-                                *now += cost;
-                                ch.overhead += cost;
-                                let ga = GlobalAddr::unpack(gaddr);
-                                translated = Some((Action::Write { addr: ga, value }, None));
+                                let addr = GlobalAddr::unpack(gaddr);
+                                (Class::Overhead, Some((Action::Write { addr, value }, None)))
                             }
                             Effect::Spawn { entry, arg } => {
-                                *now += cost;
-                                ch.overhead += cost;
                                 let ga = GlobalAddr::unpack(entry);
-                                translated = Some((
-                                    Action::Spawn {
-                                        pe: ga.pe,
-                                        entry: EntryId(ga.offset),
-                                        arg,
-                                    },
-                                    None,
-                                ));
+                                let (pe, entry) = (ga.pe, EntryId(ga.offset));
+                                (
+                                    Class::Overhead,
+                                    Some((Action::Spawn { pe, entry, arg }, None)),
+                                )
                             }
                             Effect::RemoteRead { gaddr, dst } => {
-                                *now += cost;
-                                ch.overhead += cost;
-                                translated = Some((
-                                    Action::Read {
-                                        addr: GlobalAddr::unpack(gaddr),
-                                    },
-                                    Some(dst),
-                                ));
+                                let addr = GlobalAddr::unpack(gaddr);
+                                (Class::Overhead, Some((Action::Read { addr }, Some(dst))))
                             }
                             Effect::RemoteReadBlock { gaddr, local, len } => {
-                                *now += cost;
-                                ch.overhead += cost;
-                                translated = Some((
-                                    Action::ReadBlock {
-                                        addr: GlobalAddr::unpack(gaddr),
-                                        len,
-                                        local_dst: local,
-                                    },
-                                    None,
-                                ));
+                                let read = Action::ReadBlock {
+                                    addr: GlobalAddr::unpack(gaddr),
+                                    len,
+                                    local_dst: local,
+                                };
+                                (Class::Overhead, Some((read, None)))
                             }
-                            Effect::Yield => {
-                                *now += cost;
-                                ch.switch += cost;
-                                translated = Some((Action::Yield, None));
-                            }
-                            Effect::End => {
-                                *now += cost;
-                                ch.compute += cost;
-                                translated = Some((Action::End, None));
-                            }
+                            Effect::Yield => (Class::Switch, Some((Action::Yield, None))),
+                            Effect::End => (Class::Compute, Some((Action::End, None))),
+                        };
+                        b.charge(class, outcome.cost);
+                        if let Some(effect) = effect {
+                            break effect;
                         }
                     }
-                    translated.expect("loop exits only when set")
                 }
             };
+            // A native thread's send instruction is charged here; the
+            // interpreter has already charged an ISA thread's.
+            let sends = matches!(
+                action,
+                Action::Write { .. }
+                    | Action::Spawn { .. }
+                    | Action::Read { .. }
+                    | Action::ReadBlock { .. }
+            );
+            if sends && matches!(frame.thread, ThreadKind::Native { .. }) {
+                b.charge(Class::Overhead, costs.send_packet);
+            }
 
-            let is_isa = matches!(frame.thread, ThreadKind::Isa { .. });
             match action {
                 Action::Work { cycles, kind } => {
-                    *now += u64::from(cycles);
-                    match kind {
-                        WorkKind::Compute => ch.compute += u64::from(cycles),
-                        WorkKind::Overhead => ch.overhead += u64::from(cycles),
-                    }
+                    let class = match kind {
+                        WorkKind::Compute => Class::Compute,
+                        WorkKind::Overhead => Class::Overhead,
+                    };
+                    b.charge(class, cycles);
                 }
                 Action::Write { addr, value } => {
-                    if !is_isa {
-                        *now += u64::from(costs.send_packet);
-                        ch.overhead += u64::from(costs.send_packet);
-                    }
-                    let depart = pe.dma.obu_depart(*now);
-                    pe.stats.packets_sent += 1;
-                    out.push(Outgoing::Net {
-                        depart,
-                        pkt: Packet::write(pe_id, addr, value),
-                    });
+                    b.send(pe, Packet::write(pe_id, addr, value));
                 }
                 Action::Spawn {
                     pe: target,
                     entry,
                     arg,
                 } => {
-                    if !is_isa {
-                        *now += u64::from(costs.send_packet);
-                        ch.overhead += u64::from(costs.send_packet);
-                    }
-                    let depart = pe.dma.obu_depart(*now);
-                    pe.stats.packets_sent += 1;
-                    out.push(Outgoing::Net {
-                        depart,
-                        pkt: Packet::spawn(pe_id, GlobalAddr::new(target, entry.0)?, arg),
-                    });
+                    let at = GlobalAddr::new(target, entry.0)?;
+                    b.send(pe, Packet::spawn(pe_id, at, arg));
                 }
                 Action::SignalSeq { cell } => {
-                    *now += 1;
-                    ch.compute += 1;
-                    let c = cell as usize;
-                    if c >= pe.seq_cells.len() {
+                    b.charge(Class::Compute, 1u64);
+                    let Some(count) = pe.seq_cells.get_mut(cell as usize) else {
                         return Err(SimError::Workload {
                             reason: format!("signal of undefined seq cell {cell}"),
                         });
-                    }
-                    pe.seq_cells[c] += 1;
-                    let value = pe.seq_cells[c];
+                    };
+                    *count += 1;
+                    let value = *count;
                     let mut i = 0;
                     while i < pe.seq_waiters.len() {
                         let (wfid, wcell, wthr) = pe.seq_waiters[i];
                         if wcell == cell && value >= wthr {
                             pe.seq_waiters.swap_remove(i);
                             let cont = Continuation::new(pe_id, wfid, SLOT_SEQ)?;
-                            out.push(Outgoing::LocalAt {
-                                at: *now + 1,
-                                pkt: Packet::read_resp(pe_id, cont, 0),
-                            });
+                            b.local(b.now + 1, Packet::read_resp(pe_id, cont, 0));
                         } else {
                             i += 1;
                         }
                     }
                 }
                 Action::Read { addr } => {
-                    if !is_isa {
-                        *now += u64::from(costs.send_packet);
-                        ch.overhead += u64::from(costs.send_packet);
-                    }
-                    let frame = pe
-                        .frames
-                        .get_mut(fid)
-                        .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?;
-                    frame.wait = Wait::Value { isa_dst };
                     let cont = Continuation::new(pe_id, fid, SLOT_DATA)?;
-                    let depart = pe.dma.obu_depart(*now);
-                    pe.stats.packets_sent += 1;
-                    pe.stats.reads_issued += 1;
-                    pe.stats.switches.remote_read += 1;
-                    let mut req = Packet::read_req(pe_id, addr, cont);
-                    if let Some(timeout) = retry_timeout {
-                        frame.cur_seq = read_seq(&pe.stats);
-                        frame.attempts = 0;
-                        req = req.with_seq(frame.cur_seq);
-                        frame.pending = Some(req);
-                        out.push(Outgoing::RetryAt {
-                            at: depart + u64::from(timeout),
-                            fid,
-                            uid: frame.uid,
-                            seq: frame.cur_seq,
-                        });
-                    }
-                    out.push(Outgoing::Net { depart, pkt: req });
-                    *now += u64::from(costs.context_switch);
-                    ch.switch += u64::from(costs.context_switch);
-                    obs.record(
-                        *now,
-                        pe_id,
-                        TraceKind::ThreadSuspend {
-                            frame: fid,
-                            cause: SuspendCause::RemoteRead,
-                        },
-                    );
-                    return Ok(());
+                    pe.issue_read(b, fid, Packet::read_req(pe_id, addr, cont), retry_timeout)?;
+                    break Some((Wait::Value { isa_dst }, SuspendCause::RemoteRead));
                 }
                 Action::ReadBlock {
                     addr,
                     len,
                     local_dst,
                 } => {
-                    if !is_isa {
-                        *now += u64::from(costs.send_packet);
-                        ch.overhead += u64::from(costs.send_packet);
-                    }
-                    let frame = pe
-                        .frames
-                        .get_mut(fid)
-                        .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?;
-                    frame.wait = Wait::Block {
+                    let cont = Continuation::new(pe_id, fid, SLOT_DATA)?;
+                    let req = Packet::read_block_req(pe_id, addr, cont, len)?;
+                    pe.issue_read(b, fid, req, retry_timeout)?;
+                    let wait = Wait::Block {
                         local_dst,
                         len,
                         received: 0,
                     };
-                    let cont = Continuation::new(pe_id, fid, SLOT_DATA)?;
-                    let depart = pe.dma.obu_depart(*now);
-                    pe.stats.packets_sent += 1;
-                    pe.stats.reads_issued += u64::from(len);
-                    pe.stats.switches.remote_read += 1;
-                    let mut req = Packet::read_block_req(pe_id, addr, cont, len)?;
-                    if let Some(timeout) = retry_timeout {
-                        frame.cur_seq = read_seq(&pe.stats);
-                        frame.attempts = 0;
-                        frame.seen.clear();
-                        req = req.with_seq(frame.cur_seq);
-                        frame.pending = Some(req);
-                        out.push(Outgoing::RetryAt {
-                            at: depart + u64::from(timeout),
-                            fid,
-                            uid: frame.uid,
-                            seq: frame.cur_seq,
-                        });
-                    }
-                    out.push(Outgoing::Net { depart, pkt: req });
-                    *now += u64::from(costs.context_switch);
-                    ch.switch += u64::from(costs.context_switch);
-                    obs.record(
-                        *now,
-                        pe_id,
-                        TraceKind::ThreadSuspend {
-                            frame: fid,
-                            cause: SuspendCause::BlockRead,
-                        },
-                    );
-                    return Ok(());
+                    break Some((wait, SuspendCause::BlockRead));
                 }
                 Action::Barrier { id } => {
                     let bid = id.0 as usize;
-                    if bid >= barrier_defs.len() {
+                    let Some(&participants) = sh.barrier_defs.get(bid) else {
                         return Err(SimError::Workload {
                             reason: format!("arrival at undefined barrier {}", id.0),
                         });
-                    }
-                    let participants = barrier_defs[bid];
+                    };
                     let lb = &mut pe.barriers[bid];
                     lb.arrived += 1;
                     let target = lb.releases + 1;
-                    let complete = lb.arrived == participants;
-                    if complete {
+                    if lb.arrived == participants {
                         lb.arrived = 0;
                         // Last local thread notifies the coordinator.
-                        *now += u64::from(costs.send_packet);
-                        ch.switch += u64::from(costs.send_packet);
-                        let depart = pe.dma.obu_depart(*now);
-                        pe.stats.packets_sent += 1;
-                        let arrive_pkt = Packet {
-                            kind: PacketKind::SyncArrive,
-                            priority: Priority::Low,
-                            addr: GlobalAddr::new(BARRIER_COORDINATOR, id.0)?.pack(),
-                            data: u32::from(pe_id.0),
-                            block_len: 1,
-                            src: pe_id,
-                            seq: 0,
-                            idx: 0,
-                        };
-                        out.push(Outgoing::Net {
-                            depart,
-                            pkt: arrive_pkt,
-                        });
+                        b.charge(Class::Switch, costs.send_packet);
+                        let to = GlobalAddr::new(BARRIER_COORDINATOR, id.0)?;
+                        let data = u32::from(pe_id.0);
+                        b.send(pe, Packet::sync(PacketKind::SyncArrive, pe_id, to, data));
                     }
-                    let frame = pe
-                        .frames
-                        .get_mut(fid)
-                        .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?;
-                    frame.wait = Wait::Barrier { id: id.0, target };
                     // First check counts as an iteration-sync switch, then
                     // the thread polls on the configured interval.
                     pe.stats.switches.iter_sync += 1;
                     let cont = Continuation::new(pe_id, fid, SLOT_POLL)?;
-                    out.push(Outgoing::LocalAt {
-                        at: *now
-                            + u64::from(costs.barrier_poll_interval)
-                            + poll_jitter(pe_idx, fid, *now),
-                        pkt: Packet::read_resp(pe_id, cont, 0),
-                    });
-                    *now += u64::from(costs.context_switch);
-                    ch.switch += u64::from(costs.context_switch);
-                    obs.record(
-                        *now,
-                        pe_id,
-                        TraceKind::ThreadSuspend {
-                            frame: fid,
-                            cause: SuspendCause::Barrier,
-                        },
-                    );
-                    return Ok(());
+                    let at = next_poll(pe_idx, fid, b.now, costs.barrier_poll_interval);
+                    b.local(at, Packet::read_resp(pe_id, cont, 0));
+                    break Some((Wait::Barrier { id: id.0, target }, SuspendCause::Barrier));
                 }
                 Action::WaitSeq { cell, threshold } => {
-                    let c = cell as usize;
-                    if c >= pe.seq_cells.len() {
+                    let Some(&count) = pe.seq_cells.get(cell as usize) else {
                         return Err(SimError::Workload {
                             reason: format!("wait on undefined seq cell {cell}"),
                         });
-                    }
-                    if pe.seq_cells[c] >= threshold {
+                    };
+                    if count >= threshold {
                         // Already satisfied: continue without switching —
                         // this is the fast path a well-ordered merge takes.
                         continue;
                     }
-                    let frame = pe
-                        .frames
-                        .get_mut(fid)
-                        .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?;
-                    frame.wait = Wait::Seq { cell, threshold };
                     pe.seq_waiters.push((fid, cell, threshold));
                     pe.stats.switches.thread_sync += 1;
-                    *now += u64::from(costs.context_switch);
-                    ch.switch += u64::from(costs.context_switch);
-                    obs.record(
-                        *now,
-                        pe_id,
-                        TraceKind::ThreadSuspend {
-                            frame: fid,
-                            cause: SuspendCause::ThreadSync,
-                        },
-                    );
-                    return Ok(());
+                    break Some((Wait::Seq { cell, threshold }, SuspendCause::ThreadSync));
                 }
                 Action::Yield => {
-                    let frame = pe
-                        .frames
-                        .get_mut(fid)
-                        .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?;
-                    frame.wait = Wait::Yielded;
                     let cont = Continuation::new(pe_id, fid, SLOT_YIELD)?;
-                    out.push(Outgoing::LocalAt {
-                        at: *now + 1,
-                        pkt: Packet::read_resp(pe_id, cont, 0),
-                    });
-                    *now += u64::from(costs.context_switch);
-                    ch.switch += u64::from(costs.context_switch);
-                    obs.record(
-                        *now,
-                        pe_id,
-                        TraceKind::ThreadSuspend {
-                            frame: fid,
-                            cause: SuspendCause::Yield,
-                        },
-                    );
-                    return Ok(());
+                    b.local(b.now + 1, Packet::read_resp(pe_id, cont, 0));
+                    break Some((Wait::Yielded, SuspendCause::Yield));
                 }
-                Action::End => {
-                    *now += u64::from(costs.context_switch);
-                    ch.switch += u64::from(costs.context_switch);
-                    pe.live_threads -= 1;
-                    pe.frames.free(fid);
-                    obs.record(*now, pe_id, TraceKind::ThreadRetire { frame: fid });
-                    return Ok(());
-                }
+                Action::End => break None,
             }
+        };
+
+        // Switch out.
+        b.charge(Class::Switch, costs.context_switch);
+        let kind = match suspend {
+            Some((wait, cause)) => {
+                pe.frames
+                    .get_mut(fid)
+                    .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?
+                    .wait = wait;
+                TraceKind::ThreadSuspend { frame: fid, cause }
+            }
+            None => {
+                pe.live_threads -= 1;
+                pe.frames.free(fid);
+                TraceKind::ThreadRetire { frame: fid }
+            }
+        };
+        obs.record(b.now, pe_id, kind);
+        Ok(())
+    }
+}
+
+impl Pe {
+    /// Send split-phase read request `req` for frame `fid`: the census,
+    /// then, with the retry protocol armed (`retry_timeout`), the request's
+    /// sequence number, its copy for re-issue and its retry timer.
+    fn issue_read(
+        &mut self,
+        b: &mut Burst,
+        fid: FrameId,
+        mut req: Packet,
+        retry_timeout: Option<u32>,
+    ) -> Result<(), SimError> {
+        let depart = self.dma.obu_depart(b.now);
+        self.stats.packets_sent += 1;
+        self.stats.reads_issued += u64::from(req.words());
+        self.stats.switches.remote_read += 1;
+        if let Some(timeout) = retry_timeout {
+            let frame = self
+                .frames
+                .get_mut(fid)
+                .ok_or(SimError::FrameOutOfRange { frame: fid.index() })?;
+            frame.cur_seq = read_seq(&self.stats);
+            frame.attempts = 0;
+            if req.kind == PacketKind::ReadBlockReq {
+                frame.seen.clear();
+            }
+            req = req.with_seq(frame.cur_seq);
+            frame.pending = Some(req);
+            b.out.push(Outgoing::RetryAt {
+                at: depart + u64::from(timeout),
+                fid,
+                uid: frame.uid,
+                seq: frame.cur_seq,
+            });
         }
+        b.out.push(Outgoing::Net { depart, pkt: req });
+        Ok(())
     }
 }

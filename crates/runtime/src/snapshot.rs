@@ -378,9 +378,7 @@ impl Pe {
         c.bool(&mut self.dispatch_scheduled)?;
         c.usize(&mut self.live_threads)?;
         c.u64(&mut self.next_uid)?;
-        c.u64(&mut self.ev_dispatch_seq)?;
-        c.u64(&mut self.ev_local_seq)?;
-        c.u64(&mut self.ev_retry_seq)?;
+        self.ev_seq.iter_mut().try_for_each(|seq| c.u64(seq))?;
         c.opt(&mut self.spill_rng, Rng64::snap)?;
         c.opt(&mut self.dma_rng, Rng64::snap)?;
 

@@ -249,6 +249,63 @@ fn snapshot_waiting(m: &mut Machine, tag: &str, at: usize) -> (String, usize) {
     panic!("no frame ever waited with tag {tag}");
 }
 
+/// The position, on the `cal` line, and the value of the address word of
+/// the first in-flight packet of kind code `kind`. Each event is its five key tokens
+/// and a tag; an arrival (tag 0) then has its PE, its network flag and
+/// eight packet tokens (kind, priority, address, ...), a dispatch (tag 1)
+/// its PE, and a retry timer (tag 2) four more tokens.
+fn in_flight_addr(snap: &str, kind: &str) -> Option<(usize, u32)> {
+    let line = snap.lines().find(|l| l.starts_with("s cal "))?;
+    let t: Vec<&str> = line.split(' ').collect();
+    let mut at = 3;
+    while at < t.len() {
+        let tag = t[at + 5];
+        if tag == "0" && t[at + 8] == kind {
+            return Some((at + 10, u32::from_str_radix(t[at + 10], 16).ok()?));
+        }
+        at += match tag {
+            "0" => 16,
+            "1" => 7,
+            _ => 10,
+        };
+    }
+    None
+}
+
+#[test]
+fn a_packet_naming_an_undefined_barrier_fails_the_run() {
+    // Kind codes 5 and 6: a barrier arrival on its way to the coordinator
+    // and a release on its way back. The address offset is the barrier id.
+    for kind in ["5", "6"] {
+        let mut m = build();
+        let (snap, (at, addr)) = (0..200)
+            .find_map(|_| {
+                let snap = m.snapshot().unwrap();
+                let found = in_flight_addr(&snap, kind).map(|at| (snap, at));
+                if found.is_none() {
+                    let paused = m.step_events(1, emx_core::Cycle::new(emx_runtime::DEFAULT_FUEL));
+                    assert!(paused.unwrap().is_none(), "run ended before the packet");
+                }
+                found
+            })
+            .expect("the packet is never in flight");
+        let pe = GlobalAddr::unpack(addr).pe;
+        let undefined = GlobalAddr::new(pe, 999).unwrap().pack();
+        let bad = retoken(&snap, "cal", 0, at, &format!("{undefined:x}"));
+
+        let mut shell = build();
+        shell.restore(&bad).unwrap();
+        let err = shell.run().unwrap_err();
+        assert_eq!(
+            err,
+            SimError::BadBarrier {
+                pe: pe.index(),
+                id: 999
+            }
+        );
+    }
+}
+
 #[test]
 fn a_failed_restore_leaves_the_shell_as_it_was() {
     let mut reference = build();
