@@ -187,10 +187,12 @@ impl ThreadBody for OpThread {
                 let next = PeId(((me + 1) % npes) as u16);
                 match (GlobalAddr::new(prev, offset), GlobalAddr::new(next, offset)) {
                     (Ok(a), Ok(b)) => {
+                        // A second destination past the last offset stops
+                        // there, outside every memory, and faults.
                         self.pending = Some(Action::ReadBlock {
                             addr: b,
                             len,
-                            local_dst: dst + u32::from(len),
+                            local_dst: dst.saturating_add(u32::from(len)),
                         });
                         Action::ReadBlock {
                             addr: a,

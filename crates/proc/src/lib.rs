@@ -25,6 +25,8 @@ mod dma;
 mod frames;
 mod memory;
 mod queue;
+#[cfg(test)]
+mod tape;
 
 pub use dma::BypassDma;
 pub use frames::FrameTable;

@@ -232,7 +232,8 @@ impl Frame {
     /// order and land one after another; with it, each lands at its own
     /// index, and a word from a superseded attempt or one already
     /// deposited is discarded: `None`. Otherwise returns whether the block
-    /// is now complete.
+    /// is now complete. A word whose destination passes the last 32-bit
+    /// offset is a memory fault at `u32::MAX`, never a wrapped write.
     fn deposit(
         &mut self,
         mem: &mut LocalMemory,
@@ -253,7 +254,10 @@ impl Frame {
         if retry_armed && (pkt.seq != self.cur_seq || self.seen_test_and_set(idx)) {
             return Ok(None);
         }
-        mem.write(local_dst + u32::from(idx), pkt.data)?;
+        let Some(dst) = local_dst.checked_add(u32::from(idx)) else {
+            return Err(mem.fault(u32::MAX));
+        };
+        mem.write(dst, pkt.data)?;
         let received = received + 1;
         self.wait = Wait::Block {
             local_dst,
@@ -1644,5 +1648,35 @@ impl Pe {
         }
         b.out.push(Outgoing::Net { depart, pkt: req });
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// With the retry protocol each block word lands at its own index, so
+    /// word 2 of a block at `u32::MAX - 1` lies past the last offset: a
+    /// memory fault, not a write that wraps to word 0.
+    #[test]
+    fn a_block_word_past_the_last_offset_faults() {
+        let mut mem = LocalMemory::new(3, 64);
+        let mut frame = Frame {
+            wait: Wait::Block {
+                local_dst: u32::MAX - 1,
+                len: 4,
+                received: 0,
+            },
+            ..Frame::default()
+        };
+        let cont = Continuation::new(PeId(3), FrameId(0), SlotId(0)).unwrap();
+        let word = Packet::read_resp(PeId(0), cont, 0xBAD).with_idx(2);
+        let fault = SimError::MemoryFault {
+            pe: 3,
+            offset: u32::MAX,
+            size: 64,
+        };
+        assert_eq!(frame.deposit(&mut mem, &word, true), Err(fault));
+        assert_eq!(mem.read(0), Ok(0));
     }
 }

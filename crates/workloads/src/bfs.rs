@@ -458,7 +458,7 @@ pub fn finish_bfs(
     let mut dist = Vec::with_capacity(params.n);
     for pe in 0..p {
         dist.extend_from_slice(
-            machine
+            &machine
                 .mem(PeId(pe as u16))?
                 .read_slice(layout::DIST, per_pe)?,
         );

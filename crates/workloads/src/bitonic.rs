@@ -172,7 +172,7 @@ impl SortWorker {
     fn local_sort(&self, ctx: &mut ThreadCtx<'_>) -> Result<u32, SimError> {
         let m = self.m;
         let base = layout::buf(0, m);
-        let mut block = ctx.mem.read_slice(base, m)?.to_vec();
+        let mut block = ctx.mem.read_slice(base, m)?.into_owned();
         block.sort_unstable();
         ctx.mem.write_slice(base, &block)?;
         let levels = m.next_power_of_two().trailing_zeros().max(1);
@@ -539,7 +539,7 @@ pub fn run_bitonic_observed(
     let mut output = Vec::with_capacity(params.n);
     for pe in 0..p {
         output.extend_from_slice(
-            machine
+            &machine
                 .mem(PeId(pe as u16))?
                 .read_slice(layout::buf(final_par, m), m)?,
         );

@@ -556,9 +556,9 @@ pub fn finish_fft(
     let mut output = Vec::with_capacity(params.n);
     for pe in 0..p {
         let mem = machine.mem(PeId(pe as u16))?;
-        let re = mem.read_slice(layout::re(final_par, m), m)?.to_vec();
+        let re = mem.read_slice(layout::re(final_par, m), m)?;
         let im = mem.read_slice(layout::im(final_par, m), m)?;
-        for (r, i) in re.iter().zip(im) {
+        for (r, i) in re.iter().zip(im.iter()) {
             output.push((f32::from_bits(*r), f32::from_bits(*i)));
         }
     }

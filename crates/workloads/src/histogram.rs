@@ -293,7 +293,7 @@ pub fn run_histogram_observed(
     let mut counts = Vec::with_capacity(p * bpp);
     for pe in 0..p {
         counts.extend_from_slice(
-            machine
+            &machine
                 .mem(PeId(pe as u16))?
                 .read_slice(layout::BUCKETS, bpp)?,
         );

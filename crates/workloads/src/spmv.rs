@@ -286,7 +286,7 @@ pub fn run_spmv_observed(
     let mut y = Vec::with_capacity(params.n);
     for pe in 0..p {
         y.extend_from_slice(
-            machine
+            &machine
                 .mem(PeId(pe as u16))?
                 .read_slice(layout::y(per_pe), per_pe)?,
         );

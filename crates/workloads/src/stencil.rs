@@ -356,7 +356,7 @@ pub fn run_stencil_observed(
     let mut grid = Vec::with_capacity(params.n);
     for pe in 0..p {
         grid.extend_from_slice(
-            machine
+            &machine
                 .mem(PeId(pe as u16))?
                 .read_slice(layout::buf(final_par, per_pe), per_pe)?,
         );

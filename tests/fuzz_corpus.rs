@@ -102,6 +102,44 @@ fn corpus_files_roundtrip_through_the_text_format() {
     }
 }
 
+/// Two PEs, by-pass service, no faults: one halo exchange whose blocks
+/// land at the last 32-bit offset, so the second block's destination
+/// would pass it.
+const HALO_PAST_THE_LAST_OFFSET: &str = "\
+emx-fuzz/2
+name = halo-past-the-last-offset
+seed = 1
+pes = 2
+net = omega
+ibu = 8
+frames = 8
+mem = 4096
+fuel = 5000000
+service = bypass
+prio-responses = false
+seq-cells = 0
+barrier-participants = 0
+faults = fseed:1 drop:0 dup:0 delay:0,0 spill:0 dma:0,0 cap:none retry:0,0,0
+prog 0 = halo:0,4,4294967295
+root = 0,0,0
+";
+
+/// A block-read destination past `u32::MAX` is a memory fault in every
+/// build, not an overflow panic in the oracle. The case lives here rather
+/// than in `tests/corpus/`, which stays as it was.
+#[test]
+fn a_halo_destination_past_the_last_offset_is_a_memory_fault() {
+    let case = CaseSpec::parse(HALO_PAST_THE_LAST_OFFSET).unwrap();
+    let outcome = run_case(&case, false);
+    assert_eq!(
+        outcome.verdict.as_str(),
+        "error:memory-fault",
+        "{}",
+        outcome.detail
+    );
+    assert_eq!(outcome.trace_digest, "2e249155529fbea6eb3ad9f61327d37d");
+}
+
 #[test]
 fn campaign_digest_is_reproducible() {
     let opts = CampaignOptions {

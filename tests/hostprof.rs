@@ -4,8 +4,9 @@
 //! profiling"): the deterministic `counters` section is byte-identical
 //! across `--jobs` values for error-free runs and exact on four pinned
 //! quick points, arming the sweep heartbeat never changes sweep results,
-//! the counting allocator's totals are monotone, and neither the event
-//! loop nor the trace digest allocates per event.
+//! the counting allocator's totals are monotone, neither the event loop
+//! nor the trace digest allocates per event, and building a machine
+//! allocates what it holds rather than what its configuration allows.
 //!
 //! Counters are process-global, so every test serializes on one lock and
 //! leaves the gate disabled on exit.
@@ -154,6 +155,26 @@ fn event_loop_allocates_nothing_per_event() {
         );
     }
     hostprof::set_enabled(false);
+}
+
+/// A machine costs what its run touches, not what its configuration
+/// allows: building the paper-scale default at P = 64 (4,096 frames and
+/// 2^20 words of memory per processor, 5 MiB per processor if paid up
+/// front) allocates under 1 MiB in all.
+#[test]
+fn building_a_machine_allocates_only_what_it_holds() {
+    let _g = LOCK.lock().unwrap();
+    let cfg = MachineConfig::with_pes(64);
+    assert_eq!((cfg.frames_per_pe, cfg.local_memory_words), (4096, 1 << 20));
+    let (_, before) = hostprof::CountingAlloc::raw_totals();
+    let machine = Machine::new(cfg).unwrap();
+    let (_, after) = hostprof::CountingAlloc::raw_totals();
+    drop(machine);
+    let bytes = after - before;
+    assert!(
+        bytes < 1 << 20,
+        "building the machine allocated {bytes} bytes"
+    );
 }
 
 #[test]
