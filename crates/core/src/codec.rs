@@ -10,7 +10,8 @@
 //!
 //! The primitives are [`section`](Codec::section), [`u64`](Codec::u64) and
 //! [`str`](Codec::str); the helpers on `dyn Codec` narrow, widen and nest
-//! them.
+//! them. A [`Tape`] carries state that travels as a bare word list, such
+//! as a native thread body inside its frame.
 
 use crate::{Cycle, SimError};
 
@@ -76,6 +77,23 @@ impl dyn Codec + '_ {
             1 => true,
             _ => return Err(self.invalid(&format!("token {w:#x} is not a boolean"))),
         };
+        Ok(())
+    }
+
+    /// One value of a fieldless enum, carried as its index in `table`,
+    /// the one list of the enum's variants in token order.
+    pub fn variant<T: Copy + PartialEq>(&mut self, v: &mut T, table: &[T]) -> Result<(), SimError> {
+        let mut i = table
+            .iter()
+            .position(|x| x == v)
+            .ok_or_else(|| self.invalid("variant missing from its table"))?;
+        self.usize(&mut i)?;
+        *v = *table.get(i).ok_or_else(|| {
+            self.invalid(&format!(
+                "variant {i} is outside a table of {}",
+                table.len()
+            ))
+        })?;
         Ok(())
     }
 
@@ -145,5 +163,80 @@ impl dyn Codec + '_ {
             v.extend(Some(x));
         }
         Ok(())
+    }
+}
+
+/// A codec over a bare list of `u64` words: no section names, no strings.
+/// Encoding appends each field as one word; decoding reads them back in
+/// order and requires every word to be used.
+pub struct Tape<'a> {
+    /// The words an encoding pass has written.
+    words: Vec<u64>,
+    /// The words a decoding pass has not read yet; `None` when encoding.
+    rest: Option<&'a [u64]>,
+}
+
+impl Tape<'_> {
+    /// The words `snap` writes.
+    pub fn encode(
+        snap: impl FnOnce(&mut dyn Codec) -> Result<(), SimError>,
+    ) -> Result<Vec<u64>, SimError> {
+        let mut tape = Tape {
+            words: Vec::new(),
+            rest: None,
+        };
+        snap(&mut tape)?;
+        Ok(tape.words)
+    }
+
+    /// Pass `words` through `snap` as a decoder. A missing word and a word
+    /// left over are both [`SimError::SnapshotInvalid`].
+    pub fn decode(
+        words: &[u64],
+        snap: impl FnOnce(&mut dyn Codec) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        let mut tape = Tape {
+            words: Vec::new(),
+            rest: Some(words),
+        };
+        snap(&mut tape)?;
+        match tape.rest {
+            Some([]) | None => Ok(()),
+            Some(rest) => Err(tape.invalid(&format!("{} words left over", rest.len()))),
+        }
+    }
+}
+
+impl Codec for Tape<'_> {
+    fn decoding(&self) -> bool {
+        self.rest.is_some()
+    }
+
+    fn section(&mut self, _: &str) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    fn u64(&mut self, v: &mut u64) -> Result<(), SimError> {
+        match self.rest {
+            None => self.words.push(*v),
+            Some([first, tail @ ..]) => {
+                *v = *first;
+                self.rest = Some(tail);
+            }
+            Some([]) => return Err(self.invalid("ran out of words")),
+        }
+        Ok(())
+    }
+
+    fn str(&mut self, _: &mut String) -> Result<(), SimError> {
+        Err(SimError::SnapshotUnsupported {
+            what: "a string on a word tape".into(),
+        })
+    }
+
+    fn invalid(&self, detail: &str) -> SimError {
+        SimError::SnapshotInvalid {
+            reason: detail.into(),
+        }
     }
 }

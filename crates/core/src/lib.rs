@@ -43,7 +43,7 @@ pub mod probe;
 pub mod time;
 
 pub use addr::{Continuation, FrameId, GlobalAddr, PeId, SlotId};
-pub use codec::Codec;
+pub use codec::{Codec, Tape};
 pub use config::{CostModel, CostPreset, MachineConfig, NetConfig, NetModelKind, ServiceMode};
 pub use error::SimError;
 pub use faults::{FaultSpec, PPM_SCALE};

@@ -91,32 +91,29 @@ pub enum PacketKind {
 }
 
 impl PacketKind {
-    /// Wire encoding: three bits.
+    /// Every kind, indexed by its three-bit wire code.
+    pub const ALL: [PacketKind; 7] = [
+        PacketKind::ReadReq,
+        PacketKind::ReadBlockReq,
+        PacketKind::ReadResp,
+        PacketKind::Write,
+        PacketKind::Spawn,
+        PacketKind::SyncArrive,
+        PacketKind::SyncRelease,
+    ];
+
+    /// Wire encoding: three bits, the kind's index in [`PacketKind::ALL`].
     #[inline]
     pub fn code(self) -> u8 {
-        match self {
-            PacketKind::ReadReq => 0,
-            PacketKind::ReadBlockReq => 1,
-            PacketKind::ReadResp => 2,
-            PacketKind::Write => 3,
-            PacketKind::Spawn => 4,
-            PacketKind::SyncArrive => 5,
-            PacketKind::SyncRelease => 6,
-        }
+        self as u8
     }
 
     /// Decode from the three wire bits.
-    pub fn from_code(code: u8) -> Result<PacketKind, SimError> {
-        Ok(match code {
-            0 => PacketKind::ReadReq,
-            1 => PacketKind::ReadBlockReq,
-            2 => PacketKind::ReadResp,
-            3 => PacketKind::Write,
-            4 => PacketKind::Spawn,
-            5 => PacketKind::SyncArrive,
-            6 => PacketKind::SyncRelease,
-            other => return Err(SimError::BadPacketKind { code: other }),
-        })
+    pub fn decode(code: u8) -> Result<PacketKind, SimError> {
+        PacketKind::ALL
+            .get(usize::from(code))
+            .copied()
+            .ok_or(SimError::BadPacketKind { code })
     }
 
     /// Whether the address word carries a [`GlobalAddr`] (as opposed to a
@@ -164,9 +161,7 @@ impl Packet {
     /// address and data words, block length, sequence number, word index
     /// and source.
     pub fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
-        let mut kind = self.kind.code();
-        c.u8(&mut kind)?;
-        self.kind = PacketKind::from_code(kind)?;
+        c.variant(&mut self.kind, &PacketKind::ALL)?;
         let mut priority = self.priority.bit();
         c.u8(&mut priority)?;
         self.priority = Priority::from_bit(priority);
@@ -318,7 +313,7 @@ impl Packet {
 
     /// Decode from a wire image; `src` is supplied by the receiving link.
     pub fn from_wire(wire: WirePacket, src: PeId) -> Result<Packet, SimError> {
-        let kind = PacketKind::from_code(wire.tag >> 1)?;
+        let kind = PacketKind::decode(wire.tag >> 1)?;
         if kind == PacketKind::ReadBlockReq && wire.aux == 0 {
             return Err(SimError::EmptyBlockRead);
         }
@@ -483,6 +478,14 @@ mod tests {
         assert_eq!(back.seq, 0xBEEF);
         assert_eq!(back.idx, 17);
         assert_eq!(back, resp);
+    }
+
+    #[test]
+    fn kind_codes_index_the_kind_table() {
+        for (code, kind) in PacketKind::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(kind.code()), code);
+            assert_eq!(PacketKind::decode(kind.code()), Ok(kind));
+        }
     }
 
     #[test]

@@ -618,7 +618,7 @@ mod tests {
 
     /// Every packet kind, by wire code.
     fn pkt(code: u8) -> PacketKind {
-        PacketKind::from_code(code).unwrap()
+        PacketKind::ALL[usize::from(code)]
     }
 
     /// One event of every kind with every field at its maximum, spilled

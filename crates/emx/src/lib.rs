@@ -35,7 +35,7 @@
 //! // Sort 1024 keys on a 4-processor EM-X with 4 threads per processor.
 //! let mut cfg = MachineConfig::with_pes(4);
 //! cfg.local_memory_words = 1 << 16;
-//! let outcome = run_bitonic(&cfg, &SortParams::new(1024, 4)).unwrap();
+//! let outcome = run(&cfg, &SortParams::new(1024, 4), |_| {}).unwrap();
 //! assert!(outcome.output.windows(2).all(|w| w[0] <= w[1]));
 //! println!(
 //!     "sorted in {:.3} ms simulated, comm time {:.3} ms",
@@ -91,11 +91,8 @@ pub mod prelude {
     pub use emx_sweep::{RunCache, RunSpec, SweepEngine};
     pub use emx_workloads::gen::{dft, keys, signal, KeyDist, Signal};
     pub use emx_workloads::{
-        build_bfs, build_fft, finish_bfs, finish_fft, read_loop_idle, remote_read_latency, run_bfs,
-        run_bfs_observed, run_bitonic, run_bitonic_observed, run_fft, run_fft_observed,
-        run_histogram, run_histogram_observed, run_null_loop, run_spmv, run_spmv_observed,
-        run_stencil, run_stencil_observed, BfsOutcome, BfsParams, FftOutcome, FftParams,
-        HistogramOutcome, HistogramParams, NullLoopOutcome, NullLoopParams, SortOutcome,
-        SortParams, SpmvOutcome, SpmvParams, StencilOutcome, StencilParams,
+        read_loop_idle, remote_read_latency, run, run_null_loop, BfsOutcome, BfsParams, FftOutcome,
+        FftParams, HistogramOutcome, HistogramParams, Kernel, NullLoopOutcome, NullLoopParams,
+        SortOutcome, SortParams, SpmvOutcome, SpmvParams, StencilOutcome, StencilParams,
     };
 }

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use emx_core::{Cycle, GlobalAddr, MachineConfig, NetModelKind, PeId, SimError};
+use emx_core::{Codec, Cycle, GlobalAddr, MachineConfig, NetModelKind, PeId, SimError};
 use emx_obs::DigestProbe;
 use emx_runtime::{Action, BarrierId, EntryId, Machine, ThreadBody, ThreadCtx, WorkKind};
 use emx_stats::digest::report_canonical_text;
@@ -213,47 +213,36 @@ impl ThreadBody for OpThread {
     // The only action ever stashed in `pending` is the halo exchange's
     // second block read, so the pending slot serializes as its four
     // address words behind a presence flag.
-    fn save_state(&self) -> Option<Vec<u64>> {
-        let mut words = vec![self.pc as u64];
-        match &self.pending {
-            None => words.push(0),
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.usize(&mut self.pc)?;
+        let mut block = match self.pending {
+            None => None,
             Some(Action::ReadBlock {
                 addr,
                 len,
                 local_dst,
-            }) => {
-                words.push(1);
-                words.push(u64::from(addr.pe.0));
-                words.push(u64::from(addr.offset));
-                words.push(u64::from(*len));
-                words.push(u64::from(*local_dst));
+            }) => Some((addr.pe.0, addr.offset, len, local_dst)),
+            Some(action) => {
+                return Err(SimError::SnapshotUnsupported {
+                    what: format!("pending {action:?}"),
+                })
             }
-            Some(_) => return None,
-        }
-        Some(words)
-    }
-
-    fn load_state(&mut self, words: &[u64]) -> bool {
-        match words {
-            [pc, 0] => {
-                self.pc = *pc as usize;
-                self.pending = None;
-                true
-            }
-            [pc, 1, pe, offset, len, dst] => {
-                let Ok(addr) = GlobalAddr::new(PeId(*pe as u16), *offset as u32) else {
-                    return false;
-                };
-                self.pc = *pc as usize;
-                self.pending = Some(Action::ReadBlock {
-                    addr,
-                    len: *len as u16,
-                    local_dst: *dst as u32,
-                });
-                true
-            }
-            _ => false,
-        }
+        };
+        c.opt(&mut block, |(pe, offset, len, dst), c| {
+            c.u16(pe)?;
+            c.u32(offset)?;
+            c.u16(len)?;
+            c.u32(dst)
+        })?;
+        self.pending = match block {
+            None => None,
+            Some((pe, offset, len, local_dst)) => Some(Action::ReadBlock {
+                addr: GlobalAddr::new(PeId(pe), offset).map_err(|e| c.invalid(&e.to_string()))?,
+                len,
+                local_dst,
+            }),
+        };
+        Ok(())
     }
 }
 
@@ -282,17 +271,8 @@ impl ThreadBody for IncThread {
         "fuzz-rmw-inc"
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![u64::from(self.done)])
-    }
-
-    fn load_state(&mut self, words: &[u64]) -> bool {
-        let [done] = words else { return false };
-        if *done > 1 {
-            return false;
-        }
-        self.done = *done == 1;
-        true
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.bool(&mut self.done)
     }
 }
 

@@ -68,7 +68,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Decode an opcode from its 6-bit field.
-    pub fn from_code(code: u8) -> Result<Opcode, SimError> {
+    pub fn decode(code: u8) -> Result<Opcode, SimError> {
         use Opcode::*;
         const TABLE: [Opcode; 42] = [
             Nop, Add, Sub, Mul, Div, And, Or, Xor, Sll, Srl, Sra, Slt, Sltu, Addi, Andi, Ori, Xori,
@@ -449,7 +449,7 @@ impl Instr {
 
     /// Decode from the 32-bit binary form.
     pub fn decode(word: u32) -> Result<Instr, SimError> {
-        let opcode = Opcode::from_code((word >> 26) as u8)?;
+        let opcode = Opcode::decode((word >> 26) as u8)?;
         let reg = |shift: u32| -> Result<Reg, SimError> {
             Reg::try_r(((word >> shift) & 0x1F) as u8).ok_or_else(|| SimError::IsaFault {
                 reason: "register field out of range".into(),

@@ -109,6 +109,7 @@ impl<T: Topology> Network for Fabric<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emx_core::Tape;
 
     /// Every route crosses one two-port bundle, then one single port.
     struct TwoLane;
@@ -146,56 +147,14 @@ mod tests {
         assert_eq!(f.stats().contention_wait, Cycle::new(2 + 2 + 2));
     }
 
-    /// A token tape: encodes onto `tokens`, or decodes them from `at`.
-    struct Tape {
-        tokens: Vec<u64>,
-        at: Option<usize>,
-    }
-
-    impl Codec for Tape {
-        fn decoding(&self) -> bool {
-            self.at.is_some()
-        }
-
-        fn section(&mut self, _: &str) -> Result<(), SimError> {
-            Ok(())
-        }
-
-        fn u64(&mut self, v: &mut u64) -> Result<(), SimError> {
-            match self.at {
-                None => self.tokens.push(*v),
-                Some(at) => {
-                    *v = *self.tokens.get(at).ok_or(self.invalid("ran out"))?;
-                    self.at = Some(at + 1);
-                }
-            }
-            Ok(())
-        }
-
-        fn str(&mut self, _: &mut String) -> Result<(), SimError> {
-            unreachable!("a network holds no strings")
-        }
-
-        fn invalid(&self, detail: &str) -> SimError {
-            SimError::SnapshotInvalid {
-                reason: detail.into(),
-            }
-        }
-    }
-
     #[test]
     fn a_state_image_of_the_wrong_length_is_rejected() {
         let mut f = Fabric::new(TwoLane, &NetConfig::default());
-        let mut tape = Tape {
-            tokens: Vec::new(),
-            at: None,
-        };
-        f.snap(&mut tape).unwrap();
+        let mut tokens = Tape::encode(|c| f.snap(c)).unwrap();
         // Statistics, the port count, three ports, the no-wrap flag.
-        assert_eq!(tape.tokens, [0, 0, 0, 3, 0, 0, 0, 0]);
-        tape.tokens.remove(4);
-        tape.tokens[3] = 2;
-        tape.at = Some(0);
-        assert!(f.snap(&mut tape).is_err());
+        assert_eq!(tokens, [0, 0, 0, 3, 0, 0, 0, 0]);
+        tokens.remove(4);
+        tokens[3] = 2;
+        assert!(Tape::decode(&tokens, |c| f.snap(c)).is_err());
     }
 }

@@ -9,7 +9,7 @@
 //! routed after that state is decoded back. Any change to a route, a
 //! tie-break, a hop count or the snapshot word layout moves the digest.
 
-use emx_core::{Codec, Cycle, NetConfig, NetModelKind, PeId, SimError};
+use emx_core::{Cycle, NetConfig, NetModelKind, PeId, Tape};
 use emx_net::{build_network, Network};
 
 const SIZES: [usize; 10] = [1, 2, 3, 7, 9, 16, 17, 64, 80, 100];
@@ -33,63 +33,6 @@ impl Fnv {
         assert_eq!(wrapped, 0, "a bare model has no wrapped state");
         for &w in state {
             self.word(w);
-        }
-    }
-}
-
-/// A token tape: encodes onto `tokens`, or decodes them from `at`.
-struct Tape {
-    tokens: Vec<u64>,
-    at: Option<usize>,
-}
-
-impl Tape {
-    fn encode(net: &mut dyn Network) -> Vec<u64> {
-        let mut tape = Tape {
-            tokens: Vec::new(),
-            at: None,
-        };
-        net.snap(&mut tape).unwrap();
-        tape.tokens
-    }
-
-    fn decode(net: &mut dyn Network, tokens: &[u64]) {
-        let mut tape = Tape {
-            tokens: tokens.to_vec(),
-            at: Some(0),
-        };
-        net.snap(&mut tape).unwrap();
-        assert_eq!(tape.at, Some(tokens.len()), "decode left tokens over");
-    }
-}
-
-impl Codec for Tape {
-    fn decoding(&self) -> bool {
-        self.at.is_some()
-    }
-
-    fn section(&mut self, _: &str) -> Result<(), SimError> {
-        Ok(())
-    }
-
-    fn u64(&mut self, v: &mut u64) -> Result<(), SimError> {
-        match self.at {
-            None => self.tokens.push(*v),
-            Some(at) => {
-                *v = *self.tokens.get(at).ok_or(self.invalid("ran out"))?;
-                self.at = Some(at + 1);
-            }
-        }
-        Ok(())
-    }
-
-    fn str(&mut self, _: &mut String) -> Result<(), SimError> {
-        unreachable!("a network holds no strings")
-    }
-
-    fn invalid(&self, detail: &str) -> SimError {
-        SimError::SnapshotInvalid {
-            reason: detail.into(),
         }
     }
 }
@@ -149,7 +92,7 @@ fn model_digest(model: NetModelKind) -> u64 {
             let mut net = build_network(&cfg, pes).unwrap();
             let mut rng = Rng((pes as u64) << 16 | u64::from(hop_cycles) << 8);
             let now = stream(net.as_mut(), &mut rng, &mut h, pes, Cycle::ZERO, PACKETS);
-            let saved = Tape::encode(net.as_mut());
+            let saved = Tape::encode(|c| net.snap(c)).unwrap();
             h.snapshot(&saved);
 
             // Route on, then restore and replay the same tail: the restored
@@ -164,7 +107,7 @@ fn model_digest(model: NetModelKind) -> u64 {
                 now,
                 PACKETS / 2,
             );
-            Tape::decode(net.as_mut(), &saved);
+            Tape::decode(&saved, |c| net.snap(c)).unwrap();
             let mut again = Fnv(0);
             stream(
                 net.as_mut(),
@@ -179,7 +122,7 @@ fn model_digest(model: NetModelKind) -> u64 {
                 "{model:?} P={pes}: restore changed the tail"
             );
             h.word(again.0);
-            h.snapshot(&Tape::encode(net.as_mut()));
+            h.snapshot(&Tape::encode(|c| net.snap(c)).unwrap());
             for b in net.name().bytes() {
                 h.word(u64::from(b));
             }

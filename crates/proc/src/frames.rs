@@ -209,7 +209,7 @@ impl<T> FrameTable<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Tape;
+    use emx_core::Tape;
     use proptest::prelude::*;
 
     /// The eager table the on-demand one replaced, kept as its reference
@@ -394,14 +394,14 @@ mod tests {
                         prop_assert_eq!(lazy.free(id), eager.free(id));
                     }
                     _ => {
-                        let tokens = Tape::encode(|c| eager.snap(c, payload));
-                        prop_assert_eq!(&Tape::encode(|c| lazy.snap(c, payload)), &tokens);
+                        let tokens = Tape::encode(|c| eager.snap(c, payload)).unwrap();
+                        prop_assert_eq!(&Tape::encode(|c| lazy.snap(c, payload)).unwrap(), &tokens);
                         let handed_out = lazy.slots.len();
                         lazy = FrameTable::new(0, cap);
                         eager = EagerFrameTable::new(0, cap);
                         prop_assert_eq!(Tape::decode(&tokens, |c| lazy.snap(c, payload)), Ok(()));
                         prop_assert_eq!(Tape::decode(&tokens, |c| eager.snap(c, payload)), Ok(()));
-                        prop_assert_eq!(&Tape::encode(|c| lazy.snap(c, payload)), &tokens);
+                        prop_assert_eq!(&Tape::encode(|c| lazy.snap(c, payload)).unwrap(), &tokens);
                         // A freed slot whose index continues the run of
                         // never-used ones reads as never used, so a
                         // restore may hold fewer slots, never more.

@@ -25,8 +25,6 @@ mod dma;
 mod frames;
 mod memory;
 mod queue;
-#[cfg(test)]
-mod tape;
 
 pub use dma::BypassDma;
 pub use frames::FrameTable;

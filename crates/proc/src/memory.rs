@@ -1,6 +1,7 @@
 //! The Memory Control Unit's local memory.
 
 use std::borrow::Cow;
+use std::ops::Range;
 
 use emx_core::{Codec, SimError};
 use emx_isa::MemoryBus;
@@ -104,17 +105,27 @@ impl LocalMemory {
         Ok(())
     }
 
+    /// The words `[offset, offset + len)`, or the fault at the first of
+    /// them outside the memory.
+    fn span(&self, offset: u32, len: usize) -> Result<Range<usize>, SimError> {
+        let start = offset as usize;
+        let end = start + len;
+        if end > self.size {
+            // `start` is a `u32`, so the first word outside, the later of
+            // `start` and `size`, fits unless `size` itself does not.
+            let first = u32::try_from(start.max(self.size)).unwrap_or(u32::MAX);
+            return Err(self.fault(first));
+        }
+        Ok(start..end)
+    }
+
     /// Bulk-load `values` starting at `offset` (workload initialization).
     pub fn write_slice(&mut self, offset: u32, values: &[u32]) -> Result<(), SimError> {
-        let start = offset as usize;
-        let end = start + values.len();
-        if end > self.size {
-            return Err(self.fault(end as u32));
+        let span = self.span(offset, values.len())?;
+        if span.end > self.words.len() {
+            self.grow_to(span.end);
         }
-        if end > self.words.len() {
-            self.grow_to(end);
-        }
-        self.words[start..end].copy_from_slice(values);
+        self.words[span].copy_from_slice(values);
         Ok(())
     }
 
@@ -122,12 +133,9 @@ impl LocalMemory {
     /// borrowed from the stored words, or a copy when the range runs past
     /// them into words never written.
     pub fn read_slice(&self, offset: u32, len: usize) -> Result<Cow<'_, [u32]>, SimError> {
-        let start = offset as usize;
-        let end = start + len;
-        if end > self.size {
-            return Err(self.fault(end as u32));
-        }
-        if let Some(stored) = self.words.get(start..end) {
+        let span = self.span(offset, len)?;
+        let start = span.start;
+        if let Some(stored) = self.words.get(span) {
             return Ok(Cow::Borrowed(stored));
         }
         let mut copy = self.words.get(start..).unwrap_or_default().to_vec();
@@ -149,7 +157,7 @@ impl MemoryBus for LocalMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Tape;
+    use emx_core::Tape;
     use proptest::prelude::*;
 
     /// The dense memory the grow-on-write one replaced, kept as its
@@ -206,31 +214,28 @@ mod tests {
             Ok(())
         }
 
-        fn write_slice(&mut self, offset: u32, values: &[u32]) -> Result<(), SimError> {
-            let start = offset as usize;
-            let end = start + values.len();
-            if end > self.words.len() {
+        /// `[offset, offset + len)`, or the fault at the first word of it
+        /// outside the memory.
+        fn span(&self, offset: u32, len: usize) -> Result<Range<usize>, SimError> {
+            let (start, size) = (offset as usize, self.words.len());
+            if start + len > size {
                 return Err(SimError::MemoryFault {
                     pe: self.pe,
-                    offset: end as u32,
-                    size: self.words.len(),
+                    offset: start.max(size) as u32,
+                    size,
                 });
             }
-            self.words[start..end].copy_from_slice(values);
+            Ok(start..start + len)
+        }
+
+        fn write_slice(&mut self, offset: u32, values: &[u32]) -> Result<(), SimError> {
+            let span = self.span(offset, values.len())?;
+            self.words[span].copy_from_slice(values);
             Ok(())
         }
 
         fn read_slice(&self, offset: u32, len: usize) -> Result<&[u32], SimError> {
-            let start = offset as usize;
-            let end = start + len;
-            if end > self.words.len() {
-                return Err(SimError::MemoryFault {
-                    pe: self.pe,
-                    offset: end as u32,
-                    size: self.words.len(),
-                });
-            }
-            Ok(&self.words[start..end])
+            Ok(&self.words[self.span(offset, len)?])
         }
     }
 
@@ -271,13 +276,13 @@ mod tests {
                         dense.read_slice(offset, len).map(<[u32]>::to_vec)
                     ),
                     _ => {
-                        let tokens = Tape::encode(|c| dense.snap(c));
-                        prop_assert_eq!(&Tape::encode(|c| m.snap(c)), &tokens);
+                        let tokens = Tape::encode(|c| dense.snap(c)).unwrap();
+                        prop_assert_eq!(&Tape::encode(|c| m.snap(c)).unwrap(), &tokens);
                         m = LocalMemory::new(2, size);
                         dense = DenseMemory::new(2, size);
                         prop_assert_eq!(Tape::decode(&tokens, |c| m.snap(c)), Ok(()));
                         prop_assert_eq!(Tape::decode(&tokens, |c| dense.snap(c)), Ok(()));
-                        prop_assert_eq!(&Tape::encode(|c| m.snap(c)), &tokens);
+                        prop_assert_eq!(&Tape::encode(|c| m.snap(c)).unwrap(), &tokens);
                         // One more pair, at the first offset past the end.
                         let mut bad = tokens.clone();
                         bad[0] += 1;
@@ -338,6 +343,25 @@ mod tests {
         assert_eq!(*m.read_slice(4, 3).unwrap(), [1, 2, 3]);
         assert!(m.write_slice(15, &[1, 2]).is_err());
         assert!(m.read_slice(15, 2).is_err());
+    }
+
+    #[test]
+    fn a_slice_fault_names_the_first_word_outside_the_memory() {
+        let mut m = LocalMemory::new(5, 64);
+        let fault = |offset| SimError::MemoryFault {
+            pe: 5,
+            offset,
+            size: 64,
+        };
+        // Ranges that pass `u32::MAX` fault at their first word, not at a
+        // wrapped end inside the memory.
+        assert_eq!(
+            m.write_slice(u32::MAX - 1, &[1, 2, 3]),
+            Err(fault(u32::MAX - 1))
+        );
+        assert_eq!(m.read_slice(u32::MAX, 2).unwrap_err(), fault(u32::MAX));
+        // A range that starts inside faults at the first word past the end.
+        assert_eq!(m.write_slice(62, &[1, 2, 3]), Err(fault(64)));
     }
 
     #[test]

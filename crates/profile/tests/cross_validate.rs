@@ -6,7 +6,7 @@
 use emx_core::MachineConfig;
 use emx_profile::{diff_profiles, parse_text, Profiler, DEFAULT_THRESHOLD_PPM};
 use emx_stats::{RunReport, Verdict};
-use emx_workloads::{run_bitonic_observed, run_fft_observed, FftParams, SortParams};
+use emx_workloads::{run, FftParams, SortParams};
 
 fn cfg(p: usize) -> MachineConfig {
     let mut c = MachineConfig::with_pes(p);
@@ -21,7 +21,7 @@ fn profile_fft(n: usize, h: usize) -> (emx_profile::ProfileReport, RunReport) {
     let c = cfg(16);
     let (probe, handle) = Profiler::new(c.costs);
     let mut probe = Some(probe);
-    let out = run_fft_observed(&c, &FftParams::comm_only(n, h), |m| {
+    let out = run(&c, &FftParams::comm_only(n, h), |m| {
         m.attach_probe(Box::new(probe.take().unwrap()));
     })
     .unwrap();
@@ -32,7 +32,7 @@ fn profile_bitonic(n: usize, h: usize) -> (emx_profile::ProfileReport, RunReport
     let c = cfg(16);
     let (probe, handle) = Profiler::new(c.costs);
     let mut probe = Some(probe);
-    let out = run_bitonic_observed(&c, &SortParams::new(n, h), |m| {
+    let out = run(&c, &SortParams::new(n, h), |m| {
         m.attach_probe(Box::new(probe.take().unwrap()));
     })
     .unwrap();

@@ -4,9 +4,8 @@
 //! [`Machine::snapshot`] passes the machine's complete dynamic state
 //! through the encoder, [`Writer`]; [`Machine::restore`] passes the same
 //! fields, in the same order, through the decoder, [`Reader`]. Each state
-//! owner names its fields once, in its `snap` method. Native thread bodies
-//! contribute the words of their
-//! [`ThreadBody::save_state`](crate::ThreadBody::save_state) hooks.
+//! owner names its fields once, in its `snap` method; so does every native
+//! thread body, in [`ThreadBody::snap`](crate::ThreadBody::snap).
 //!
 //! Restore targets a *shell*: a machine built with the same configuration
 //! and the same entries, barriers and sequence cells, which has not run.
@@ -34,7 +33,7 @@
 
 use std::fmt::Write as _;
 
-use emx_core::{Codec, FrameId, MachineConfig, Packet, PeId, SimError};
+use emx_core::{Codec, FrameId, MachineConfig, Packet, PeId, SimError, Tape};
 use emx_faults::{InvariantChecker, Rng64};
 use emx_isa::{Reg, ThreadState};
 use emx_net::Network;
@@ -435,11 +434,12 @@ impl Pe {
 impl Frame {
     /// One live frame: its thread (native entry and body words, or
     /// template, PC and registers), wait, argument, inbox, uid, read
-    /// sequence and attempts, pending request and deposit bitmap. Decoding
-    /// builds a native body from the shell's factory and feeds it the
-    /// saved words through
-    /// [`ThreadBody::load_state`](crate::ThreadBody::load_state).
-    /// `tables` holds the PE's barrier and sequence-cell counts.
+    /// sequence and attempts, pending request and deposit bitmap. A native
+    /// body's fields go out as one counted word list, written by its
+    /// [`ThreadBody::snap`](crate::ThreadBody::snap) onto a [`Tape`];
+    /// decoding builds the body from the shell's factory and reads the
+    /// words back through the same `snap`. `tables` holds the PE's barrier
+    /// and sequence-cell counts.
     fn snap(
         &mut self,
         c: &mut dyn Codec,
@@ -447,17 +447,21 @@ impl Frame {
         entries: &[EntryDef],
         tables: (usize, usize),
     ) -> Result<(), SimError> {
-        let (mut kind, mut entry, mut words, mut state) = match &self.thread {
+        // A body's own error, placed at its frame.
+        let at = |entry: u32, e: SimError| {
+            let name = entries.get(entry as usize).map_or("?", EntryDef::name);
+            let here = format!("native thread '{name}' (entry {entry}) on {pe}");
+            match e {
+                SimError::SnapshotUnsupported { what } => SimError::SnapshotUnsupported {
+                    what: format!("{here}: {what}"),
+                },
+                SimError::SnapshotInvalid { reason } => bad(format!("{here}: {reason}")),
+                e => e,
+            }
+        };
+        let (mut kind, mut entry, mut words, mut state) = match &mut self.thread {
             ThreadKind::Native { body, entry } => {
-                let words = body.save_state().ok_or_else(|| {
-                    let def = entries.get(*entry as usize);
-                    let name = def.map_or(body.name(), EntryDef::name);
-                    SimError::SnapshotUnsupported {
-                        what: format!(
-                            "native thread '{name}' (entry {entry}) has no save_state hook"
-                        ),
-                    }
-                })?;
+                let words = Tape::encode(|c| body.snap(c)).map_err(|e| at(*entry, e))?;
                 (0, *entry, words, ThreadState::default())
             }
             ThreadKind::Isa { state, template } => (1, *template, Vec::new(), state.clone()),
@@ -483,13 +487,9 @@ impl Frame {
             return Ok(());
         }
         self.thread = match (kind, entries.get(entry as usize)) {
-            (0, Some(EntryDef::Native { factory, name })) => {
+            (0, Some(EntryDef::Native { factory, .. })) => {
                 let mut body = factory(pe, self.arg);
-                if !body.load_state(&words) {
-                    return Err(bad(format!(
-                        "native thread '{name}' on {pe} rejected its saved state"
-                    )));
-                }
+                Tape::decode(&words, |c| body.snap(c)).map_err(|e| at(entry, e))?;
                 ThreadKind::Native { body, entry }
             }
             (1, Some(EntryDef::Template(_))) => ThreadKind::Isa {
@@ -634,7 +634,7 @@ impl Machine {
     /// Valid at any event boundary: before the first event, at a
     /// [`Machine::step_events`] pause, or after quiescence. Fails with
     /// [`SimError::SnapshotUnsupported`] if a live native thread's body
-    /// does not implement [`ThreadBody::save_state`](crate::ThreadBody);
+    /// does not implement [`ThreadBody::snap`](crate::ThreadBody::snap);
     /// ISA threads always serialize. Encoding reads the state it is handed
     /// and changes nothing; it takes `&mut self` because encoding and
     /// decoding are one pass over the same fields.
@@ -664,7 +664,7 @@ impl Machine {
     /// them and sized like the shell's tables, and these replace the
     /// shell's only when every section has decoded. Native bodies come
     /// from the shell's own factories, fed their saved words through
-    /// [`ThreadBody::load_state`](crate::ThreadBody). On success the
+    /// [`ThreadBody::snap`](crate::ThreadBody::snap). On success the
     /// machine is paused exactly where the snapshot was taken and
     /// [`Machine::run_until`] / [`Machine::step_events`] continue it; on
     /// failure it is unchanged.

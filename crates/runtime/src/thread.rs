@@ -1,6 +1,6 @@
 //! The native thread model: state-machine bodies and their actions.
 
-use emx_core::{Cycle, GlobalAddr, PeId};
+use emx_core::{Codec, Cycle, GlobalAddr, PeId, SimError};
 use emx_proc::LocalMemory;
 
 use crate::machine::EntryId;
@@ -148,7 +148,8 @@ pub struct ThreadCtx<'a> {
 /// non-suspending action; it must eventually return a suspending action.
 /// State lives in `self` — the runtime saves nothing else across
 /// suspensions, mirroring the EM-X rule that registers are saved to the
-/// activation frame (here: the body itself is the frame's payload).
+/// activation frame (here: the body itself is the frame's payload, and
+/// [`snap`](ThreadBody::snap) checkpoints it).
 pub trait ThreadBody: Send {
     /// Produce the next action.
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action;
@@ -158,20 +159,19 @@ pub trait ThreadBody: Send {
         "thread"
     }
 
-    /// Serialize this body's dynamic state as plain words for a machine
-    /// snapshot, or `None` if the body cannot be checkpointed (the default).
-    /// Encode floats via `to_bits`; the words are opaque to the runtime and
-    /// round-trip verbatim into [`ThreadBody::load_state`].
-    fn save_state(&self) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Restore state captured by [`ThreadBody::save_state`] into a freshly
-    /// constructed body (the runtime re-invokes the registered entry factory
-    /// with the original spawn argument, then calls this). Returns `false`
-    /// if the words are malformed or the body does not support restore.
-    fn load_state(&mut self, _words: &[u64]) -> bool {
-        false
+    /// Pass this body's dynamic state through `c`, one field at a time,
+    /// for a machine snapshot: the frame's payload, as the EM-X saves a
+    /// suspended thread's registers to its activation frame. Encoding reads
+    /// the fields; decoding overwrites them in a body freshly built by the
+    /// entry's factory from the original spawn argument, so fields the
+    /// factory derives need no saving. Encode floats through `to_bits`.
+    ///
+    /// The default fails with [`SimError::SnapshotUnsupported`]: a machine
+    /// with such a body live cannot be checkpointed.
+    fn snap(&mut self, _c: &mut dyn Codec) -> Result<(), SimError> {
+        Err(SimError::SnapshotUnsupported {
+            what: format!("body '{}' has no snap hook", self.name()),
+        })
     }
 }
 

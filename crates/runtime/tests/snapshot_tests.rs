@@ -3,7 +3,7 @@
 //! uninterrupted run — reports and memories — and a snapshot the shell
 //! cannot hold fails to restore without touching the shell.
 
-use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
+use emx_core::{Codec, GlobalAddr, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
 
 const NPES: u16 = 4;
@@ -49,15 +49,9 @@ impl ThreadBody for Relay {
         "relay"
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![u64::from(self.step), u64::from(self.carry)])
-    }
-
-    fn load_state(&mut self, words: &[u64]) -> bool {
-        let [step, carry] = words else { return false };
-        self.step = *step as u8;
-        self.carry = *carry as u32;
-        true
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.u8(&mut self.step)?;
+        c.u32(&mut self.carry)
     }
 }
 
@@ -335,6 +329,32 @@ fn a_failed_restore_leaves_the_shell_as_it_was() {
 }
 
 #[test]
+fn a_body_word_too_wide_for_its_field_fails_the_restore() {
+    let mut paused = build();
+    assert!(paused
+        .step_events(6, emx_core::Cycle::new(emx_runtime::DEFAULT_FUEL))
+        .unwrap()
+        .is_none());
+    let snap = paused.snapshot().unwrap();
+    // PE 0's frame after its first read: live count, frame, native tag,
+    // entry, the body's two words. The first is `Relay::step`, a `u8`:
+    // raise it to 0x101, which a narrowing cast would read as 1.
+    let frames = snap.lines().find(|l| l.starts_with("s frames ")).unwrap();
+    let tokens: Vec<&str> = frames.split(' ').collect();
+    assert_eq!(tokens[2..8], ["1", "0", "0", "0", "2", "1"]);
+    let wide = retoken(&snap, "frames", 0, 7, "101");
+
+    let mut shell = build();
+    let before = shell.snapshot().unwrap();
+    let err = shell.restore(&wide).unwrap_err();
+    assert!(
+        matches!(&err, SimError::SnapshotInvalid { reason } if reason.contains("exceeds u8")),
+        "{err}"
+    );
+    assert_eq!(shell.snapshot().unwrap(), before, "restore half-applied");
+}
+
+#[test]
 fn restore_rejects_an_event_on_a_pe_outside_the_machine() {
     // Token 9 of the `cal` line is the first event's PE (after the
     // count, the five key fields and the event tag).
@@ -377,14 +397,8 @@ impl ThreadBody for SeqPair {
         }
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![u64::from(self.step)])
-    }
-
-    fn load_state(&mut self, words: &[u64]) -> bool {
-        let [step] = words else { return false };
-        self.step = *step as u8;
-        true
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.u8(&mut self.step)
     }
 }
 

@@ -10,9 +10,7 @@ use emx_core::{CostPreset, FaultSpec, MachineConfig, NetModelKind, ServiceMode, 
 use emx_runtime::Machine;
 use emx_stats::RunReport;
 use emx_workloads::{
-    run_bfs_observed, run_bitonic_observed, run_fft_observed, run_histogram_observed,
-    run_spmv_observed, run_stencil_observed, BfsParams, FftParams, HistogramParams, SortParams,
-    SpmvParams, StencilParams,
+    run, BfsParams, FftParams, HistogramParams, SortParams, SpmvParams, StencilParams,
 };
 
 /// Which workload a spec runs.
@@ -188,7 +186,8 @@ impl RunSpec {
     /// Run this spec's kernel on `cfg` instead of [`RunSpec::machine_config`]
     /// — `attach` receives the freshly built machine before anything is
     /// loaded or spawned, so it can fit a probe. The workspace's one place
-    /// a kernel's parameters are built: the kernel, n, h, seed, `comm_only`,
+    /// a kernel's parameters are built, each then run by
+    /// [`emx_workloads::run`]: the kernel, n, h, seed, `comm_only`,
     /// `block_read` and `point_cycles` come from the spec; the machine, and
     /// so the spec's service-mode, network, preset and fault knobs, from
     /// `cfg`.
@@ -197,57 +196,44 @@ impl RunSpec {
         cfg: &MachineConfig,
         attach: impl FnOnce(&mut Machine),
     ) -> Result<RunReport, SimError> {
-        let n = self.n();
+        let (n, h) = (self.n(), self.threads);
+        let seed = |default| self.seed.unwrap_or(default);
         match self.workload {
             Workload::Sort => {
-                let mut params = SortParams::new(n, self.threads);
-                if let Some(seed) = self.seed {
-                    params.seed = seed;
-                }
-                params.block_read = self.block_read;
-                run_bitonic_observed(cfg, &params, attach).map(|o| o.report)
+                let mut p = SortParams::new(n, h);
+                p.seed = seed(p.seed);
+                p.block_read = self.block_read;
+                run(cfg, &p, attach).map(|o| o.report)
             }
             Workload::Fft => {
-                let mut params = if self.comm_only {
-                    FftParams::comm_only(n, self.threads)
+                let mut p = if self.comm_only {
+                    FftParams::comm_only(n, h)
                 } else {
-                    FftParams::new(n, self.threads)
+                    FftParams::new(n, h)
                 };
-                if let Some(seed) = self.seed {
-                    params.seed = seed;
-                }
-                if let Some(pc) = self.point_cycles {
-                    params.point_cycles = pc;
-                }
-                run_fft_observed(cfg, &params, attach).map(|o| o.report)
+                p.seed = seed(p.seed);
+                p.point_cycles = self.point_cycles.unwrap_or(p.point_cycles);
+                run(cfg, &p, attach).map(|o| o.report)
             }
             Workload::Bfs => {
-                let mut params = BfsParams::new(n, self.threads);
-                if let Some(seed) = self.seed {
-                    params.seed = seed;
-                }
-                run_bfs_observed(cfg, &params, attach).map(|o| o.report)
+                let mut p = BfsParams::new(n, h);
+                p.seed = seed(p.seed);
+                run(cfg, &p, attach).map(|o| o.report)
             }
             Workload::Histogram => {
-                let mut params = HistogramParams::new(n, self.threads);
-                if let Some(seed) = self.seed {
-                    params.seed = seed;
-                }
-                run_histogram_observed(cfg, &params, attach).map(|o| o.report)
+                let mut p = HistogramParams::new(n, h);
+                p.seed = seed(p.seed);
+                run(cfg, &p, attach).map(|o| o.report)
             }
             Workload::Spmv => {
-                let mut params = SpmvParams::new(n, self.threads);
-                if let Some(seed) = self.seed {
-                    params.seed = seed;
-                }
-                run_spmv_observed(cfg, &params, attach).map(|o| o.report)
+                let mut p = SpmvParams::new(n, h);
+                p.seed = seed(p.seed);
+                run(cfg, &p, attach).map(|o| o.report)
             }
             Workload::Stencil => {
-                let mut params = StencilParams::new(n, self.threads);
-                if let Some(seed) = self.seed {
-                    params.seed = seed;
-                }
-                run_stencil_observed(cfg, &params, attach).map(|o| o.report)
+                let mut p = StencilParams::new(n, h);
+                p.seed = seed(p.seed);
+                run(cfg, &p, attach).map(|o| o.report)
             }
         }
     }

@@ -19,11 +19,13 @@
 //! Races are benign by construction — scan-phase distance writes are
 //! `l + 1`, which can never equal the `l` the readers are matching.
 
-use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
+use emx_core::{Codec, GlobalAddr, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
 use emx_stats::RunReport;
 
 use crate::gen::indices;
+use crate::kernel::{gather, phases, spawn_workers};
+use crate::Kernel;
 
 /// Distance value for vertices the traversal never reached.
 pub const UNREACHED: u32 = u32::MAX;
@@ -94,8 +96,7 @@ pub struct BfsOutcome {
     pub dist: Vec<u32>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+phases! {
     Reset,
     Scan,
     PredIssue,
@@ -105,37 +106,6 @@ enum Phase {
     Check,
     Decide,
     Done,
-}
-
-impl Phase {
-    fn code(self) -> u64 {
-        match self {
-            Phase::Reset => 0,
-            Phase::Scan => 1,
-            Phase::PredIssue => 2,
-            Phase::PredCheck => 3,
-            Phase::Collect => 4,
-            Phase::CollectCheck => 5,
-            Phase::Check => 6,
-            Phase::Decide => 7,
-            Phase::Done => 8,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<Phase> {
-        Some(match code {
-            0 => Phase::Reset,
-            1 => Phase::Scan,
-            2 => Phase::PredIssue,
-            3 => Phase::PredCheck,
-            4 => Phase::Collect,
-            5 => Phase::CollectCheck,
-            6 => Phase::Check,
-            7 => Phase::Decide,
-            8 => Phase::Done,
-            _ => return None,
-        })
-    }
 }
 
 /// One worker: scans a band of local vertices each level; thread 0 of
@@ -173,31 +143,13 @@ impl ThreadBody for BfsWorker {
         "bfs-worker"
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![
-            u64::from(self.level),
-            self.phase.code(),
-            self.v as u64,
-            self.e as u64,
-            self.q as u64,
-            u64::from(self.flag),
-        ])
-    }
-
-    fn load_state(&mut self, words: &[u64]) -> bool {
-        let [level, phase, v, e, q, flag] = words else {
-            return false;
-        };
-        let Some(phase) = Phase::from_code(*phase) else {
-            return false;
-        };
-        self.level = *level as u32;
-        self.phase = phase;
-        self.v = *v as usize;
-        self.e = *e as usize;
-        self.q = *q as usize;
-        self.flag = *flag as u32;
-        true
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.u32(&mut self.level)?;
+        c.variant(&mut self.phase, PHASES)?;
+        c.usize(&mut self.v)?;
+        c.usize(&mut self.e)?;
+        c.usize(&mut self.q)?;
+        c.u32(&mut self.flag)
     }
 
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
@@ -368,112 +320,77 @@ fn reference(n: usize, degree: usize, preds: &[u32]) -> Vec<u32> {
     }
 }
 
-/// Run BFS from vertex 0 on the given machine configuration, verify the
-/// distances against a sequential reference, and return the measurements.
-pub fn run_bfs(cfg: &MachineConfig, params: &BfsParams) -> Result<BfsOutcome, SimError> {
-    run_bfs_observed(cfg, params, |_| {})
-}
+/// BFS from vertex 0.
+impl Kernel for BfsParams {
+    type Outcome = BfsOutcome;
 
-/// [`run_bfs`] with an observation hook: `setup` receives the freshly
-/// built machine before anything is loaded or spawned.
-pub fn run_bfs_observed(
-    cfg: &MachineConfig,
-    params: &BfsParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<BfsOutcome, SimError> {
-    let mut machine = build_bfs(cfg, params, setup)?;
-    let report = machine.run()?;
-    finish_bfs(&machine, params, report)
-}
+    fn build(
+        &self,
+        cfg: &MachineConfig,
+        attach: impl FnOnce(&mut Machine),
+    ) -> Result<Machine, SimError> {
+        let p = cfg.num_pes;
+        let per_pe = validate(cfg, self)?;
+        let h = self.threads;
 
-/// Build a machine loaded and spawned for a BFS run, but not yet run.
-///
-/// The returned machine can be driven by [`Machine::run`], stepped with
-/// [`Machine::step_events`], or used as a restore shell for an `emx-snap/1`
-/// checkpoint of an identically built machine; [`finish_bfs`] gathers and
-/// verifies once it quiesces.
-pub fn build_bfs(
-    cfg: &MachineConfig,
-    params: &BfsParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<Machine, SimError> {
-    let p = cfg.num_pes;
-    let per_pe = validate(cfg, params)?;
-    let h = params.threads;
+        let mut machine = Machine::new(cfg.clone())?;
+        attach(&mut machine);
+        let barrier = machine.define_barrier(h);
 
-    let mut machine = Machine::new(cfg.clone())?;
-    setup(&mut machine);
-    let barrier = machine.define_barrier(h);
-
-    // Distribute the graph: each PE gets its vertices' distances
-    // (unreached, except the root on PE 0) and predecessor lists.
-    let preds = indices(params.n * params.degree, params.n, params.seed);
-    for pe in 0..p {
-        let mem = machine.mem_mut(PeId(pe as u16))?;
-        mem.write_slice(layout::DIST, &vec![UNREACHED; per_pe])?;
-        mem.write(layout::changed(per_pe), 0)?;
-        mem.write(layout::gflag(per_pe), 0)?;
-        let lo = pe * per_pe * params.degree;
-        let hi = lo + per_pe * params.degree;
-        mem.write_slice(layout::preds(per_pe), &preds[lo..hi])?;
-    }
-    machine.mem_mut(PeId(0))?.write(layout::DIST, 0)?;
-
-    let worker = params.clone();
-    let entry = machine.register_entry("bfs-worker", move |_pe, arg| {
-        Box::new(BfsWorker {
-            t: arg as usize,
-            h: worker.threads,
-            per_pe,
-            degree: worker.degree,
-            read_loop_overhead: worker.read_loop_overhead,
-            barrier,
-            level: 0,
-            phase: Phase::Reset,
-            v: 0,
-            e: 0,
-            q: 0,
-            flag: 0,
-        })
-    });
-    for pe in 0..p {
-        for t in 0..h {
-            machine.spawn_at_start(PeId(pe as u16), entry, t as u32)?;
+        // Distribute the graph: each PE gets its vertices' distances
+        // (unreached, except the root on PE 0) and predecessor lists.
+        let preds = indices(self.n * self.degree, self.n, self.seed);
+        for pe in 0..p {
+            let mem = machine.mem_mut(PeId(pe as u16))?;
+            mem.write_slice(layout::DIST, &vec![UNREACHED; per_pe])?;
+            mem.write(layout::changed(per_pe), 0)?;
+            mem.write(layout::gflag(per_pe), 0)?;
+            let lo = pe * per_pe * self.degree;
+            let hi = lo + per_pe * self.degree;
+            mem.write_slice(layout::preds(per_pe), &preds[lo..hi])?;
         }
-    }
-    Ok(machine)
-}
+        machine.mem_mut(PeId(0))?.write(layout::DIST, 0)?;
 
-/// Gather and verify the distances of a quiesced BFS machine built by
-/// [`build_bfs`] with the same parameters.
-pub fn finish_bfs(
-    machine: &Machine,
-    params: &BfsParams,
-    report: RunReport,
-) -> Result<BfsOutcome, SimError> {
-    let p = machine.config().num_pes;
-    let per_pe = params.n / p;
-    let preds = indices(params.n * params.degree, params.n, params.seed);
-
-    let mut dist = Vec::with_capacity(params.n);
-    for pe in 0..p {
-        dist.extend_from_slice(
-            &machine
-                .mem(PeId(pe as u16))?
-                .read_slice(layout::DIST, per_pe)?,
-        );
-    }
-    if dist != reference(params.n, params.degree, &preds) {
-        return Err(SimError::Workload {
-            reason: "BFS distances disagree with the sequential reference".into(),
+        let worker = self.clone();
+        let entry = machine.register_entry("bfs-worker", move |_pe, arg| {
+            Box::new(BfsWorker {
+                t: arg as usize,
+                h: worker.threads,
+                per_pe,
+                degree: worker.degree,
+                read_loop_overhead: worker.read_loop_overhead,
+                barrier,
+                level: 0,
+                phase: Phase::Reset,
+                v: 0,
+                e: 0,
+                q: 0,
+                flag: 0,
+            })
         });
+        spawn_workers(&mut machine, entry, h)?;
+        Ok(machine)
     }
-    Ok(BfsOutcome { report, dist })
+
+    fn finish(&self, machine: &Machine, report: RunReport) -> Result<BfsOutcome, SimError> {
+        let p = machine.config().num_pes;
+        let per_pe = self.n / p;
+        let preds = indices(self.n * self.degree, self.n, self.seed);
+
+        let dist = gather(machine, layout::DIST, per_pe)?;
+        if dist != reference(self.n, self.degree, &preds) {
+            return Err(SimError::Workload {
+                reason: "BFS distances disagree with the sequential reference".into(),
+            });
+        }
+        Ok(BfsOutcome { report, dist })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
 
     fn cfg(p: usize) -> MachineConfig {
         let mut c = MachineConfig::with_pes(p);
@@ -486,7 +403,8 @@ mod tests {
         for p in [1usize, 2, 4, 8] {
             for h in [1usize, 2, 4] {
                 let params = BfsParams::new(p * 32, h);
-                let out = run_bfs(&cfg(p), &params).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
+                let out =
+                    run(&cfg(p), &params, |_| {}).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
                 assert_eq!(out.dist.len(), p * 32);
             }
         }
@@ -494,7 +412,7 @@ mod tests {
 
     #[test]
     fn traversal_reaches_a_nontrivial_frontier() {
-        let out = run_bfs(&cfg(4), &BfsParams::new(256, 2)).unwrap();
+        let out = run(&cfg(4), &BfsParams::new(256, 2), |_| {}).unwrap();
         assert_eq!(out.dist[0], 0);
         let reached = out.dist.iter().filter(|&&d| d != UNREACHED).count();
         // A degree-4 uniform random graph reaches far more than the root.
@@ -504,7 +422,7 @@ mod tests {
 
     #[test]
     fn probes_travel_as_fine_grain_remote_reads() {
-        let out = run_bfs(&cfg(4), &BfsParams::new(256, 2)).unwrap();
+        let out = run(&cfg(4), &BfsParams::new(256, 2), |_| {}).unwrap();
         // Predecessor probes plus the flag reduction are all single-word
         // reads; there is no bulk traffic in this kernel.
         assert!(out.report.total_reads() > 256);
@@ -513,26 +431,29 @@ mod tests {
     #[test]
     fn rejects_bad_parameters() {
         assert!(
-            run_bfs(&cfg(4), &BfsParams::new(30, 1)).is_err(),
+            run(&cfg(4), &BfsParams::new(30, 1), |_| {}).is_err(),
             "n not divisible by P"
         );
         assert!(
-            run_bfs(&cfg(4), &BfsParams::new(128, 64)).is_err(),
+            run(&cfg(4), &BfsParams::new(128, 64), |_| {}).is_err(),
             "h exceeds vertices per PE"
         );
         let mut params = BfsParams::new(128, 1);
         params.degree = 0;
-        assert!(run_bfs(&cfg(4), &params).is_err(), "zero degree");
+        assert!(run(&cfg(4), &params, |_| {}).is_err(), "zero degree");
         let mut small = cfg(4);
         small.local_memory_words = 128;
-        assert!(run_bfs(&small, &BfsParams::new(512, 1)).is_err(), "memory");
+        assert!(
+            run(&small, &BfsParams::new(512, 1), |_| {}).is_err(),
+            "memory"
+        );
     }
 
     #[test]
     fn deterministic_across_runs() {
         let params = BfsParams::new(128, 4);
-        let a = run_bfs(&cfg(4), &params).unwrap();
-        let b = run_bfs(&cfg(4), &params).unwrap();
+        let a = run(&cfg(4), &params, |_| {}).unwrap();
+        let b = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(a.report.elapsed, b.report.elapsed);
         assert_eq!(a.dist, b.dist);
     }

@@ -21,11 +21,13 @@
 //! irregularity ("not all the elements residing in the mate processor need
 //! to be read").
 
-use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
+use emx_core::{Codec, GlobalAddr, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
 use emx_stats::RunReport;
 
 use crate::gen::{keys, KeyDist};
+use crate::kernel::{gather, phases, spawn_workers};
+use crate::Kernel;
 
 /// Word offsets of the per-processor memory layout.
 mod layout {
@@ -113,8 +115,7 @@ pub struct SortOutcome {
     pub output: Vec<u32>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+phases! {
     Start,
     PostSort,
     ReadWork,
@@ -267,6 +268,13 @@ impl SortWorker {
 impl ThreadBody for SortWorker {
     fn name(&self) -> &'static str {
         "bitonic-sort-worker"
+    }
+
+    /// The merge schedule is not state: `step` rebuilds it from the PE.
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.usize(&mut self.s)?;
+        c.usize(&mut self.k)?;
+        c.variant(&mut self.phase, PHASES)
     }
 
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
@@ -477,91 +485,78 @@ fn validate(cfg: &MachineConfig, params: &SortParams) -> Result<usize, SimError>
     Ok(m)
 }
 
-/// Run multithreaded bitonic sorting on the given machine configuration,
-/// verify the output (globally ascending and a permutation of the input),
-/// and return the measurements.
-pub fn run_bitonic(cfg: &MachineConfig, params: &SortParams) -> Result<SortOutcome, SimError> {
-    run_bitonic_observed(cfg, params, |_| {})
-}
+impl Kernel for SortParams {
+    type Outcome = SortOutcome;
 
-/// [`run_bitonic`] with an observation hook: `setup` receives the freshly
-/// built machine before anything is loaded or spawned, so it can attach a
-/// probe (`machine.attach_probe(..)`) or enable the bounded trace and see
-/// the complete event stream of the run.
-pub fn run_bitonic_observed(
-    cfg: &MachineConfig,
-    params: &SortParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<SortOutcome, SimError> {
-    let p = cfg.num_pes;
-    let m = validate(cfg, params)?;
-    let h = params.threads;
+    fn build(
+        &self,
+        cfg: &MachineConfig,
+        attach: impl FnOnce(&mut Machine),
+    ) -> Result<Machine, SimError> {
+        let p = cfg.num_pes;
+        let m = validate(cfg, self)?;
+        let h = self.threads;
 
-    let mut machine = Machine::new(cfg.clone())?;
-    setup(&mut machine);
-    machine.define_seq_cells(1);
-    let barrier = machine.define_barrier(h);
+        let mut machine = Machine::new(cfg.clone())?;
+        attach(&mut machine);
+        machine.define_seq_cells(1);
+        let barrier = machine.define_barrier(h);
 
-    // Blocked data distribution: PE i holds keys [i*m, (i+1)*m).
-    let input = keys(params.n, params.dist, params.seed);
-    for pe in 0..p {
-        machine
-            .mem_mut(PeId(pe as u16))?
-            .write_slice(layout::buf(0, m), &input[pe * m..(pe + 1) * m])?;
-    }
-
-    let worker_params = params.clone();
-    let entry = machine.register_entry("bitonic-worker", move |_pe, arg| {
-        Box::new(SortWorker {
-            t: arg as usize,
-            h: worker_params.threads,
-            m,
-            params: worker_params.clone(),
-            barrier,
-            steps: None,
-            s: 0,
-            k: 0,
-            phase: Phase::Start,
-        })
-    });
-    for pe in 0..p {
-        for t in 0..h {
-            machine.spawn_at_start(PeId(pe as u16), entry, t as u32)?;
+        // Blocked data distribution: PE i holds keys [i*m, (i+1)*m).
+        let input = keys(self.n, self.dist, self.seed);
+        for pe in 0..p {
+            machine
+                .mem_mut(PeId(pe as u16))?
+                .write_slice(layout::buf(0, m), &input[pe * m..(pe + 1) * m])?;
         }
+
+        let worker_params = self.clone();
+        let entry = machine.register_entry("bitonic-worker", move |_pe, arg| {
+            Box::new(SortWorker {
+                t: arg as usize,
+                h: worker_params.threads,
+                m,
+                params: worker_params.clone(),
+                barrier,
+                steps: None,
+                s: 0,
+                k: 0,
+                phase: Phase::Start,
+            })
+        });
+        spawn_workers(&mut machine, entry, h)?;
+        Ok(machine)
     }
 
-    let report = machine.run()?;
-
-    // Gather and verify.
-    let log_p = p.trailing_zeros();
-    let steps_total = (log_p * (log_p + 1) / 2) as usize;
-    let final_par = steps_total % 2;
-    let mut output = Vec::with_capacity(params.n);
-    for pe in 0..p {
-        output.extend_from_slice(
-            &machine
-                .mem(PeId(pe as u16))?
-                .read_slice(layout::buf(final_par, m), m)?,
-        );
+    /// Gather the keys and verify them: globally ascending, and a
+    /// permutation of the input.
+    fn finish(&self, machine: &Machine, report: RunReport) -> Result<SortOutcome, SimError> {
+        let p = machine.config().num_pes;
+        let m = self.n / p;
+        let log_p = p.trailing_zeros();
+        let steps_total = (log_p * (log_p + 1) / 2) as usize;
+        let final_par = steps_total % 2;
+        let output = gather(machine, layout::buf(final_par, m), m)?;
+        if !output.windows(2).all(|w| w[0] <= w[1]) {
+            return Err(SimError::Workload {
+                reason: "bitonic output is not globally sorted".into(),
+            });
+        }
+        let mut expect = keys(self.n, self.dist, self.seed);
+        expect.sort_unstable();
+        if output != expect {
+            return Err(SimError::Workload {
+                reason: "bitonic output is not a permutation of the input".into(),
+            });
+        }
+        Ok(SortOutcome { report, output })
     }
-    if !output.windows(2).all(|w| w[0] <= w[1]) {
-        return Err(SimError::Workload {
-            reason: "bitonic output is not globally sorted".into(),
-        });
-    }
-    let mut expect = input;
-    expect.sort_unstable();
-    if output != expect {
-        return Err(SimError::Workload {
-            reason: "bitonic output is not a permutation of the input".into(),
-        });
-    }
-    Ok(SortOutcome { report, output })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
 
     fn cfg(p: usize) -> MachineConfig {
         let mut c = MachineConfig::with_pes(p);
@@ -575,7 +570,7 @@ mod tests {
             for h in [1usize, 2, 4] {
                 let params = SortParams::new(p * 64, h);
                 let out =
-                    run_bitonic(&cfg(p), &params).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
+                    run(&cfg(p), &params, |_| {}).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
                 assert_eq!(out.output.len(), p * 64);
             }
         }
@@ -592,14 +587,14 @@ mod tests {
         ] {
             let mut params = SortParams::new(256, 2);
             params.dist = dist;
-            run_bitonic(&cfg(4), &params).unwrap_or_else(|e| panic!("{dist:?}: {e}"));
+            run(&cfg(4), &params, |_| {}).unwrap_or_else(|e| panic!("{dist:?}: {e}"));
         }
     }
 
     #[test]
     fn single_pe_machine_is_a_local_sort() {
         let params = SortParams::new(128, 2);
-        let out = run_bitonic(&cfg(1), &params).unwrap();
+        let out = run(&cfg(1), &params, |_| {}).unwrap();
         assert_eq!(
             out.report.total_reads(),
             0,
@@ -612,7 +607,7 @@ mod tests {
         // "Every remote read causes a thread switch" — and the count is
         // fixed by n, h, P (§5).
         let params = SortParams::new(256, 2);
-        let out = run_bitonic(&cfg(4), &params).unwrap();
+        let out = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(
             out.report.total_switches().remote_read,
             out.report.total_reads()
@@ -625,7 +620,7 @@ mod tests {
         // are usually fewer.
         let p = 4usize;
         let params = SortParams::new(512, 2);
-        let out = run_bitonic(&cfg(p), &params).unwrap();
+        let out = run(&cfg(p), &params, |_| {}).unwrap();
         let m = 512 / p;
         let steps = 3; // logP=2 -> 2*3/2
         let max = (p * m * steps) as u64;
@@ -636,9 +631,9 @@ mod tests {
 
     #[test]
     fn thread_sync_switches_appear_only_with_multiple_threads() {
-        let one = run_bitonic(&cfg(4), &SortParams::new(256, 1)).unwrap();
+        let one = run(&cfg(4), &SortParams::new(256, 1), |_| {}).unwrap();
         assert_eq!(one.report.total_switches().thread_sync, 0);
-        let four = run_bitonic(&cfg(4), &SortParams::new(256, 4)).unwrap();
+        let four = run(&cfg(4), &SortParams::new(256, 4), |_| {}).unwrap();
         assert!(four.report.total_switches().thread_sync > 0);
     }
 
@@ -647,8 +642,8 @@ mod tests {
         // The headline effect, in miniature: with 4 threads the mean
         // per-PE communication (idle) time drops below the single-thread
         // time.
-        let one = run_bitonic(&cfg(4), &SortParams::new(1024, 1)).unwrap();
-        let four = run_bitonic(&cfg(4), &SortParams::new(1024, 4)).unwrap();
+        let one = run(&cfg(4), &SortParams::new(1024, 1), |_| {}).unwrap();
+        let four = run(&cfg(4), &SortParams::new(1024, 4), |_| {}).unwrap();
         let t1 = one.report.comm_time_secs();
         let t4 = four.report.comm_time_secs();
         assert!(
@@ -659,8 +654,8 @@ mod tests {
 
     #[test]
     fn block_read_mode_sorts_with_fewer_packets() {
-        let per_elem = run_bitonic(&cfg(4), &SortParams::new(512, 2)).unwrap();
-        let block = run_bitonic(&cfg(4), &SortParams::with_block_reads(512, 2)).unwrap();
+        let per_elem = run(&cfg(4), &SortParams::new(512, 2), |_| {}).unwrap();
+        let block = run(&cfg(4), &SortParams::with_block_reads(512, 2), |_| {}).unwrap();
         assert_eq!(per_elem.output, block.output, "same sorted result");
         // One request per chunk instead of one per element: far fewer
         // EXU-generated packets.
@@ -675,22 +670,22 @@ mod tests {
     #[test]
     fn rejects_bad_parameters() {
         assert!(
-            run_bitonic(&cfg(3), &SortParams::new(96, 1)).is_err(),
+            run(&cfg(3), &SortParams::new(96, 1), |_| {}).is_err(),
             "non-pow2 P"
         );
         assert!(
-            run_bitonic(&cfg(4), &SortParams::new(101, 1)).is_err(),
+            run(&cfg(4), &SortParams::new(101, 1), |_| {}).is_err(),
             "n % P != 0"
         );
         assert!(
-            run_bitonic(&cfg(4), &SortParams::new(256, 65)).is_err(),
+            run(&cfg(4), &SortParams::new(256, 65), |_| {}).is_err(),
             "h > m"
         );
-        run_bitonic(&cfg(4), &SortParams::new(256, 3)).expect("uneven chunks are fine");
+        run(&cfg(4), &SortParams::new(256, 3), |_| {}).expect("uneven chunks are fine");
         let mut small = cfg(4);
         small.local_memory_words = 80;
         assert!(
-            run_bitonic(&small, &SortParams::new(256, 1)).is_err(),
+            run(&small, &SortParams::new(256, 1), |_| {}).is_err(),
             "memory"
         );
     }
@@ -698,8 +693,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let params = SortParams::new(256, 2);
-        let a = run_bitonic(&cfg(4), &params).unwrap();
-        let b = run_bitonic(&cfg(4), &params).unwrap();
+        let a = run(&cfg(4), &params, |_| {}).unwrap();
+        let b = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(a.report.elapsed, b.report.elapsed);
         assert_eq!(a.report.total_packets(), b.report.total_packets());
         assert_eq!(a.output, b.output);

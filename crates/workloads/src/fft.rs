@@ -22,11 +22,13 @@
 //! verification; either way the simulated output is checked element-by-
 //! element against an f64 host reference of exactly the executed stages.
 
-use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
+use emx_core::{Codec, GlobalAddr, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
 use emx_stats::RunReport;
 
 use crate::gen::{signal, Signal};
+use crate::kernel::{phases, spawn_workers};
+use crate::Kernel;
 
 /// Per-processor memory layout: two (re, im) buffer pairs, by parity.
 mod layout {
@@ -141,8 +143,7 @@ pub fn bit_reverse_order<T: Copy>(v: &[T]) -> Vec<T> {
         .collect()
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+phases! {
     CommWork,
     ReadRe,
     GotRe,
@@ -152,37 +153,6 @@ enum Phase {
     LocalStage,
     LocalBarrier,
     Done,
-}
-
-impl Phase {
-    fn code(self) -> u64 {
-        match self {
-            Phase::CommWork => 0,
-            Phase::ReadRe => 1,
-            Phase::GotRe => 2,
-            Phase::GotIm => 3,
-            Phase::PointDone => 4,
-            Phase::IterBarrier => 5,
-            Phase::LocalStage => 6,
-            Phase::LocalBarrier => 7,
-            Phase::Done => 8,
-        }
-    }
-
-    fn from_code(code: u64) -> Option<Phase> {
-        Some(match code {
-            0 => Phase::CommWork,
-            1 => Phase::ReadRe,
-            2 => Phase::GotRe,
-            3 => Phase::GotIm,
-            4 => Phase::PointDone,
-            5 => Phase::IterBarrier,
-            6 => Phase::LocalStage,
-            7 => Phase::LocalBarrier,
-            8 => Phase::Done,
-            _ => return None,
-        })
-    }
 }
 
 struct FftWorker {
@@ -264,27 +234,13 @@ impl ThreadBody for FftWorker {
         "fft-worker"
     }
 
-    fn save_state(&self) -> Option<Vec<u64>> {
-        Some(vec![
-            self.iter as u64,
-            self.k as u64,
-            u64::from(self.partner_re.to_bits()),
-            self.phase.code(),
-        ])
-    }
-
-    fn load_state(&mut self, words: &[u64]) -> bool {
-        let [iter, k, partner_re, phase] = words else {
-            return false;
-        };
-        let Some(phase) = Phase::from_code(*phase) else {
-            return false;
-        };
-        self.iter = *iter as usize;
-        self.k = *k as usize;
-        self.partner_re = f32::from_bits(*partner_re as u32);
-        self.phase = phase;
-        true
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.usize(&mut self.iter)?;
+        c.usize(&mut self.k)?;
+        let mut partner_re = self.partner_re.to_bits();
+        c.u32(&mut partner_re)?;
+        self.partner_re = f32::from_bits(partner_re);
+        c.variant(&mut self.phase, PHASES)
     }
 
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
@@ -461,133 +417,103 @@ fn validate(cfg: &MachineConfig, params: &FftParams) -> Result<usize, SimError> 
     Ok(m)
 }
 
-/// Run the multithreaded FFT, verify the output against the f64 host
-/// reference of the executed stages, and return the measurements.
-pub fn run_fft(cfg: &MachineConfig, params: &FftParams) -> Result<FftOutcome, SimError> {
-    run_fft_observed(cfg, params, |_| {})
-}
+impl Kernel for FftParams {
+    type Outcome = FftOutcome;
 
-/// [`run_fft`] with an observation hook: `setup` receives the freshly
-/// built machine before anything is loaded or spawned, so it can attach a
-/// probe (`machine.attach_probe(..)`) or enable the bounded trace and see
-/// the complete event stream of the run.
-pub fn run_fft_observed(
-    cfg: &MachineConfig,
-    params: &FftParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<FftOutcome, SimError> {
-    let mut machine = build_fft(cfg, params, setup)?;
-    let report = machine.run()?;
-    finish_fft(&machine, params, report)
-}
+    fn build(
+        &self,
+        cfg: &MachineConfig,
+        attach: impl FnOnce(&mut Machine),
+    ) -> Result<Machine, SimError> {
+        let p = cfg.num_pes;
+        let m = validate(cfg, self)?;
+        let h = self.threads;
 
-/// Build a machine loaded and spawned for an FFT run, but not yet run.
-///
-/// The returned machine can be driven by [`Machine::run`], stepped with
-/// [`Machine::step_events`], or used as a restore shell for an `emx-snap/1`
-/// checkpoint of an identically built machine; [`finish_fft`] gathers and
-/// verifies once it quiesces.
-pub fn build_fft(
-    cfg: &MachineConfig,
-    params: &FftParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<Machine, SimError> {
-    let p = cfg.num_pes;
-    let m = validate(cfg, params)?;
-    let h = params.threads;
+        let mut machine = Machine::new(cfg.clone())?;
+        attach(&mut machine);
+        let barrier = machine.define_barrier(h);
 
-    let mut machine = Machine::new(cfg.clone())?;
-    setup(&mut machine);
-    let barrier = machine.define_barrier(h);
+        let input = signal(self.n, self.shape, self.seed);
+        for pe in 0..p {
+            let re: Vec<u32> = input[pe * m..(pe + 1) * m]
+                .iter()
+                .map(|&(r, _)| r.to_bits())
+                .collect();
+            let im: Vec<u32> = input[pe * m..(pe + 1) * m]
+                .iter()
+                .map(|&(_, i)| i.to_bits())
+                .collect();
+            let mem = machine.mem_mut(PeId(pe as u16))?;
+            mem.write_slice(layout::re(0, m), &re)?;
+            mem.write_slice(layout::im(0, m), &im)?;
+        }
 
-    let input = signal(params.n, params.shape, params.seed);
-    for pe in 0..p {
-        let re: Vec<u32> = input[pe * m..(pe + 1) * m]
+        let wp = self.clone();
+        let n = self.n;
+        let entry = machine.register_entry("fft-worker", move |_pe, arg| {
+            Box::new(FftWorker {
+                t: arg as usize,
+                h: wp.threads,
+                m,
+                n,
+                params: wp.clone(),
+                barrier,
+                iter: 0,
+                k: 0,
+                partner_re: 0.0,
+                phase: Phase::CommWork,
+            })
+        });
+        spawn_workers(&mut machine, entry, h)?;
+        Ok(machine)
+    }
+
+    /// Gather the output and verify it against the f64 host reference of
+    /// exactly the executed stages.
+    fn finish(&self, machine: &Machine, report: RunReport) -> Result<FftOutcome, SimError> {
+        let p = machine.config().num_pes;
+        let m = self.n / p;
+        let log_p = p.trailing_zeros() as usize;
+        let log_n = self.n.trailing_zeros() as usize;
+
+        // Gather: comm iterations alternate buffers; local stages run in place.
+        let final_par = log_p % 2;
+        let mut output = Vec::with_capacity(self.n);
+        for pe in 0..p {
+            let mem = machine.mem(PeId(pe as u16))?;
+            let re = mem.read_slice(layout::re(final_par, m), m)?;
+            let im = mem.read_slice(layout::im(final_par, m), m)?;
+            for (r, i) in re.iter().zip(im.iter()) {
+                output.push((f32::from_bits(*r), f32::from_bits(*i)));
+            }
+        }
+
+        let input = signal(self.n, self.shape, self.seed);
+        let stages = if self.local_phase { log_n } else { log_p };
+        let reference = reference_dif_stages(&input, stages);
+        let scale: f64 = reference
             .iter()
-            .map(|&(r, _)| r.to_bits())
-            .collect();
-        let im: Vec<u32> = input[pe * m..(pe + 1) * m]
-            .iter()
-            .map(|&(_, i)| i.to_bits())
-            .collect();
-        let mem = machine.mem_mut(PeId(pe as u16))?;
-        mem.write_slice(layout::re(0, m), &re)?;
-        mem.write_slice(layout::im(0, m), &im)?;
-    }
-
-    let wp = params.clone();
-    let n = params.n;
-    let entry = machine.register_entry("fft-worker", move |_pe, arg| {
-        Box::new(FftWorker {
-            t: arg as usize,
-            h: wp.threads,
-            m,
-            n,
-            params: wp.clone(),
-            barrier,
-            iter: 0,
-            k: 0,
-            partner_re: 0.0,
-            phase: Phase::CommWork,
-        })
-    });
-    for pe in 0..p {
-        for t in 0..h {
-            machine.spawn_at_start(PeId(pe as u16), entry, t as u32)?;
+            .map(|(r, i)| r.abs().max(i.abs()))
+            .fold(1.0, f64::max);
+        let tol = scale * 1e-4 * (stages.max(1) as f64);
+        for (idx, (&(sr, si), &(rr, ri))) in output.iter().zip(reference.iter()).enumerate() {
+            if (f64::from(sr) - rr).abs() > tol || (f64::from(si) - ri).abs() > tol {
+                return Err(SimError::Workload {
+                    reason: format!(
+                        "FFT output diverges at {idx}: sim ({sr}, {si}) vs ref ({rr:.6}, {ri:.6})"
+                    ),
+                });
+            }
         }
+        Ok(FftOutcome { report, output })
     }
-    Ok(machine)
-}
-
-/// Gather and verify the output of a quiesced FFT machine built by
-/// [`build_fft`] with the same parameters.
-pub fn finish_fft(
-    machine: &Machine,
-    params: &FftParams,
-    report: RunReport,
-) -> Result<FftOutcome, SimError> {
-    let p = machine.config().num_pes;
-    let m = params.n / p;
-    let log_p = p.trailing_zeros() as usize;
-    let log_n = params.n.trailing_zeros() as usize;
-
-    // Gather: comm iterations alternate buffers; local stages run in place.
-    let final_par = log_p % 2;
-    let mut output = Vec::with_capacity(params.n);
-    for pe in 0..p {
-        let mem = machine.mem(PeId(pe as u16))?;
-        let re = mem.read_slice(layout::re(final_par, m), m)?;
-        let im = mem.read_slice(layout::im(final_par, m), m)?;
-        for (r, i) in re.iter().zip(im.iter()) {
-            output.push((f32::from_bits(*r), f32::from_bits(*i)));
-        }
-    }
-
-    // Verify against the host reference of exactly the executed stages.
-    let input = signal(params.n, params.shape, params.seed);
-    let stages = if params.local_phase { log_n } else { log_p };
-    let reference = reference_dif_stages(&input, stages);
-    let scale: f64 = reference
-        .iter()
-        .map(|(r, i)| r.abs().max(i.abs()))
-        .fold(1.0, f64::max);
-    let tol = scale * 1e-4 * (stages.max(1) as f64);
-    for (idx, (&(sr, si), &(rr, ri))) in output.iter().zip(reference.iter()).enumerate() {
-        if (f64::from(sr) - rr).abs() > tol || (f64::from(si) - ri).abs() > tol {
-            return Err(SimError::Workload {
-                reason: format!(
-                    "FFT output diverges at {idx}: sim ({sr}, {si}) vs ref ({rr:.6}, {ri:.6})"
-                ),
-            });
-        }
-    }
-    Ok(FftOutcome { report, output })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::dft;
+    use crate::run;
 
     fn cfg(p: usize) -> MachineConfig {
         let mut c = MachineConfig::with_pes(p);
@@ -600,7 +526,7 @@ mod tests {
         for (p, n) in [(2usize, 16usize), (4, 64), (8, 64)] {
             let mut params = FftParams::new(n, 2);
             params.shape = Signal::TwoTones(3, 7);
-            let out = run_fft(&cfg(p), &params).unwrap_or_else(|e| panic!("P={p} n={n}: {e}"));
+            let out = run(&cfg(p), &params, |_| {}).unwrap_or_else(|e| panic!("P={p} n={n}: {e}"));
             // Compare bit-reverse-corrected output with the naive DFT.
             let natural = bit_reverse_order(&out.output);
             let expect = dft(&signal(n, params.shape, params.seed));
@@ -615,9 +541,9 @@ mod tests {
 
     #[test]
     fn comm_only_run_matches_partial_reference() {
-        // run_fft verifies internally; success is the assertion.
+        // `finish` verifies; success is the assertion.
         let params = FftParams::comm_only(256, 4);
-        let out = run_fft(&cfg(8), &params).unwrap();
+        let out = run(&cfg(8), &params, |_| {}).unwrap();
         // Exactly 2 reads per point per comm iteration.
         let expected_reads = (256 / 8) * 2 * 3 * 8; // m * 2 * logP * P
         assert_eq!(out.report.total_reads(), expected_reads as u64);
@@ -627,7 +553,7 @@ mod tests {
     fn no_thread_sync_switches_ever() {
         // "No thread synchronization is required for FFT."
         let params = FftParams::new(128, 4);
-        let out = run_fft(&cfg(4), &params).unwrap();
+        let out = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(out.report.total_switches().thread_sync, 0);
     }
 
@@ -635,8 +561,8 @@ mod tests {
     fn multithreading_overlaps_most_communication() {
         // The paper's >95% claim needs paper-scale compute; at this tiny
         // scale just require substantial overlap.
-        let one = run_fft(&cfg(4), &FftParams::comm_only(512, 1)).unwrap();
-        let four = run_fft(&cfg(4), &FftParams::comm_only(512, 4)).unwrap();
+        let one = run(&cfg(4), &FftParams::comm_only(512, 1), |_| {}).unwrap();
+        let four = run(&cfg(4), &FftParams::comm_only(512, 4), |_| {}).unwrap();
         let t1 = one.report.comm_time_secs();
         let t4 = four.report.comm_time_secs();
         assert!(
@@ -649,7 +575,7 @@ mod tests {
     fn impulse_spectrum_is_flat() {
         let mut params = FftParams::new(64, 2);
         params.shape = Signal::Impulse;
-        let out = run_fft(&cfg(4), &params).unwrap();
+        let out = run(&cfg(4), &params, |_| {}).unwrap();
         for &(r, i) in &out.output {
             assert!((r - 1.0).abs() < 1e-4 && i.abs() < 1e-4);
         }
@@ -658,23 +584,23 @@ mod tests {
     #[test]
     fn single_pe_is_all_local() {
         let params = FftParams::new(64, 1);
-        let out = run_fft(&cfg(1), &params).unwrap();
+        let out = run(&cfg(1), &params, |_| {}).unwrap();
         assert_eq!(out.report.total_reads(), 0);
     }
 
     #[test]
     fn rejects_bad_parameters() {
-        assert!(run_fft(&cfg(3), &FftParams::new(48, 1)).is_err());
-        assert!(run_fft(&cfg(4), &FftParams::new(100, 1)).is_err());
-        assert!(run_fft(&cfg(4), &FftParams::new(64, 17)).is_err());
-        run_fft(&cfg(4), &FftParams::new(64, 3)).expect("uneven chunks are fine");
+        assert!(run(&cfg(3), &FftParams::new(48, 1), |_| {}).is_err());
+        assert!(run(&cfg(4), &FftParams::new(100, 1), |_| {}).is_err());
+        assert!(run(&cfg(4), &FftParams::new(64, 17), |_| {}).is_err());
+        run(&cfg(4), &FftParams::new(64, 3), |_| {}).expect("uneven chunks are fine");
     }
 
     #[test]
     fn deterministic_across_runs() {
         let params = FftParams::new(128, 2);
-        let a = run_fft(&cfg(4), &params).unwrap();
-        let b = run_fft(&cfg(4), &params).unwrap();
+        let a = run(&cfg(4), &params, |_| {}).unwrap();
+        let b = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(a.report.elapsed, b.report.elapsed);
         assert_eq!(a.output, b.output);
     }

@@ -18,11 +18,13 @@
 //! the kernel needs no barriers and no sequence cells, and multithreading
 //! wins only by overlapping packet-generation overhead, not read latency.
 
-use emx_core::{MachineConfig, PeId, SimError};
+use emx_core::{Codec, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, Machine, ThreadBody, ThreadCtx, WorkKind};
 use emx_stats::RunReport;
 
 use crate::gen::{keys, KeyDist};
+use crate::kernel::{gather, spawn_workers};
+use crate::Kernel;
 
 /// Word offsets of the per-processor memory layout.
 mod layout {
@@ -119,6 +121,12 @@ impl ThreadBody for ScatterWorker {
         "histogram-scatter"
     }
 
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.usize(&mut self.k)?;
+        c.bool(&mut self.hashed)?;
+        c.bool(&mut self.started)
+    }
+
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
         if !self.started {
             self.started = true;
@@ -165,6 +173,10 @@ impl ThreadBody for Increment {
         "histogram-increment"
     }
 
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.bool(&mut self.done)
+    }
+
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
         if self.done {
             return Action::End;
@@ -208,111 +220,81 @@ fn validate(cfg: &MachineConfig, params: &HistogramParams) -> Result<usize, SimE
     Ok(per_pe)
 }
 
-/// Run the histogram on the given machine configuration, verify the counts
-/// against a sequential reference, and return the measurements.
-///
-/// # Examples
-///
-/// ```
-/// use emx_core::MachineConfig;
-/// use emx_workloads::{run_histogram, HistogramParams};
-///
-/// let mut cfg = MachineConfig::with_pes(4);
-/// cfg.local_memory_words = 1 << 12;
-/// let out = run_histogram(&cfg, &HistogramParams::new(256, 2)).unwrap();
-/// // Every key landed in exactly one of the 4 * 16 bucket cells.
-/// assert_eq!(out.counts.len(), 64);
-/// assert_eq!(out.counts.iter().map(|&c| c as u64).sum::<u64>(), 256);
-/// ```
-pub fn run_histogram(
-    cfg: &MachineConfig,
-    params: &HistogramParams,
-) -> Result<HistogramOutcome, SimError> {
-    run_histogram_observed(cfg, params, |_| {})
-}
+impl Kernel for HistogramParams {
+    type Outcome = HistogramOutcome;
 
-/// [`run_histogram`] with an observation hook: `setup` receives the
-/// freshly built machine before anything is loaded or spawned, so it can
-/// attach a probe and see the complete event stream of the run.
-pub fn run_histogram_observed(
-    cfg: &MachineConfig,
-    params: &HistogramParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<HistogramOutcome, SimError> {
-    let p = cfg.num_pes;
-    let per_pe = validate(cfg, params)?;
-    let h = params.threads;
-    let bpp = params.buckets_per_pe;
+    fn build(
+        &self,
+        cfg: &MachineConfig,
+        attach: impl FnOnce(&mut Machine),
+    ) -> Result<Machine, SimError> {
+        let p = cfg.num_pes;
+        let per_pe = validate(cfg, self)?;
+        let h = self.threads;
+        let bpp = self.buckets_per_pe;
 
-    let mut machine = Machine::new(cfg.clone())?;
-    setup(&mut machine);
+        let mut machine = Machine::new(cfg.clone())?;
+        attach(&mut machine);
 
-    // Blocked key distribution, zeroed counters.
-    let input = keys(params.n, params.dist, params.seed);
-    for pe in 0..p {
-        let mem = machine.mem_mut(PeId(pe as u16))?;
-        mem.write_slice(layout::BUCKETS, &vec![0u32; bpp])?;
-        mem.write_slice(
-            layout::keys_base(bpp),
-            &input[pe * per_pe..(pe + 1) * per_pe],
-        )?;
-    }
-
-    let inc_cost = cfg.costs.mem_exchange;
-    let inc_entry = machine.register_entry("histogram-increment", move |_pe, _arg| {
-        Box::new(Increment {
-            cost: inc_cost,
-            done: false,
-        })
-    });
-    let worker_params = params.clone();
-    let entry = machine.register_entry("histogram-scatter", move |_pe, arg| {
-        Box::new(ScatterWorker {
-            t: arg as usize,
-            h: worker_params.threads,
-            per_pe,
-            buckets_per_pe: worker_params.buckets_per_pe,
-            params: worker_params.clone(),
-            inc_entry,
-            k: 0,
-            hashed: false,
-            started: false,
-        })
-    });
-    for pe in 0..p {
-        for t in 0..h {
-            machine.spawn_at_start(PeId(pe as u16), entry, t as u32)?;
+        // Blocked key distribution, zeroed counters.
+        let input = keys(self.n, self.dist, self.seed);
+        for pe in 0..p {
+            let mem = machine.mem_mut(PeId(pe as u16))?;
+            mem.write_slice(layout::BUCKETS, &vec![0u32; bpp])?;
+            mem.write_slice(
+                layout::keys_base(bpp),
+                &input[pe * per_pe..(pe + 1) * per_pe],
+            )?;
         }
-    }
 
-    // run() quiesces only after every in-flight increment has drained —
-    // the kernel's only synchronization.
-    let report = machine.run()?;
-
-    // Gather and verify against a sequential reference.
-    let mut counts = Vec::with_capacity(p * bpp);
-    for pe in 0..p {
-        counts.extend_from_slice(
-            &machine
-                .mem(PeId(pe as u16))?
-                .read_slice(layout::BUCKETS, bpp)?,
-        );
-    }
-    let mut expect = vec![0u32; p * bpp];
-    for &key in &input {
-        expect[bucket_of(key, p * bpp)] += 1;
-    }
-    if counts != expect {
-        return Err(SimError::Workload {
-            reason: "histogram counts disagree with the sequential reference".into(),
+        let inc_cost = cfg.costs.mem_exchange;
+        let inc_entry = machine.register_entry("histogram-increment", move |_pe, _arg| {
+            Box::new(Increment {
+                cost: inc_cost,
+                done: false,
+            })
         });
+        let worker_params = self.clone();
+        let entry = machine.register_entry("histogram-scatter", move |_pe, arg| {
+            Box::new(ScatterWorker {
+                t: arg as usize,
+                h: worker_params.threads,
+                per_pe,
+                buckets_per_pe: worker_params.buckets_per_pe,
+                params: worker_params.clone(),
+                inc_entry,
+                k: 0,
+                hashed: false,
+                started: false,
+            })
+        });
+        spawn_workers(&mut machine, entry, h)?;
+        // The machine quiesces only after every in-flight increment has
+        // drained: the kernel's only synchronization.
+        Ok(machine)
     }
-    Ok(HistogramOutcome { report, counts })
+
+    fn finish(&self, machine: &Machine, report: RunReport) -> Result<HistogramOutcome, SimError> {
+        let p = machine.config().num_pes;
+        let bpp = self.buckets_per_pe;
+        let counts = gather(machine, layout::BUCKETS, bpp)?;
+        let mut expect = vec![0u32; p * bpp];
+        for key in keys(self.n, self.dist, self.seed) {
+            expect[bucket_of(key, p * bpp)] += 1;
+        }
+        if counts != expect {
+            return Err(SimError::Workload {
+                reason: "histogram counts disagree with the sequential reference".into(),
+            });
+        }
+        Ok(HistogramOutcome { report, counts })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
 
     fn cfg(p: usize) -> MachineConfig {
         let mut c = MachineConfig::with_pes(p);
@@ -326,7 +308,7 @@ mod tests {
             for h in [1usize, 2, 4] {
                 let params = HistogramParams::new(p * 64, h);
                 let out =
-                    run_histogram(&cfg(p), &params).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
+                    run(&cfg(p), &params, |_| {}).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
                 assert_eq!(out.counts.len(), p * params.buckets_per_pe);
             }
         }
@@ -343,13 +325,13 @@ mod tests {
         ] {
             let mut params = HistogramParams::new(256, 2);
             params.dist = dist;
-            run_histogram(&cfg(4), &params).unwrap_or_else(|e| panic!("{dist:?}: {e}"));
+            run(&cfg(4), &params, |_| {}).unwrap_or_else(|e| panic!("{dist:?}: {e}"));
         }
     }
 
     #[test]
     fn updates_travel_as_spawn_packets_not_reads() {
-        let out = run_histogram(&cfg(4), &HistogramParams::new(256, 2)).unwrap();
+        let out = run(&cfg(4), &HistogramParams::new(256, 2), |_| {}).unwrap();
         assert_eq!(out.report.total_reads(), 0, "no remote reads at all");
         assert!(out.report.total_packets() > 0, "updates cross the network");
     }
@@ -357,29 +339,29 @@ mod tests {
     #[test]
     fn rejects_bad_parameters() {
         assert!(
-            run_histogram(&cfg(4), &HistogramParams::new(101, 1)).is_err(),
+            run(&cfg(4), &HistogramParams::new(101, 1), |_| {}).is_err(),
             "n % P != 0"
         );
         assert!(
-            run_histogram(&cfg(4), &HistogramParams::new(8, 3)).is_err(),
+            run(&cfg(4), &HistogramParams::new(8, 3), |_| {}).is_err(),
             "h > n/P"
         );
         let mut small = cfg(4);
         small.local_memory_words = 80;
         assert!(
-            run_histogram(&small, &HistogramParams::new(256, 1)).is_err(),
+            run(&small, &HistogramParams::new(256, 1), |_| {}).is_err(),
             "memory"
         );
         let mut params = HistogramParams::new(256, 1);
         params.buckets_per_pe = 0;
-        assert!(run_histogram(&cfg(4), &params).is_err(), "zero buckets");
+        assert!(run(&cfg(4), &params, |_| {}).is_err(), "zero buckets");
     }
 
     #[test]
     fn deterministic_across_runs() {
         let params = HistogramParams::new(512, 4);
-        let a = run_histogram(&cfg(4), &params).unwrap();
-        let b = run_histogram(&cfg(4), &params).unwrap();
+        let a = run(&cfg(4), &params, |_| {}).unwrap();
+        let b = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(a.report.elapsed, b.report.elapsed);
         assert_eq!(a.report.total_packets(), b.report.total_packets());
         assert_eq!(a.counts, b.counts);

@@ -14,11 +14,13 @@
 //! accumulation order the thread walks (a fixed order), and therefore
 //! byte-for-byte verifiable against the sequential reference.
 
-use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
+use emx_core::{Codec, GlobalAddr, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, Machine, ThreadBody, ThreadCtx, WorkKind};
 use emx_stats::RunReport;
 
 use crate::gen::{indices, keys, KeyDist};
+use crate::kernel::{gather, phases, spawn_workers};
+use crate::Kernel;
 
 /// Word offsets of the per-processor memory layout.
 mod layout {
@@ -92,8 +94,7 @@ pub struct SpmvOutcome {
     pub y: Vec<u32>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+phases! {
     RowStart,
     Elem,
     Issue,
@@ -122,6 +123,13 @@ impl SpmvWorker {
 impl ThreadBody for SpmvWorker {
     fn name(&self) -> &'static str {
         "spmv-worker"
+    }
+
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.usize(&mut self.r)?;
+        c.usize(&mut self.e)?;
+        c.u32(&mut self.acc)?;
+        c.variant(&mut self.phase, PHASES)
     }
 
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
@@ -213,103 +221,96 @@ fn validate(cfg: &MachineConfig, params: &SpmvParams) -> Result<usize, SimError>
     Ok(per_pe)
 }
 
-/// Run the sparse mat-vec on the given machine configuration, verify y
-/// against a sequential reference, and return the measurements.
-pub fn run_spmv(cfg: &MachineConfig, params: &SpmvParams) -> Result<SpmvOutcome, SimError> {
-    run_spmv_observed(cfg, params, |_| {})
+/// The seeded matrix and vector: column indices and values of every row's
+/// nonzeros, row-major, then x. Values are kept to 16 bits so individual
+/// products do not saturate; the accumulation wraps deliberately.
+fn inputs(params: &SpmvParams) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    let nnz = params.n * params.nnz_per_row;
+    let low = |v: Vec<u32>| v.into_iter().map(|v| v & 0xFFFF).collect();
+    (
+        indices(nnz, params.n, params.seed),
+        low(keys(nnz, KeyDist::Uniform, params.seed ^ 0xA5A5)),
+        low(keys(params.n, KeyDist::Uniform, params.seed ^ 0x5A5A)),
+    )
 }
 
-/// [`run_spmv`] with an observation hook: `setup` receives the freshly
-/// built machine before anything is loaded or spawned.
-pub fn run_spmv_observed(
-    cfg: &MachineConfig,
-    params: &SpmvParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<SpmvOutcome, SimError> {
-    let p = cfg.num_pes;
-    let per_pe = validate(cfg, params)?;
-    let h = params.threads;
-    let nnz = params.nnz_per_row;
+impl Kernel for SpmvParams {
+    type Outcome = SpmvOutcome;
 
-    let mut machine = Machine::new(cfg.clone())?;
-    setup(&mut machine);
+    fn build(
+        &self,
+        cfg: &MachineConfig,
+        attach: impl FnOnce(&mut Machine),
+    ) -> Result<Machine, SimError> {
+        let p = cfg.num_pes;
+        let per_pe = validate(cfg, self)?;
+        let h = self.threads;
+        let nnz = self.nnz_per_row;
 
-    // Seeded matrix and vector. Values are kept to 16 bits so individual
-    // products do not saturate; the accumulation wraps deliberately.
-    let cols = indices(params.n * nnz, params.n, params.seed);
-    let vals: Vec<u32> = keys(params.n * nnz, KeyDist::Uniform, params.seed ^ 0xA5A5)
-        .into_iter()
-        .map(|v| v & 0xFFFF)
-        .collect();
-    let x: Vec<u32> = keys(params.n, KeyDist::Uniform, params.seed ^ 0x5A5A)
-        .into_iter()
-        .map(|v| v & 0xFFFF)
-        .collect();
-    for pe in 0..p {
-        let mem = machine.mem_mut(PeId(pe as u16))?;
-        mem.write_slice(layout::X, &x[pe * per_pe..(pe + 1) * per_pe])?;
-        mem.write_slice(layout::y(per_pe), &vec![0u32; per_pe])?;
-        let row0 = pe * per_pe;
-        mem.write_slice(
-            layout::cols(per_pe),
-            &cols[row0 * nnz..(row0 + per_pe) * nnz],
-        )?;
-        mem.write_slice(
-            layout::vals(per_pe, nnz),
-            &vals[row0 * nnz..(row0 + per_pe) * nnz],
-        )?;
-    }
+        let mut machine = Machine::new(cfg.clone())?;
+        attach(&mut machine);
 
-    let worker_params = params.clone();
-    let entry = machine.register_entry("spmv-worker", move |_pe, arg| {
-        let t = arg as usize;
-        Box::new(SpmvWorker {
-            t,
-            h: worker_params.threads,
-            per_pe,
-            params: worker_params.clone(),
-            r: t * per_pe / worker_params.threads,
-            e: 0,
-            acc: 0,
-            phase: Phase::RowStart,
-        })
-    });
-    for pe in 0..p {
-        for t in 0..h {
-            machine.spawn_at_start(PeId(pe as u16), entry, t as u32)?;
+        let (cols, vals, x) = inputs(self);
+        for pe in 0..p {
+            let mem = machine.mem_mut(PeId(pe as u16))?;
+            mem.write_slice(layout::X, &x[pe * per_pe..(pe + 1) * per_pe])?;
+            mem.write_slice(layout::y(per_pe), &vec![0u32; per_pe])?;
+            let row0 = pe * per_pe;
+            mem.write_slice(
+                layout::cols(per_pe),
+                &cols[row0 * nnz..(row0 + per_pe) * nnz],
+            )?;
+            mem.write_slice(
+                layout::vals(per_pe, nnz),
+                &vals[row0 * nnz..(row0 + per_pe) * nnz],
+            )?;
         }
-    }
 
-    let report = machine.run()?;
-
-    // Gather and verify.
-    let mut y = Vec::with_capacity(params.n);
-    for pe in 0..p {
-        y.extend_from_slice(
-            &machine
-                .mem(PeId(pe as u16))?
-                .read_slice(layout::y(per_pe), per_pe)?,
-        );
-    }
-    let expect: Vec<u32> = (0..params.n)
-        .map(|r| {
-            (0..nnz).fold(0u32, |acc, e| {
-                let col = cols[r * nnz + e] as usize;
-                acc.wrapping_add(vals[r * nnz + e].wrapping_mul(x[col]))
+        let worker_params = self.clone();
+        let entry = machine.register_entry("spmv-worker", move |_pe, arg| {
+            let t = arg as usize;
+            Box::new(SpmvWorker {
+                t,
+                h: worker_params.threads,
+                per_pe,
+                params: worker_params.clone(),
+                r: t * per_pe / worker_params.threads,
+                e: 0,
+                acc: 0,
+                phase: Phase::RowStart,
             })
-        })
-        .collect();
-    if y != expect {
-        return Err(SimError::Workload {
-            reason: "spmv result disagrees with the sequential reference".into(),
         });
+        spawn_workers(&mut machine, entry, h)?;
+        Ok(machine)
     }
-    Ok(SpmvOutcome { report, y })
+
+    fn finish(&self, machine: &Machine, report: RunReport) -> Result<SpmvOutcome, SimError> {
+        let p = machine.config().num_pes;
+        let per_pe = self.n / p;
+        let nnz = self.nnz_per_row;
+        let y = gather(machine, layout::y(per_pe), per_pe)?;
+        let (cols, vals, x) = inputs(self);
+        let expect: Vec<u32> = (0..self.n)
+            .map(|r| {
+                (0..nnz).fold(0u32, |acc, e| {
+                    let col = cols[r * nnz + e] as usize;
+                    acc.wrapping_add(vals[r * nnz + e].wrapping_mul(x[col]))
+                })
+            })
+            .collect();
+        if y != expect {
+            return Err(SimError::Workload {
+                reason: "spmv result disagrees with the sequential reference".into(),
+            });
+        }
+        Ok(SpmvOutcome { report, y })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
 
     fn cfg(p: usize) -> MachineConfig {
         let mut c = MachineConfig::with_pes(p);
@@ -322,7 +323,8 @@ mod tests {
         for p in [1usize, 2, 4, 8] {
             for h in [1usize, 2, 4] {
                 let params = SpmvParams::new(p * 32, h);
-                let out = run_spmv(&cfg(p), &params).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
+                let out =
+                    run(&cfg(p), &params, |_| {}).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
                 assert_eq!(out.y.len(), p * 32);
             }
         }
@@ -331,7 +333,7 @@ mod tests {
     #[test]
     fn every_nonzero_is_one_remote_read() {
         let params = SpmvParams::new(128, 2);
-        let out = run_spmv(&cfg(4), &params).unwrap();
+        let out = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(
             out.report.total_reads(),
             (params.n * params.nnz_per_row) as u64
@@ -343,8 +345,8 @@ mod tests {
 
     #[test]
     fn multithreading_reduces_communication_time() {
-        let one = run_spmv(&cfg(4), &SpmvParams::new(256, 1)).unwrap();
-        let four = run_spmv(&cfg(4), &SpmvParams::new(256, 4)).unwrap();
+        let one = run(&cfg(4), &SpmvParams::new(256, 1), |_| {}).unwrap();
+        let four = run(&cfg(4), &SpmvParams::new(256, 4), |_| {}).unwrap();
         assert!(
             four.report.comm_time_secs() < one.report.comm_time_secs(),
             "4 threads must overlap some of the gather latency"
@@ -354,20 +356,20 @@ mod tests {
     #[test]
     fn rejects_bad_parameters() {
         assert!(
-            run_spmv(&cfg(4), &SpmvParams::new(101, 1)).is_err(),
+            run(&cfg(4), &SpmvParams::new(101, 1), |_| {}).is_err(),
             "n % P"
         );
         assert!(
-            run_spmv(&cfg(4), &SpmvParams::new(8, 3)).is_err(),
+            run(&cfg(4), &SpmvParams::new(8, 3), |_| {}).is_err(),
             "h > n/P"
         );
         let mut params = SpmvParams::new(128, 1);
         params.nnz_per_row = 0;
-        assert!(run_spmv(&cfg(4), &params).is_err(), "no nonzeros");
+        assert!(run(&cfg(4), &params, |_| {}).is_err(), "no nonzeros");
         let mut small = cfg(4);
         small.local_memory_words = 128;
         assert!(
-            run_spmv(&small, &SpmvParams::new(128, 1)).is_err(),
+            run(&small, &SpmvParams::new(128, 1), |_| {}).is_err(),
             "memory"
         );
     }
@@ -375,8 +377,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let params = SpmvParams::new(128, 2);
-        let a = run_spmv(&cfg(4), &params).unwrap();
-        let b = run_spmv(&cfg(4), &params).unwrap();
+        let a = run(&cfg(4), &params, |_| {}).unwrap();
+        let b = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(a.report.elapsed, b.report.elapsed);
         assert_eq!(a.y, b.y);
     }

@@ -15,11 +15,13 @@
 //! traffic, bulk transfers, compute-bound interiors — the opposite corner
 //! of the irregular space from the histogram's all-to-all scatter.
 
-use emx_core::{GlobalAddr, MachineConfig, PeId, SimError};
+use emx_core::{Codec, GlobalAddr, MachineConfig, PeId, SimError};
 use emx_runtime::{Action, BarrierId, Machine, ThreadBody, ThreadCtx, WorkKind};
 use emx_stats::RunReport;
 
 use crate::gen::{keys, KeyDist};
+use crate::kernel::{gather, phases, spawn_workers};
+use crate::Kernel;
 
 /// Word offsets of the per-processor memory layout.
 mod layout {
@@ -93,8 +95,7 @@ pub struct StencilOutcome {
     pub grid: Vec<u32>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
+phases! {
     HaloTop,
     HaloBot,
     Compute,
@@ -166,6 +167,11 @@ impl StencilWorker {
 impl ThreadBody for StencilWorker {
     fn name(&self) -> &'static str {
         "stencil-worker"
+    }
+
+    fn snap(&mut self, c: &mut dyn Codec) -> Result<(), SimError> {
+        c.usize(&mut self.iter)?;
+        c.variant(&mut self.phase, PHASES)
     }
 
     fn step(&mut self, ctx: &mut ThreadCtx<'_>) -> Action {
@@ -292,86 +298,76 @@ fn reference(grid: &[u32], width: usize, iters: usize) -> Vec<u32> {
     cur
 }
 
-/// Run the stencil on the given machine configuration, verify the final
-/// grid against a sequential reference, and return the measurements.
-pub fn run_stencil(
-    cfg: &MachineConfig,
-    params: &StencilParams,
-) -> Result<StencilOutcome, SimError> {
-    run_stencil_observed(cfg, params, |_| {})
-}
-
-/// [`run_stencil`] with an observation hook: `setup` receives the freshly
-/// built machine before anything is loaded or spawned.
-pub fn run_stencil_observed(
-    cfg: &MachineConfig,
-    params: &StencilParams,
-    setup: impl FnOnce(&mut Machine),
-) -> Result<StencilOutcome, SimError> {
-    let p = cfg.num_pes;
-    let (per_pe, rows) = validate(cfg, params)?;
-    let h = params.threads;
-
-    let mut machine = Machine::new(cfg.clone())?;
-    setup(&mut machine);
-    let barrier = machine.define_barrier(h);
-
-    // Row-blocked initial grid, small values so a few iterations stay
-    // readable (the arithmetic wraps regardless).
-    let input: Vec<u32> = keys(params.n, KeyDist::Uniform, params.seed)
+/// The row-blocked initial grid: small values, so a few iterations stay
+/// readable (the arithmetic wraps regardless).
+fn input(params: &StencilParams) -> Vec<u32> {
+    keys(params.n, KeyDist::Uniform, params.seed)
         .into_iter()
         .map(|v| v & 0xFF)
-        .collect();
-    for pe in 0..p {
-        machine.mem_mut(PeId(pe as u16))?.write_slice(
-            layout::buf(0, per_pe),
-            &input[pe * per_pe..(pe + 1) * per_pe],
-        )?;
-    }
+        .collect()
+}
 
-    let worker_params = params.clone();
-    let entry = machine.register_entry("stencil-worker", move |_pe, arg| {
-        Box::new(StencilWorker {
-            t: arg as usize,
-            h: worker_params.threads,
-            rows,
-            width: worker_params.width,
-            per_pe,
-            params: worker_params.clone(),
-            barrier,
-            iter: 0,
-            phase: Phase::HaloTop,
-        })
-    });
-    for pe in 0..p {
-        for t in 0..h {
-            machine.spawn_at_start(PeId(pe as u16), entry, t as u32)?;
+impl Kernel for StencilParams {
+    type Outcome = StencilOutcome;
+
+    fn build(
+        &self,
+        cfg: &MachineConfig,
+        attach: impl FnOnce(&mut Machine),
+    ) -> Result<Machine, SimError> {
+        let p = cfg.num_pes;
+        let (per_pe, rows) = validate(cfg, self)?;
+        let h = self.threads;
+
+        let mut machine = Machine::new(cfg.clone())?;
+        attach(&mut machine);
+        let barrier = machine.define_barrier(h);
+
+        let grid = input(self);
+        for pe in 0..p {
+            machine.mem_mut(PeId(pe as u16))?.write_slice(
+                layout::buf(0, per_pe),
+                &grid[pe * per_pe..(pe + 1) * per_pe],
+            )?;
         }
-    }
 
-    let report = machine.run()?;
-
-    // Gather the final-parity buffer and verify.
-    let final_par = params.iters % 2;
-    let mut grid = Vec::with_capacity(params.n);
-    for pe in 0..p {
-        grid.extend_from_slice(
-            &machine
-                .mem(PeId(pe as u16))?
-                .read_slice(layout::buf(final_par, per_pe), per_pe)?,
-        );
-    }
-    if grid != reference(&input, params.width, params.iters) {
-        return Err(SimError::Workload {
-            reason: "stencil grid disagrees with the sequential reference".into(),
+        let worker_params = self.clone();
+        let entry = machine.register_entry("stencil-worker", move |_pe, arg| {
+            Box::new(StencilWorker {
+                t: arg as usize,
+                h: worker_params.threads,
+                rows,
+                width: worker_params.width,
+                per_pe,
+                params: worker_params.clone(),
+                barrier,
+                iter: 0,
+                phase: Phase::HaloTop,
+            })
         });
+        spawn_workers(&mut machine, entry, h)?;
+        Ok(machine)
     }
-    Ok(StencilOutcome { report, grid })
+
+    fn finish(&self, machine: &Machine, report: RunReport) -> Result<StencilOutcome, SimError> {
+        let p = machine.config().num_pes;
+        let per_pe = self.n / p;
+        // Gather the final-parity buffer.
+        let final_par = self.iters % 2;
+        let grid = gather(machine, layout::buf(final_par, per_pe), per_pe)?;
+        if grid != reference(&input(self), self.width, self.iters) {
+            return Err(SimError::Workload {
+                reason: "stencil grid disagrees with the sequential reference".into(),
+            });
+        }
+        Ok(StencilOutcome { report, grid })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run;
 
     fn cfg(p: usize) -> MachineConfig {
         let mut c = MachineConfig::with_pes(p);
@@ -385,7 +381,7 @@ mod tests {
             for h in [1usize, 2, 4] {
                 let params = StencilParams::new(p * 128, h); // 4 rows/PE
                 let out =
-                    run_stencil(&cfg(p), &params).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
+                    run(&cfg(p), &params, |_| {}).unwrap_or_else(|e| panic!("P={p} h={h}: {e}"));
                 assert_eq!(out.grid.len(), p * 128);
             }
         }
@@ -394,7 +390,7 @@ mod tests {
     #[test]
     fn halo_traffic_is_two_block_reads_per_pe_per_iteration() {
         let params = StencilParams::new(512, 2); // P=4, 4 rows/PE
-        let out = run_stencil(&cfg(4), &params).unwrap();
+        let out = run(&cfg(4), &params, |_| {}).unwrap();
         // Each PE fetches exactly two halo rows per iteration, as block
         // reads: width cells each.
         assert_eq!(
@@ -409,28 +405,28 @@ mod tests {
         let mut b = StencilParams::new(512, 1);
         a.iters = 1;
         b.iters = 3;
-        let ga = run_stencil(&cfg(4), &a).unwrap().grid;
-        let gb = run_stencil(&cfg(4), &b).unwrap().grid;
+        let ga = run(&cfg(4), &a, |_| {}).unwrap().grid;
+        let gb = run(&cfg(4), &b, |_| {}).unwrap().grid;
         assert_ne!(ga, gb);
     }
 
     #[test]
     fn rejects_bad_parameters() {
         assert!(
-            run_stencil(&cfg(4), &StencilParams::new(100, 1)).is_err(),
+            run(&cfg(4), &StencilParams::new(100, 1), |_| {}).is_err(),
             "per-PE share not divisible by width"
         );
         assert!(
-            run_stencil(&cfg(4), &StencilParams::new(128, 2)).is_err(),
+            run(&cfg(4), &StencilParams::new(128, 2), |_| {}).is_err(),
             "h exceeds one band per row (1 row/PE)"
         );
         let mut params = StencilParams::new(512, 1);
         params.iters = 0;
-        assert!(run_stencil(&cfg(4), &params).is_err(), "zero iterations");
+        assert!(run(&cfg(4), &params, |_| {}).is_err(), "zero iterations");
         let mut small = cfg(4);
         small.local_memory_words = 128;
         assert!(
-            run_stencil(&small, &StencilParams::new(512, 1)).is_err(),
+            run(&small, &StencilParams::new(512, 1), |_| {}).is_err(),
             "memory"
         );
     }
@@ -438,8 +434,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let params = StencilParams::new(512, 2);
-        let a = run_stencil(&cfg(4), &params).unwrap();
-        let b = run_stencil(&cfg(4), &params).unwrap();
+        let a = run(&cfg(4), &params, |_| {}).unwrap();
+        let b = run(&cfg(4), &params, |_| {}).unwrap();
         assert_eq!(a.report.elapsed, b.report.elapsed);
         assert_eq!(a.grid, b.grid);
     }

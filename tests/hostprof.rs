@@ -32,7 +32,7 @@ fn profiled_fft() -> hostprof::HostProfReport {
     cfg.local_memory_words = 1 << 17;
     hostprof::set_enabled(true);
     hostprof::reset();
-    run_fft(&cfg, &FftParams::comm_only(64 * 64, 4)).unwrap();
+    run(&cfg, &FftParams::comm_only(64 * 64, 4), |_| {}).unwrap();
     let rep = hostprof::HostProfReport::new(Vec::new(), hostprof::snapshot());
     hostprof::set_enabled(false);
     rep

@@ -12,24 +12,28 @@ fn cfg(p: usize) -> MachineConfig {
 #[test]
 fn fft_overlap_exceeds_ninety_percent_at_the_valley() {
     // Figure 7(c): "FFT has given over 95% of overlapping for two to four
-    // threads". At our scaled problem size we require >85% and report the
-    // exact figure in EXPERIMENTS.md.
+    // threads". The simulator is deterministic: at this scaled problem size
+    // it overlaps 91.0% (`results/fig7_fft_p16.csv`), pinned to ±0.5
+    // points; EXPERIMENTS.md discusses the gap.
     let n = 16 * 2048;
-    let base = run_fft(&cfg(16), &FftParams::comm_only(n, 1))
+    let base = run(&cfg(16), &FftParams::comm_only(n, 1), |_| {})
         .unwrap()
         .report
         .comm_sync_time_secs();
     let best = [2usize, 4]
         .iter()
         .map(|&h| {
-            run_fft(&cfg(16), &FftParams::comm_only(n, h))
+            run(&cfg(16), &FftParams::comm_only(n, h), |_| {})
                 .unwrap()
                 .report
                 .comm_sync_time_secs()
         })
         .fold(f64::INFINITY, f64::min);
     let e = overlap_efficiency(base, best);
-    assert!(e > 85.0, "FFT overlap E={e:.1}%, paper reports >95%");
+    assert!(
+        (e - 91.0).abs() <= 0.5,
+        "FFT overlap E={e:.2}%, pinned at 91.0% ± 0.5 (paper reports >95%)"
+    );
 }
 
 #[test]
@@ -43,13 +47,13 @@ fn fft_beats_sort_at_overlapping() {
         overlap_efficiency(base, f(4))
     };
     let fft_eff = eff(&|h| {
-        run_fft(&cfg(16), &FftParams::comm_only(n, h))
+        run(&cfg(16), &FftParams::comm_only(n, h), |_| {})
             .unwrap()
             .report
             .comm_sync_time_secs()
     });
     let sort_eff = eff(&|h| {
-        run_bitonic(&cfg(16), &SortParams::new(n, h))
+        run(&cfg(16), &SortParams::new(n, h), |_| {})
             .unwrap()
             .report
             .comm_sync_time_secs()
@@ -64,7 +68,7 @@ fn fft_beats_sort_at_overlapping() {
 fn comm_iterations_read_exactly_two_words_per_point() {
     let (p, per) = (8usize, 512usize);
     let n = p * per;
-    let out = run_fft(&cfg(p), &FftParams::comm_only(n, 4)).unwrap();
+    let out = run(&cfg(p), &FftParams::comm_only(n, 4), |_| {}).unwrap();
     let log_p = p.trailing_zeros() as u64;
     assert_eq!(
         out.report.total_reads(),
@@ -78,16 +82,16 @@ fn full_transform_verifies_on_larger_machines() {
     for (p, n) in [(16usize, 1024usize), (32, 2048)] {
         let mut params = FftParams::new(n, 4);
         params.shape = Signal::TwoTones(5, 11);
-        run_fft(&cfg(p), &params).unwrap_or_else(|e| panic!("P={p} n={n}: {e}"));
+        run(&cfg(p), &params, |_| {}).unwrap_or_else(|e| panic!("P={p} n={n}: {e}"));
     }
 }
 
 #[test]
 fn fft_never_thread_syncs_sort_always_does() {
     let n = 16 * 1024;
-    let fft = run_fft(&cfg(16), &FftParams::comm_only(n, 8)).unwrap();
+    let fft = run(&cfg(16), &FftParams::comm_only(n, 8), |_| {}).unwrap();
     assert_eq!(fft.report.total_switches().thread_sync, 0);
-    let sort = run_bitonic(&cfg(16), &SortParams::new(n, 8)).unwrap();
+    let sort = run(&cfg(16), &SortParams::new(n, 8), |_| {}).unwrap();
     assert!(sort.report.total_switches().thread_sync > 0);
 }
 
@@ -95,8 +99,8 @@ fn fft_never_thread_syncs_sort_always_does() {
 fn fft_communication_time_is_lower_than_sorts() {
     // Paper §4: "sorting has much higher communication time than FFT".
     let n = 16 * 2048;
-    let sort = run_bitonic(&cfg(16), &SortParams::new(n, 4)).unwrap();
-    let fft = run_fft(&cfg(16), &FftParams::comm_only(n, 4)).unwrap();
+    let sort = run(&cfg(16), &SortParams::new(n, 4), |_| {}).unwrap();
+    let fft = run(&cfg(16), &FftParams::comm_only(n, 4), |_| {}).unwrap();
     assert!(
         fft.report.comm_sync_time_secs() < sort.report.comm_sync_time_secs(),
         "fft comm {:.3e} should be below sort comm {:.3e} at h=4",

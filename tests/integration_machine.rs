@@ -16,16 +16,16 @@ fn bypass_dma_beats_em4_servicing_on_real_workloads() {
     // thread which consumes processor cycles. This consumption adversely
     // affects the performance."
     let n = 16 * 512;
-    let run = |mode: ServiceMode| {
+    let elapsed = |mode: ServiceMode| {
         let mut c = cfg(16);
         c.service_mode = mode;
-        run_bitonic(&c, &SortParams::new(n, 4))
+        run(&c, &SortParams::new(n, 4), |_| {})
             .unwrap()
             .report
             .elapsed_secs()
     };
-    let emx = run(ServiceMode::BypassDma);
-    let em4 = run(ServiceMode::ExuThread);
+    let emx = elapsed(ServiceMode::BypassDma);
+    let em4 = elapsed(ServiceMode::ExuThread);
     assert!(
         em4 > emx,
         "EM-4 servicing must be slower: EM-X {emx:.4e}s vs EM-4 {em4:.4e}s"
@@ -38,35 +38,35 @@ fn network_models_order_sanely() {
     // the omega fabric; the crossbar sits between (endpoint contention
     // only). We compare total elapsed on the same workload.
     let n = 16 * 512;
-    let run = |model: NetModelKind| {
+    let elapsed = |model: NetModelKind| {
         let mut c = cfg(16);
         c.net.model = model;
-        run_fft(&c, &FftParams::comm_only(n, 2))
+        run(&c, &FftParams::comm_only(n, 2), |_| {})
             .unwrap()
             .report
             .elapsed_secs()
     };
-    let omega = run(NetModelKind::CircularOmega);
-    let ideal = run(NetModelKind::Ideal { latency: 2 });
+    let omega = elapsed(NetModelKind::CircularOmega);
+    let ideal = elapsed(NetModelKind::Ideal { latency: 2 });
     assert!(
         ideal <= omega,
         "2-cycle ideal network must not lose to omega: ideal {ideal:.4e}, omega {omega:.4e}"
     );
     // The crossbar run must simply complete and verify; its relative
     // position depends on the traffic pattern.
-    run(NetModelKind::FullCrossbar);
+    elapsed(NetModelKind::FullCrossbar);
 }
 
 #[test]
 fn priority_scheduling_changes_timing_but_not_results() {
     let n = 16 * 512;
-    let run = |pri: bool| {
+    let sort_with = |pri: bool| {
         let mut c = cfg(16);
         c.priority_read_responses = pri;
-        run_bitonic(&c, &SortParams::new(n, 8)).unwrap()
+        run(&c, &SortParams::new(n, 8), |_| {}).unwrap()
     };
-    let plain = run(false);
-    let prioritized = run(true);
+    let plain = sort_with(false);
+    let prioritized = sort_with(true);
     assert_eq!(
         plain.output, prioritized.output,
         "scheduling must not change the sort"
@@ -80,8 +80,8 @@ fn priority_scheduling_changes_timing_but_not_results() {
 #[test]
 fn whole_workload_runs_are_deterministic() {
     let n = 16 * 512;
-    let one = run_fft(&cfg(16), &FftParams::new(n, 4)).unwrap();
-    let two = run_fft(&cfg(16), &FftParams::new(n, 4)).unwrap();
+    let one = run(&cfg(16), &FftParams::new(n, 4), |_| {}).unwrap();
+    let two = run(&cfg(16), &FftParams::new(n, 4), |_| {}).unwrap();
     assert_eq!(one.report.elapsed, two.report.elapsed);
     assert_eq!(one.report.total_packets(), two.report.total_packets());
     assert_eq!(
@@ -98,7 +98,7 @@ fn queue_pressure_spills_to_memory_at_high_thread_counts() {
     // not at h=1.
     let n = 16 * 1024;
     let spills = |h: usize| {
-        run_bitonic(&cfg(16), &SortParams::new(n, h))
+        run(&cfg(16), &SortParams::new(n, h), |_| {})
             .unwrap()
             .report
             .per_pe
@@ -116,7 +116,7 @@ fn queue_pressure_spills_to_memory_at_high_thread_counts() {
 fn breakdown_is_conserved_against_elapsed() {
     // No PE's four-component breakdown can exceed the run's wall-clock.
     let n = 16 * 512;
-    let out = run_bitonic(&cfg(16), &SortParams::new(n, 4)).unwrap();
+    let out = run(&cfg(16), &SortParams::new(n, 4), |_| {}).unwrap();
     for (pe, stats) in out.report.per_pe.iter().enumerate() {
         assert!(
             stats.breakdown.total() <= out.report.elapsed,

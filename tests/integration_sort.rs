@@ -14,7 +14,7 @@ fn paper_p16_sort_is_correct_at_every_thread_count() {
     for h in [1usize, 2, 3, 4, 6, 8, 16] {
         let n = 16 * 48 * 16; // m = 768, divisible by every h above
         let out =
-            run_bitonic(&cfg(16), &SortParams::new(n, h)).unwrap_or_else(|e| panic!("h={h}: {e}"));
+            run(&cfg(16), &SortParams::new(n, h), |_| {}).unwrap_or_else(|e| panic!("h={h}: {e}"));
         assert!(out.output.windows(2).all(|w| w[0] <= w[1]));
     }
 }
@@ -27,7 +27,7 @@ fn communication_valley_sits_at_small_thread_counts() {
     let n = 16 * 2048;
     let mut series = Vec::new();
     for h in [1usize, 2, 4, 8, 16] {
-        let out = run_bitonic(&cfg(16), &SortParams::new(n, h)).unwrap();
+        let out = run(&cfg(16), &SortParams::new(n, h), |_| {}).unwrap();
         series.push((h, out.report.comm_sync_time_secs()));
     }
     let (h_min, t_min) = series
@@ -52,16 +52,18 @@ fn communication_valley_sits_at_small_thread_counts() {
 fn sort_overlap_is_partial_not_total() {
     // Figure 7(a): sorting overlaps a sizable minority of its communication
     // (the paper reports ~35%) but cannot approach FFT's >95% because the
-    // ordered merge serializes computation.
+    // ordered merge serializes computation. The simulator is deterministic:
+    // this machine overlaps 54.8% (h = 8, `results/fig7_bitonic-sort_p16.csv`),
+    // pinned to ±0.5 points.
     let n = 16 * 2048;
-    let base = run_bitonic(&cfg(16), &SortParams::new(n, 1))
+    let base = run(&cfg(16), &SortParams::new(n, 1), |_| {})
         .unwrap()
         .report
         .comm_sync_time_secs();
     let best = [2usize, 4, 8]
         .iter()
         .map(|&h| {
-            run_bitonic(&cfg(16), &SortParams::new(n, h))
+            run(&cfg(16), &SortParams::new(n, h), |_| {})
                 .unwrap()
                 .report
                 .comm_sync_time_secs()
@@ -69,16 +71,16 @@ fn sort_overlap_is_partial_not_total() {
         .fold(f64::INFINITY, f64::min);
     let e = overlap_efficiency(base, best);
     assert!(
-        (20.0..=80.0).contains(&e),
-        "sort overlap E={e:.1}%, expected partial (paper ~35%)"
+        (e - 54.8).abs() <= 0.5,
+        "sort overlap E={e:.2}%, pinned at 54.8% ± 0.5 (paper ~35%)"
     );
 }
 
 #[test]
 fn switch_census_matches_paper_structure() {
     let n = 16 * 1024;
-    let one = run_bitonic(&cfg(16), &SortParams::new(n, 1)).unwrap();
-    let sixteen = run_bitonic(&cfg(16), &SortParams::new(n, 16)).unwrap();
+    let one = run(&cfg(16), &SortParams::new(n, 1), |_| {}).unwrap();
+    let sixteen = run(&cfg(16), &SortParams::new(n, 16), |_| {}).unwrap();
 
     // Remote-read switches equal reads and stay the same order of magnitude
     // across h (Figure 9: "fixed regardless of the number of threads").
@@ -109,8 +111,8 @@ fn larger_problems_shrink_the_iter_sync_share() {
     // iteration synchronization switching cost." The effect is cleanest for
     // FFT, whose barrier skew is size-independent; sorting's irregular
     // merges make its skew grow with the block size (see EXPERIMENTS.md).
-    let small = run_fft(&cfg(16), &FftParams::comm_only(16 * 256, 8)).unwrap();
-    let large = run_fft(&cfg(16), &FftParams::comm_only(16 * 4096, 8)).unwrap();
+    let small = run(&cfg(16), &FftParams::comm_only(16 * 256, 8), |_| {}).unwrap();
+    let large = run(&cfg(16), &FftParams::comm_only(16 * 4096, 8), |_| {}).unwrap();
     let ratio = |r: &RunReport| {
         let s = r.total_switches();
         s.iter_sync as f64 / s.remote_read.max(1) as f64
@@ -125,7 +127,7 @@ fn larger_problems_shrink_the_iter_sync_share() {
 
 #[test]
 fn p64_machine_runs_and_sorts() {
-    let out = run_bitonic(&cfg(64), &SortParams::new(64 * 256, 4)).unwrap();
+    let out = run(&cfg(64), &SortParams::new(64 * 256, 4), |_| {}).unwrap();
     assert_eq!(out.output.len(), 64 * 256);
     assert!(out.report.net_packets > 0);
 }
@@ -140,6 +142,6 @@ fn distributions_do_not_break_the_machine() {
     ] {
         let mut p = SortParams::new(16 * 512, 4);
         p.dist = dist;
-        run_bitonic(&cfg(16), &p).unwrap_or_else(|e| panic!("{dist:?}: {e}"));
+        run(&cfg(16), &p, |_| {}).unwrap_or_else(|e| panic!("{dist:?}: {e}"));
     }
 }

@@ -36,7 +36,7 @@ proptest! {
         let mut params = SortParams::new(p * m, h);
         params.dist = dist;
         params.seed = seed;
-        let out = run_bitonic(&cfg(p), &params).unwrap();
+        let out = run(&cfg(p), &params, |_| {}).unwrap();
         prop_assert!(out.output.windows(2).all(|w| w[0] <= w[1]));
     }
 
@@ -54,13 +54,13 @@ proptest! {
         a.seed = seed;
         let mut b = a.clone();
         b.block_read = true;
-        let pa = run_bitonic(&cfg(p), &a).unwrap();
-        let pb = run_bitonic(&cfg(p), &b).unwrap();
+        let pa = run(&cfg(p), &a, |_| {}).unwrap();
+        let pb = run(&cfg(p), &b, |_| {}).unwrap();
         prop_assert_eq!(pa.output, pb.output);
     }
 
     /// The FFT verifies against the f64 reference for random signals on
-    /// random machine shapes (verification happens inside run_fft).
+    /// random machine shapes (verification happens in `finish`).
     #[test]
     fn fft_always_verifies(
         p_log in 0u32..=3,
@@ -78,7 +78,7 @@ proptest! {
             FftParams::comm_only(p * m, h)
         };
         params.seed = seed;
-        run_fft(&cfg(p), &params).unwrap();
+        run(&cfg(p), &params, |_| {}).unwrap();
     }
 
     /// Reruns of the same configuration agree cycle-for-cycle, packet-for-
@@ -87,8 +87,8 @@ proptest! {
     fn reruns_agree_exactly(seed in any::<u64>(), h_log in 0u32..=2) {
         let mut params = SortParams::new(8 * 64, 1usize << h_log);
         params.seed = seed;
-        let a = run_bitonic(&cfg(8), &params).unwrap();
-        let b = run_bitonic(&cfg(8), &params).unwrap();
+        let a = run(&cfg(8), &params, |_| {}).unwrap();
+        let b = run(&cfg(8), &params, |_| {}).unwrap();
         prop_assert_eq!(a.report.elapsed, b.report.elapsed);
         prop_assert_eq!(a.report.total_packets(), b.report.total_packets());
         prop_assert_eq!(
@@ -103,13 +103,13 @@ proptest! {
     fn remote_read_switch_invariant(h_log in 0u32..=2, m_log in 4u32..=6) {
         let m = 1usize << m_log;
         let h = 1usize << h_log;
-        let sort = run_bitonic(&cfg(4), &SortParams::new(4 * m, h)).unwrap();
+        let sort = run(&cfg(4), &SortParams::new(4 * m, h), |_| {}).unwrap();
         // Sorting issues one request per element read.
         prop_assert_eq!(
             sort.report.total_switches().remote_read,
             sort.report.total_reads()
         );
-        let fft = run_fft(&cfg(4), &FftParams::comm_only(4 * m, h)).unwrap();
+        let fft = run(&cfg(4), &FftParams::comm_only(4 * m, h), |_| {}).unwrap();
         prop_assert_eq!(
             fft.report.total_switches().remote_read,
             fft.report.total_reads()

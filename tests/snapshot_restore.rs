@@ -1,87 +1,91 @@
-//! Checkpoint/restore on real workloads: a small FFT and BFS run,
-//! snapshotted at every k-th event boundary (k ∈ {1, 7, 64}) and restored
-//! into fresh shells, must finish with the exact report and verified
-//! output of the uninterrupted run.
+//! Checkpoint/restore on every kernel: a small run of each, snapshotted at
+//! every k-th event boundary (k ∈ {1, 7, 64}) and restored into fresh
+//! shells, must finish with the exact report of the uninterrupted run and
+//! pass the kernel's own verification.
 
 use emx::prelude::*;
 use emx::stats::digest::{digest_hex, report_canonical_text};
 
 const STRIDES: [u64; 3] = [1, 7, 64];
 
-fn cfg(p: usize) -> MachineConfig {
-    let mut c = MachineConfig::with_pes(p);
-    c.local_memory_words = 1 << 14;
-    c
+fn build<K: Kernel>(params: &K) -> Machine {
+    let mut cfg = MachineConfig::with_pes(4);
+    cfg.local_memory_words = 1 << 14;
+    params.build(&cfg, |_| {}).unwrap()
 }
 
-/// Drive `machine` in `stride`-event steps; at each pause snapshot it,
-/// restore into a fresh shell built by `build`, run it to completion, and
-/// check the resumed fingerprint against the uninterrupted reference.
-/// Returns how many checkpoints were exercised.
-fn walk_checkpoints(
-    mut machine: Machine,
-    build: impl Fn() -> Machine,
-    stride: u64,
-    ref_report: &RunReport,
-) -> usize {
+/// At every stride, drive a machine in `stride`-event steps; at each pause
+/// snapshot it, restore into a fresh shell, run that to completion, and
+/// check its report against the uninterrupted run's and its output with
+/// the kernel's `finish`.
+fn walk<K: Kernel>(params: K) {
     let fuel = Cycle::new(DEFAULT_FUEL);
-    let ref_text = report_canonical_text(ref_report);
-    let mut checkpoints = 0;
-    loop {
-        match machine.step_events(stride, fuel) {
-            Ok(None) => {}
-            Ok(Some(report)) => {
-                assert_eq!(
-                    report_canonical_text(&report),
-                    ref_text,
-                    "stepped run diverged (stride {stride})"
-                );
-                return checkpoints;
+    let mut reference = build(&params);
+    let ref_report = reference.run().unwrap();
+    // The uninterrupted run itself verifies against the sequential oracle.
+    params.finish(&reference, ref_report.clone()).unwrap();
+    let ref_text = report_canonical_text(&ref_report);
+    for stride in STRIDES {
+        let mut machine = build(&params);
+        let mut checkpoints = 0;
+        let stepped = loop {
+            if let Some(report) = machine.step_events(stride, fuel).unwrap() {
+                break report;
             }
-            Err(e) => panic!("step_events failed at stride {stride}: {e}"),
-        }
-        let snap = machine.snapshot().unwrap();
-        checkpoints += 1;
-        let mut resumed = build();
-        resumed.restore(&snap).unwrap();
-        let report = resumed.run().unwrap();
+            let snap = machine.snapshot().unwrap();
+            checkpoints += 1;
+            let mut resumed = build(&params);
+            resumed.restore(&snap).unwrap();
+            let report = resumed.run().unwrap();
+            assert_eq!(
+                report_canonical_text(&report),
+                ref_text,
+                "resume diverged (stride {stride}, checkpoint {checkpoints})"
+            );
+            params.finish(&resumed, report).unwrap();
+        };
         assert_eq!(
-            report_canonical_text(&report),
+            report_canonical_text(&stepped),
             ref_text,
-            "resume diverged (stride {stride}, checkpoint {checkpoints})"
+            "stepped run diverged (stride {stride})"
         );
+        assert!(checkpoints > 0, "stride {stride} never paused mid-run");
     }
 }
 
 #[test]
 fn fft_checkpoints_are_transparent_at_any_stride() {
-    let params = FftParams::comm_only(32, 2);
-    let build = || build_fft(&cfg(4), &params, |_| {}).unwrap();
-
-    let mut reference = build();
-    let ref_report = reference.run().unwrap();
-    // The uninterrupted run itself verifies against the host oracle.
-    finish_fft(&reference, &params, ref_report.clone()).unwrap();
-
-    for stride in STRIDES {
-        let n = walk_checkpoints(build(), build, stride, &ref_report);
-        assert!(n > 0, "stride {stride} never paused mid-run");
-    }
+    walk(FftParams::comm_only(32, 2));
 }
 
 #[test]
 fn bfs_checkpoints_are_transparent_at_any_stride() {
-    let params = BfsParams::new(32, 2);
-    let build = || build_bfs(&cfg(4), &params, |_| {}).unwrap();
+    walk(BfsParams::new(32, 2));
+}
 
-    let mut reference = build();
-    let ref_report = reference.run().unwrap();
-    finish_bfs(&reference, &params, ref_report.clone()).unwrap();
+#[test]
+fn sort_checkpoints_are_transparent_at_any_stride() {
+    walk(SortParams::new(32, 4));
+    walk(SortParams::with_block_reads(32, 4));
+}
 
-    for stride in STRIDES {
-        let n = walk_checkpoints(build(), build, stride, &ref_report);
-        assert!(n > 0, "stride {stride} never paused mid-run");
-    }
+#[test]
+fn histogram_checkpoints_are_transparent_at_any_stride() {
+    walk(HistogramParams::new(32, 2));
+}
+
+#[test]
+fn spmv_checkpoints_are_transparent_at_any_stride() {
+    walk(SpmvParams::new(8, 2));
+}
+
+#[test]
+fn stencil_checkpoints_are_transparent_at_any_stride() {
+    walk(StencilParams {
+        width: 8,
+        iters: 2,
+        ..StencilParams::new(64, 2)
+    });
 }
 
 /// One digest over every snapshot of a stride-7 walk of `machine`.
@@ -102,36 +106,13 @@ fn walk_digest(mut machine: Machine) -> String {
 /// section holds, or to its token order, moves the digest.
 #[test]
 fn fft_walk_snapshot_bytes_are_pinned() {
-    let params = FftParams::comm_only(32, 2);
-    let machine = build_fft(&cfg(4), &params, |_| {}).unwrap();
+    let machine = build(&FftParams::comm_only(32, 2));
     assert_eq!(walk_digest(machine), "9e363969be5133ccb64b34a6185f599e");
 }
 
 /// Pins the `emx-snap/1` bytes of the BFS walk.
 #[test]
 fn bfs_walk_snapshot_bytes_are_pinned() {
-    let params = BfsParams::new(32, 2);
-    let machine = build_bfs(&cfg(4), &params, |_| {}).unwrap();
+    let machine = build(&BfsParams::new(32, 2));
     assert_eq!(walk_digest(machine), "17b26e5e3bec21385c0a8c0f7bf31bba");
-}
-
-#[test]
-fn resumed_workload_output_passes_the_sequential_oracle() {
-    // Restore mid-run, finish, and put the gathered output through the
-    // workload's own verification.
-    let params = BfsParams::new(64, 2);
-    let build = || build_bfs(&cfg(4), &params, |_| {}).unwrap();
-
-    let mut paused = build();
-    assert!(paused
-        .step_events(40, Cycle::new(DEFAULT_FUEL))
-        .unwrap()
-        .is_none());
-    let snap = paused.snapshot().unwrap();
-
-    let mut resumed = build();
-    resumed.restore(&snap).unwrap();
-    let report = resumed.run().unwrap();
-    let out = finish_bfs(&resumed, &params, report).unwrap();
-    assert_eq!(out.dist[0], 0);
 }
