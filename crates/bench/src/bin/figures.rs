@@ -607,15 +607,15 @@ fn fig4() {
     let (rec, handle) = Recorder::unbounded();
     m.attach_probe(Box::new(rec));
     let report = m.run().expect("fig4 run");
-    let obs = handle.finish();
+    let log = handle.finish();
 
-    let summary = fig4::check_schedule(obs.log.events()).expect("paper schedule");
+    let summary = fig4::check_schedule(log.events()).expect("paper schedule");
     println!(
         "schedule check: OK — 8 FIFO data resumes {:?}, retires in thread order {:?}",
         summary.data_resumes, summary.retires
     );
 
-    let json = chrome_trace_json(&obs, report.clock_hz);
+    let json = chrome_trace_json(&log, report.clock_hz);
     let sum = validate_chrome_trace(&json).expect("exporter output validates");
     let dir = Path::new("results");
     if fs::create_dir_all(dir).is_ok() {
@@ -627,7 +627,7 @@ fn fig4() {
             );
         }
         let cpath = dir.join("fig4_events.csv");
-        if fs::write(&cpath, events_csv(&obs, report.clock_hz)).is_ok() {
+        if fs::write(&cpath, events_csv(&log, report.clock_hz)).is_ok() {
             println!("  [csv] {}", cpath.display());
         }
     }

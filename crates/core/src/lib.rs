@@ -24,8 +24,8 @@
 //!   fault-injection plan threaded through network, processor and runtime.
 //! * [`probe`] — the [`TraceKind`] event vocabulary and
 //!   the [`Probe`] sink the observability layer hangs off
-//!   (exporters and metrics live in `emx-obs`; spec in
-//!   `docs/OBSERVABILITY.md`).
+//!   (the recorder and exporters live in `emx-obs`, the profiler in
+//!   `emx-profile`; spec in `docs/OBSERVABILITY.md`).
 //! * [`codec`] — the [`Codec`] every checkpointed field passes through,
 //!   once, in its owner's `snap` method.
 //! * [`error`] — [`SimError`].

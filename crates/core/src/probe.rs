@@ -14,11 +14,11 @@
 //! holds its probe as an `Option`, so a disabled probe costs one branch per
 //! emission site and no event is ever constructed; this is the
 //! "zero-cost-when-disabled" contract the sweep benchmarks rely on. The
-//! exporters (Perfetto/Chrome-trace JSON, columnar CSV) and the metrics
-//! registry live in the `emx-obs` crate; the wire format is specified in
-//! `docs/OBSERVABILITY.md` as `emx-trace/2`. Each event also has one
-//! canonical text line, [`TraceEvent::line`], which the trace digest
-//! hashes and `Display` prints.
+//! exporters (Perfetto/Chrome-trace JSON, columnar CSV) live in the
+//! `emx-obs` crate, the per-PE counts and profile in `emx-profile`; the
+//! wire format is specified in `docs/OBSERVABILITY.md` as `emx-trace/2`.
+//! Each event also has one canonical text line, [`TraceEvent::line`],
+//! which the trace digest hashes and `Display` prints.
 
 use std::fmt;
 
@@ -459,8 +459,8 @@ fn priority_name(priority: Priority) -> &'static str {
 /// The runtime, processor units, and network call [`Probe::on`] once per
 /// observable step when — and only when — a probe is attached; the
 /// implementor decides what to keep (the `emx-obs` recorder keeps a bounded
-/// event log and a metrics registry). Implementations must be cheap: they
-/// run inside the simulator's hot loop.
+/// event log; the `emx-profile` profiler keeps folds). Implementations must
+/// be cheap: they run inside the simulator's hot loop.
 pub trait Probe {
     /// Record that `kind` happened on `pe` at cycle `at`.
     fn on(&mut self, at: Cycle, pe: PeId, kind: TraceKind);

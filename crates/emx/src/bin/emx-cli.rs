@@ -7,9 +7,8 @@
 //!                 [--kill-after EVENTS] [--hostprof]
 //! emx-cli trace   <sort|fft|bfs|histogram|spmv|stencil|fig4> [--pes N --n N --threads N --seed N]
 //!                 [--format chrome|csv] [--events CAP] [--check] [--out FILE]
-//! emx-cli metrics <sort|fft|bfs|histogram|spmv|stencil|fig4> [--pes N --n N --threads N --seed N] [--csv]
-//! emx-cli profile <sort|fft|bfs|histogram|spmv|stencil> [--pes N --n N --threads N --seed N]
-//!                 [--comm-only] [--json] [--out FILE]
+//! emx-cli profile <sort|fft|bfs|histogram|spmv|stencil|fig4> [--pes N --n N --threads N --seed N]
+//!                 [--comm-only] [--block] [--json] [--out FILE]
 //! emx-cli profile-diff <report> [<baseline>] [--baseline-dir DIR] [--threshold PPM]
 //! emx-cli sweep   --workload <sort|fft|bfs|histogram|spmv|stencil> --pes 16 --sizes 512,2048
 //!                 --threads 1,2,4 [--net MODEL] [--preset paper|modern]
@@ -40,7 +39,7 @@
 //! paper|modern` (the cost model: the paper's calibrated charges, or a
 //! modern latency/bandwidth ratio — see `docs/WORKLOADS.md`).
 //!
-//! `run`, `trace`, `metrics` and `profile` take the workload words
+//! `run`, `trace` and `profile` take the workload words
 //! `sweep --workload` takes (`bitonic` and `hist` included) and build the
 //! kernel's parameters the way a sweep does: their flags become a
 //! `RunSpec` of `--n / --pes` elements per processor, run by
@@ -59,17 +58,17 @@
 //! `trace` runs a workload with the observability recorder attached and
 //! exports the `emx-trace/2` event stream as Chrome-trace/Perfetto JSON
 //! (open it at <https://ui.perfetto.dev>) or as CSV; `--check` re-parses
-//! the JSON with the built-in validator. `metrics` prints the per-PE
-//! counter registry, the latency/depth/run-length histograms, and the
-//! exact per-kind event totals (see `docs/OBSERVABILITY.md`). The `fig4`
-//! workload rebuilds the paper's Figure 4 scenario and verifies its
-//! hand-walked FIFO schedule before exporting.
+//! the JSON with the built-in validator. The `fig4` workload rebuilds the
+//! paper's Figure 4 scenario; `trace fig4` verifies its hand-walked FIFO
+//! schedule before exporting.
 //!
 //! `profile` runs a workload with the streaming `emx-profile` probe and
-//! prints the digest-stamped `emx-profile/1` report: exact per-PE
+//! prints the digest-stamped `emx-profile/2` report: exact per-PE event
+//! counts, the queue-depth and run-length histograms, per-PE
 //! busy/switch/wait/idle attribution cross-validated against the counter
 //! breakdown, remote-read latency blame split into six phases, and the
-//! critical path through spawns and reads. `profile-diff` compares two
+//! critical path through spawns and reads (see
+//! `docs/OBSERVABILITY.md`). `profile-diff` compares two
 //! reports (or one report against its committed baseline under
 //! `results/baselines/`) and exits 3 when the attribution story drifted
 //! beyond `--threshold` (default 20000 ppm = 2 percentage points), 1 on
@@ -399,25 +398,61 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Run the named workload (a kernel, or `fig4`) with a [`Recorder`]
-/// attached and return the observation plus the machine clock for
-/// timestamp conversion.
-fn observed_run(args: &Args, workload: &str) -> Result<(Observation, u64), String> {
-    let capacity = args.usize_or("events", 1 << 20)?;
-    let (rec, handle) = Recorder::bounded(capacity);
-    let clock_hz = if workload == "fig4" {
+/// A probed subcommand's defaults: processors, total elements, threads.
+type Shape = (usize, usize, usize);
+
+/// A run's provenance as `meta` key/value pairs.
+type Meta = Vec<(String, String)>;
+
+/// `trace`'s defaults: a machine the size of Figure 4's.
+const TRACE_SHAPE: Shape = (2, 64, 2);
+
+/// `profile`'s defaults.
+const PROFILE_SHAPE: Shape = (16, 16 * 256, 4);
+
+/// Run the named workload — a kernel on the machine the flags configure,
+/// `shape` giving the defaults, or the paper's `fig4` scenario — with the
+/// probe `attach` puts on the machine. Returns what `attach` returned
+/// (the probe's retrieval handle), the run report, and the run's
+/// provenance as `meta` pairs.
+fn probed_run<H>(
+    args: &Args,
+    workload: &str,
+    (pes, n, threads): Shape,
+    attach: impl FnOnce(&mut Machine) -> H,
+) -> Result<(H, RunReport, Meta), String> {
+    if workload == "fig4" {
         let mut m = emx::workloads::fig4::build().map_err(|e| e.to_string())?;
-        m.attach_probe(Box::new(rec));
-        m.run().map_err(|e| e.to_string())?;
-        MachineConfig::with_pes(2).clock_hz
-    } else {
-        let cfg = machine_cfg(args, 2)?;
-        kernel_spec(args, workload, &cfg, 64, 2)?
-            .execute_on(&cfg, |m| m.attach_probe(Box::new(rec)))
-            .map_err(|e| e.to_string())?;
-        cfg.clock_hz
-    };
-    Ok((handle.finish(), clock_hz))
+        let handle = attach(&mut m);
+        let report = m.run().map_err(|e| e.to_string())?;
+        let meta = vec![
+            ("workload".to_string(), workload.to_string()),
+            ("pes".to_string(), report.per_pe.len().to_string()),
+        ];
+        return Ok((handle, report, meta));
+    }
+    let cfg = machine_cfg(args, pes)?;
+    let spec = kernel_spec(args, workload, &cfg, n, threads)?;
+    let mut handle = None;
+    let report = spec
+        .execute_on(&cfg, |m| handle = Some(attach(m)))
+        .map_err(|e| e.to_string())?;
+    let meta = vec![
+        ("workload".to_string(), workload.to_string()),
+        ("pes".to_string(), cfg.num_pes.to_string()),
+        ("n".to_string(), spec.n().to_string()),
+        ("threads".to_string(), spec.threads.to_string()),
+        ("seed".to_string(), spec.effective_seed().to_string()),
+    ];
+    Ok((handle.expect("the kernel attaches its probe"), report, meta))
+}
+
+/// Attach the streaming [`Profiler`] under the machine's cost model and
+/// return its handle.
+fn attach_profiler(m: &mut Machine) -> ProfilerHandle {
+    let (probe, handle) = Profiler::new(m.config().costs);
+    m.attach_probe(Box::new(probe));
+    handle
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
@@ -426,23 +461,26 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         .first()
         .map(String::as_str)
         .unwrap_or("fig4");
-    let (obs, clock_hz) = observed_run(args, workload)?;
+    let (rec, handle) = Recorder::bounded(args.usize_or("events", 1 << 20)?);
+    let attach = |m: &mut Machine| m.attach_probe(Box::new(rec));
+    let ((), report, _) = probed_run(args, workload, TRACE_SHAPE, attach)?;
+    let (log, clock_hz) = (handle.finish(), report.clock_hz);
 
     if workload == "fig4" {
         // The hand-walked schedule of the paper's Figure 4 must hold.
-        emx::workloads::fig4::check_schedule(obs.log.events())?;
+        emx::workloads::fig4::check_schedule(log.events())?;
         eprintln!("fig4: dispatch sequence matches the paper's FIFO schedule");
     }
 
     let format = args.get("format").unwrap_or("chrome");
     let text = match format {
-        "chrome" | "json" | "perfetto" => chrome_trace_json(&obs, clock_hz),
-        "csv" => events_csv(&obs, clock_hz),
+        "chrome" | "json" | "perfetto" => chrome_trace_json(&log, clock_hz),
+        "csv" => events_csv(&log, clock_hz),
         other => return Err(format!("unknown format {other:?} (chrome|csv)")),
     };
     if args.has("check") {
         let json = if format == "csv" {
-            chrome_trace_json(&obs, clock_hz)
+            chrome_trace_json(&log, clock_hz)
         } else {
             text.clone()
         };
@@ -463,8 +501,8 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             eprintln!(
                 "wrote {} ({} events, {} dropped) — open at https://ui.perfetto.dev",
                 path.display(),
-                obs.log.total(),
-                obs.log.dropped()
+                log.total(),
+                log.dropped()
             );
         }
         None => print!("{text}"),
@@ -472,54 +510,11 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_metrics(args: &Args) -> Result<(), String> {
-    let workload = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("fig4");
-    let (obs, _) = observed_run(args, workload)?;
-    if args.has("csv") {
-        print!("{}", obs.metrics.canonical_text());
-        return Ok(());
-    }
-    println!("per-PE counters ({workload}):");
-    print!("{}", obs.metrics.to_table().render());
-    println!("\nlatency / depth / run-length histograms:");
-    print!("{}", obs.metrics.histograms_table().render());
-    println!("\nevent totals (exact, including any dropped past the buffer):");
-    let mut t = Table::new(["event", "count"]);
-    for (name, count) in obs.log.counts() {
-        t.row([name.to_string(), count.to_string()]);
-    }
-    print!("{}", t.render());
-    println!("digest: {}", obs.metrics.digest());
-    Ok(())
-}
-
-/// Run the named workload with the streaming profiler attached and
-/// return the finished profile report with provenance metadata filled in.
-fn profiled_run(args: &Args, workload: &str) -> Result<emx::profile::ProfileReport, String> {
-    let cfg = machine_cfg(args, 16)?;
-    let spec = kernel_spec(args, workload, &cfg, 16 * 256, 4)?;
-    let (probe, handle) = Profiler::new(cfg.costs);
-    let report = spec
-        .execute_on(&cfg, |m| m.attach_probe(Box::new(probe)))
-        .map_err(|e| e.to_string())?;
-    let mut rep = handle.finish(&report);
-    rep.meta = vec![
-        ("workload".to_string(), workload.to_string()),
-        ("pes".to_string(), cfg.num_pes.to_string()),
-        ("n".to_string(), spec.n().to_string()),
-        ("threads".to_string(), spec.threads.to_string()),
-        ("seed".to_string(), spec.effective_seed().to_string()),
-    ];
-    Ok(rep)
-}
-
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let workload = args.positional.first().map(String::as_str).unwrap_or("fft");
-    let rep = profiled_run(args, workload)?;
+    let (handle, report, meta) = probed_run(args, workload, PROFILE_SHAPE, attach_profiler)?;
+    let mut rep = handle.finish(&report);
+    rep.meta = meta;
     let text = if args.has("json") {
         rep.to_json()
     } else {
@@ -1099,7 +1094,7 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-const USAGE: &str = "usage: emx-cli <run|trace|metrics|profile|profile-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
+const USAGE: &str = "usage: emx-cli <run|trace|profile|profile-diff|sweep|faults|resume|cache|fuzz|nullloop|latency|asm|info> [options]";
 
 /// Flags `machine_cfg` reads.
 #[rustfmt::skip]
@@ -1116,7 +1111,6 @@ const SWEEP_FLAGS: &[&str] = &["jobs", "no-cache", "progress", "kill-after", "ho
 const FLAGS: &[(&str, &[&[&str]])] = &[
     ("run", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "csv", "kill-after", "hostprof"]]),
     ("trace", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "format", "check", "out"]]),
-    ("metrics", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "csv"]]),
     ("profile", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "json", "out"]]),
     ("profile-diff", &[&["baseline-dir", "threshold"]]),
     ("sweep", &[SWEEP_FLAGS, &["workload", "pes", "sizes", "threads", "net", "preset", "journal"]]),
@@ -1176,8 +1170,8 @@ fn validate_values(cmd: &str, args: &Args) -> Result<(), String> {
             "bad value for --workload: unknown workload {w:?} (sort|fft|bfs|histogram|spmv|stencil)"
         ))?;
     }
-    let takes_fig4 = matches!(cmd, "trace" | "metrics");
-    if let ("run" | "trace" | "metrics" | "profile", Some(w)) = (cmd, args.positional.first()) {
+    let takes_fig4 = matches!(cmd, "trace" | "profile");
+    if let ("run" | "trace" | "profile", Some(w)) = (cmd, args.positional.first()) {
         if Workload::parse(w).is_none() && !(takes_fig4 && w == "fig4") {
             let more = if takes_fig4 { "|fig4" } else { "" };
             return Err(format!(
@@ -1222,7 +1216,6 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "run" => cmd_run(&args),
         "trace" => cmd_trace(&args),
-        "metrics" => cmd_metrics(&args),
         "profile" => cmd_profile(&args),
         "sweep" => cmd_sweep(&args),
         "faults" => cmd_faults(&args),
@@ -1297,17 +1290,27 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_metrics_accept_every_kernel_and_fig4() {
-        // `trace` and `metrics` both record through `observed_run`. The
-        // stencil needs a band row per thread, so n is raised from the
-        // default 64; the default 2 PEs and h = 2 stay.
+    fn trace_and_profile_accept_every_kernel_and_fig4() {
+        // `trace` and `profile` both run through `probed_run`. The stencil
+        // needs a band row per thread, so n is raised from trace's default
+        // 64; its 2 PEs and h = 2 stay, for both probes.
         let args = Args::parse(&["--n".to_string(), "256".to_string()]);
         for w in ["sort", "fft", "bfs", "histogram", "spmv", "stencil", "fig4"] {
-            for cmd in ["trace", "metrics"] {
+            for cmd in ["trace", "profile"] {
                 assert_eq!(shape(&format!("{cmd} {w} --n 256")), Ok(()), "{cmd} {w}");
             }
-            let (obs, _) = observed_run(&args, w).unwrap_or_else(|e| panic!("{w}: {e}"));
-            assert!(obs.log.total() > 0, "{w} recorded no events");
+            let (rec, handle) = Recorder::unbounded();
+            probed_run(&args, w, TRACE_SHAPE, |m| m.attach_probe(Box::new(rec)))
+                .unwrap_or_else(|e| panic!("{w}: {e}"));
+            assert!(handle.finish().total() > 0, "{w} recorded no events");
+            let (handle, report, _) = probed_run(&args, w, TRACE_SHAPE, attach_profiler)
+                .unwrap_or_else(|e| panic!("{w}: {e}"));
+            let profile = handle.finish(&report);
+            assert_eq!(profile.pes.len(), 2, "{w}");
+            assert!(
+                profile.pes[0].events.dispatches > 0,
+                "{w} profiled no events"
+            );
         }
     }
 

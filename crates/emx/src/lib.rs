@@ -24,8 +24,8 @@
 //! | [`sweep`] | parallel deterministic cached sweep engine + provenance |
 //! | [`fuzz`] | deterministic fuzzing: random programs, replay/checkpoint oracle, shrinking |
 //! | [`faults`] | deterministic fault injection, invariant checking |
-//! | [`obs`] | trace recorder, Perfetto/Chrome-trace + CSV export, metrics |
-//! | [`profile`] | trace-driven profiler: attribution, read blame, critical path |
+//! | [`obs`] | bounded trace recorder, Perfetto/Chrome-trace + CSV export, trace digest |
+//! | [`profile`] | trace-driven profiler: per-PE event counts and histograms, attribution, read blame, critical path |
 //!
 //! ## Quick start
 //!
@@ -73,8 +73,8 @@ pub mod prelude {
     pub use emx_model::{ModelParams, Region};
     pub use emx_net::{build_network, Network};
     pub use emx_obs::{
-        chrome_trace_json, events_csv, validate_chrome_trace, DigestHandle, DigestProbe,
-        MetricsRegistry, Observation, Recorder,
+        chrome_trace_json, events_csv, validate_chrome_trace, DigestHandle, DigestProbe, EventLog,
+        Recorder,
     };
     pub use emx_profile::{
         diff_profiles, parse_text, ProfileReport, Profiler, ProfilerHandle, DEFAULT_THRESHOLD_PPM,

@@ -31,7 +31,7 @@ use emx_core::{SuspendCause, TraceKind, TRACE_SCHEMA};
 use emx_stats::json::quote;
 
 use crate::csv::stream_digest;
-use crate::recorder::Observation;
+use crate::recorder::EventLog;
 
 /// Cycles to a microsecond JSON number with nanosecond precision, by
 /// integer math only: `cycles * 1_000_000_000 / clock_hz` ns, printed as
@@ -66,17 +66,16 @@ pub(crate) fn pkt_name_pub(pkt: emx_core::PacketKind) -> &'static str {
     pkt_name(pkt)
 }
 
-/// Render one run's observation as a Chrome-trace/Perfetto JSON string.
+/// Render one run's event log as a Chrome-trace/Perfetto JSON string.
 ///
 /// `clock_hz` converts cycles to wall time (take it from
 /// `RunReport::clock_hz`). The output is byte-deterministic: the same
 /// event stream and clock produce the same string.
-pub fn chrome_trace_json(obs: &Observation, clock_hz: u64) -> String {
-    let log = &obs.log;
+pub fn chrome_trace_json(log: &EventLog, clock_hz: u64) -> String {
     let mut events: Vec<String> = Vec::with_capacity(log.events().len() + 16);
 
     // Metadata: name the processes and one thread per PE, in pid/tid order.
-    let npes = obs.metrics.per_pe().len();
+    let npes = log.pes();
     events.push(
         r#"{"ph":"M","name":"process_name","pid":1,"tid":0,"args":{"name":"EM-X PEs"}}"#.into(),
     );
@@ -110,11 +109,8 @@ pub fn chrome_trace_json(obs: &Observation, clock_hz: u64) -> String {
     };
 
     for ev in log.events() {
+        // The log's PE count covers every event it kept.
         let pe = ev.pe.index();
-        if pe >= pending.len() {
-            // Defensive: metrics and log always cover the same PEs.
-            continue;
-        }
         let at = ev.at.get();
         match ev.kind {
             TraceKind::Dispatch { pkt } => {
@@ -262,13 +258,12 @@ pub fn chrome_trace_json(obs: &Observation, clock_hz: u64) -> String {
     }
     out.push_str("\n],\n\"displayTimeUnit\":\"ms\",\n");
     out.push_str(&format!(
-        "\"otherData\":{{\"schema\":\"{}\",\"clock_hz\":\"{}\",\"events\":\"{}\",\"dropped\":\"{}\",\"digest\":\"{}\",\"metrics_digest\":\"{}\"}}}}\n",
+        "\"otherData\":{{\"schema\":\"{}\",\"clock_hz\":\"{}\",\"events\":\"{}\",\"dropped\":\"{}\",\"digest\":\"{}\"}}}}\n",
         TRACE_SCHEMA,
         clock_hz,
         log.total(),
         log.dropped(),
         stream_digest(log),
-        obs.metrics.digest(),
     ));
     out
 }

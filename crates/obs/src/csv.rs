@@ -11,7 +11,7 @@
 use emx_core::{TraceKind, TRACE_SCHEMA};
 use emx_stats::Digest128;
 
-use crate::recorder::{EventLog, Observation};
+use crate::recorder::EventLog;
 
 /// The data-row header (column order is part of the `emx-trace/2` schema).
 const HEADER: &str =
@@ -114,20 +114,18 @@ pub(crate) fn stream_digest(log: &EventLog) -> String {
     d.hex()
 }
 
-/// Render one run's observation as a CSV string (see module docs).
-pub fn events_csv(obs: &Observation, clock_hz: u64) -> String {
-    let log = &obs.log;
+/// Render one run's event log as a CSV string (see module docs).
+pub fn events_csv(log: &EventLog, clock_hz: u64) -> String {
     let mut out = String::with_capacity(48 * log.events().len() + 128);
     out.push_str("# ");
     out.push_str(TRACE_SCHEMA);
     out.push('\n');
     out.push_str(&format!(
-        "# clock_hz={} events={} dropped={} digest={} metrics_digest={}\n",
+        "# clock_hz={} events={} dropped={} digest={}\n",
         clock_hz,
         log.total(),
         log.dropped(),
         stream_digest(log),
-        obs.metrics.digest(),
     ));
     out.push_str(HEADER);
     out.push('\n');

@@ -29,7 +29,7 @@ pub struct ChromeSummary {
 /// `traceEvents` array whose entries are objects with a string `ph`, and
 /// integer `pid`/`tid`; non-metadata events carry a numeric `ts`; `X`
 /// slices carry a numeric `dur`; `b`/`e` asyncs carry `id` and `cat`; and
-/// `otherData` stamps the `emx-trace/1` schema and a digest.
+/// `otherData` stamps the `emx-trace/2` schema and a digest.
 pub fn validate_chrome_trace(s: &str) -> Result<ChromeSummary, String> {
     let doc = parse_json(s)?;
     let events = doc

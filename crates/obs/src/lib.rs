@@ -2,20 +2,20 @@
 //!
 //! Observability for the EM-X simulator: a [`Recorder`] that attaches to a
 //! [`Machine`](../emx_runtime/struct.Machine.html) as a
-//! [`Probe`](emx_core::Probe), a [`MetricsRegistry`] of per-PE counters,
-//! gauges and fixed-bucket histograms, and deterministic exporters —
-//! Perfetto/Chrome-trace JSON ([`chrome_trace_json`]) and columnar CSV
-//! ([`events_csv`]).
+//! [`Probe`](emx_core::Probe) and keeps a bounded [`EventLog`], the
+//! deterministic exporters that lay the log out — Perfetto/Chrome-trace
+//! JSON ([`chrome_trace_json`]) and columnar CSV ([`events_csv`]) — and
+//! the [`DigestProbe`] that fingerprints a stream without keeping it.
 //!
 //! The EM-X paper argues its case with *schedules*: Figure 4 hand-walks the
 //! FIFO interleaving of four threads across two processors, and Figures 6–9
-//! aggregate the same lifecycle into breakdowns. This crate makes both
-//! views first-class: the recorder captures the exact `emx-trace/1` event
-//! stream (spawn/suspend/resume/retire with causes, queue pressure, by-pass
-//! DMA service, network hops), the exporters lay it out on one track per
-//! processor for <https://ui.perfetto.dev>, and the registry folds it into
-//! digest-stamped metrics that join the run reports produced by
-//! `emx-stats`. The wire formats are specified in `docs/OBSERVABILITY.md`.
+//! aggregate the same lifecycle into breakdowns. The recorder captures the
+//! exact `emx-trace/2` event stream (spawn/suspend/resume/retire with
+//! causes, queue pressure, by-pass DMA service, network hops), and the
+//! exporters lay it out on one track per processor for
+//! <https://ui.perfetto.dev>. Per-PE counts and distributions folded from
+//! the same stream are `emx-profile`'s report. The wire formats are
+//! specified in `docs/OBSERVABILITY.md`.
 //!
 //! ## Usage
 //!
@@ -36,9 +36,9 @@
 //! # let entry = m.register_entry("noop", |_, _| Box::new(Noop));
 //! # m.spawn_at_start(PeId(0), entry, 0).unwrap();
 //! # let report = m.run().unwrap();
-//! let obs = handle.finish();
-//! let json = emx_obs::chrome_trace_json(&obs, report.clock_hz);
-//! let csv = emx_obs::events_csv(&obs, report.clock_hz);
+//! let log = handle.finish();
+//! let json = emx_obs::chrome_trace_json(&log, report.clock_hz);
+//! let csv = emx_obs::events_csv(&log, report.clock_hz);
 //! assert!(emx_obs::validate_chrome_trace(&json).is_ok());
 //! ```
 //!
@@ -54,7 +54,6 @@ mod chrome;
 mod csv;
 mod digest;
 mod json;
-mod metrics;
 mod recorder;
 
 pub use chrome::chrome_trace_json;
@@ -62,5 +61,4 @@ pub use csv::events_csv;
 pub use digest::{DigestHandle, DigestProbe};
 pub use emx_stats::json::{parse_json, JsonValue};
 pub use json::{validate_chrome_trace, ChromeSummary};
-pub use metrics::{Histogram, MetricsRegistry, PeMetrics, METRICS_SCHEMA};
-pub use recorder::{EventLog, Observation, Recorder, RecorderHandle};
+pub use recorder::{EventLog, Recorder, RecorderHandle};

@@ -1,31 +1,32 @@
-//! The [`Recorder`]: a [`Probe`] that captures the event stream and folds
-//! it into a [`MetricsRegistry`] as the machine runs.
+//! The [`Recorder`]: a [`Probe`] that captures the event stream into a
+//! bounded [`EventLog`] as the machine runs.
 //!
 //! The machine owns its probe (`Machine::attach_probe` takes a `Box`), so
 //! retrieval after the run goes through a second handle: [`Recorder`] and
-//! [`RecorderHandle`] share one `Arc<Mutex<Observation>>`; attach the
-//! recorder, run, then call [`RecorderHandle::finish`] to take the
-//! observation out. The event log is bounded ([`Recorder::bounded`]) so
-//! tracing a long sweep cannot exhaust memory — but the metrics registry
-//! and the per-kind event counts are updated for *every* event, dropped or
-//! kept, so aggregate numbers stay exact past the buffer limit.
+//! [`RecorderHandle`] share one `Arc<Mutex<EventLog>>`; attach the
+//! recorder, run, then call [`RecorderHandle::finish`] to take the log
+//! out. The log is bounded ([`Recorder::bounded`]) so tracing a long sweep
+//! cannot exhaust memory — but its per-kind counts and PE count are updated
+//! for *every* event, dropped or kept, so they stay exact past the buffer
+//! limit. Per-PE counts and distributions are the profiler's
+//! (`emx-profile`).
 
 use std::sync::{Arc, Mutex};
 
 use emx_core::{Cycle, PeId, Probe, TraceEvent, TraceKind};
 
-use crate::metrics::MetricsRegistry;
-
 /// A bounded log of trace events with exact per-kind counts.
 ///
 /// Once `capacity` events are stored, further events are counted (total,
-/// and per kind) but not kept; [`EventLog::dropped`] reports how many.
+/// per kind, and the PEs they came from) but not kept;
+/// [`EventLog::dropped`] reports how many.
 #[derive(Debug, Clone)]
 pub struct EventLog {
     events: Vec<TraceEvent>,
     capacity: usize,
     dropped: u64,
     counts: [u64; TraceKind::COUNT],
+    pes: usize,
 }
 
 impl EventLog {
@@ -36,11 +37,13 @@ impl EventLog {
             capacity,
             dropped: 0,
             counts: [0; TraceKind::COUNT],
+            pes: 0,
         }
     }
 
     fn push(&mut self, ev: TraceEvent) {
         self.counts[ev.kind.index()] += 1;
+        self.pes = self.pes.max(ev.pe.index() + 1);
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else {
@@ -72,43 +75,25 @@ impl EventLog {
     pub fn counts(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         TraceKind::NAMES.into_iter().zip(self.counts)
     }
-}
 
-/// Everything one run's observation produced: the (bounded) event log and
-/// the (exact) metrics registry.
-#[derive(Debug, Clone)]
-pub struct Observation {
-    /// The recorded event stream.
-    pub log: EventLog,
-    /// Aggregated counters, gauges and histograms.
-    pub metrics: MetricsRegistry,
-}
-
-impl Observation {
-    fn new(capacity: usize) -> Self {
-        Observation {
-            log: EventLog::new(capacity),
-            metrics: MetricsRegistry::new(),
-        }
-    }
-
-    fn observe(&mut self, at: Cycle, pe: PeId, kind: TraceKind) {
-        self.log.push(TraceEvent { at, pe, kind });
-        self.metrics.observe(at, pe, &kind);
+    /// Processors seen: the highest PE index of any event, kept or
+    /// dropped, plus one (0 for an empty log).
+    pub fn pes(&self) -> usize {
+        self.pes
     }
 }
 
 /// The probe half: attach to a machine with
 /// `machine.attach_probe(Box::new(recorder))`.
 pub struct Recorder {
-    inner: Arc<Mutex<Observation>>,
+    inner: Arc<Mutex<EventLog>>,
 }
 
 impl Recorder {
-    /// A recorder keeping at most `capacity` events (metrics stay exact
-    /// past the limit), plus the handle that retrieves the observation.
+    /// A recorder keeping at most `capacity` events (counts stay exact
+    /// past the limit), plus the handle that retrieves the log.
     pub fn bounded(capacity: usize) -> (Recorder, RecorderHandle) {
-        let inner = Arc::new(Mutex::new(Observation::new(capacity)));
+        let inner = Arc::new(Mutex::new(EventLog::new(capacity)));
         (
             Recorder {
                 inner: Arc::clone(&inner),
@@ -129,21 +114,22 @@ impl Probe for Recorder {
         self.inner
             .lock()
             .expect("recorder mutex poisoned")
-            .observe(at, pe, kind);
+            .push(TraceEvent { at, pe, kind });
     }
 }
 
 /// The retrieval half of a [`Recorder`].
 pub struct RecorderHandle {
-    inner: Arc<Mutex<Observation>>,
+    inner: Arc<Mutex<EventLog>>,
 }
 
 impl RecorderHandle {
-    /// Take the observation. Call after the run completes; the machine can
-    /// keep its (now inert) recorder attached.
-    pub fn finish(self) -> Observation {
-        let obs = self.inner.lock().expect("recorder mutex poisoned");
-        obs.clone()
+    /// Take the log out. Call after the run completes; the machine can
+    /// keep its (now inert) recorder attached, which counts into an empty
+    /// log that keeps nothing.
+    pub fn finish(self) -> EventLog {
+        let mut log = self.inner.lock().expect("recorder mutex poisoned");
+        std::mem::replace(&mut log, EventLog::new(0))
     }
 }
 
@@ -171,23 +157,23 @@ mod tests {
         }
         rec.on(
             Cycle::new(10),
-            PeId(0),
+            PeId(2),
             TraceKind::ThreadRetire {
                 frame: emx_core::FrameId(0),
             },
         );
-        let obs = handle.finish();
-        assert_eq!(obs.log.events().len(), 3);
-        assert_eq!(obs.log.dropped(), 8);
-        assert_eq!(obs.log.total(), 11);
+        let log = handle.finish();
+        assert_eq!(log.events().len(), 3);
+        assert_eq!(log.dropped(), 8);
+        assert_eq!(log.total(), 11);
         assert_eq!(
-            obs.log.count_of(&TraceKind::Dispatch {
+            log.count_of(&TraceKind::Dispatch {
                 pkt: PacketKind::Spawn
             }),
             10
         );
-        // Metrics also saw all eleven events.
-        assert_eq!(obs.metrics.pe(PeId(0)).unwrap().dispatches, 10);
+        // The PE count covers dropped events too.
+        assert_eq!(log.pes(), 3);
     }
 
     #[test]

@@ -1,12 +1,8 @@
 //! Edge cases of the observability layer: exact accounting at the event
-//! log's capacity boundary, histogram behaviour at bucket edges and at
-//! the extremes of the sample domain, and exporter determinism on an
-//! empty trace.
+//! log's capacity boundary, and exporter determinism on an empty trace.
 
 use emx_core::{Cycle, FrameId, PacketKind, PeId, Probe, TraceKind};
-use emx_obs::{
-    chrome_trace_json, events_csv, validate_chrome_trace, Histogram, Observation, Recorder,
-};
+use emx_obs::{chrome_trace_json, events_csv, validate_chrome_trace, EventLog, Recorder};
 
 fn dispatch() -> TraceKind {
     TraceKind::Dispatch {
@@ -19,7 +15,7 @@ fn retire() -> TraceKind {
 }
 
 /// Feed `dispatches` + `retires` events through a bounded recorder.
-fn overflowed(capacity: usize, dispatches: u64, retires: u64) -> Observation {
+fn overflowed(capacity: usize, dispatches: u64, retires: u64) -> EventLog {
     let (mut rec, handle) = Recorder::bounded(capacity);
     let mut t = 0;
     for _ in 0..dispatches {
@@ -35,88 +31,40 @@ fn overflowed(capacity: usize, dispatches: u64, retires: u64) -> Observation {
 
 #[test]
 fn event_log_overflow_counts_stay_exact_past_capacity() {
-    let obs = overflowed(5, 12, 3);
+    let log = overflowed(5, 12, 3);
     // Exactly `capacity` events kept, every overflow counted.
-    assert_eq!(obs.log.events().len(), 5);
-    assert_eq!(obs.log.dropped(), 10);
-    assert_eq!(obs.log.total(), 15);
+    assert_eq!(log.events().len(), 5);
+    assert_eq!(log.dropped(), 10);
+    assert_eq!(log.total(), 15);
     // Per-kind counts are exact even though 10 of the 15 were dropped.
-    assert_eq!(obs.log.count_of(&dispatch()), 12);
-    assert_eq!(obs.log.count_of(&retire()), 3);
-    let by_name: Vec<(&str, u64)> = obs.log.counts().filter(|&(_, c)| c > 0).collect();
+    assert_eq!(log.count_of(&dispatch()), 12);
+    assert_eq!(log.count_of(&retire()), 3);
+    let by_name: Vec<(&str, u64)> = log.counts().filter(|&(_, c)| c > 0).collect();
     assert_eq!(by_name, vec![("dispatch", 12), ("thread-retire", 3)]);
-    // The metrics registry sits in front of the log: also exact.
-    assert_eq!(obs.metrics.pe(PeId(0)).unwrap().dispatches, 12);
-    assert_eq!(obs.metrics.pe(PeId(0)).unwrap().retires, 3);
 }
 
 #[test]
 fn zero_capacity_log_keeps_nothing_but_counts_everything() {
-    let obs = overflowed(0, 7, 0);
-    assert_eq!(obs.log.events().len(), 0);
-    assert_eq!(obs.log.dropped(), 7);
-    assert_eq!(obs.log.total(), 7);
-    assert_eq!(obs.log.count_of(&dispatch()), 7);
+    let log = overflowed(0, 7, 0);
+    assert_eq!(log.events().len(), 0);
+    assert_eq!(log.dropped(), 7);
+    assert_eq!(log.total(), 7);
+    assert_eq!(log.count_of(&dispatch()), 7);
 }
 
 #[test]
 fn at_capacity_log_drops_nothing() {
-    let obs = overflowed(15, 12, 3);
-    assert_eq!(obs.log.events().len(), 15);
-    assert_eq!(obs.log.dropped(), 0);
-    assert_eq!(obs.log.total(), 15);
-}
-
-#[test]
-fn histogram_bounds_are_upper_inclusive_at_every_edge() {
-    // Bounds [0, 10]: a zero-valued bound is a legal bucket of its own.
-    let mut h = Histogram::with_bounds("edges", &[0, 10]);
-    h.record(0); // lands in <=0, not above it
-    h.record(10); // exactly the last bound: inside, not overflow
-    h.record(11); // one past the last bound: overflow
-    assert_eq!(h.count(), 3);
-    assert_eq!(h.sum(), 21);
-    assert_eq!(h.max(), 11);
-    assert_eq!(
-        h.buckets(),
-        vec![
-            ("<=0".to_string(), 1),
-            ("<=10".to_string(), 1),
-            (">10".to_string(), 1),
-        ]
-    );
-}
-
-#[test]
-fn histogram_handles_the_extremes_of_the_sample_domain() {
-    let mut h = Histogram::with_bounds("extremes", &[1]);
-    h.record(u64::MAX);
-    h.record(0);
-    assert_eq!(h.max(), u64::MAX);
-    assert_eq!(h.sum(), u64::MAX);
-    assert_eq!(
-        h.buckets(),
-        vec![("<=1".to_string(), 1), (">1".to_string(), 1)]
-    );
-}
-
-#[test]
-fn empty_histogram_renders_a_stable_canonical_line() {
-    let h = Histogram::with_bounds("void", &[4, 8]);
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.max(), 0);
-    assert_eq!(h.mean(), 0.0);
-    assert_eq!(
-        h.canonical_text_line(),
-        "hist void count=0 sum=0 max=0 buckets=0,0,0"
-    );
+    let log = overflowed(15, 12, 3);
+    assert_eq!(log.events().len(), 15);
+    assert_eq!(log.dropped(), 0);
+    assert_eq!(log.total(), 15);
 }
 
 #[test]
 fn empty_trace_exports_are_byte_deterministic_and_valid() {
     let empty = || Recorder::bounded(16).1.finish();
     let (a, b) = (empty(), empty());
-    assert_eq!(a.log.total(), 0);
+    assert_eq!(a.total(), 0);
 
     // Both exporters produce identical bytes for identical (empty) input.
     let json = chrome_trace_json(&a, 20_000_000);

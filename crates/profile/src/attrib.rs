@@ -1,7 +1,15 @@
-//! Per-PE time attribution: fold the event stream into an exact
-//! busy / context-switch / queue-wait / idle decomposition.
+//! The per-PE fold: exact event counts, the queue-depth and run-length
+//! histograms, and the busy / context-switch / queue-wait / idle
+//! decomposition of every processor's time.
 //!
-//! The fold leans on two `emx-trace/2` guarantees:
+//! Every per-PE quantity the report carries is counted here, once: the
+//! `events` line's counters (dispatches, sends, lifecycle events by kind
+//! and suspend cause, queue traffic, by-pass DMA services, network
+//! traffic, faults drawn at the injection port) and the two machine-wide
+//! distributions sampled per event — IBU depth at every enqueue, and the
+//! EXU run length from a dispatch to the first suspend or retire in it.
+//!
+//! The attribution leans on two `emx-trace/2` guarantees:
 //!
 //! * every `dispatch` has exactly one `dispatch-end`, stamped with the
 //!   cycle the runtime committed to `busy_until` — so the *occupied* span
@@ -28,6 +36,68 @@
 
 use emx_core::{CostModel, PacketKind, TraceKind};
 
+use crate::histogram::Histogram;
+
+/// Bucket bounds (upper-inclusive, packets) of the queue-depth histogram,
+/// sampled at every enqueue.
+const QUEUE_DEPTH_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
+
+/// Bucket bounds (upper-inclusive, cycles) of the run-length histogram:
+/// dispatch to suspend/retire, the R-cycle length of Figure 5.
+const RUN_LENGTH_BOUNDS: &[u64] = &[4, 8, 16, 32, 64, 128, 256, 512, 1024];
+
+/// Exact event counts of one processor, the report's `events` line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PeEvents {
+    /// Packets popped and acted on by the EXU.
+    pub dispatches: u64,
+    /// Packets injected from this processor's OBU.
+    pub sends: u64,
+    /// Threads instantiated here.
+    pub spawns: u64,
+    /// Suspended threads switched back onto the EXU.
+    pub resumes: u64,
+    /// Threads that left the EXU mid-R-cycle, by cause, indexed like
+    /// `SuspendCause::ALL`.
+    pub suspends: [u64; 5],
+    /// Threads that ran to completion and freed their frame.
+    pub retires: u64,
+    /// Packets that entered the IBU queue.
+    pub enqueues: u64,
+    /// Enqueues that overflowed (or were forced) to the on-memory buffer.
+    pub spills: u64,
+    /// Spilled packets restored at dispatch.
+    pub unspills: u64,
+    /// Remote accesses serviced by the by-pass DMA.
+    pub dma_services: u64,
+    /// Words moved by the by-pass DMA.
+    pub dma_words: u64,
+    /// Packets this processor injected into the network fabric.
+    pub net_injects: u64,
+    /// Network hops summed over this processor's injections.
+    pub net_hops: u64,
+    /// Packets the network ejected into this processor's IBU.
+    pub net_delivers: u64,
+    /// Gauge: deepest the IBU queue ever got (both priority classes).
+    pub max_queue_depth: u64,
+    /// Network faults drawn at this processor's injection port, indexed
+    /// like `FaultKind::ALL` (zero on fault-free networks).
+    pub faults: [u64; 3],
+}
+
+impl PeEvents {
+    /// Suspends of every cause.
+    pub fn total_suspends(&self) -> u64 {
+        self.suspends.iter().sum()
+    }
+
+    /// Lifecycle events: spawns, resumes, suspends and retires, each one
+    /// `context_switch` charge.
+    pub fn lifecycle(&self) -> u64 {
+        self.spawns + self.resumes + self.total_suspends() + self.retires
+    }
+}
+
 /// Attribution classes of one processor's wall-clock time, in cycles.
 /// `busy + switch + wait + idle == elapsed` by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,11 +123,15 @@ struct CurBurst {
     readresp: bool,
     spilled: bool,
     resumed: bool,
+    /// A thread already left the EXU (suspend or retire), ending the run
+    /// the run-length histogram times.
+    left: bool,
 }
 
 /// Streaming per-PE fold state.
 #[derive(Debug, Clone, Default)]
 struct PeFold {
+    events: PeEvents,
     /// Cycle of the last dispatch-end (mirror of the runtime's
     /// `busy_until`).
     last_end: u64,
@@ -75,33 +149,52 @@ struct PeFold {
     /// How many of those burstless spans started with an unspill (whose
     /// `ibu_spill` cycles belong to switching, not waiting).
     burstless_rr_spills: u64,
-    /// Event counters driving the cost-model reconstruction.
-    unspills: u64,
-    lifecycle: u64,
+    /// Barrier-protocol dispatches and sends, charged to switching.
     sync_dispatches: u64,
     sync_sends: u64,
     pending_unspill: bool,
 }
 
-/// Streaming fold of the whole machine's attribution.
-#[derive(Debug, Clone, Default)]
+/// A thread left the EXU at `at`: time the open burst's run, unless an
+/// earlier suspend or retire in the same burst already ended it.
+fn end_run(cur: &mut Option<CurBurst>, at: u64, run_length: &mut Histogram) {
+    if let Some(b) = cur.as_mut().filter(|b| !b.left) {
+        b.left = true;
+        run_length.record(at.saturating_sub(b.start));
+    }
+}
+
+/// Streaming fold of the whole machine's per-PE counts and attribution.
+#[derive(Debug, Clone)]
 pub struct AttribFold {
     pes: Vec<PeFold>,
+    /// IBU depth sampled at every enqueue, packets.
+    pub queue_depth: Histogram,
+    /// EXU run lengths: dispatch to the first suspend or retire, cycles.
+    pub run_length: Histogram,
+}
+
+impl Default for AttribFold {
+    fn default() -> Self {
+        AttribFold {
+            pes: Vec::new(),
+            queue_depth: Histogram::new("queue_depth_pkts", QUEUE_DEPTH_BOUNDS),
+            run_length: Histogram::new("run_length_cycles", RUN_LENGTH_BOUNDS),
+        }
+    }
 }
 
 impl AttribFold {
-    fn pe(&mut self, i: usize) -> &mut PeFold {
-        if i >= self.pes.len() {
-            self.pes.resize_with(i + 1, PeFold::default);
-        }
-        &mut self.pes[i]
-    }
-
     /// Fold one event.
     pub fn observe(&mut self, at: u64, pe: usize, kind: &TraceKind) {
-        let f = self.pe(pe);
+        if pe >= self.pes.len() {
+            self.pes.resize_with(pe + 1, PeFold::default);
+        }
+        let f = &mut self.pes[pe];
+        let n = &mut f.events;
         match *kind {
             TraceKind::Dispatch { pkt } => {
+                n.dispatches += 1;
                 let gap = at.saturating_sub(f.last_end);
                 if f.live > 0 {
                     f.wait += gap;
@@ -115,6 +208,7 @@ impl AttribFold {
                     readresp: pkt == PacketKind::ReadResp,
                     spilled,
                     resumed: false,
+                    left: false,
                 });
             }
             TraceKind::DispatchEnd => {
@@ -134,31 +228,56 @@ impl AttribFold {
                 f.last_end = at;
             }
             TraceKind::Unspill { .. } => {
-                f.unspills += 1;
+                n.unspills += 1;
                 f.pending_unspill = true;
             }
             TraceKind::ThreadSpawn { .. } => {
+                n.spawns += 1;
                 f.live += 1;
-                f.lifecycle += 1;
             }
             TraceKind::ThreadResume { .. } => {
-                f.lifecycle += 1;
+                n.resumes += 1;
                 if let Some(b) = f.cur.as_mut() {
                     b.resumed = true;
                 }
             }
-            TraceKind::ThreadSuspend { .. } => f.lifecycle += 1,
+            TraceKind::ThreadSuspend { cause, .. } => {
+                n.suspends[cause as usize] += 1;
+                end_run(&mut f.cur, at, &mut self.run_length);
+            }
             TraceKind::ThreadRetire { .. } => {
+                n.retires += 1;
                 f.live = f.live.saturating_sub(1);
-                f.lifecycle += 1;
+                end_run(&mut f.cur, at, &mut self.run_length);
             }
             TraceKind::Send { pkt, .. } => {
+                n.sends += 1;
                 if matches!(pkt, PacketKind::SyncArrive | PacketKind::SyncRelease) {
                     f.sync_sends += 1;
                 }
             }
-            _ => {}
+            TraceKind::Enqueue { spilled, depth, .. } => {
+                n.enqueues += 1;
+                n.spills += u64::from(spilled);
+                n.max_queue_depth = n.max_queue_depth.max(depth as u64);
+                self.queue_depth.record(depth as u64);
+            }
+            TraceKind::DmaService { words, .. } => {
+                n.dma_services += 1;
+                n.dma_words += u64::from(words);
+            }
+            TraceKind::NetInject { hops, .. } => {
+                n.net_injects += 1;
+                n.net_hops += u64::from(hops);
+            }
+            TraceKind::NetDeliver { .. } => n.net_delivers += 1,
+            TraceKind::FaultInjected { fault, .. } => n.faults[fault as usize] += 1,
         }
+    }
+
+    /// Exact event counts of processor `pe` (all zero if it emitted none).
+    pub fn events(&self, pe: usize) -> PeEvents {
+        self.pes.get(pe).map(|f| f.events).unwrap_or_default()
     }
 
     /// Number of processors that emitted at least one event.
@@ -175,8 +294,8 @@ impl AttribFold {
                 ..PeAttribution::default()
             };
         };
-        let switch = u64::from(costs.ibu_spill) * f.unspills
-            + u64::from(costs.context_switch) * f.lifecycle
+        let switch = u64::from(costs.ibu_spill) * f.events.unspills
+            + u64::from(costs.context_switch) * f.events.lifecycle()
             + 2 * f.sync_dispatches
             + u64::from(costs.send_packet) * f.sync_sends;
         let comm_in_burst = f

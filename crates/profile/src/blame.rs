@@ -23,7 +23,9 @@
 //! contiguously. Fault injection breaks pairings deliberately: dropped
 //! packets pop their in-flight entry, duplicates thread an opaque marker
 //! through the server and back, and any chain left with a hole is counted
-//! in `unmatched` rather than guessed at. On a fault-free run every
+//! in `unmatched` rather than guessed at. Its suspend→resume latency still
+//! lands in `read_total`, which times every single-word read; the phase
+//! histograms cover matched reads only. On a fault-free run every
 //! single-word read matches and the histograms are exact.
 //!
 //! Block reads (`ReadBlock`) are timed end-to-end only (`block_total`):
@@ -33,7 +35,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use emx_core::{FaultKind, PacketKind, SuspendCause, TraceKind};
-use emx_obs::Histogram;
+
+use crate::histogram::Histogram;
 
 /// Number of blame phases of a single-word remote read.
 pub const NUM_PHASES: usize = 6;
@@ -120,8 +123,6 @@ pub struct BlameCounters {
     /// Outbound read injects with no suspended thread awaiting a send —
     /// fault-tolerance retries.
     pub retry_sends: u64,
-    /// Fault injections observed, indexed [drop, dup, delay].
-    pub faults: [u64; 3],
 }
 
 /// Streaming fold of remote-read blame.
@@ -135,9 +136,10 @@ pub struct BlameFold {
     resp_inflight: HashMap<(usize, usize), VecDeque<RespEntry>>,
     last_dispatch: HashMap<usize, u64>,
     pub counters: BlameCounters,
-    /// Per-phase waiting-cycle histograms, pipeline order.
+    /// Per-phase waiting-cycle histograms, pipeline order; matched reads
+    /// only.
     pub phases: [Histogram; NUM_PHASES],
-    /// End-to-end single-word read latency.
+    /// End-to-end single-word read latency of every read, matched or not.
     pub total: Histogram,
     /// End-to-end block read latency.
     pub block_total: Histogram,
@@ -155,9 +157,9 @@ impl Default for BlameFold {
             resp_inflight: HashMap::new(),
             last_dispatch: HashMap::new(),
             counters: BlameCounters::default(),
-            phases: PHASE_HIST_NAMES.map(|n| Histogram::with_bounds(n, LATENCY_BOUNDS)),
-            total: Histogram::with_bounds("read_total", LATENCY_BOUNDS),
-            block_total: Histogram::with_bounds("block_total", LATENCY_BOUNDS),
+            phases: PHASE_HIST_NAMES.map(|n| Histogram::new(n, LATENCY_BOUNDS)),
+            total: Histogram::new("read_total", LATENCY_BOUNDS),
+            block_total: Histogram::new("block_total", LATENCY_BOUNDS),
             hops_sum: 0,
         }
     }
@@ -331,6 +333,7 @@ impl BlameFold {
 
     fn on_resume(&mut self, at: u64, pe: usize, frame: u16) {
         if let Some(c) = self.open.remove(&(pe, frame)) {
+            self.total.record(at.saturating_sub(c.suspend));
             let (Some(inject), Some(req_deliver), Some(resp_inject), Some(resp_deliver)) =
                 (c.inject, c.req_deliver, c.resp_inject, c.resp_deliver)
             else {
@@ -351,7 +354,6 @@ impl BlameFold {
                 self.phases[i].record(m - prev);
                 prev = *m;
             }
-            self.total.record(at.saturating_sub(c.suspend));
             self.hops_sum += c.hops;
             self.counters.matched += 1;
         } else if let Some(t0) = self.block_open.remove(&(pe, frame)) {
@@ -363,11 +365,6 @@ impl BlameFold {
     }
 
     fn on_fault(&mut self, src: usize, dst: usize, pkt: PacketKind, fault: FaultKind) {
-        self.counters.faults[match fault {
-            FaultKind::Drop => 0,
-            FaultKind::Dup => 1,
-            FaultKind::Delay => 2,
-        }] += 1;
         let read_req = matches!(pkt, PacketKind::ReadReq | PacketKind::ReadBlockReq);
         let read_resp = pkt == PacketKind::ReadResp;
         match fault {

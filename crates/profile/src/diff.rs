@@ -1,4 +1,4 @@
-//! Comparing two `emx-profile/1` reports: the drift gate behind
+//! Comparing two `emx-profile/2` reports: the drift gate behind
 //! `emx-cli profile-diff`, a field list over [`emx_stats::diff`].
 //!
 //! The comparison is deliberately narrow — it checks the handful of

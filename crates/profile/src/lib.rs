@@ -7,22 +7,26 @@
 //! it, run, settle. No event is buffered; memory is bounded by machine
 //! size, not run length.
 //!
-//! Three analyses come out of one pass:
+//! It is the one fold of the trace stream. Four results come out of one
+//! pass:
 //!
-//! 1. **Per-PE time attribution** ([`attrib`]) — every cycle of every
+//! 1. **Per-PE event counts** ([`attrib`]) — dispatches, sends, lifecycle
+//!    events by kind and suspend cause, queue, DMA and network traffic,
+//!    and faults, plus the IBU queue-depth and EXU run-length histograms.
+//! 2. **Per-PE time attribution** ([`attrib`]) — every cycle of every
 //!    processor classified busy / switch / wait / idle from
 //!    dispatch→dispatch-end spans and lifecycle events, checked against
 //!    the counter-based Figure 8 breakdown to within the report's
 //!    `xval` ppm figures.
-//! 2. **Remote-read latency blame** ([`blame`]) — each suspend→resume
+//! 3. **Remote-read latency blame** ([`blame`]) — each suspend→resume
 //!    round trip split into six pipeline phases (inject, request
 //!    transit, DMA service, response transit, response queue, resume)
 //!    with per-phase histograms naming the dominant stall source.
-//! 3. **Critical-path extraction** ([`critical`]) — the longest
+//! 4. **Critical-path extraction** ([`critical`]) — the longest
 //!    dependency chain through spawns, reads, and synchronization,
 //!    reported as ranked category segments with makespan share.
 //!
-//! Results ship as a digest-stamped `emx-profile/1` report ([`report`]):
+//! Results ship as a digest-stamped `emx-profile/2` report ([`report`]):
 //! canonical text (byte-deterministic, integer-only) plus a JSON twin,
 //! both carrying the same FNV-1a-128 digest. [`diff`] compares two
 //! reports with the shared [`emx_stats::diff`] comparator and gates on
@@ -35,13 +39,15 @@ pub mod attrib;
 pub mod blame;
 pub mod critical;
 pub mod diff;
+pub mod histogram;
 pub mod profiler;
 pub mod report;
 
-pub use attrib::{AttribFold, PeAttribution};
+pub use attrib::{AttribFold, PeAttribution, PeEvents};
 pub use blame::{BlameCounters, BlameFold, NUM_PHASES, PHASE_NAMES};
 pub use critical::{ChainRec, CritFold, CriticalPath, CAT_NAMES, NUM_CATS};
 pub use diff::{diff_profiles, DEFAULT_THRESHOLD_PPM};
+pub use histogram::Histogram;
 pub use profiler::{Profiler, ProfilerHandle};
 pub use report::{
     parse_text, ppm, BlameSummary, CritSummary, ParsedProfile, PeProfile, ProfileReport,
@@ -200,11 +206,53 @@ mod tests {
         assert_eq!(rep.blame.counters.unmatched, 0);
         let phase_sum: u64 = rep.blame.phases.iter().map(|h| h.sum()).sum();
         assert_eq!(phase_sum, 29); // 129 − 100, exactly
+        assert_eq!(rep.blame.total.count(), 1);
         assert_eq!(rep.blame.total.max(), 29);
         // inject=3, req-transit=5, service=4, resp-transit=5,
         // resp-queue=8, resume=4 → dominant is resp-queue (index 4).
         assert_eq!(rep.blame.dominant, Some(4));
         assert_eq!(PHASE_NAMES[4], "resp-queue");
+    }
+
+    /// A read is timed from its frame's suspend to that frame's resume:
+    /// another frame resuming first does not take the sample, and a
+    /// barrier suspend is not a read. Without blame marks the round trip
+    /// is unmatched, timed end to end outside the phases.
+    #[test]
+    fn read_latency_pairs_suspend_with_resume() {
+        let (mut p, handle) = Profiler::new(CostModel::default());
+        ev(
+            &mut p,
+            10,
+            0,
+            TraceKind::ThreadSuspend {
+                frame: FrameId(2),
+                cause: SuspendCause::RemoteRead,
+            },
+        );
+        ev(&mut p, 15, 0, TraceKind::ThreadResume { frame: FrameId(7) });
+        ev(&mut p, 74, 0, TraceKind::ThreadResume { frame: FrameId(2) });
+        ev(
+            &mut p,
+            80,
+            0,
+            TraceKind::ThreadSuspend {
+                frame: FrameId(3),
+                cause: SuspendCause::Barrier,
+            },
+        );
+        ev(&mut p, 99, 0, TraceKind::ThreadResume { frame: FrameId(3) });
+
+        let run = RunReport {
+            elapsed: Cycle(100),
+            clock_hz: 1,
+            ..RunReport::default()
+        };
+        let rep = handle.finish(&run);
+        assert_eq!(rep.blame.total.count(), 1);
+        assert_eq!(rep.blame.total.sum(), 64);
+        assert_eq!(rep.blame.counters.unmatched, 1);
+        assert!(rep.blame.phases.iter().all(|h| h.count() == 0));
     }
 
     /// A dropped request un-threads its in-flight entry; the resume (from
@@ -299,9 +347,14 @@ mod tests {
         let rep = handle.finish(&run);
         assert_eq!(rep.blame.counters.matched, 0);
         assert_eq!(rep.blame.counters.retry_sends, 1);
-        assert_eq!(rep.blame.counters.faults, [1, 0, 0]);
-        // The broken chain surfaced as unmatched (missing marks).
+        assert_eq!(rep.faults(), [1, 0, 0]);
+        assert_eq!(rep.pes[0].events.faults, [1, 0, 0]);
+        // The broken chain surfaced as unmatched (missing marks), and its
+        // round trip is still timed end to end, outside the phases.
         assert_eq!(rep.blame.counters.unmatched, 1);
+        assert_eq!(rep.blame.total.count(), 1);
+        assert_eq!(rep.blame.total.sum(), 89);
+        assert!(rep.blame.phases.iter().all(|h| h.count() == 0));
     }
 
     /// Spawn lineage threads chains through the network: the child's
@@ -423,7 +476,7 @@ mod tests {
         rep.meta.push(("workload".into(), "unit".into()));
 
         let text = rep.canonical_text();
-        assert!(text.starts_with("emx-profile/1\n"));
+        assert!(text.starts_with("emx-profile/2\n"));
         let last = text.lines().last().unwrap();
         assert!(last.starts_with("digest: "), "ends with the digest line");
         assert_eq!(last.len(), "digest: ".len() + 32);
@@ -442,10 +495,19 @@ mod tests {
         let err = parse_text(&tampered).unwrap_err();
         assert!(err.contains("digest mismatch"), "got: {err}");
 
+        // Lines appended after the digest line do not override the
+        // verified ones: the report is rejected.
+        let appended = format!(
+            "{text}share busy_ppm=1 switch_ppm=2 wait_ppm=3 idle_ppm=4\n\
+             run elapsed=999 clock_hz=1 pes=7\n"
+        );
+        let err = parse_text(&appended).unwrap_err();
+        assert!(err.contains("after the digest line"), "got: {err}");
+
         // JSON twin embeds the same digest.
         let json = rep.to_json();
         assert!(json.contains(&format!("\"digest\": \"{}\"", rep.digest())));
-        assert!(json.contains("\"schema\": \"emx-profile/1\""));
+        assert!(json.contains("\"schema\": \"emx-profile/2\""));
     }
 
     fn parsed(elapsed: u64) -> ParsedProfile {

@@ -1,5 +1,5 @@
 //! The [`Profiler`]: a [`Probe`] that folds the event stream into the
-//! three profile analyses as the machine runs.
+//! per-PE counts and the three profile analyses as the machine runs.
 //!
 //! The fold is streaming with bounded memory: no event is buffered. State
 //! grows only with machine size (PEs × frame slots, plus in-flight
@@ -112,6 +112,7 @@ impl ProfilerHandle {
                 xval_max = xval_max.max(xval_ppm[c]);
             }
             pes.push(PeProfile {
+                events: st.attrib.events(i),
                 attrib,
                 counter,
                 xval_ppm,
@@ -151,6 +152,8 @@ impl ProfilerHandle {
             counter_shares_ppm,
             xval_max_ppm: xval_max,
             blame,
+            queue_depth: st.attrib.queue_depth.clone(),
+            run_length: st.attrib.run_length.clone(),
             critical,
         }
     }

@@ -1,17 +1,17 @@
-//! The `emx-profile/1` report: canonical text, JSON twin, and parser.
+//! The `emx-profile/2` report: canonical text, JSON twin, and parser.
 //!
 //! The canonical text is the normative format. It is line-oriented,
 //! integer-only (shares are parts-per-million, never floats), and ends
 //! with a `digest: <32 hex>` line — the FNV-1a-128 digest of every byte
 //! above it. Two runs produced the same profile iff the files compare
-//! byte-equal; a report was not hand-edited iff the digest re-computes.
-//! The JSON twin embeds the same digest so either artifact can vouch for
-//! the other.
+//! byte-equal; a report was not hand-edited iff the digest re-computes,
+//! and nothing may follow the digest line. The JSON twin embeds the same
+//! digest so either artifact can vouch for the other.
 //!
 //! Line grammar (order fixed; `#` never appears — there are no comments):
 //!
 //! ```text
-//! emx-profile/1
+//! emx-profile/2
 //! meta <key>=<value>                        (zero or more, caller order)
 //! run elapsed=E clock_hz=H pes=P
 //! share busy_ppm=.. switch_ppm=.. wait_ppm=.. idle_ppm=..
@@ -19,10 +19,11 @@
 //! attr pe=N busy=.. switch=.. wait=.. idle=.. occupied=..   (per PE)
 //! counter pe=N busy=.. switch=.. wait=.. idle=..            (per PE)
 //! xval pe=N busy_ppm=.. switch_ppm=.. wait_ppm=.. idle_ppm=..
+//! events pe=N dispatches=.. sends=.. .. suspend[<cause>]=.. fault[<kind>]=..
 //! xval max_ppm=N
 //! blame matched=.. block=.. unmatched=.. retries=.. drop=.. dup=..
 //!       delay=.. mean_hops_milli=.. dominant=<phase|none>   (one line)
-//! hist read_total ...                                        (8 lines)
+//! hist read_total ...                                       (10 lines)
 //! crit end=.. root=.. span=.. depth=.. share_ppm=..   (or `crit none`)
 //! crit-seg cat=<name> cycles=.. count=.. share_ppm=..  (ranked desc)
 //! digest: <32 hex>
@@ -32,16 +33,21 @@
 //! (`elapsed × pes`); per-PE `xval` deltas in `elapsed`. The `share` line
 //! is the contract `profile-diff` checks drift against.
 
-use emx_obs::Histogram;
+use emx_core::{FaultKind, SuspendCause};
 use emx_stats::digest::digest_hex;
 use emx_stats::json::quote;
 
-use crate::attrib::PeAttribution;
+use crate::attrib::{PeAttribution, PeEvents};
 use crate::blame::{BlameCounters, NUM_PHASES, PHASE_NAMES};
 use crate::critical::{CAT_NAMES, NUM_CATS};
+use crate::histogram::Histogram;
 
 /// Schema tag of the profile report format.
-pub const PROFILE_SCHEMA: &str = "emx-profile/1";
+///
+/// `emx-profile/2` added the per-PE `events` lines and the
+/// `queue_depth_pkts` and `run_length_cycles` histograms, and times every
+/// single-word read in `read_total`, matched or not.
+pub const PROFILE_SCHEMA: &str = "emx-profile/2";
 
 /// Attribution class labels, reporting order.
 pub const CLASS_NAMES: [&str; 4] = ["busy", "switch", "wait", "idle"];
@@ -51,10 +57,12 @@ pub fn ppm(x: u64, denom: u64) -> u64 {
     ((u128::from(x) * 1_000_000) / u128::from(denom.max(1))) as u64
 }
 
-/// One processor's profile: trace-side attribution, counter-side
-/// breakdown, and their disagreement.
+/// One processor's profile: event counts, trace-side attribution,
+/// counter-side breakdown, and their disagreement.
 #[derive(Debug, Clone, Copy)]
 pub struct PeProfile {
+    /// Exact event counts.
+    pub events: PeEvents,
     /// Trace-derived attribution.
     pub attrib: PeAttribution,
     /// Counter-derived Figure 8 classes `[busy, switch, wait, idle]`.
@@ -72,9 +80,9 @@ pub struct BlameSummary {
     pub dominant: Option<usize>,
     /// Mean hops of matched reads, thousandths.
     pub mean_hops_milli: u64,
-    /// Per-phase waiting histograms, pipeline order.
+    /// Per-phase waiting histograms of matched reads, pipeline order.
     pub phases: Vec<Histogram>,
-    /// End-to-end single-word latency.
+    /// End-to-end latency of every single-word read.
     pub total: Histogram,
     /// End-to-end block latency.
     pub block_total: Histogram,
@@ -98,7 +106,7 @@ pub struct CritSummary {
     pub segments: Vec<(usize, u64, u64, u64)>,
 }
 
-/// A complete `emx-profile/1` report.
+/// A complete `emx-profile/2` report.
 #[derive(Debug, Clone)]
 pub struct ProfileReport {
     /// Free-form provenance (workload, parameters, seed...), caller order.
@@ -118,11 +126,57 @@ pub struct ProfileReport {
     pub xval_max_ppm: u64,
     /// Remote-read blame.
     pub blame: BlameSummary,
+    /// IBU depth sampled at every enqueue, packets.
+    pub queue_depth: Histogram,
+    /// EXU run lengths, dispatch to the first suspend or retire, cycles.
+    pub run_length: Histogram,
     /// Critical path, absent when no thread retired.
     pub critical: Option<CritSummary>,
 }
 
+/// The `events` line's `key=value` pairs, in line order.
+fn event_fields(e: &PeEvents) -> Vec<(String, u64)> {
+    let mut fields: Vec<(String, u64)> = [
+        ("dispatches", e.dispatches),
+        ("sends", e.sends),
+        ("spawns", e.spawns),
+        ("resumes", e.resumes),
+        ("suspends", e.total_suspends()),
+        ("retires", e.retires),
+        ("enqueues", e.enqueues),
+        ("spills", e.spills),
+        ("unspills", e.unspills),
+        ("dma_services", e.dma_services),
+        ("dma_words", e.dma_words),
+        ("net_injects", e.net_injects),
+        ("net_hops", e.net_hops),
+        ("net_delivers", e.net_delivers),
+        ("max_queue_depth", e.max_queue_depth),
+    ]
+    .map(|(k, v)| (k.to_string(), v))
+    .into();
+    for (cause, n) in SuspendCause::ALL.iter().zip(e.suspends) {
+        fields.push((format!("suspend[{}]", cause.label()), n));
+    }
+    for (fault, n) in FaultKind::ALL.iter().zip(e.faults) {
+        fields.push((format!("fault[{}]", fault.label()), n));
+    }
+    fields
+}
+
 impl ProfileReport {
+    /// Faults drawn machine-wide, `[drop, dup, delay]`: the per-PE counts
+    /// summed.
+    pub fn faults(&self) -> [u64; 3] {
+        let mut total = [0; 3];
+        for p in &self.pes {
+            for (t, n) in total.iter_mut().zip(p.events.faults) {
+                *t += n;
+            }
+        }
+        total
+    }
+
     /// The canonical text *without* the digest line.
     pub fn canonical_body(&self) -> String {
         let mut s = String::with_capacity(4096);
@@ -163,10 +217,16 @@ impl ProfileReport {
                 s.push_str(&format!(" {name}_ppm={v}"));
             }
             s.push('\n');
+            s.push_str(&format!("events pe={i}"));
+            for (k, v) in event_fields(&p.events) {
+                s.push_str(&format!(" {k}={v}"));
+            }
+            s.push('\n');
         }
         s.push_str(&format!("xval max_ppm={}\n", self.xval_max_ppm));
         let b = &self.blame;
         let c = &b.counters;
+        let faults = self.faults();
         s.push_str(&format!(
             "blame matched={} block={} unmatched={} retries={} drop={} dup={} delay={} \
              mean_hops_milli={} dominant={}\n",
@@ -174,20 +234,21 @@ impl ProfileReport {
             c.block_matched,
             c.unmatched,
             c.retry_sends,
-            c.faults[0],
-            c.faults[1],
-            c.faults[2],
+            faults[0],
+            faults[1],
+            faults[2],
             b.mean_hops_milli,
             b.dominant.map_or("none", |i| PHASE_NAMES[i]),
         ));
-        s.push_str(&b.total.canonical_text_line());
-        s.push('\n');
-        for h in &b.phases {
-            s.push_str(&h.canonical_text_line());
+        let hists = std::iter::once(&b.total).chain(&b.phases).chain([
+            &b.block_total,
+            &self.queue_depth,
+            &self.run_length,
+        ]);
+        for h in hists {
+            s.push_str(&h.canonical_line());
             s.push('\n');
         }
-        s.push_str(&b.block_total.canonical_text_line());
-        s.push('\n');
         match &self.critical {
             None => s.push_str("crit none\n"),
             Some(cr) => {
@@ -248,13 +309,18 @@ impl ProfileReport {
         s.push_str("  \"pes\": [\n");
         for (i, p) in self.pes.iter().enumerate() {
             let a = &p.attrib;
+            let events: Vec<String> = event_fields(&p.events)
+                .iter()
+                .map(|(k, v)| format!("{}: {v}", quote(k)))
+                .collect();
             s.push_str(&format!(
                 "    {{\"pe\": {i}, \"attrib\": {}, \"occupied\": {}, \"counter\": {}, \
-                 \"xval_ppm\": {}}}{}\n",
+                 \"xval_ppm\": {}, \"events\": {{{}}}}}{}\n",
                 json_classes(&[a.busy, a.switch, a.wait, a.idle]),
                 a.occupied,
                 json_classes(&p.counter),
                 json_classes(&p.xval_ppm),
+                events.join(", "),
                 if i + 1 < self.pes.len() { "," } else { "" }
             ));
         }
@@ -262,6 +328,7 @@ impl ProfileReport {
         s.push_str(&format!("  \"xval_max_ppm\": {},\n", self.xval_max_ppm));
         let b = &self.blame;
         let c = &b.counters;
+        let faults = self.faults();
         s.push_str("  \"blame\": {\n");
         s.push_str(&format!(
             "    \"matched\": {}, \"block_matched\": {}, \"unmatched\": {}, \"retries\": {},\n",
@@ -269,7 +336,7 @@ impl ProfileReport {
         ));
         s.push_str(&format!(
             "    \"faults\": {{\"drop\": {}, \"dup\": {}, \"delay\": {}}},\n",
-            c.faults[0], c.faults[1], c.faults[2]
+            faults[0], faults[1], faults[2]
         ));
         s.push_str(&format!(
             "    \"mean_hops_milli\": {}, \"dominant\": {},\n",
@@ -290,6 +357,11 @@ impl ProfileReport {
         s.push_str(&format!(
             "    \"block_total\": {}\n  }},\n",
             json_hist(&b.block_total)
+        ));
+        s.push_str(&format!(
+            "  \"queue_depth\": {},\n  \"run_length\": {},\n",
+            json_hist(&self.queue_depth),
+            json_hist(&self.run_length)
         ));
         match &self.critical {
             None => s.push_str("  \"critical\": null,\n"),
@@ -377,11 +449,11 @@ fn field_u64(line: &str, key: &str, what: &str) -> Result<u64, String> {
         .map_err(|_| format!("non-integer {key}= on {what} line"))
 }
 
-/// Parse and integrity-check a canonical `emx-profile/1` text report.
+/// Parse and integrity-check a canonical `emx-profile/2` text report.
 ///
-/// Errors on: wrong schema tag, missing sections, non-integer fields, or
-/// a digest line that does not match the bytes above it (a hand-edited or
-/// truncated report).
+/// Errors on: wrong schema tag, missing sections, non-integer fields, a
+/// line after the digest line, or a digest that does not match the bytes
+/// above it (a hand-edited or truncated report).
 pub fn parse_text(text: &str) -> Result<ParsedProfile, String> {
     let mut lines = text.lines();
     let schema = lines.next().ok_or("empty report")?;
@@ -398,6 +470,9 @@ pub fn parse_text(text: &str) -> Result<ParsedProfile, String> {
     let mut crit_share = 0;
     let mut digest = None;
     for line in lines {
+        if digest.is_some() {
+            return Err(format!("line after the digest line: {line:?}"));
+        }
         if let Some(rest) = line.strip_prefix("meta ") {
             if let Some((k, v)) = rest.split_once('=') {
                 meta.push((k.to_string(), v.to_string()));
@@ -427,7 +502,9 @@ pub fn parse_text(text: &str) -> Result<ParsedProfile, String> {
     if digest.len() != 32 || !digest.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(format!("malformed digest {digest:?}"));
     }
-    let body_end = text.find("digest: ").ok_or("missing digest line")?;
+    // The digest line is the last line, so its bytes start after the
+    // body's final newline.
+    let body_end = text.rfind("\ndigest: ").ok_or("missing digest line")? + 1;
     let actual = digest_hex(&text[..body_end]);
     if actual != digest {
         return Err(format!(

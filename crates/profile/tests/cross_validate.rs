@@ -3,8 +3,9 @@
 //! elapsed time, per processor and per class, on the paper's workloads at
 //! P = 16 — and the report artifacts must be byte-deterministic.
 
-use emx_core::MachineConfig;
-use emx_profile::{diff_profiles, parse_text, Profiler, DEFAULT_THRESHOLD_PPM};
+use emx_core::{FaultSpec, MachineConfig};
+use emx_profile::{diff_profiles, parse_text, Profiler, DEFAULT_THRESHOLD_PPM, PROFILE_SCHEMA};
+use emx_stats::json::{parse_json, JsonValue};
 use emx_stats::{RunReport, Verdict};
 use emx_workloads::{run, FftParams, SortParams};
 
@@ -118,12 +119,69 @@ fn profile_reports_are_byte_deterministic_and_self_consistent() {
 }
 
 #[test]
+fn json_twin_parses_and_carries_the_per_pe_events_and_histograms() {
+    let (rep, _) = profile_fft(16 * 256, 4);
+    let doc = parse_json(&rep.to_json()).expect("the JSON twin parses");
+    let num = |v: Option<&JsonValue>| v.and_then(JsonValue::as_num).map(|n| n as u64);
+    assert_eq!(
+        doc.get("schema").and_then(JsonValue::as_str),
+        Some(PROFILE_SCHEMA)
+    );
+    let pes = doc.get("pes").and_then(JsonValue::as_arr).unwrap();
+    assert_eq!(pes.len(), rep.pes.len());
+    for (json, pe) in pes.iter().zip(&rep.pes) {
+        let events = json.get("events").expect("an events object per PE");
+        assert_eq!(num(events.get("dispatches")), Some(pe.events.dispatches));
+        assert_eq!(num(events.get("net_hops")), Some(pe.events.net_hops));
+        assert_eq!(
+            num(events.get("suspend[remote-read]")),
+            Some(pe.events.suspends[0])
+        );
+        assert_eq!(num(events.get("fault[delay]")), Some(0));
+    }
+    for (key, h) in [
+        ("queue_depth", &rep.queue_depth),
+        ("run_length", &rep.run_length),
+    ] {
+        let json = doc.get(key).expect("histogram present");
+        assert_eq!(json.get("name").and_then(JsonValue::as_str), Some(h.name()));
+        assert_eq!(num(json.get("count")), Some(h.count()));
+        assert_eq!(num(json.get("sum")), Some(h.sum()));
+    }
+    assert_eq!(
+        doc.get("digest").and_then(JsonValue::as_str),
+        Some(rep.digest().as_str())
+    );
+}
+
+#[test]
 fn blame_phases_reconstruct_every_matched_read_exactly() {
     let (rep, _) = profile_fft(16 * 256, 2);
     // Per-read phase decomposition is exact: summed over all matched
     // reads, the six phases add up to the summed end-to-end latency.
     let phase_sum: u64 = rep.blame.phases.iter().map(|h| h.sum()).sum();
     assert_eq!(phase_sum, rep.blame.total.sum());
+    for h in rep.blame.phases.iter() {
+        assert_eq!(h.count(), rep.blame.counters.matched, "{}", h.name());
+    }
+}
+
+#[test]
+fn faulted_reads_are_all_timed_and_only_matched_ones_are_split() {
+    // At 2% loss a dropped packet breaks some reads' mark chains. Their
+    // suspend→resume round trips still land in `read_total`; the phase
+    // histograms keep to the reads with every mark.
+    let mut c = cfg(8);
+    c.faults = Some(FaultSpec::with_loss(7, 20_000));
+    let (probe, handle) = Profiler::new(c.costs);
+    let out = run(&c, &SortParams::new(1024, 2), |m| {
+        m.attach_probe(Box::new(probe));
+    })
+    .unwrap();
+    let rep = handle.finish(&out.report);
+    assert_eq!(rep.blame.total.count(), 4_671);
+    assert_eq!(rep.blame.total.sum(), 211_537);
+    assert_eq!(rep.blame.counters.matched, 4_496);
     for h in rep.blame.phases.iter() {
         assert_eq!(h.count(), rep.blame.counters.matched, "{}", h.name());
     }

@@ -616,9 +616,9 @@ impl Machine {
     }
 
     /// Attach an observability probe. The probe receives every trace
-    /// event (unbounded — the probe owns its retention policy), so
-    /// exporters and metrics registries (`emx-obs`) can observe a run
-    /// without the machine holding their storage. With no probe attached
+    /// event (unbounded — the probe owns its retention policy), so the
+    /// recorder (`emx-obs`) and the profiler (`emx-profile`) can observe a
+    /// run without the machine holding their storage. With no probe attached
     /// every emission site is a single `None` check and no event is built.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe + Send>) {
         self.probe = Some(probe);

@@ -1,5 +1,5 @@
 //! The drift comparator behind the report gate: `profile-diff`
-//! (`emx-profile/1`) is a field list over [`Diff`]. Equal quantities
+//! (`emx-profile/2`) is a field list over [`Diff`]. Equal quantities
 //! record nothing, and the worst recorded entry is the [`Verdict`].
 //! `docs/OBSERVABILITY.md` § "Drift gate" gives the rules and the exit
 //! codes the CLI maps verdicts to.

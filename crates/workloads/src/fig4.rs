@@ -281,7 +281,7 @@ mod tests {
         let (rec, handle) = Recorder::bounded(4096);
         m.attach_probe(Box::new(rec));
         m.run().unwrap();
-        handle.finish().log
+        handle.finish()
     }
 
     #[test]

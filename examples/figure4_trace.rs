@@ -21,16 +21,16 @@ fn main() {
     let (rec, handle) = Recorder::unbounded();
     m.attach_probe(Box::new(rec));
     let report = m.run().unwrap();
-    let obs = handle.finish();
+    let log = handle.finish();
 
     println!("Figure 4 rebuilt: 2 PEs x 2 threads, 8 elements, one merge step\n");
-    for e in obs.log.events() {
+    for e in log.events() {
         println!("{e}");
     }
     println!(
         "\n{} events ({} dropped); elapsed {} = {:.2} µs",
-        obs.log.total(),
-        obs.log.dropped(),
+        log.total(),
+        log.dropped(),
         report.elapsed,
         report.elapsed.as_emx_micros()
     );
@@ -38,13 +38,13 @@ fn main() {
     // The machine-checked version of the paper's narration: spawns first,
     // reads resume FIFO t0,t1,t0,t1, an all-suspended window before the
     // first response, merges retire in thread order.
-    let summary = fig4::check_schedule(obs.log.events()).unwrap();
+    let summary = fig4::check_schedule(log.events()).unwrap();
     println!(
         "\nschedule check: OK — data resumes {:?}, retires {:?}",
         summary.data_resumes, summary.retires
     );
 
-    let json = chrome_trace_json(&obs, report.clock_hz);
+    let json = chrome_trace_json(&log, report.clock_hz);
     let out = std::env::temp_dir().join("emx_figure4.json");
     std::fs::write(&out, &json).unwrap();
     println!(

@@ -17,7 +17,7 @@ fn emx_cli(args: &[&str]) -> Output {
 
 #[test]
 fn stencil_runs_at_every_subcommand_default() {
-    for cmd in ["run", "trace", "metrics", "profile"] {
+    for cmd in ["run", "trace", "profile"] {
         let out = emx_cli(&[cmd, "stencil"]);
         assert_eq!(
             out.status.code(),
@@ -40,8 +40,8 @@ fn explicit_out_of_range_threads_still_fail() {
             "h=2 must be in 1..=1 (one band row minimum)",
         ),
         (
-            &["metrics", "stencil", "--threads", "2"][..],
-            "h=2 must be in 1..=1 (one band row minimum)",
+            &["profile", "stencil", "--threads", "9"][..],
+            "h=9 must be in 1..=8 (one band row minimum)",
         ),
     ] {
         let out = emx_cli(args);
@@ -66,7 +66,7 @@ const WORKLOAD_WORDS: [&str; 9] = [
 
 #[test]
 fn every_workload_word_runs_through_the_run_family() {
-    for cmd in ["run", "trace", "metrics", "profile"] {
+    for cmd in ["run", "trace", "profile"] {
         for word in WORKLOAD_WORDS {
             let out = emx_cli(&[cmd, word, "--pes", "4", "--n", "256", "--threads", "2"]);
             assert_eq!(
@@ -84,6 +84,33 @@ fn every_workload_word_runs_through_the_run_family() {
             "{cmd} foo: {stderr}"
         );
     }
+}
+
+#[test]
+fn fig4_profiles_and_the_metrics_command_is_retired() {
+    // `profile` takes the Figure 4 scenario as `trace` does, and ends
+    // with its report's digest line.
+    let out = emx_cli(&["profile", "fig4"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.starts_with("emx-profile/2\nmeta workload=fig4\n"),
+        "{stdout}"
+    );
+    let last = stdout.lines().last().unwrap_or_default();
+    let hex = last.strip_prefix("digest: ").unwrap_or_default();
+    assert!(
+        hex.len() == 32 && hex.bytes().all(|b| b.is_ascii_hexdigit()),
+        "{last:?}"
+    );
+    // The profile carries what `metrics` printed, so the command is gone.
+    let out = emx_cli(&["metrics", "fig4"]);
+    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]

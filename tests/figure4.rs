@@ -1,13 +1,13 @@
 //! Integration test of the paper's Figure 4: the hand-walked FIFO schedule
 //! of 2 PEs × 2 threads merging 8 elements, captured through the
 //! observability probe and verified end to end — schedule shape, exporter
-//! validity, and byte-determinism.
+//! validity, byte-determinism, and the profile's per-PE counts.
 
-use emx::obs::{chrome_trace_json, events_csv, validate_chrome_trace, Observation, Recorder};
+use emx::obs::{chrome_trace_json, events_csv, validate_chrome_trace, EventLog, Recorder};
 use emx::prelude::*;
 use emx::workloads::fig4;
 
-fn observed_fig4() -> (Observation, RunReport) {
+fn observed_fig4() -> (EventLog, RunReport) {
     let mut m = fig4::build().unwrap();
     let (rec, handle) = Recorder::unbounded();
     m.attach_probe(Box::new(rec));
@@ -15,10 +15,18 @@ fn observed_fig4() -> (Observation, RunReport) {
     (handle.finish(), report)
 }
 
+fn profiled_fig4() -> ProfileReport {
+    let mut m = fig4::build().unwrap();
+    let (probe, handle) = Profiler::new(m.config().costs);
+    m.attach_probe(Box::new(probe));
+    let report = m.run().unwrap();
+    handle.finish(&report)
+}
+
 #[test]
 fn dispatch_sequence_matches_the_paper() {
-    let (obs, _) = observed_fig4();
-    let summary = fig4::check_schedule(obs.log.events()).expect("paper schedule");
+    let (log, _) = observed_fig4();
+    let summary = fig4::check_schedule(log.events()).expect("paper schedule");
 
     // Eight remote reads (RR0..RR3 per direction in the figure): each PE's
     // two threads alternate FIFO, and all four merges retire in thread
@@ -60,14 +68,31 @@ fn figure4_trace_exports_validate_and_are_deterministic() {
 
 #[test]
 fn figure4_metrics_match_the_schedule() {
-    let (obs, _) = observed_fig4();
-    // Each PE spawned two threads, each thread suspended on 2 reads plus
-    // thread-sync and barrier waits, and both retired.
-    for pe in 0..2u16 {
-        let m = obs.metrics.pe(PeId(pe)).unwrap();
-        assert_eq!(m.spawns, 2, "PE{pe}");
-        assert_eq!(m.retires, 2, "PE{pe}");
-        assert!(m.suspends >= 4, "PE{pe}: {}", m.suspends);
+    // Each PE spawned two threads; each thread suspended on its two reads
+    // and on the barrier, resumed from each, and retired.
+    let rep = profiled_fig4();
+    let text = rep.canonical_text();
+    for want in [
+        "events pe=0 dispatches=11 sends=11 spawns=2 resumes=6 suspends=6 retires=2 \
+         enqueues=11 spills=0 unspills=0 dma_services=4 dma_words=4 net_injects=11 \
+         net_hops=9 net_delivers=11 max_queue_depth=2 suspend[remote-read]=4 \
+         suspend[block-read]=0 suspend[barrier]=2 suspend[thread-sync]=0 suspend[yield]=0 \
+         fault[drop]=0 fault[dup]=0 fault[delay]=0",
+        "events pe=1 dispatches=9 sends=9 spawns=2 resumes=6 suspends=6 retires=2 \
+         enqueues=9 spills=0 unspills=0 dma_services=4 dma_words=4 net_injects=9 \
+         net_hops=9 net_delivers=9 max_queue_depth=1 suspend[remote-read]=4 \
+         suspend[block-read]=0 suspend[barrier]=2 suspend[thread-sync]=0 suspend[yield]=0 \
+         fault[drop]=0 fault[dup]=0 fault[delay]=0",
+        "hist queue_depth_pkts count=20 sum=21 max=2 buckets=19,1,0,0,0,0,0,0,0",
+        "hist run_length_cycles count=16 sum=222 max=30 buckets=0,4,8,4,0,0,0,0,0,0",
+    ] {
+        assert!(
+            text.lines().any(|l| l == want),
+            "missing {want:?} in\n{text}"
+        );
     }
-    assert_eq!(obs.metrics.read_latency().count(), 8);
+    // The eight remote reads, RR0..RR3 in each direction, all single-word.
+    let reads = &rep.blame.total;
+    assert_eq!((reads.count(), reads.sum(), reads.max()), (8, 144, 33));
+    assert_eq!(rep.blame.block_total.count(), 0);
 }
