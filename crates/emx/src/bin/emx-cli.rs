@@ -60,7 +60,9 @@
 //! (open it at <https://ui.perfetto.dev>) or as CSV; `--check` re-parses
 //! the JSON with the built-in validator. The `fig4` workload rebuilds the
 //! paper's Figure 4 scenario; `trace fig4` verifies its hand-walked FIFO
-//! schedule before exporting.
+//! schedule before exporting. Its 2-PE machine and scenario are fixed, so
+//! `trace fig4` and `profile fig4` reject the machine and kernel flags as
+//! usage errors.
 //!
 //! `profile` runs a workload with the streaming `emx-profile` probe and
 //! prints the digest-stamped `emx-profile/2` report: exact per-PE event
@@ -364,8 +366,15 @@ fn kernel_spec(
     Ok(spec)
 }
 
+/// The workload word of `run`, `trace` or `profile`: the first
+/// positional, else `fig4` for `trace` and `fft` for the others.
+fn workload_word<'a>(cmd: &str, args: &'a Args) -> &'a str {
+    let default = if cmd == "trace" { "fig4" } else { "fft" };
+    args.positional.first().map_or(default, String::as_str)
+}
+
 fn cmd_run(args: &Args) -> Result<(), String> {
-    let workload = args.positional.first().map(String::as_str).unwrap_or("fft");
+    let workload = workload_word("run", args);
     let cfg = machine_cfg(args, 64)?;
     let spec = kernel_spec(args, workload, &cfg, 4096, 4)?;
     arm_kill_switch(args)?;
@@ -456,11 +465,7 @@ fn attach_profiler(m: &mut Machine) -> ProfilerHandle {
 }
 
 fn cmd_trace(args: &Args) -> Result<(), String> {
-    let workload = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("fig4");
+    let workload = workload_word("trace", args);
     let (rec, handle) = Recorder::bounded(args.usize_or("events", 1 << 20)?);
     let attach = |m: &mut Machine| m.attach_probe(Box::new(rec));
     let ((), report, _) = probed_run(args, workload, TRACE_SHAPE, attach)?;
@@ -511,7 +516,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let workload = args.positional.first().map(String::as_str).unwrap_or("fft");
+    let workload = workload_word("profile", args);
     let (handle, report, meta) = probed_run(args, workload, PROFILE_SHAPE, attach_profiler)?;
     let mut rep = handle.finish(&report);
     rep.meta = meta;
@@ -1100,6 +1105,10 @@ const USAGE: &str = "usage: emx-cli <run|trace|profile|profile-diff|sweep|faults
 #[rustfmt::skip]
 const MACHINE_FLAGS: &[&str] = &["pes", "memory-words", "em4", "priority-responses", "net", "preset"];
 
+/// Flags `kernel_spec` reads. With `MACHINE_FLAGS`, the flags that `fig4`,
+/// a fixed machine running a fixed scenario, rejects.
+const KERNEL_FLAGS: &[&str] = &["n", "threads", "seed", "comm-only", "block"];
+
 /// Flags every sweep-shaped subcommand (`sweep`, `faults`, `resume`)
 /// reads: `engine_from_args`, the kill switch, hostprof and the output.
 #[rustfmt::skip]
@@ -1109,9 +1118,9 @@ const SWEEP_FLAGS: &[&str] = &["jobs", "no-cache", "progress", "kill-after", "ho
 /// typo or a retired flag fails loudly instead of running with a default.
 #[rustfmt::skip]
 const FLAGS: &[(&str, &[&[&str]])] = &[
-    ("run", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "csv", "kill-after", "hostprof"]]),
+    ("run", &[MACHINE_FLAGS, KERNEL_FLAGS, &["csv", "kill-after", "hostprof"]]),
     ("trace", &[MACHINE_FLAGS, &["n", "threads", "seed", "events", "format", "check", "out"]]),
-    ("profile", &[MACHINE_FLAGS, &["n", "threads", "seed", "comm-only", "block", "json", "out"]]),
+    ("profile", &[MACHINE_FLAGS, KERNEL_FLAGS, &["json", "out"]]),
     ("profile-diff", &[&["baseline-dir", "threshold"]]),
     ("sweep", &[SWEEP_FLAGS, &["workload", "pes", "sizes", "threads", "net", "preset", "journal"]]),
     ("faults", &[SWEEP_FLAGS, &["workload", "pes", "sizes", "threads", "net", "preset", "journal",
@@ -1128,12 +1137,21 @@ const FLAGS: &[(&str, &[&[&str]])] = &[
 
 /// Usage-shape validation (exit 2): the command and its subcommand /
 /// required positionals must exist, and every flag must be one the
-/// command reads, before any work starts.
+/// command reads — for `fig4`, none that shapes the machine or kernel —
+/// before any work starts.
 fn validate_shape(cmd: &str, args: &Args) -> Result<(), String> {
     if let Some((_, groups)) = FLAGS.iter().find(|(name, _)| *name == cmd) {
         let known = |flag: &str| groups.iter().any(|group| group.contains(&flag));
         if let Some((flag, _)) = args.flags.iter().find(|(flag, _)| !known(flag)) {
             return Err(format!("unknown flag --{flag} for {cmd}"));
+        }
+    }
+    if matches!(cmd, "trace" | "profile") && workload_word(cmd, args) == "fig4" {
+        let shapes = |flag: &str| MACHINE_FLAGS.contains(&flag) || KERNEL_FLAGS.contains(&flag);
+        if let Some((flag, _)) = args.flags.iter().find(|(flag, _)| shapes(flag)) {
+            return Err(format!(
+                "--{flag} does not apply to fig4: its machine and scenario are fixed"
+            ));
         }
     }
     match cmd {
@@ -1293,17 +1311,24 @@ mod tests {
     fn trace_and_profile_accept_every_kernel_and_fig4() {
         // `trace` and `profile` both run through `probed_run`. The stencil
         // needs a band row per thread, so n is raised from trace's default
-        // 64; its 2 PEs and h = 2 stay, for both probes.
-        let args = Args::parse(&["--n".to_string(), "256".to_string()]);
+        // 64; its 2 PEs and h = 2 stay, for both probes. `fig4`'s machine
+        // and scenario are fixed, so it takes no `--n`.
+        let sized = Args::parse(&["--n".to_string(), "256".to_string()]);
+        let fixed = Args::parse(&[]);
         for w in ["sort", "fft", "bfs", "histogram", "spmv", "stencil", "fig4"] {
+            let (args, flags) = if w == "fig4" {
+                (&fixed, "")
+            } else {
+                (&sized, " --n 256")
+            };
             for cmd in ["trace", "profile"] {
-                assert_eq!(shape(&format!("{cmd} {w} --n 256")), Ok(()), "{cmd} {w}");
+                assert_eq!(shape(&format!("{cmd} {w}{flags}")), Ok(()), "{cmd} {w}");
             }
             let (rec, handle) = Recorder::unbounded();
-            probed_run(&args, w, TRACE_SHAPE, |m| m.attach_probe(Box::new(rec)))
+            probed_run(args, w, TRACE_SHAPE, |m| m.attach_probe(Box::new(rec)))
                 .unwrap_or_else(|e| panic!("{w}: {e}"));
             assert!(handle.finish().total() > 0, "{w} recorded no events");
-            let (handle, report, _) = probed_run(&args, w, TRACE_SHAPE, attach_profiler)
+            let (handle, report, _) = probed_run(args, w, TRACE_SHAPE, attach_profiler)
                 .unwrap_or_else(|e| panic!("{w}: {e}"));
             let profile = handle.finish(&report);
             assert_eq!(profile.pes.len(), 2, "{w}");

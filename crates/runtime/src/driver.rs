@@ -131,22 +131,14 @@ fn drive(
 ) -> Result<bool, SimError> {
     let mut popped = 0u64;
     while popped < max_events {
-        let Some(head) = core.cal.peek_key() else {
-            break;
-        };
-        if head.at > limit {
-            // `step_events` patches in the live-thread census.
-            return Err(SimError::FuelExhausted {
-                cycle: head.at.get(),
-                live_threads: 0,
-            });
-        }
-        let Some((key, ev)) = core.cal.pop() else {
+        // An event past `limit` fails the pop with `FuelExhausted`, whose
+        // live-thread census `step_events` patches in.
+        let Some((key, ev)) = core.cal.pop(limit)? else {
             break;
         };
         emx_faults::kill::tick();
         popped += 1;
         core.process_event(sh, fx, key, ev)?;
     }
-    Ok(core.cal.peek_key().is_none())
+    Ok(core.cal.is_empty())
 }

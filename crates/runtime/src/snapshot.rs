@@ -39,7 +39,7 @@ use emx_isa::{Reg, ThreadState};
 use emx_net::Network;
 use emx_stats::digest::digest_hex;
 
-use crate::calendar::{Calendar, EvKey};
+use crate::calendar::{Calendar, EvKey, LANE_DISPATCH, LANE_LOCAL, LANE_NET, LANE_RETRY};
 use crate::machine::{parts, Core, EntryDef, Ev, Frame, Machine, Pe, Shared, ThreadKind, Wait};
 
 /// Format identifier on the first line of every snapshot.
@@ -360,7 +360,8 @@ fn snap(
     let mut events = core.cal.entries_sorted();
     c.vec(&mut events, |(key, ev), c| {
         key.snap(c)?;
-        ev.snap(c, pes)
+        ev.snap(c, pes)?;
+        key.fits(ev, c)
     })?;
     if c.decoding() {
         core.cal = Calendar::restore(now, events)?;
@@ -587,6 +588,25 @@ impl EvKey {
         c.u8(&mut self.lane)?;
         c.u64(&mut self.a)?;
         c.u64(&mut self.b)
+    }
+
+    /// A run keys each event on its own PE and in its kind's lane, so
+    /// decoding rejects a key whose PE or lane differs from its event's.
+    fn fits(&self, ev: &Ev, c: &dyn Codec) -> Result<(), SimError> {
+        let (pe, lane) = match *ev {
+            Ev::Dispatch(pe) => (pe, LANE_DISPATCH),
+            Ev::Arrive(pe, _, false) => (pe, LANE_LOCAL),
+            Ev::Retry(pe, ..) => (pe, LANE_RETRY),
+            Ev::Arrive(pe, _, true) => (pe, LANE_NET),
+        };
+        if (self.pe, self.lane) == (pe.0, lane) {
+            Ok(())
+        } else {
+            Err(c.invalid(&format!(
+                "calendar key on PE {} in lane {} holds an event of PE {} and lane {lane}",
+                self.pe, self.lane, pe.0
+            )))
+        }
     }
 }
 

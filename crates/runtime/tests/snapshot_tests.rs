@@ -356,12 +356,20 @@ fn a_body_word_too_wide_for_its_field_fails_the_restore() {
 
 #[test]
 fn restore_rejects_an_event_on_a_pe_outside_the_machine() {
-    // Token 9 of the `cal` line is the first event's PE (after the
-    // count, the five key fields and the event tag).
+    // The `cal` line's first event is PE 0's loader spawn: after the
+    // count, its key's cycle, PE (token 4) and lane (token 5, lane 1 for
+    // a local arrival), two discriminants, the event tag and, at token 9,
+    // the event's PE. No run makes a key in another lane or on another
+    // PE than its event's, nor a lane above 3.
     let snap = build().snapshot().unwrap();
-    let bad = retoken(&snap, "cal", 0, 9, "3e7");
-    let err = build().restore(&bad).unwrap_err();
-    assert!(matches!(err, SimError::SnapshotInvalid { .. }), "{err}");
+    for (token, value) in [(9, "3e7"), (5, "9"), (5, "3"), (4, "7"), (4, "1")] {
+        let bad = retoken(&snap, "cal", 0, token, value);
+        let err = build().restore(&bad).unwrap_err();
+        assert!(
+            matches!(err, SimError::SnapshotInvalid { .. }),
+            "token {token} = {value}: {err}"
+        );
+    }
 }
 
 #[test]

@@ -114,6 +114,41 @@ fn fig4_profiles_and_the_metrics_command_is_retired() {
 }
 
 #[test]
+fn fig4_rejects_every_machine_and_kernel_flag() {
+    // `fig4` runs the paper's fixed 2-PE scenario, so a flag that would
+    // shape the machine or the kernel is a usage error naming the flag,
+    // on `trace` (whose default workload is `fig4`) and on `profile`.
+    let machine = [
+        "--pes=8",
+        "--memory-words=64",
+        "--em4",
+        "--priority-responses",
+        "--net=mesh",
+        "--preset=modern",
+        "--n=4096",
+        "--threads=3",
+        "--seed=1",
+    ];
+    for (cmd, extra) in [
+        ("trace", &[][..]),
+        ("profile", &["--comm-only", "--block"][..]),
+    ] {
+        for flag in machine.iter().chain(extra) {
+            let out = emx_cli(&[cmd, "fig4", flag]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{cmd} fig4 {flag}: {stderr}");
+            let name = flag.split('=').next().unwrap_or_default();
+            assert!(
+                stderr.contains(&format!("{name} does not apply to fig4")),
+                "{cmd} fig4 {flag}: {stderr}"
+            );
+        }
+    }
+    let out = emx_cli(&["trace", "--pes", "8"]);
+    assert_eq!(out.status.code(), Some(2), "trace defaults to fig4");
+}
+
+#[test]
 fn shapes_the_kernels_cannot_run_fail_with_a_message() {
     for (args, message) in [
         (
